@@ -31,7 +31,14 @@ from .instance_io import (
     canonical_dumps,
     load_instance,
 )
-from .model import CODE_DTYPE, Allocation, ObjectiveVector, ProblemInstance, evaluate_batch
+from .model import (
+    CODE_DTYPE,
+    Allocation,
+    BatchStats,
+    ObjectiveVector,
+    ProblemInstance,
+    evaluate_batch,
+)
 from .operators import OperatorConfig
 
 RECORD_SCHEMA = 1
@@ -170,8 +177,17 @@ def record_to_json(label: str, rec: RunRecord) -> str:
 
 def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
     """Rebuild a RunRecord; per-use areas are recomputed from the codes."""
+    label, rec, _ = _record_and_stats(doc, inst)
+    return label, rec
+
+
+def _record_and_stats(
+    doc: dict, inst: ProblemInstance
+) -> tuple[str, RunRecord, BatchStats | None]:
+    """record_from_dict plus the evaluation of the stored codes (None if empty)."""
     pop_docs = doc["population"]
     individuals: list[Individual] = []
+    stats = None
     if pop_docs:
         codes = np.array([d["floor_uses"] for d in pop_docs], dtype=CODE_DTYPE)
         stats = evaluate_batch(inst, codes)
@@ -197,7 +213,24 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
         front_indices=[int(i) for i in doc["front"]],
         wall_time_s=float("nan"),
     )
-    return doc["label"], rec
+    return doc["label"], rec, stats
+
+
+def _stale_members(rec: RunRecord, stats: BatchStats | None) -> list[int]:
+    """Members whose stored objectives or changed count disagree with their codes.
+
+    Objectives match within 1e-9 relative: an engine evaluates a member
+    inside batches of varying shape, which may move the last bits.
+    """
+    if stats is None:
+        return []
+    stored = np.array(
+        [(i.objectives.compatibility, i.objectives.price, i.changed_count) for i in rec.population]
+    )
+    fresh = np.column_stack([stats.compatibility, stats.price, stats.changed])
+    tol = np.abs(fresh) * np.array([1e-9, 1e-9, 0.0])
+    ok = (np.abs(stored - fresh) <= tol).all(axis=1)  # a NaN is never ok
+    return np.flatnonzero(~ok).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +415,10 @@ def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
 def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     """Check bundle completeness and invariants.
 
+    Each run's stored member objectives and changed counts are checked
+    against the evaluation of its codes that loading the record already
+    makes, and its HV trace must never decrease.
+
     Returns (issues, incomplete): `incomplete` marks missing or failed
     runs; other issues are integrity problems.
     """
@@ -420,21 +457,30 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             continue
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-            label, rec = record_from_dict(doc, inst)
+            label, rec, stats = _record_and_stats(doc, inst)
         except Exception as exc:
             issues.append(f"{tag}: unreadable run file ({exc})")
             continue
         expected_gens = gens_by_label.get(entry["label"])
         if expected_gens is not None and len(rec.hv_trace) != expected_gens:
             issues.append(f"{tag}: hv trace length {len(rec.hv_trace)} != generations {expected_gens}")
+        if np.any(np.diff(rec.hv_trace) < 0):
+            issues.append(f"{tag}: hv trace decreases")
+        stale = _stale_members(rec, stats)
+        if stale:
+            issues.append(
+                f"{tag}: stored objectives or changed counts of {len(stale)} member(s) "
+                f"do not match their floor uses (first: member {stale[0]})"
+            )
         if any(not 0 <= i < len(rec.population) for i in rec.front_indices):
             issues.append(f"{tag}: front indices out of range")
             continue
-        front = rec.front()
-        pts = np.array([[f.objectives.compatibility, f.objectives.price] for f in front])
-        for a in range(len(front)):
-            dominated = np.all(pts >= pts[a], axis=1) & np.any(pts > pts[a], axis=1)
-            if dominated.any():
-                issues.append(f"{tag}: reported front contains dominated points")
-                break
+        pts = np.array(
+            [[f.objectives.compatibility, f.objectives.price] for f in rec.front()]
+        ).reshape(-1, 2)
+        # dominates[i, a]: point i is at least as good as a everywhere, better somewhere
+        at_least = (pts[:, None] >= pts[None, :]).all(axis=2)
+        dominates = at_least & (pts[:, None] > pts[None, :]).any(axis=2)
+        if dominates.any():
+            issues.append(f"{tag}: reported front contains dominated points")
     return issues, incomplete

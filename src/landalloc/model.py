@@ -231,20 +231,48 @@ class BatchStats:
     changed: np.ndarray  # (B,) plots differing from actual
 
 
+# Rows per evaluation block: about 2^17 per-plot values (rows x N x K), so a
+# block's (N, B, K) arrays stay cache-sized; 33 rows at 1,290 plots x 3 uses.
+_BLOCK_VALUES = 1 << 17
+
+
 def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
-    """Evaluate a (B, total_floors) batch of flat code arrays in one pass.
+    """Evaluate a (B, total_floors) batch of flat code arrays.
 
     Returns both objectives plus the per-use areas and changed-plot counts
-    needed by the constraint checks. The neighborhood sum accumulates
-    per-edge contributions with numpy's pairwise summation.
+    needed by the constraint checks.
+
+    Rows are evaluated in blocks of about 2^17 per-plot values each (33
+    rows at 1,290 plots x 3 uses). A batch of 2 or more rows never yields
+    a 1-row block: a trailing single row joins the block before it.
+
+    Summation order: inside a block of 2 or more rows, each row's
+    compatibility adds the per-edge contributions one by one in stored
+    edge order, so a row's value does not depend on its block or batch.
+    A 1-row batch is one contiguous reduction, which numpy sums pairwise;
+    its compatibility can therefore differ in the last bits from the same
+    row evaluated inside a larger batch.
     """
     codes = np.atleast_2d(codes)
     b = codes.shape[0]
-    n, k = inst.n_plots, inst.n_uses
     if codes.shape[1] != inst.total_floors:
         raise ValueError(
             f"expected {inst.total_floors} floor codes per allocation, got {codes.shape[1]}"
         )
+    step = max(2, _BLOCK_VALUES // (inst.n_plots * inst.n_uses))
+    bounds = list(range(0, max(b, 1), step)) + [b]  # an empty batch is one empty block
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    blocks = [_evaluate_block(inst, codes[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if len(blocks) == 1:
+        return BatchStats(*blocks[0])
+    return BatchStats(*map(np.concatenate, zip(*blocks)))
+
+
+def _evaluate_block(inst: ProblemInstance, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """BatchStats fields for one block of rows."""
+    b = codes.shape[0]
+    n, k = inst.n_plots, inst.n_uses
     flat = (
         np.arange(b, dtype=np.int64)[:, None] * (n * k)
         + inst.floor_plot_index[None, :] * k
@@ -253,20 +281,26 @@ def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
     counts = np.bincount(flat, minlength=b * n * k).reshape(b, n, k)
     props = counts / inst.floor_counts[None, :, None]
     areas = props * inst.floor_space[None, :, None]  # (B, N, K)
-    weighted = areas @ inst.compat  # (B, N, K)
+    price = np.einsum("bnk,nk->b", props, inst.price)
+    # Plot-major copy: both edge ends become contiguous (B, K) slabs, and
+    # summing over plots along axis 0 adds them in the same order as a
+    # batch-major sum over axis 1, bit for bit.
+    plot_major = np.ascontiguousarray(areas.transpose(1, 0, 2))  # (N, B, K)
+    per_use_area = plot_major.sum(axis=0)
     if len(inst.edge_i):
+        weighted = plot_major @ inst.compat
         contrib = np.einsum(
-            "bek,bek->be", weighted[:, inst.edge_i, :], areas[:, inst.edge_j, :]
-        )
-        compatibility = contrib.sum(axis=1)
+            "ebk,ebk->eb",
+            weighted.take(inst.edge_i, axis=0),
+            plot_major.take(inst.edge_j, axis=0),
+        )  # (E, B)
+        compatibility = contrib.sum(axis=0)
     else:
         compatibility = np.zeros(b)
-    price = np.einsum("bnk,nk->b", props, inst.price)
-    per_use_area = areas.sum(axis=1)
     diff = (codes != inst.actual_codes[None, :]).astype(np.int64)
     per_plot = np.add.reduceat(diff, inst.floor_offsets[:-1], axis=1)
     changed = (per_plot > 0).sum(axis=1)
-    return BatchStats(compatibility, price, per_use_area, changed)
+    return compatibility, price, per_use_area, changed
 
 
 def _single_stats(inst: ProblemInstance, a: Allocation) -> BatchStats:

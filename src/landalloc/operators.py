@@ -29,6 +29,9 @@ T = TypeVar("T")
 # buildings fall back to python-int (object dtype) arithmetic.
 _INT64_BITS = 62
 
+# PlotCodec's digit table holds at most this many rows (K^w <= 8192).
+_TABLE_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class OperatorConfig:
@@ -105,6 +108,16 @@ class PlotCodec:
     Uses int64 arithmetic when every plot's code range fits, otherwise
     python-int (object dtype) arithmetic, so tall buildings never
     overflow.
+
+    Decoding reads a digit table built once per codec: row v holds the w
+    base-K digits of v, most significant first, where w is the largest
+    width with K^w <= 8192, capped at the tallest plot's floor count
+    (w = 8 at K = 3 with 8-floor plots: 6,561 rows of int16). Plots of at
+    most w floors decode with one table lookup and no integer division.
+    Taller plots are first split into ceil(f_max / w) chunks of w digits
+    by % and // of K^w; each chunk is below K^w, so it is looked up in the
+    same table, on either dtype. One gather along the flat digit axis
+    then picks every floor's digit.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -124,15 +137,24 @@ class PlotCodec:
         self.max_values = np.array(
             [self.base ** int(f) - 1 for f in inst.floor_counts], dtype=dtype
         )
-        # targets[p] = flat indices of digit p counted from the least
-        # significant end, for plots tall enough to have it
-        self._max_digits = int(inst.floor_counts.max()) if inst.n_plots else 0
-        self._digit_plots = []
-        self._digit_slots = []
-        for p in range(self._max_digits):
-            ids = np.flatnonzero(inst.floor_counts > p)
-            self._digit_plots.append(ids)
-            self._digit_slots.append(inst.floor_offsets[ids] + inst.floor_counts[ids] - 1 - p)
+        width = 1
+        tallest = int(inst.floor_counts.max())
+        while width < tallest and self.base ** (width + 1) <= _TABLE_ROWS:
+            width += 1
+        self._width = width
+        # C-order indices of a (K,) * w grid are the digits of 0..K^w - 1.
+        self._table = np.indices((self.base,) * width, dtype=CODE_DTYPE).reshape(width, -1).T.copy()
+        self._chunks = -(-tallest // width)
+        # Digit p of plot i, counted from the least significant end, sits in
+        # chunk p // w at table column w - 1 - p % w; the lookups are laid
+        # out as (plot, chunk, column).
+        last = np.repeat(inst.floor_offsets[1:] - 1, inst.floor_counts)
+        pos = last - np.arange(inst.total_floors)
+        self._columns = (
+            inst.floor_plot_index * (self._chunks * width)
+            + (pos // width) * width
+            + width - 1 - pos % width
+        )
 
     def encode_rows(self, codes: np.ndarray) -> np.ndarray:
         """(B, total_floors) code rows -> (B, N) per-plot integers."""
@@ -144,14 +166,15 @@ class PlotCodec:
 
     def decode_rows(self, values: np.ndarray) -> np.ndarray:
         """(B, N) per-plot integers -> (B, total_floors) code rows."""
-        values = np.atleast_2d(values).copy()
-        out = np.zeros((values.shape[0], self.inst.total_floors), dtype=CODE_DTYPE)
-        for p in range(self._max_digits):
-            ids = self._digit_plots[p]
-            rem = values[:, ids] % self.base
-            values[:, ids] //= self.base
-            out[:, self._digit_slots[p]] = rem.astype(CODE_DTYPE)
-        return out
+        values = np.atleast_2d(values)
+        span = self.base**self._width
+        chunks = np.empty(values.shape + (self._chunks,), dtype=np.int64)
+        for c in range(self._chunks - 1):  # least significant chunk first
+            chunks[..., c] = values % span
+            values = values // span
+        chunks[..., -1] = values
+        digits = self._table.take(chunks, axis=0).reshape(values.shape[0], -1)
+        return digits.take(self._columns, axis=1)
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         """Clamp (B, N) rounded reals into [0, K^f - 1] as codec integers."""
@@ -172,11 +195,6 @@ def _codec(inst: ProblemInstance) -> PlotCodec:
         codec = PlotCodec(inst)
         inst._plot_codec = codec
     return codec
-
-
-def _rint(values: np.ndarray) -> np.ndarray:
-    # np.rint rounds half to even, matching python round()
-    return np.rint(values)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +248,6 @@ def tournament_indices(
 # crossover
 
 
-def sbx_values(
-    v1: np.ndarray, v2: np.ndarray, eta: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real-coded SBX on value arrays; returns the two children (floats)."""
-    u = rng.random(v1.shape)
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
-    )
-    f1 = v1.astype(float)
-    f2 = v2.astype(float)
-    c1 = 0.5 * ((1.0 + beta) * f1 + (1.0 - beta) * f2)
-    c2 = 0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)
-    return c1, c2
-
-
 def sbx_batch(
     codes1: np.ndarray,
     codes2: np.ndarray,
@@ -273,8 +274,8 @@ def sbx_batch(
     )
     f1 = v1.astype(float)
     f2 = v2.astype(float)
-    c1 = codec.clamp(_rint(0.5 * ((1.0 + beta) * f1 + (1.0 - beta) * f2)))
-    c2 = codec.clamp(_rint(0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)))
+    c1 = codec.clamp(np.rint(0.5 * ((1.0 + beta) * f1 + (1.0 - beta) * f2)))
+    c2 = codec.clamp(np.rint(0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)))
     child1 = np.where(select, c1, v1)
     child2 = np.where(select, c2, v2)
     out1 = codec.decode_rows(child1)
@@ -421,7 +422,7 @@ def polynomial_mutation_batch(
     low = np.zeros(inst.n_plots)
     high = codec.max_values.astype(float)
     perturbed = polynomial_values(values.astype(float), low, high, cfg.poly_eta, u)
-    mutated = codec.clamp(_rint(perturbed))
+    mutated = codec.clamp(np.rint(perturbed))
     out = codec.decode_rows(np.where(mask, mutated, values))
     fmask = np.repeat(mask, inst.floor_counts, axis=1)
     return np.where(fmask, out, codes).astype(CODE_DTYPE)
@@ -448,7 +449,7 @@ def scaled_add_batch(
     codec = _codec(inst)
     vt = codec.encode_rows(target)
     vd = codec.encode_rows(donor)
-    moved = codec.clamp(vt.astype(float) + _rint(f * vd.astype(float)))
+    moved = codec.clamp(vt.astype(float) + np.rint(f * vd.astype(float)))
     out = codec.decode_rows(moved)
     fmask = np.repeat(~inst.locked, inst.floor_counts)
     return np.where(fmask[None, :], out, target).astype(CODE_DTYPE)
@@ -471,7 +472,7 @@ def scaled_difference_batch(
     codec = _codec(inst)
     va = codec.encode_rows(a)
     vb = codec.encode_rows(b)
-    moved = codec.clamp(_rint(f * (va.astype(float) - vb.astype(float))))
+    moved = codec.clamp(np.rint(f * (va.astype(float) - vb.astype(float))))
     out = codec.decode_rows(moved)
     fmask = np.repeat(~inst.locked, inst.floor_counts)
     return np.where(fmask[None, :], out, a).astype(CODE_DTYPE)

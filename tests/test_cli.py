@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -215,6 +216,73 @@ class TestVerifyCommand:
         manifest["runs"][0]["error"] = "boom"
         (bundle / "manifest.json").write_text(json.dumps(manifest))
         assert main(["verify", "--bundle", str(bundle)]) == 3
+
+
+class TestVerifyRederives:
+    """verify re-derives member objectives and the HV trace from the record.
+
+    The tamper recipe: on a 20x20 (generator seed 11) CR_DES bundle,
+    rewrite every floor of front member 2 as (u + 1) % 3 and set
+    hv_trace[5] = 0.
+    """
+
+    @pytest.fixture(scope="class")
+    def clean_bundle(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rederive")
+        inst_path = str(root / "inst.landalloc.json")
+        main(["generate", "--grid", "20x20", "--seed", "11", "--out", inst_path])
+        doc = {
+            "instance": "inst.landalloc.json", "output": "bundle", "seeds": [1],
+            "engines": [{"label": "CR_DES", "algorithm": "CR_DES", "generations": 30}],
+        }
+        (root / "exp.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(root / "exp.json")]) == 0
+        return root / "bundle"
+
+    def _tampered(self, clean_bundle, tmp_path, codes, hv):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        assert len(doc["front"]) > 2 and doc["hv_trace"][5] > 0
+        if codes:
+            member = doc["population"][doc["front"][2]]
+            member["floor_uses"] = [(u + 1) % 3 for u in member["floor_uses"]]
+        if hv:
+            doc["hv_trace"][5] = 0.0
+        run.write_text(json.dumps(doc))
+        return bundle
+
+    def test_clean_bundle_passes(self, clean_bundle):
+        assert main(["verify", "--bundle", str(clean_bundle)]) == 0
+
+    def test_recipe_fails(self, clean_bundle, tmp_path, capsys):
+        bundle = self._tampered(clean_bundle, tmp_path, codes=True, hv=True)
+        assert main(["verify", "--bundle", str(bundle)]) != 0
+        err = capsys.readouterr().err
+        assert "hv trace decreases" in err
+        assert "do not match their floor uses" in err
+
+    @pytest.mark.parametrize("codes, hv", [(True, False), (False, True)])
+    def test_each_tamper_alone_fails(self, clean_bundle, tmp_path, codes, hv):
+        bundle = self._tampered(clean_bundle, tmp_path, codes=codes, hv=hv)
+        assert main(["verify", "--bundle", str(bundle)]) != 0
+
+    def test_dominated_front_member_fails(self, clean_bundle, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        pts = [(m["compatibility"], m["price"]) for m in doc["population"]]
+        best = pts[doc["front"][0]]
+        victim = next(
+            i for i, p in enumerate(pts)
+            if p[0] <= best[0] and p[1] <= best[1] and p != best
+        )
+        doc["front"].append(victim)
+        run.write_text(json.dumps(doc))
+        assert main(["verify", "--bundle", str(bundle)]) != 0
+        assert "dominated points" in capsys.readouterr().err
 
 
 class TestHarnessInternals:

@@ -208,6 +208,43 @@ class TestBatchEvaluation:
             )
             assert stats.price[r] == pytest.approx(evaluate_price(inst, a), rel=1e-12)
 
+    def test_blocks_do_not_change_rows(self, monkeypatch):
+        import landalloc.model as model
+        from landalloc.instance_io import GeneratorSpec, generate_synthetic
+
+        inst = generate_synthetic(GeneratorSpec(grid_width=43, grid_height=30, rng_seed=7))
+        step = model._BLOCK_VALUES // (inst.n_plots * inst.n_uses)
+        b = 3 * step + 1  # three full blocks plus a 1-row remainder
+        rng = np.random.default_rng(0)
+        codes = np.repeat(inst.actual_codes[None, :], b, axis=0)
+        redraw = rng.random(codes.shape) < 0.2
+        codes[redraw] = rng.integers(0, inst.n_uses, size=int(redraw.sum()))
+        blocks = []
+        block_fn = model._evaluate_block
+
+        def spy(inst_, block):
+            blocks.append(len(block))
+            return block_fn(inst_, block)
+
+        monkeypatch.setattr(model, "_evaluate_block", spy)
+        stats = evaluate_batch(inst, codes)
+        assert blocks == [step, step, step + 1]
+        for r in range(b):
+            pair = evaluate_batch(inst, codes[[r, (r + 1) % b]])
+            for name in ("compatibility", "price", "areas", "changed"):
+                got = getattr(stats, name)[r]
+                want = getattr(pair, name)[0]
+                assert got.tobytes() == want.tobytes(), (r, name)
+
+    def test_no_edges_give_zero_compatibility_in_batches(self):
+        plots = [Plot(i, 2, 80.0 + i, (), False, (0, 1)) for i in range(4)]
+        uses = [LandUse(0, "a"), LandUse(1, "b")]
+        inst = ProblemInstance(plots, uses, np.eye(2), np.ones((4, 2)), 0.3, 0.5, 0.0, 10.0)
+        codes = np.random.default_rng(2).integers(0, 2, size=(5, inst.total_floors))
+        for batch in (codes[:1], codes):
+            stats = evaluate_batch(inst, batch.astype(np.int16))
+            assert np.array_equal(stats.compatibility, np.zeros(len(batch)))
+
     def test_dimension_mismatch_raises(self, tiny1):
         with pytest.raises(ValueError):
             evaluate_batch(tiny1, np.zeros((2, 7), dtype=np.int16))

@@ -63,6 +63,43 @@ class TestEncoding:
         assert np.array_equal(codec.decode_rows(values), codes)
 
 
+def _digit_table_width(k):
+    w = 1
+    while k ** (w + 1) <= 8192:
+        w += 1
+    return w
+
+
+class TestCodecDigitTable:
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_roundtrip_across_chunk_boundaries(self, k):
+        from landalloc.model import LandUse, Plot, ProblemInstance
+        from landalloc.operators import PlotCodec
+
+        w = _digit_table_width(k)
+        floors = [1, w, w + 1, 2 * w + 1, 45]
+        plots = [Plot(i, f, 100.0, (), False, (0,) * f) for i, f in enumerate(floors)]
+        uses = [LandUse(m, str(m)) for m in range(k)]
+        n = len(plots)
+        inst = ProblemInstance(plots, uses, np.eye(k), np.ones((n, k)), 0.5, 1.0, 0.0, 1e9)
+        codec = PlotCodec(inst)
+        assert codec._width == w
+        rng = np.random.default_rng(k)
+        codes = rng.integers(0, k, size=(6, inst.total_floors)).astype(np.int16)
+        codes[0] = 0
+        codes[1] = k - 1
+        values = codec.encode_rows(codes)
+        assert int(values[1, -1]) == k**45 - 1
+        decoded = codec.decode_rows(values)
+        assert decoded.dtype == codes.dtype
+        assert np.array_equal(decoded, codes)
+        for r in range(len(codes)):  # the per-plot divmod loop as reference
+            for i, f in enumerate(floors):
+                lo = inst.floor_offsets[i]
+                assert np.array_equal(decoded[r, lo : lo + f], decode_uses(int(values[r, i]), k, f))
+        assert np.array_equal(codec.decode_rows(values[2]), codes[2:3])
+
+
 class TestTournament:
     def test_seeded_reproducibility(self):
         pop = ["A", "B"]
