@@ -156,23 +156,68 @@ def fast_non_dominated_sort(objs) -> list[list[int]]:
     """Partition points into Pareto fronts under maximization dominance.
 
     a dominates b iff a >= b componentwise and a != b. Front k holds the
-    points non-dominated once fronts 1..k-1 are removed.
+    points non-dominated once fronts 1..k-1 are removed; each front lists
+    its indices in ascending order.
     """
     pts = _as_points(objs)
     n = len(pts)
     if n == 0:
         raise ValueError("cannot sort an empty objective list")
-    ge = (pts[:, None, :] >= pts[None, :, :]).all(axis=2)
+    if pts.shape[1] == 2 and not np.isnan(pts).any():
+        return _fronts_2d(pts)
+    ge = np.ones((n, n), dtype=bool)
+    for m in range(pts.shape[1]):
+        ge &= pts[:, None, m] >= pts[None, :, m]
     dom = ge & ~ge.T  # i >= j with at least one strict coordinate
-    counts = dom.sum(axis=0).astype(np.int64)
+    counts = np.count_nonzero(dom, axis=0)
     fronts: list[list[int]] = []
     current = np.flatnonzero(counts == 0)
     while current.size:
         fronts.append(current.tolist())
         counts[current] = -1
-        counts -= dom[current].sum(axis=0)
+        counts -= np.count_nonzero(dom[current], axis=0)
         current = np.flatnonzero(counts == 0)
     return fronts
+
+
+def _fronts_2d(pts: np.ndarray) -> list[list[int]]:
+    """Two-objective fronts in O(n log n) by one sweep.
+
+    Points are visited by decreasing first, then decreasing second
+    objective, so every dominator of a point is visited before it. Inside
+    a front, a later member has a lower first and a higher second
+    objective than every earlier one, or repeats one, so the last member
+    visited dominates a point whenever any member does; and a point not
+    dominated by front k is not dominated by any later front. A binary
+    search over the fronts' last members therefore finds each point's
+    front.
+    """
+    n = len(pts)
+    xs = pts[:, 0].tolist()
+    ys = pts[:, 1].tolist()
+    last_x: list[float] = []
+    last_y: list[float] = []
+    rank = np.empty(n, dtype=np.int64)
+    for i in np.lexsort((-pts[:, 1], -pts[:, 0])).tolist():
+        x, y = xs[i], ys[i]
+        lo, hi = 0, len(last_y)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            ly = last_y[mid]
+            if ly > y or (ly == y and last_x[mid] > x):  # front mid dominates i
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(last_y):
+            last_x.append(x)
+            last_y.append(y)
+        else:
+            last_x[lo] = x
+            last_y[lo] = y
+        rank[i] = lo
+    by_front = np.argsort(rank, kind="stable")
+    cuts = np.flatnonzero(np.diff(rank[by_front])) + 1
+    return [front.tolist() for front in np.split(by_front, cuts)]
 
 
 def crowding_distance(

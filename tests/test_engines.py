@@ -51,6 +51,15 @@ class TestNonDominatedSort:
             fast = [sorted(f) for f in fast_non_dominated_sort(pts)]
             assert fast == naive_fronts(pts)
 
+    def test_infinite_and_three_objective_clouds_match_oracle(self):
+        # two objectives take the sweep, three the dominance-matrix path
+        rng = np.random.default_rng(5)
+        for m in (2, 2, 3, 3):
+            pts = rng.integers(0, 6, size=(40, m)).astype(float)
+            pts[rng.random((40, m)) < 0.1] = np.inf
+            pts[rng.random((40, m)) < 0.1] = -np.inf
+            assert fast_non_dominated_sort(pts) == naive_fronts(pts)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fast_non_dominated_sort(np.zeros((0, 2)))
