@@ -153,46 +153,30 @@ def _as_points(objs) -> np.ndarray:
 
 
 def fast_non_dominated_sort(objs) -> list[list[int]]:
-    """Partition points into Pareto fronts under maximization dominance.
+    """Partition two-objective points into Pareto fronts under maximization.
 
     a dominates b iff a >= b componentwise and a != b. Front k holds the
     points non-dominated once fronts 1..k-1 are removed; each front lists
     its indices in ascending order.
+
+    One O(n log n) sweep (Jensen 2003): points are visited by decreasing
+    first, then decreasing second objective, so every dominator of a point
+    is visited before it. Inside a front, a later member has a lower first
+    and a higher second objective than every earlier one, or repeats one,
+    so the last member visited dominates a point whenever any member does;
+    and a point not dominated by front k is not dominated by any later
+    front. A binary search over the fronts' last members therefore finds
+    each point's front. Infinite coordinates are ordered like any other;
+    NaN has no order and is rejected.
     """
     pts = _as_points(objs)
     n = len(pts)
     if n == 0:
         raise ValueError("cannot sort an empty objective list")
-    if pts.shape[1] == 2 and not np.isnan(pts).any():
-        return _fronts_2d(pts)
-    ge = np.ones((n, n), dtype=bool)
-    for m in range(pts.shape[1]):
-        ge &= pts[:, None, m] >= pts[None, :, m]
-    dom = ge & ~ge.T  # i >= j with at least one strict coordinate
-    counts = np.count_nonzero(dom, axis=0)
-    fronts: list[list[int]] = []
-    current = np.flatnonzero(counts == 0)
-    while current.size:
-        fronts.append(current.tolist())
-        counts[current] = -1
-        counts -= np.count_nonzero(dom[current], axis=0)
-        current = np.flatnonzero(counts == 0)
-    return fronts
-
-
-def _fronts_2d(pts: np.ndarray) -> list[list[int]]:
-    """Two-objective fronts in O(n log n) by one sweep.
-
-    Points are visited by decreasing first, then decreasing second
-    objective, so every dominator of a point is visited before it. Inside
-    a front, a later member has a lower first and a higher second
-    objective than every earlier one, or repeats one, so the last member
-    visited dominates a point whenever any member does; and a point not
-    dominated by front k is not dominated by any later front. A binary
-    search over the fronts' last members therefore finds each point's
-    front.
-    """
-    n = len(pts)
+    if pts.shape[1] != 2:
+        raise ValueError(f"expected two objectives per point, got {pts.shape[1]}")
+    if np.isnan(pts).any():
+        raise ValueError("cannot sort NaN objectives")
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist()
     last_x: list[float] = []
