@@ -4,29 +4,25 @@ Every plot's floor-use vector maps to a base-K integer (most significant
 floor first, so "122" in base 3 is 17). SBX, polynomial mutation and the
 DE-style operators do real-valued arithmetic on those integers, then
 round half-to-even and clamp back into [0, K^floors - 1].
+
+Every operator works on a batch of code rows, one row per allocation;
+here each batch holds one row.
 """
 
 import numpy as np
 
-from landalloc import (
-    Allocation,
-    EncodedPlot,
-    GeneratorSpec,
-    OperatorConfig,
-    decode_uses,
-    encode_uses,
-    generate_synthetic,
-    random_mutation,
-    sbx_crossover,
-    scaled_add,
-    scaled_difference,
-    tournament_select,
-    uniform_crossover,
+from landalloc import GeneratorSpec, OperatorConfig, decode_uses, encode_uses, generate_synthetic
+from landalloc.operators import (
+    random_mutation_batch,
+    sbx_batch,
+    scaled_add_batch,
+    scaled_difference_batch,
+    tournament_indices,
+    uniform_batch,
 )
 
 print("encoding: floor uses [1, 2, 2] in base 3 ->", encode_uses([1, 2, 2], 3))
 print("decoding 17 back:", decode_uses(17, 3, 3))
-print("EncodedPlot round trip:", EncodedPlot.from_uses([1, 2, 2], 3))
 
 inst = generate_synthetic(
     GeneratorSpec(grid_width=3, grid_height=2, use_count=3, floor_range=(2, 3),
@@ -35,39 +31,36 @@ inst = generate_synthetic(
 rng = np.random.default_rng(0)
 cfg = OperatorConfig(crossover_plot_fraction=0.6, mutation_plot_budget=2)
 
-p1 = inst.actual_allocation()
-p2 = Allocation(
-    rng.integers(0, 3, size=inst.total_floors).astype(np.int16),
-    inst.floor_offsets, inst.n_uses,
-)
+p1 = inst.actual_codes[None, :]
+p2 = rng.integers(0, 3, size=(1, inst.total_floors)).astype(np.int16)
 # keep the locked plots intact in the random parent
 locked_floor = np.repeat(inst.locked, inst.floor_counts)
-p2.codes[locked_floor] = inst.actual_codes[locked_floor]
+p2[:, locked_floor] = inst.actual_codes[locked_floor]
 
-print("\nparent 1 codes:", p1.codes.tolist())
-print("parent 2 codes:", p2.codes.tolist())
+print("\nparent 1 codes:", p1[0].tolist())
+print("parent 2 codes:", p2[0].tolist())
 
-c1, c2 = sbx_crossover(p1, p2, cfg, inst, rng)
+c1, c2 = sbx_batch(p1, p2, cfg, inst, rng)
 print("\nSBX children (per-plot arithmetic on the encodings):")
-print("  child 1:", c1.codes.tolist())
-print("  child 2:", c2.codes.tolist())
+print("  child 1:", c1[0].tolist())
+print("  child 2:", c2[0].tolist())
 
-u1, u2 = uniform_crossover(p1, p2, cfg, inst, rng)
+u1, u2 = uniform_batch(p1, p2, cfg, inst, rng)
 print("uniform crossover children (whole plots swapped):")
-print("  child 1:", u1.codes.tolist())
-print("  child 2:", u2.codes.tolist())
+print("  child 1:", u1[0].tolist())
+print("  child 2:", u2[0].tolist())
 
-m = random_mutation(p1, cfg, inst, rng)
+m = random_mutation_batch(p1, cfg, inst, rng)
 print("\nrandom mutation re-draws every floor of up to "
-      f"{cfg.mutation_plot_budget} plots: {m.codes.tolist()}")
+      f"{cfg.mutation_plot_budget} plots: {m[0].tolist()}")
 
-added = scaled_add(p1, p2, 0.5, inst)
-print("scaled add (DE mutant, target + round(0.5 * donor)):", added.codes.tolist())
-diff = scaled_difference(p1, p2, 0.5, inst)
-print("scaled difference (a DE candidate in its own right): ", diff.codes.tolist())
+added = scaled_add_batch(p1, p2, 0.5, inst)
+print("scaled add (DE mutant, target + round(0.5 * donor)):", added[0].tolist())
+diff = scaled_difference_batch(p1, p2, 0.5, inst)
+print("scaled difference (a DE candidate in its own right): ", diff[0].tolist())
 
 print("\nlocked plots copy through every operator:")
 print("  locked mask:", inst.locked.tolist())
 
-pool = tournament_select(list(range(10)), key=lambda v: v, pool_size=12, rng=rng)
-print("\nbinary tournaments over values 0..9 favor the fit:", sorted(pool, reverse=True))
+pool = tournament_indices(np.arange(10), 12, rng)  # member v has score v
+print("\nbinary tournaments over values 0..9 favor the fit:", sorted(pool.tolist(), reverse=True))

@@ -32,9 +32,8 @@ for alg in ALGORITHMS:
         operator_cfg=op, soa_a=0.5, soa_b=0.5,
     )
     rec = run_engine(inst, cfg)
-    front = rec.front()
-    best_c = max(f.objectives.compatibility for f in front)
-    best_p = max(f.objectives.price for f in front)
+    front = rec.population.objectives()[rec.front_indices]
+    best_c, best_p = front.max(axis=0)
     print(f"{alg:12s} front={len(front):3d}  best compat={best_c:12,.0f}  "
           f"best price={best_p:10,.0f}  final HV={rec.hv_trace[-1]:.4f}  "
           f"({rec.wall_time_s:.2f}s)")
@@ -45,7 +44,7 @@ relaxed = EngineConfig(
     operator_cfg=op, relax=RelaxationSchedule(0.8, inst.mu, inst.gamma, inst.mu),
 )
 rec = run_engine(inst, relaxed)
-print(f"CR_DES relaxed: front={len(rec.front())}, every member re-checked against "
+print(f"CR_DES relaxed: front={len(rec.front_indices)}, every member re-checked against "
       f"the original constraints at the final generation")
 
 trace = np.array(rec.hv_trace)

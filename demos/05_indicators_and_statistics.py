@@ -9,15 +9,14 @@ GD/GD+/IGD/IGD+ on the flipped (minimization) coordinates.
 import numpy as np
 
 from landalloc import (
-    FrontSet,
     NormalizationBounds,
     SampleGroup,
-    combine_fronts,
     compact_letter_display,
     dunn_posthoc,
     hypervolume_2d,
     indicator_suite,
     kruskal_wallis,
+    pareto_filter,
 )
 
 rng = np.random.default_rng(1)
@@ -29,18 +28,19 @@ print("  {(1, 0.2), (0.4, 0.8)}  ->", hypervolume_2d(np.array([[1.0, 0.2], [0.4,
 # three synthetic methods with progressively better fronts
 base = np.array([[2.0, 8.0], [4.0, 6.0], [6.0, 3.0]])
 fronts = {
-    "method_a": FrontSet("method_a", base),
-    "method_b": FrontSet("method_b", base + rng.uniform(0.2, 0.8, base.shape)),
-    "method_c": FrontSet("method_c", base + rng.uniform(0.8, 1.6, base.shape)),
+    "method_a": base,
+    "method_b": base + rng.uniform(0.2, 0.8, base.shape),
+    "method_c": base + rng.uniform(0.8, 1.6, base.shape),
 }
-reference = combine_fronts(fronts.values())
-universe = np.vstack([f.points for f in fronts.values()] + [[[0.0, 0.0]]])
+# the reference set: the non-dominated union of every compared front
+reference = pareto_filter(np.vstack(list(fronts.values())))
+universe = np.vstack(list(fronts.values()) + [[[0.0, 0.0]]])
 bounds = NormalizationBounds.from_points(universe)
 
 print("\nindicators against the combined reference front:")
 print(f"{'method':10s} {'HV':>7s} {'GD':>7s} {'GD+':>7s} {'IGD':>7s} {'IGD+':>7s}")
 for name, front in fronts.items():
-    s = indicator_suite(front.points, reference.points, bounds)
+    s = indicator_suite(front, reference, bounds)
     print(f"{name:10s} {s['hv']:7.4f} {s['gd']:7.4f} {s['gd_plus']:7.4f} "
           f"{s['igd']:7.4f} {s['igd_plus']:7.4f}")
 

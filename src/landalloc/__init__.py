@@ -3,13 +3,12 @@
 from .engines import (
     ALGORITHMS,
     EngineConfig,
-    Individual,
+    Population,
     RelaxationSchedule,
     RunRecord,
     apply_relaxation_phase,
     crowding_distance,
     fast_non_dominated_sort,
-    initialize_population,
     run_cr_des,
     run_engine,
     run_msbx_mo,
@@ -26,9 +25,7 @@ from .instance_io import (
     save_instance,
 )
 from .metrics import (
-    FrontSet,
     NormalizationBounds,
-    combine_fronts,
     gd,
     gd_plus,
     hypervolume_2d,
@@ -51,17 +48,9 @@ from .model import (
     proportions,
 )
 from .operators import (
-    EncodedPlot,
     OperatorConfig,
     decode_uses,
     encode_uses,
-    polynomial_mutation,
-    random_mutation,
-    sbx_crossover,
-    scaled_add,
-    scaled_difference,
-    tournament_select,
-    uniform_crossover,
 )
 from .stats import (
     CldAssignment,

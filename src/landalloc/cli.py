@@ -161,7 +161,12 @@ def _cmd_run(args) -> int:
     if args.workers is not None:
         doc["workers"] = args.workers
     elif "workers" not in doc and os.environ.get(WORKERS_ENV):
-        doc["workers"] = int(os.environ[WORKERS_ENV])
+        try:
+            doc["workers"] = int(os.environ[WORKERS_ENV])
+        except ValueError:
+            raise _UsageError(
+                f"{WORKERS_ENV} expects an integer, got {os.environ[WORKERS_ENV]!r}"
+            )
     try:
         cfg = ExperimentConfig.from_dict(doc, base_dir=config_path.resolve().parent)
         result = run_experiment(cfg)

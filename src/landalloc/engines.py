@@ -18,9 +18,8 @@ relaxation schedule that restores the original constraints at the final
 generation. Every run is driven by a single seeded Generator, so identical
 (instance, config, seed) produce bit-identical RunRecords.
 
-Internally a population is a bundle of parallel arrays (codes matrix,
-objectives, cached constraint stats); Individual objects are materialized
-only for the persisted RunRecord.
+A population is one bundle of parallel arrays (codes matrix, objectives,
+cached constraint stats), both inside the engines and in the RunRecord.
 """
 
 from __future__ import annotations
@@ -35,11 +34,12 @@ import numpy as np
 from . import metrics
 from .model import (
     CODE_DTYPE,
-    Allocation,
-    ObjectiveVector,
     ProblemInstance,
+    area_band,
+    area_band_mask,
     evaluate_batch,
-    price_box_ok,
+    plot_budget_mask,
+    price_box_mask,
 )
 from .operators import (
     OperatorConfig,
@@ -98,18 +98,67 @@ class EngineConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
 
 
-@dataclass
-class Individual:
-    """One member of a population with its cached evaluation results."""
+# ---------------------------------------------------------------------------
+# array-backed population state
 
-    allocation: Allocation
-    objectives: ObjectiveVector
-    areas: np.ndarray  # (K,) per-use floor area
-    changed_count: int
-    rank: int = 0
-    crowding: float = 0.0
-    feasible: bool = True
-    violation: float = 0.0
+
+class Population:
+    """Parallel arrays for one population; cheap to slice and concatenate.
+
+    Row r is one member: its flat floor codes, compatibility and price,
+    per-use floor areas (K,), changed-plot count, front rank, crowding
+    distance, feasibility flag and constraint violation.
+    """
+
+    __slots__ = ("codes", "comp", "price", "areas", "changed", "rank", "crowd",
+                 "feasible", "violation")
+
+    def __init__(self, codes, comp, price, areas, changed,
+                 rank=None, crowd=None, feasible=None, violation=None):
+        n = len(comp)
+        self.codes = codes
+        self.comp = comp
+        self.price = price
+        self.areas = areas
+        self.changed = changed
+        self.rank = np.zeros(n, dtype=np.int64) if rank is None else rank
+        self.crowd = np.zeros(n) if crowd is None else crowd
+        self.feasible = np.ones(n, dtype=bool) if feasible is None else feasible
+        self.violation = np.zeros(n) if violation is None else violation
+
+    @classmethod
+    def evaluate(cls, inst: ProblemInstance, codes: np.ndarray) -> "Population":
+        stats = evaluate_batch(inst, codes)
+        return cls(codes, stats.compatibility, stats.price, stats.areas, stats.changed)
+
+    @property
+    def n(self) -> int:
+        return len(self.comp)
+
+    def objectives(self) -> np.ndarray:
+        return np.column_stack([self.comp, self.price])
+
+    def in_band_and_box(self, inst: ProblemInstance, gamma: float) -> np.ndarray:
+        """Per member: inside the gamma area band and the price box."""
+        return area_band_mask(inst, self.areas, gamma) & price_box_mask(inst, self.price)
+
+    def concat(self, *others: "Population") -> "Population":
+        pops = (self,) + others
+        return Population(
+            np.concatenate([p.codes for p in pops]),
+            np.concatenate([p.comp for p in pops]),
+            np.concatenate([p.price for p in pops]),
+            np.concatenate([p.areas for p in pops]),
+            np.concatenate([p.changed for p in pops]),
+        )
+
+    def take(self, idx) -> "Population":
+        idx = np.asarray(idx, dtype=np.int64)
+        return Population(
+            self.codes[idx], self.comp[idx], self.price[idx], self.areas[idx],
+            self.changed[idx], self.rank[idx], self.crowd[idx], self.feasible[idx],
+            self.violation[idx],
+        )
 
 
 @dataclass
@@ -119,37 +168,22 @@ class RunRecord:
     `hv_trace` is the per-generation hypervolume of the all-time archive of
     solutions feasible under the final (unrelaxed) constraints, normalized
     over the archive's own objective range plus the actual land-use point.
-    `front_indices` point into `population` and select the reported,
-    feasible-filtered Pareto front. Wall time is informational only and is
-    excluded from canonical serialization.
+    `front_indices` (int64) point into `population` and select the
+    reported, feasible-filtered Pareto front. Wall time is informational
+    only and is excluded from canonical serialization.
     """
 
     algorithm: str
     config: dict
     seed: int
     hv_trace: list[float]
-    population: list[Individual]
-    front_indices: list[int]
+    population: Population
+    front_indices: np.ndarray
     wall_time_s: float
-
-    def front(self) -> list[Individual]:
-        return [self.population[i] for i in self.front_indices]
 
 
 # ---------------------------------------------------------------------------
 # non-dominated sorting and crowding
-
-
-def _as_points(objs) -> np.ndarray:
-    if isinstance(objs, np.ndarray):
-        return np.atleast_2d(objs.astype(float))
-    rows = [
-        o.as_array() if isinstance(o, ObjectiveVector) else np.asarray(o, dtype=float)
-        for o in objs
-    ]
-    if not rows:
-        return np.zeros((0, 2))
-    return np.stack(rows)
 
 
 def fast_non_dominated_sort(objs) -> list[list[int]]:
@@ -169,9 +203,9 @@ def fast_non_dominated_sort(objs) -> list[list[int]]:
     each point's front. Infinite coordinates are ordered like any other;
     NaN has no order and is rejected.
     """
-    pts = _as_points(objs)
+    pts = np.atleast_2d(np.asarray(objs, dtype=float))
     n = len(pts)
-    if n == 0:
+    if pts.size == 0:
         raise ValueError("cannot sort an empty objective list")
     if pts.shape[1] != 2:
         raise ValueError(f"expected two objectives per point, got {pts.shape[1]}")
@@ -212,9 +246,9 @@ def crowding_distance(
     Boundary points get +inf per objective; interior points accumulate
     (next - prev) / (max - min); a degenerate span contributes 0.
     """
-    pts = _as_points(objs)
+    pts = np.atleast_2d(np.asarray(objs, dtype=float))
     n = len(pts)
-    if n == 0:
+    if pts.size == 0:
         raise ValueError("front must be non-empty")
     lo = pts.min(axis=0) if obj_min is None else np.asarray(obj_min, dtype=float)
     hi = pts.max(axis=0) if obj_max is None else np.asarray(obj_max, dtype=float)
@@ -227,80 +261,6 @@ def crowding_distance(
         if span > 0 and n > 2:
             d[order[1:-1]] += (pts[order[2:], m] - pts[order[:-2], m]) / span
     return d
-
-
-# ---------------------------------------------------------------------------
-# array-backed population state
-
-
-class _Pop:
-    """Parallel arrays for one population; cheap to slice and concatenate."""
-
-    __slots__ = ("codes", "comp", "price", "areas", "changed", "rank", "crowd",
-                 "feasible", "violation")
-
-    def __init__(self, codes, comp, price, areas, changed):
-        n = len(comp)
-        self.codes = codes
-        self.comp = comp
-        self.price = price
-        self.areas = areas
-        self.changed = changed
-        self.rank = np.zeros(n, dtype=np.int64)
-        self.crowd = np.zeros(n)
-        self.feasible = np.ones(n, dtype=bool)
-        self.violation = np.zeros(n)
-
-    @classmethod
-    def evaluate(cls, inst: ProblemInstance, codes: np.ndarray) -> "_Pop":
-        stats = evaluate_batch(inst, codes)
-        return cls(codes, stats.compatibility, stats.price, stats.areas, stats.changed)
-
-    @property
-    def n(self) -> int:
-        return len(self.comp)
-
-    def objectives(self) -> np.ndarray:
-        return np.column_stack([self.comp, self.price])
-
-    def concat(self, *others: "_Pop") -> "_Pop":
-        pops = (self,) + others
-        out = _Pop(
-            np.concatenate([p.codes for p in pops]),
-            np.concatenate([p.comp for p in pops]),
-            np.concatenate([p.price for p in pops]),
-            np.concatenate([p.areas for p in pops]),
-            np.concatenate([p.changed for p in pops]),
-        )
-        return out
-
-    def take(self, idx) -> "_Pop":
-        idx = np.asarray(idx, dtype=np.int64)
-        out = _Pop(
-            self.codes[idx], self.comp[idx], self.price[idx],
-            self.areas[idx], self.changed[idx],
-        )
-        out.rank = self.rank[idx]
-        out.crowd = self.crowd[idx]
-        out.feasible = self.feasible[idx]
-        out.violation = self.violation[idx]
-        return out
-
-
-def _materialize(inst: ProblemInstance, pop: _Pop) -> list[Individual]:
-    return [
-        Individual(
-            allocation=Allocation(pop.codes[r].copy(), inst.floor_offsets, inst.n_uses),
-            objectives=ObjectiveVector(float(pop.comp[r]), float(pop.price[r])),
-            areas=pop.areas[r].copy(),
-            changed_count=int(pop.changed[r]),
-            rank=int(pop.rank[r]),
-            crowding=float(pop.crowd[r]),
-            feasible=bool(pop.feasible[r]),
-            violation=float(pop.violation[r]),
-        )
-        for r in range(pop.n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +289,14 @@ def apply_relaxation_phase(gen: int, cfg: EngineConfig) -> tuple[float, float]:
     return (r.gamma_search, r.mu_search)
 
 
-def _refresh_pop(inst: ProblemInstance, pop: _Pop, gamma: float, mu: float) -> None:
+def _refresh_pop(inst: ProblemInstance, pop: Population, gamma: float, mu: float) -> None:
     """Set feasible/violation arrays under (gamma, mu).
 
     Violation is the normalized area excess plus normalized price excess;
     the plot budget participates in the flag only.
     """
-    lo = (1.0 - gamma) * inst.actual_areas
-    hi = (1.0 + gamma) * inst.actual_areas
-    area_ok = (pop.areas >= lo).all(axis=1) & (pop.areas <= hi).all(axis=1)
-    price_ok = (pop.price >= inst.price_min) & (pop.price <= inst.price_max)
-    budget_ok = pop.changed <= mu * inst.n_plots + 1e-9
-    pop.feasible = area_ok & price_ok & budget_ok
+    pop.feasible = pop.in_band_and_box(inst, gamma) & plot_budget_mask(inst, pop.changed, mu)
+    lo, hi = area_band(inst, gamma)
     positive = inst.actual_areas[inst.actual_areas > 0]
     fallback = positive.mean() if positive.size else 1.0
     denom = np.where(inst.actual_areas > 0, inst.actual_areas, fallback)
@@ -355,7 +311,7 @@ def _refresh_pop(inst: ProblemInstance, pop: _Pop, gamma: float, mu: float) -> N
     pop.violation = area_excess.sum(axis=1) + price_excess
 
 
-def _pop_fronts(pop: _Pop) -> list[np.ndarray]:
+def _pop_fronts(pop: Population) -> list[np.ndarray]:
     """Feasible-first fronts: NDS over feasible, then violation groups."""
     fronts: list[np.ndarray] = []
     feas_idx = np.flatnonzero(pop.feasible)
@@ -378,13 +334,13 @@ def _pop_fronts(pop: _Pop) -> list[np.ndarray]:
     return fronts
 
 
-def _pop_crowding(pop: _Pop, fronts: list[np.ndarray]) -> None:
+def _pop_crowding(pop: Population, fronts: list[np.ndarray]) -> None:
     objs = pop.objectives()
     for fr in fronts:
         pop.crowd[fr] = crowding_distance(objs[fr])
 
 
-def _pop_survival(pop: _Pop, fronts: list[np.ndarray], target: int) -> _Pop:
+def _pop_survival(pop: Population, fronts: list[np.ndarray], target: int) -> Population:
     """Fill whole fronts, trimming the last admitted one by crowding."""
     _pop_crowding(pop, fronts)
     chosen: list[np.ndarray] = []
@@ -417,7 +373,7 @@ def _dense_rank(*cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soa_scores(pop: _Pop, cfg: EngineConfig) -> np.ndarray:
+def _soa_scores(pop: Population, cfg: EngineConfig) -> np.ndarray:
     fitness = cfg.soa_a * pop.price + cfg.soa_b * pop.comp
     return _dense_rank(pop.feasible.astype(float), -pop.violation, fitness)
 
@@ -427,6 +383,12 @@ def _soa_scores(pop: _Pop, cfg: EngineConfig) -> np.ndarray:
 
 
 def _init_codes(inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+    """Initial code rows: the actual map with some unlocked plots redrawn.
+
+    Each row re-randomizes the floors of ceil(init_change_fraction *
+    N_unlocked) uniformly chosen unlocked plots; a row outside the price
+    box is redrawn up to a retry cap and then admitted infeasible.
+    """
     n_change = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
     codes = np.empty((cfg.population_size, inst.total_floors), dtype=CODE_DTYPE)
     for r in range(cfg.population_size):
@@ -437,27 +399,10 @@ def _init_codes(inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generat
                 for p in picks:
                     lo, hi = inst.floor_offsets[p], inst.floor_offsets[p + 1]
                     row[lo:hi] = rng.integers(0, inst.n_uses, size=hi - lo)
-            price = float(evaluate_batch(inst, row[None, :]).price[0])
-            if price_box_ok(inst, price):
+            if price_box_mask(inst, evaluate_batch(inst, row[None, :]).price[0]):
                 break
         codes[r] = row
     return codes
-
-
-def initialize_population(
-    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator
-) -> list[Individual]:
-    """Seed a population by perturbing the actual land-use map.
-
-    Each individual re-randomizes the floors of ceil(init_change_fraction *
-    N_unlocked) uniformly chosen unlocked plots; candidates outside the
-    price box are redrawn up to a retry cap and then admitted infeasible.
-    """
-    cfg = _resolved(inst, cfg)
-    pop = _Pop.evaluate(inst, _init_codes(inst, cfg, rng))
-    gamma, mu = apply_relaxation_phase(1, cfg)
-    _refresh_pop(inst, pop, gamma, mu)
-    return _materialize(inst, pop)
 
 
 class _FinalFeasibleArchive:
@@ -466,29 +411,15 @@ class _FinalFeasibleArchive:
     def __init__(self, inst: ProblemInstance, relax: RelaxationSchedule):
         self.inst = inst
         self.gamma_final = relax.gamma_final
-        self.members: _Pop | None = None
+        self.members: Population | None = None
 
-    def offer(self, candidates: _Pop) -> None:
-        inst = self.inst
-        lo = (1.0 - self.gamma_final) * inst.actual_areas
-        hi = (1.0 + self.gamma_final) * inst.actual_areas
-        mask = (
-            (candidates.areas >= lo).all(axis=1)
-            & (candidates.areas <= hi).all(axis=1)
-            & (candidates.price >= inst.price_min)
-            & (candidates.price <= inst.price_max)
-        )
+    def offer(self, candidates: Population) -> None:
+        mask = candidates.in_band_and_box(self.inst, self.gamma_final)
         if not mask.any():
             return
         ok = candidates.take(np.flatnonzero(mask))
         merged = ok if self.members is None else self.members.concat(ok)
-        pts = merged.objectives()
-        order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-        ys = pts[order, 1]
-        keep = np.ones(len(order), dtype=bool)
-        if len(order) > 1:
-            keep[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
-        self.members = merged.take(order[keep][::-1])
+        self.members = merged.take(metrics.pareto_indices(merged.objectives()))
 
     def snapshot(self) -> np.ndarray:
         if self.members is None:
@@ -510,7 +441,7 @@ def _hv_trace(inst: ProblemInstance, snapshots: list[np.ndarray]) -> list[float]
 # per-algorithm offspring generation (batched per generation)
 
 
-def _nsga_pool(pop: _Pop, rng: np.random.Generator, size: int) -> np.ndarray:
+def _nsga_pool(pop: Population, rng: np.random.Generator, size: int) -> np.ndarray:
     scores = _dense_rank(-pop.rank.astype(float), pop.crowd)
     return tournament_indices(scores, size, rng)
 
@@ -525,7 +456,7 @@ def _interleave(c1: np.ndarray, c2: np.ndarray, lam: int) -> np.ndarray:
 def _offspring_mutate_sbx(
     inst: ProblemInstance,
     cfg: EngineConfig,
-    pop: _Pop,
+    pop: Population,
     pool: np.ndarray,
     rng: np.random.Generator,
     replacement_mutation: str,
@@ -561,7 +492,7 @@ def _offspring_mutate_sbx(
 def _offspring_cr_des(
     inst: ProblemInstance,
     cfg: EngineConfig,
-    pop: _Pop,
+    pop: Population,
     pool: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -603,7 +534,7 @@ def _offspring_cr_des(
 def _offspring_msbx_mo(
     inst: ProblemInstance,
     cfg: EngineConfig,
-    pop: _Pop,
+    pop: Population,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Each x is shifted by a scaled random donor and SBX-crossed with itself.
@@ -628,13 +559,13 @@ def _evolve(
     inst: ProblemInstance,
     cfg: EngineConfig,
     rng: np.random.Generator | None,
-    variation: Callable[[_Pop, np.random.Generator], np.ndarray],
+    variation: Callable[[Population, np.random.Generator], np.ndarray],
     soa: bool,
 ) -> RunRecord:
     cfg = _resolved(inst, cfg)
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     t0 = time.perf_counter()
-    pop = _Pop.evaluate(inst, _init_codes(inst, cfg, rng))
+    pop = Population.evaluate(inst, _init_codes(inst, cfg, rng))
     gamma, mu = apply_relaxation_phase(1, cfg)
     _refresh_pop(inst, pop, gamma, mu)
     if not soa:
@@ -646,7 +577,7 @@ def _evolve(
         gamma, mu = apply_relaxation_phase(gen, cfg)
         # Selection reuses the rank/crowding assigned by the previous
         # survival step, as in canonical NSGA-II.
-        offspring = _Pop.evaluate(inst, variation(pop, rng))
+        offspring = Population.evaluate(inst, variation(pop, rng))
         merged = pop.concat(offspring)
         if gen == cfg.generations and archive.members is not None:
             merged = merged.concat(archive.members)
@@ -663,40 +594,26 @@ def _evolve(
     front_indices = _final_front_indices(inst, cfg, pop, soa)
     return RunRecord(
         algorithm=cfg.algorithm,
-        config=config_snapshot(cfg),
+        config=asdict(cfg),
         seed=cfg.seed,
         hv_trace=_hv_trace(inst, snapshots),
-        population=_materialize(inst, pop),
+        population=pop,
         front_indices=front_indices,
         wall_time_s=time.perf_counter() - t0,
     )
 
 
 def _final_front_indices(
-    inst: ProblemInstance, cfg: EngineConfig, pop: _Pop, soa: bool
-) -> list[int]:
+    inst: ProblemInstance, cfg: EngineConfig, pop: Population, soa: bool
+) -> np.ndarray:
     """Feasible-filtered front: original gamma band and price box only."""
-    lo = (1.0 - cfg.relax.gamma_final) * inst.actual_areas
-    hi = (1.0 + cfg.relax.gamma_final) * inst.actual_areas
-    mask = (
-        (pop.areas >= lo).all(axis=1)
-        & (pop.areas <= hi).all(axis=1)
-        & (pop.price >= inst.price_min)
-        & (pop.price <= inst.price_max)
-    )
-    ok = np.flatnonzero(mask)
+    ok = np.flatnonzero(pop.in_band_and_box(inst, cfg.relax.gamma_final))
     if not ok.size:
-        return []
+        return ok
     if soa:
         fitness = cfg.soa_a * pop.price[ok] + cfg.soa_b * pop.comp[ok]
-        return [int(ok[int(np.argmax(fitness))])]
-    objs = pop.objectives()[ok]
-    return sorted(int(ok[k]) for k in fast_non_dominated_sort(objs)[0])
-
-
-def config_snapshot(cfg: EngineConfig) -> dict:
-    """Plain-dict snapshot of a resolved engine config."""
-    return asdict(cfg)
+        return ok[[int(np.argmax(fitness))]]
+    return ok[fast_non_dominated_sort(pop.objectives()[ok])[0]]
 
 
 def run_soa(
@@ -708,7 +625,7 @@ def run_soa(
     if abs(cfg.soa_a + cfg.soa_b - 1.0) > 1e-9:
         raise ValueError("soa_a + soa_b must equal 1")
 
-    def variation(pop: _Pop, rng):
+    def variation(pop: Population, rng):
         pool = tournament_indices(_soa_scores(pop, cfg), cfg.population_size // 2, rng)
         return _offspring_mutate_sbx(inst, cfg, pop, pool, rng, "random")
 
@@ -722,7 +639,7 @@ def run_msbx_nsga2(
     if cfg.algorithm != "MSBX_NSGA2":
         raise ValueError("run_msbx_nsga2 requires algorithm='MSBX_NSGA2'")
 
-    def variation(pop: _Pop, rng):
+    def variation(pop: Population, rng):
         pool = _nsga_pool(pop, rng, cfg.population_size // 2)
         return _offspring_mutate_sbx(inst, cfg, pop, pool, rng, "polynomial")
 
@@ -736,7 +653,7 @@ def run_cr_des(
     if cfg.algorithm != "CR_DES":
         raise ValueError("run_cr_des requires algorithm='CR_DES'")
 
-    def variation(pop: _Pop, rng):
+    def variation(pop: Population, rng):
         pool = _nsga_pool(pop, rng, cfg.population_size // 2)
         return _offspring_cr_des(inst, cfg, pop, pool, rng)
 
@@ -750,7 +667,7 @@ def run_msbx_mo(
     if cfg.algorithm != "MSBX_MO":
         raise ValueError("run_msbx_mo requires algorithm='MSBX_MO'")
 
-    def variation(pop: _Pop, rng):
+    def variation(pop: Population, rng):
         return _offspring_msbx_mo(inst, cfg, pop, rng)
 
     return _evolve(inst, cfg, rng, variation, soa=False)

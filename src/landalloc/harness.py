@@ -25,20 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .engines import EngineConfig, Individual, RelaxationSchedule, RunRecord, run_engine
+from . import metrics
+from .engines import EngineConfig, Population, RelaxationSchedule, RunRecord, run_engine
 from .instance_io import (
     InstanceError,
     canonical_dumps,
     load_instance,
 )
-from .model import (
-    CODE_DTYPE,
-    Allocation,
-    BatchStats,
-    ObjectiveVector,
-    ProblemInstance,
-    evaluate_batch,
-)
+from .model import CODE_DTYPE, BatchStats, ProblemInstance, evaluate_batch
 from .operators import OperatorConfig
 
 RECORD_SCHEMA = 1
@@ -147,6 +141,9 @@ def slug(index: int, label: str) -> str:
 
 
 def record_to_dict(label: str, rec: RunRecord) -> dict:
+    pop = rec.population
+    columns = (pop.codes, pop.comp, pop.price, pop.changed, pop.rank, pop.crowd,
+               pop.feasible, pop.violation)
     return {
         "schema": RECORD_SCHEMA,
         "label": label,
@@ -154,19 +151,21 @@ def record_to_dict(label: str, rec: RunRecord) -> dict:
         "seed": rec.seed,
         "config": rec.config,
         "hv_trace": [float(v) for v in rec.hv_trace],
-        "front": [int(i) for i in rec.front_indices],
+        "front": rec.front_indices.tolist(),
         "population": [
             {
-                "floor_uses": [int(c) for c in ind.allocation.codes],
-                "compatibility": ind.objectives.compatibility,
-                "price": ind.objectives.price,
-                "changed": ind.changed_count,
-                "rank": ind.rank,
-                "crowding": float(ind.crowding),
-                "feasible": ind.feasible,
-                "violation": float(ind.violation),
+                "floor_uses": codes,
+                "compatibility": comp,
+                "price": price,
+                "changed": changed,
+                "rank": rank,
+                "crowding": crowd,
+                "feasible": feasible,
+                "violation": violation,
             }
-            for ind in rec.population
+            for codes, comp, price, changed, rank, crowd, feasible, violation in zip(
+                *(c.tolist() for c in columns)
+            )
         ],
     }
 
@@ -181,52 +180,47 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
     return label, rec
 
 
-def _record_and_stats(
-    doc: dict, inst: ProblemInstance
-) -> tuple[str, RunRecord, BatchStats | None]:
-    """record_from_dict plus the evaluation of the stored codes (None if empty)."""
+def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord, BatchStats]:
+    """record_from_dict plus the evaluation of the stored codes."""
     pop_docs = doc["population"]
-    individuals: list[Individual] = []
-    stats = None
-    if pop_docs:
-        codes = np.array([d["floor_uses"] for d in pop_docs], dtype=CODE_DTYPE)
-        stats = evaluate_batch(inst, codes)
-        for r, d in enumerate(pop_docs):
-            individuals.append(
-                Individual(
-                    allocation=Allocation(codes[r].copy(), inst.floor_offsets, inst.n_uses),
-                    objectives=ObjectiveVector(float(d["compatibility"]), float(d["price"])),
-                    areas=stats.areas[r].copy(),
-                    changed_count=int(d["changed"]),
-                    rank=int(d["rank"]),
-                    crowding=float(d["crowding"]),
-                    feasible=bool(d["feasible"]),
-                    violation=float(d["violation"]),
-                )
-            )
+    codes = np.array([d["floor_uses"] for d in pop_docs], dtype=CODE_DTYPE)
+    codes = codes.reshape(len(pop_docs), inst.total_floors)
+    stats = evaluate_batch(inst, codes)
+
+    def column(key: str, dtype) -> np.ndarray:
+        return np.array([d[key] for d in pop_docs], dtype=dtype)
+
+    population = Population(
+        codes=codes,
+        comp=column("compatibility", float),
+        price=column("price", float),
+        areas=stats.areas,
+        changed=column("changed", np.int64),
+        rank=column("rank", np.int64),
+        crowd=column("crowding", float),
+        feasible=column("feasible", bool),
+        violation=column("violation", float),
+    )
     rec = RunRecord(
         algorithm=doc["algorithm"],
         config=doc["config"],
         seed=int(doc["seed"]),
         hv_trace=[float(v) for v in doc["hv_trace"]],
-        population=individuals,
-        front_indices=[int(i) for i in doc["front"]],
+        population=population,
+        front_indices=np.array([int(i) for i in doc["front"]], dtype=np.int64),
         wall_time_s=float("nan"),
     )
     return doc["label"], rec, stats
 
 
-def _stale_members(rec: RunRecord, stats: BatchStats | None) -> list[int]:
+def _stale_members(rec: RunRecord, stats: BatchStats) -> list[int]:
     """Members whose stored objectives or changed count disagree with their codes.
 
     Objectives match within 1e-9 relative: an engine evaluates a member
     inside batches of varying shape, which may move the last bits.
     """
-    if stats is None:
-        return []
-    stored = np.array(
-        [(i.objectives.compatibility, i.objectives.price, i.changed_count) for i in rec.population]
-    )
+    pop = rec.population
+    stored = np.column_stack([pop.comp, pop.price, pop.changed])
     fresh = np.column_stack([stats.compatibility, stats.price, stats.changed])
     tol = np.abs(fresh) * np.array([1e-9, 1e-9, 0.0])
     ok = (np.abs(stored - fresh) <= tol).all(axis=1)  # a NaN is never ok
@@ -238,28 +232,26 @@ def _stale_members(rec: RunRecord, stats: BatchStats | None) -> list[int]:
 
 
 def combined_front_entries(records: list[RunRecord]) -> list[dict]:
-    """Non-dominated union of the records' fronts, with allocations attached."""
-    entries = []
-    for rec in records:
-        for ind in rec.front():
-            entries.append(
-                {
-                    "compatibility": ind.objectives.compatibility,
-                    "price": ind.objectives.price,
-                    "seed": rec.seed,
-                    "floor_uses": [int(c) for c in ind.allocation.codes],
-                }
-            )
-    if not entries:
+    """Non-dominated union of the records' fronts, with allocations attached.
+
+    Entries keep the records' order and, within a record, its front order.
+    """
+    members = [(rec, i) for rec in records for i in rec.front_indices.tolist()]
+    if not members:
         return []
-    pts = np.array([[e["compatibility"], e["price"]] for e in entries])
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    ys = pts[order, 1]
-    keep = np.ones(len(order), dtype=bool)
-    if len(order) > 1:
-        keep[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
-    kept = sorted(order[keep].tolist())
-    return [entries[i] for i in kept]
+    pts = np.concatenate([rec.population.objectives()[rec.front_indices] for rec in records])
+    entries = []
+    for k in np.sort(metrics.pareto_indices(pts)).tolist():
+        rec, i = members[k]
+        entries.append(
+            {
+                "compatibility": float(rec.population.comp[i]),
+                "price": float(rec.population.price[i]),
+                "seed": rec.seed,
+                "floor_uses": rec.population.codes[i].tolist(),
+            }
+        )
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +409,9 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
 
     Each run's stored member objectives and changed counts are checked
     against the evaluation of its codes that loading the record already
-    makes, and its HV trace must never decrease.
+    makes, its front members must lie inside the final gamma band (areas
+    from that evaluation) and the price box, and its HV trace must never
+    decrease.
 
     Returns (issues, incomplete): `incomplete` marks missing or failed
     runs; other issues are integrity problems.
@@ -441,9 +435,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         inst = load_instance(inst_path)
     except InstanceError as exc:
         return (issues + [f"instance invalid: {exc}"], False)
-    gens_by_label = {
-        e["label"]: e["config"]["generations"] for e in manifest.get("engines", [])
-    }
+    config_by_label = {e["label"]: e["config"] for e in manifest.get("engines", [])}
     for entry in manifest.get("runs", []):
         tag = f"{entry['label']} seed {entry['seed']}"
         if entry["status"] != "ok":
@@ -461,9 +453,14 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         except Exception as exc:
             issues.append(f"{tag}: unreadable run file ({exc})")
             continue
-        expected_gens = gens_by_label.get(entry["label"])
-        if expected_gens is not None and len(rec.hv_trace) != expected_gens:
-            issues.append(f"{tag}: hv trace length {len(rec.hv_trace)} != generations {expected_gens}")
+        config = config_by_label.get(entry["label"])
+        if config is None:
+            issues.append(f"{tag}: no engine entry in the manifest")
+            continue
+        if len(rec.hv_trace) != config["generations"]:
+            issues.append(
+                f"{tag}: hv trace length {len(rec.hv_trace)} != generations {config['generations']}"
+            )
         if np.any(np.diff(rec.hv_trace) < 0):
             issues.append(f"{tag}: hv trace decreases")
         stale = _stale_members(rec, stats)
@@ -472,12 +469,18 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
                 f"{tag}: stored objectives or changed counts of {len(stale)} member(s) "
                 f"do not match their floor uses (first: member {stale[0]})"
             )
-        if any(not 0 <= i < len(rec.population) for i in rec.front_indices):
+        front = rec.front_indices
+        if ((front < 0) | (front >= rec.population.n)).any():
             issues.append(f"{tag}: front indices out of range")
             continue
-        pts = np.array(
-            [[f.objectives.compatibility, f.objectives.price] for f in rec.front()]
-        ).reshape(-1, 2)
+        in_final = rec.population.in_band_and_box(inst, config["relax"]["gamma_final"])
+        outside = front[~in_final[front]]
+        if outside.size:
+            issues.append(
+                f"{tag}: {outside.size} front member(s) outside the final area band "
+                f"or price box (first: member {outside[0]})"
+            )
+        pts = rec.population.objectives()[front]
         # dominates[i, a]: point i is at least as good as a everywhere, better somewhere
         at_least = (pts[:, None] >= pts[None, :]).all(axis=2)
         dominates = at_least & (pts[:, None] > pts[None, :]).any(axis=2)

@@ -1,4 +1,4 @@
-"""Pareto-front quality indicators: HV, GD, GD+, IGD, IGD+ and front algebra.
+"""Pareto-front quality indicators: HV, GD, GD+, IGD, IGD+ and the 2-D Pareto sweep.
 
 All indicator math follows the usual printed formulas with p = 2:
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,19 +36,6 @@ class NormalizationBounds:
         if pts.size == 0:
             raise ValueError("cannot derive bounds from an empty set")
         return cls(pts.min(axis=0), pts.max(axis=0))
-
-
-@dataclass(frozen=True)
-class FrontSet:
-    """A labelled set of objective vectors in maximization orientation."""
-
-    label: str
-    points: np.ndarray  # (n, 2) float
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
-        if self.points.size and not np.all(np.isfinite(self.points)):
-            raise ValueError("front points must be finite")
 
 
 def normalize(points: np.ndarray, bounds: NormalizationBounds) -> np.ndarray:
@@ -89,22 +76,28 @@ def hypervolume_2d(front: np.ndarray, ref: Sequence[float] = (0.0, 0.0)) -> floa
     return float(math.fsum(strips))
 
 
-def pareto_filter(points: np.ndarray) -> np.ndarray:
-    """Unique, mutually non-dominated subset (maximization), ascending x.
+def pareto_indices(points: np.ndarray) -> np.ndarray:
+    """Indices of the unique non-dominated (n, 2) points (maximization), ascending x.
 
     Sort-and-sweep: after ordering by descending (x, y), a point survives
-    iff its y strictly exceeds every earlier y.
+    iff its y strictly exceeds every earlier y; of equal points, the one
+    with the lowest index survives (the sort is stable).
     """
+    pts = np.asarray(points, dtype=float)
+    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
+    ys = pts[order, 1]
+    keep = np.ones(len(order), dtype=bool)
+    if len(order) > 1:
+        keep[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
+    return order[keep][::-1]
+
+
+def pareto_filter(points: np.ndarray) -> np.ndarray:
+    """Unique, mutually non-dominated subset (maximization), ascending x."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 2)
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    spts = pts[order]
-    ys = spts[:, 1]
-    keep = np.ones(len(spts), dtype=bool)
-    if len(spts) > 1:
-        keep[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
-    return spts[keep][::-1]
+    return pts[pareto_indices(pts)]
 
 
 def _nearest_powered_mean(points: np.ndarray, others: np.ndarray, p: float, clamp: str) -> float:
@@ -149,17 +142,6 @@ def igd_plus(z: np.ndarray, a: np.ndarray, p: float = 2.0) -> float:
     components where the solution is worse, so covered references score 0.
     """
     return _nearest_powered_mean(z, a, p, clamp="reverse")
-
-
-def combine_fronts(fronts: Iterable[FrontSet], label: str = "combined") -> FrontSet:
-    """Union of all points with dominated ones removed, duplicates collapsed."""
-    fronts = list(fronts)
-    if not fronts:
-        raise ValueError("need at least one front")
-    stacks = [f.points for f in fronts if f.points.size]
-    if not stacks:
-        return FrontSet(label, np.zeros((0, 2)))
-    return FrontSet(label, pareto_filter(np.vstack(stacks)))
 
 
 def indicator_suite(

@@ -332,20 +332,24 @@ def proportions(a: Allocation, i: int) -> np.ndarray:
     return np.bincount(row, minlength=a.use_count) / len(row)
 
 
-def area_band_ok(inst: ProblemInstance, areas: np.ndarray, gamma: float) -> bool:
-    """Constraint 3: every use's total area within (1 +/- gamma) of actual."""
-    lo = (1.0 - gamma) * inst.actual_areas
-    hi = (1.0 + gamma) * inst.actual_areas
-    return bool(np.all(areas >= lo) and np.all(areas <= hi))
+def area_band(inst: ProblemInstance, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint 3's per-use bounds: (1 -/+ gamma) times the as-built areas."""
+    return (1.0 - gamma) * inst.actual_areas, (1.0 + gamma) * inst.actual_areas
 
 
-def price_box_ok(inst: ProblemInstance, price: float) -> bool:
-    """Constraint 4: total price within [price_min, price_max]."""
-    return inst.price_min <= price <= inst.price_max
+def area_band_mask(inst: ProblemInstance, areas: np.ndarray, gamma: float) -> np.ndarray:
+    """Constraint 3 per row of (..., K) `areas`: every use's area inside the band."""
+    lo, hi = area_band(inst, gamma)
+    return (areas >= lo).all(axis=-1) & (areas <= hi).all(axis=-1)
 
 
-def plot_budget_ok(inst: ProblemInstance, changed: int, mu: float) -> bool:
-    """Constraint 5: changed-plot count within mu * N (soft guide)."""
+def price_box_mask(inst: ProblemInstance, price: np.ndarray) -> np.ndarray:
+    """Constraint 4 per price: total price within [price_min, price_max]."""
+    return (price >= inst.price_min) & (price <= inst.price_max)
+
+
+def plot_budget_mask(inst: ProblemInstance, changed: np.ndarray, mu: float) -> np.ndarray:
+    """Constraint 5 per changed-plot count: at most mu * N (soft guide)."""
     return changed <= mu * inst.n_plots + 1e-9
 
 
@@ -377,9 +381,9 @@ def check_constraints(
         inst.actual_areas > 0, rel, np.where(areas > 0, np.inf, 0.0)
     )
     return ConstraintReport(
-        area_ok=area_band_ok(inst, areas, gamma),
-        price_ok=price_box_ok(inst, price),
+        area_ok=bool(area_band_mask(inst, areas, gamma)),
+        price_ok=bool(price_box_mask(inst, price)),
         changed_plot_count=changed,
-        plot_budget_ok=plot_budget_ok(inst, changed, mu),
+        plot_budget_ok=bool(plot_budget_mask(inst, changed, mu)),
         max_area_change_fraction=float(np.max(rel)) if len(rel) else 0.0,
     )

@@ -8,22 +8,19 @@ integers, then round half-to-even and clamp back into [0, K^f - 1] before
 decoding, which keeps the near-parent bias that a modulo wrap would
 destroy.
 
-Every operator takes an explicit numpy Generator and is deterministic
-given (inputs, config, seed). Locked plots always copy through. The
-*_batch kernels are the single source of truth; the per-allocation
-functions wrap them on one-row batches.
+Every operator works on a (B, total_floors) batch of code rows; the
+random ones take an explicit numpy Generator and are deterministic given
+(inputs, config, seed). Locked plots always copy through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
-from .model import CODE_DTYPE, Allocation, ProblemInstance
-
-T = TypeVar("T")
+from .model import CODE_DTYPE, ProblemInstance
 
 # int64 holds K^f - 1 as long as f * log2(K) stays below 63 bits; taller
 # buildings fall back to python-int (object dtype) arithmetic.
@@ -80,26 +77,6 @@ def decode_uses(value: int, base: int, digits: int) -> np.ndarray:
     for t in range(digits - 1, -1, -1):
         value, out[t] = divmod(value, base)
     return out
-
-
-@dataclass(frozen=True)
-class EncodedPlot:
-    """One plot's floor-use vector as an arbitrary-precision integer."""
-
-    value: int
-    base: int
-    digits: int
-
-    def __post_init__(self):
-        if not 0 <= self.value <= self.base**self.digits - 1:
-            raise ValueError("encoded value out of range")
-
-    @classmethod
-    def from_uses(cls, uses: Sequence[int], base: int) -> "EncodedPlot":
-        return cls(encode_uses(uses, base), base, len(uses))
-
-    def to_uses(self) -> np.ndarray:
-        return decode_uses(self.value, self.base, self.digits)
 
 
 class PlotCodec:
@@ -201,36 +178,15 @@ def _codec(inst: ProblemInstance) -> PlotCodec:
 # selection
 
 
-def tournament_select(
-    population: Sequence[T],
-    key: Callable[[T], object],
-    pool_size: int,
-    rng: np.random.Generator,
-) -> list[T]:
-    """Binary tournaments with replacement until the pool is full.
-
-    Each tournament draws two individuals uniformly (independently, so an
-    individual can meet itself); the one with the greater `key` wins and
-    ties are broken by a fair coin.
-    """
-    if not population:
-        raise ValueError("population must be non-empty")
-    keys = [key(ind) for ind in population]
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    rank = np.zeros(len(keys), dtype=np.int64)
-    r = 0
-    for pos, idx in enumerate(order):
-        if pos > 0 and keys[idx] != keys[order[pos - 1]]:
-            r = pos
-        rank[idx] = r
-    winners = tournament_indices(rank, pool_size, rng)
-    return [population[w] for w in winners]
-
-
 def tournament_indices(
     rank: np.ndarray, pool_size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized core: `rank` is a dense higher-is-better score array."""
+    """Winners of `pool_size` binary tournaments, as indices into `rank`.
+
+    `rank` is a higher-is-better score per member. Each tournament draws
+    two members uniformly and independently (a member can meet itself);
+    the higher score wins and ties are broken by a fair coin.
+    """
     n = len(rank)
     if n == 0:
         raise ValueError("population must be non-empty")
@@ -288,21 +244,6 @@ def sbx_batch(
     )
 
 
-def sbx_crossover(
-    p1: Allocation,
-    p2: Allocation,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
-    rng: np.random.Generator,
-) -> tuple[Allocation, Allocation]:
-    """SBX on the base-K encodings of the selected unlocked plots."""
-    c1, c2 = sbx_batch(p1.codes[None, :], p2.codes[None, :], cfg, inst, rng)
-    return (
-        Allocation(c1[0], inst.floor_offsets, inst.n_uses),
-        Allocation(c2[0], inst.floor_offsets, inst.n_uses),
-    )
-
-
 def uniform_batch(
     codes1: np.ndarray,
     codes2: np.ndarray,
@@ -325,21 +266,6 @@ def uniform_batch(
     out1 = np.where(swap, codes2, codes1)
     out2 = np.where(swap, codes1, codes2)
     return out1.astype(CODE_DTYPE), out2.astype(CODE_DTYPE)
-
-
-def uniform_crossover(
-    p1: Allocation,
-    p2: Allocation,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
-    rng: np.random.Generator,
-) -> tuple[Allocation, Allocation]:
-    """Swap whole plots (or single floors with cfg.floorwise) between parents."""
-    c1, c2 = uniform_batch(p1.codes[None, :], p2.codes[None, :], cfg, inst, rng)
-    return (
-        Allocation(c1[0], inst.floor_offsets, inst.n_uses),
-        Allocation(c2[0], inst.floor_offsets, inst.n_uses),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +301,6 @@ def random_mutation_batch(
     fresh = rng.integers(0, inst.n_uses, size=(b, inst.total_floors), dtype=np.int64)
     fmask = np.repeat(mask, inst.floor_counts, axis=1)
     return np.where(fmask, fresh, codes).astype(CODE_DTYPE)
-
-
-def random_mutation(
-    a: Allocation, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
-) -> Allocation:
-    """Uniformly re-randomize the floors of a few unlocked plots."""
-    out = random_mutation_batch(a.codes[None, :], cfg, inst, rng)
-    return Allocation(out[0], inst.floor_offsets, inst.n_uses)
 
 
 def polynomial_values(
@@ -428,14 +346,6 @@ def polynomial_mutation_batch(
     return np.where(fmask, out, codes).astype(CODE_DTYPE)
 
 
-def polynomial_mutation(
-    a: Allocation, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
-) -> Allocation:
-    """Polynomial mutation on the base-K encoding over [0, K^f - 1]."""
-    out = polynomial_mutation_batch(a.codes[None, :], cfg, inst, rng)
-    return Allocation(out[0], inst.floor_offsets, inst.n_uses)
-
-
 # ---------------------------------------------------------------------------
 # DE-style scaled operators
 
@@ -455,14 +365,6 @@ def scaled_add_batch(
     return np.where(fmask[None, :], out, target).astype(CODE_DTYPE)
 
 
-def scaled_add(
-    target: Allocation, donor: Allocation, f: float, inst: ProblemInstance
-) -> Allocation:
-    """DE-style mutant: target shifted by the scaled donor encoding."""
-    out = scaled_add_batch(target.codes[None, :], donor.codes[None, :], f, inst)
-    return Allocation(out[0], inst.floor_offsets, inst.n_uses)
-
-
 def scaled_difference_batch(
     a: np.ndarray, b: np.ndarray, f: float, inst: ProblemInstance
 ) -> np.ndarray:
@@ -476,11 +378,3 @@ def scaled_difference_batch(
     out = codec.decode_rows(moved)
     fmask = np.repeat(~inst.locked, inst.floor_counts)
     return np.where(fmask[None, :], out, a).astype(CODE_DTYPE)
-
-
-def scaled_difference(
-    a: Allocation, b: Allocation, f: float, inst: ProblemInstance
-) -> Allocation:
-    """DE difference vector, used directly as a new candidate solution."""
-    out = scaled_difference_batch(a.codes[None, :], b.codes[None, :], f, inst)
-    return Allocation(out[0], inst.floor_offsets, inst.n_uses)

@@ -48,13 +48,6 @@ _PALETTE = (
 )
 
 
-def _front_points(rec: RunRecord) -> np.ndarray:
-    front = rec.front()
-    if not front:
-        return np.zeros((0, 2))
-    return np.array([[f.objectives.compatibility, f.objectives.price] for f in front])
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -87,7 +80,7 @@ def generate_report(bundle_dir: str | Path, out_dir: str | Path | None = None) -
     stacks = []
     for label in labels:
         for rec in lb.records[label]:
-            pts = _front_points(rec)
+            pts = rec.population.objectives()[rec.front_indices]
             per_run.append((label, rec.seed, pts, rec))
             if pts.size:
                 stacks.append(pts)

@@ -38,10 +38,7 @@ def _record(line: str):
 
 
 def _front_points(rec):
-    front = rec.front()
-    if not front:
-        return np.zeros((0, 2))
-    return np.array([[f.objectives.compatibility, f.objectives.price] for f in front])
+    return rec.population.objectives()[rec.front_indices]
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +126,7 @@ class TestCriterion1BruteForceParetoOracle:
                         init_change_fraction=1.0,
                     )
                     rec = la.run_engine(inst, cfg)
-                    pts = {
-                        (ind.objectives.compatibility, ind.objectives.price)
-                        for ind in rec.front()
-                    }
+                    pts = set(map(tuple, _front_points(rec).tolist()))
                     if pts and pts <= true_set:
                         hits += 1
                 checked += 1
@@ -396,8 +390,9 @@ class TestCriterion9UnrelaxationFilter:
         violations = 0
         for rec in relaxation_runs["relaxed"]:
             survivor_counts.append(len(rec.front_indices))
-            for ind in rec.front():
-                report = check_constraints(inst, ind.allocation, gamma=0.3)
+            for row in rec.population.codes[rec.front_indices]:
+                a = la.Allocation(row, inst.floor_offsets, inst.n_uses)
+                report = check_constraints(inst, a, gamma=0.3)
                 if not (report.area_ok and report.price_ok):
                     violations += 1
         ok = violations == 0 and min(survivor_counts) >= 1

@@ -1,6 +1,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from landalloc.cli import main
@@ -14,6 +15,7 @@ from landalloc.harness import (
     run_experiment,
 )
 from landalloc.instance_io import GeneratorSpec, generate_synthetic, load_instance, save_instance
+from landalloc.model import evaluate_batch
 
 
 @pytest.fixture
@@ -153,6 +155,14 @@ class TestRunCommand:
         path.write_text(json.dumps(experiment_doc))
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_non_integer_workers_is_usage_error(self, config_path, tmp_path, monkeypatch, capsys):
+        assert main(["run", "--config", str(config_path), "--workers", "abc"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        monkeypatch.setenv("LANDALLOC_WORKERS", "abc")
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "usage error: LANDALLOC_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
 
 class TestReportCommand:
     def test_report_regeneration_byte_identical(self, config_path, tmp_path):
@@ -219,7 +229,7 @@ class TestVerifyCommand:
 
 
 class TestVerifyRederives:
-    """verify re-derives member objectives and the HV trace from the record.
+    """verify re-derives member objectives, the final band and box, and the HV trace.
 
     The tamper recipe: on a 20x20 (generator seed 11) CR_DES bundle,
     rewrite every floor of front member 2 as (u + 1) % 3 and set
@@ -284,6 +294,38 @@ class TestVerifyRederives:
         assert main(["verify", "--bundle", str(bundle)]) != 0
         assert "dominated points" in capsys.readouterr().err
 
+    def test_front_member_outside_final_band_fails(self, tmp_path, capsys):
+        # Every unlocked floor of the one SOA front member set to use 0, with
+        # its stored objectives and changed count rewritten to match: the
+        # member's areas are then 1.48x, 0x and 0x of as-built.
+        inst_path = str(tmp_path / "inst.landalloc.json")
+        main(["generate", "--grid", "6x5", "--seed", "11", "--out", inst_path])
+        doc = {
+            "instance": "inst.landalloc.json", "output": "bundle", "seeds": [1],
+            "engines": [{"label": "SOA", "algorithm": "SOA", "generations": 20}],
+        }
+        (tmp_path / "exp.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "exp.json")]) == 0
+        bundle = tmp_path / "bundle"
+        assert main(["verify", "--bundle", str(bundle)]) == 0
+        inst = load_instance(bundle / "instance.landalloc.json")
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        rec = json.loads(run.read_text())
+        assert len(rec["front"]) == 1
+        member = rec["population"][rec["front"][0]]
+        codes = np.array(member["floor_uses"], dtype=np.int16)
+        codes[np.repeat(~inst.locked, inst.floor_counts)] = 0
+        stats = evaluate_batch(inst, codes[None, :])
+        member["floor_uses"] = codes.tolist()
+        member["compatibility"] = float(stats.compatibility[0])
+        member["price"] = float(stats.price[0])
+        member["changed"] = int(stats.changed[0])
+        run.write_text(json.dumps(rec))
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "outside the final area band or price box" in err
+        assert "do not match their floor uses" not in err
+
 
 class TestHarnessInternals:
     def test_record_roundtrip(self, instance_path):
@@ -311,11 +353,7 @@ class TestHarnessInternals:
         ]
         entries = combined_front_entries(recs)
         pts = [(e["compatibility"], e["price"]) for e in entries]
-        allpts = [
-            (i.objectives.compatibility, i.objectives.price)
-            for r in recs
-            for i in r.front()
-        ]
+        allpts = [tuple(p) for r in recs for p in r.population.objectives()[r.front_indices]]
         assert set(pts) == naive_pareto_set(allpts)
 
     def test_engine_entry_relaxation_defaults(self, instance_path):

@@ -5,11 +5,13 @@ import pytest
 
 from landalloc.engines import (
     EngineConfig,
+    Population,
     RelaxationSchedule,
+    _init_codes,
+    _resolved,
     apply_relaxation_phase,
     crowding_distance,
     fast_non_dominated_sort,
-    initialize_population,
     run_cr_des,
     run_engine,
     run_msbx_mo,
@@ -17,8 +19,8 @@ from landalloc.engines import (
     run_soa,
 )
 from landalloc.harness import record_to_json
-from landalloc.model import ObjectiveVector, check_constraints
-from landalloc.operators import OperatorConfig, sbx_crossover, scaled_add
+from landalloc.model import Allocation, check_constraints
+from landalloc.operators import OperatorConfig, sbx_batch, scaled_add_batch
 
 from oracles import (
     brute_force_best_scalar,
@@ -36,7 +38,7 @@ def small_cfg(alg, **kw):
 
 class TestNonDominatedSort:
     def test_hand_case(self):
-        objs = [ObjectiveVector(2, 2), ObjectiveVector(1, 1), ObjectiveVector(0.5, 2.5)]
+        objs = np.array([[2, 2], [1, 1], [0.5, 2.5]])
         fronts = fast_non_dominated_sort(objs)
         assert fronts == [[0, 2], [1]]
 
@@ -64,8 +66,10 @@ class TestNonDominatedSort:
             fast_non_dominated_sort(np.zeros((3, 3)))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             fast_non_dominated_sort(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="empty"):
+            fast_non_dominated_sort([])
 
 
 class TestCrowding:
@@ -81,6 +85,11 @@ class TestCrowding:
     def test_two_points_both_infinite(self):
         d = crowding_distance(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert all(map(math.isinf, d))
+
+    def test_empty_rejected(self):
+        for objs in (np.zeros((0, 2)), []):
+            with pytest.raises(ValueError, match="non-empty"):
+                crowding_distance(objs)
 
     def test_degenerate_span_contributes_zero(self):
         objs = np.array([[0.0, 5.0], [0.5, 5.0], [1.0, 5.0]])
@@ -122,36 +131,37 @@ class TestRelaxationPhase:
             apply_relaxation_phase(11, cfg)
 
 
+def initial_population(inst, cfg, rng) -> Population:
+    return Population.evaluate(inst, _init_codes(inst, _resolved(inst, cfg), rng))
+
+
 class TestInitialization:
     def test_zero_change_gives_copies_of_actual(self, small_synthetic):
         inst = small_synthetic
         cfg = small_cfg("CR_DES", init_change_fraction=0.0, population_size=8)
-        pop = initialize_population(inst, cfg, np.random.default_rng(0))
-        for ind in pop:
-            assert np.array_equal(ind.allocation.codes, inst.actual_codes)
+        pop = initial_population(inst, cfg, np.random.default_rng(0))
+        for row in pop.codes:
+            assert np.array_equal(row, inst.actual_codes)
 
     def test_population_size_honored(self, small_synthetic):
         cfg = small_cfg("CR_DES", population_size=100)
-        pop = initialize_population(small_synthetic, cfg, np.random.default_rng(1))
-        assert len(pop) == 100
+        pop = initial_population(small_synthetic, cfg, np.random.default_rng(1))
+        assert pop.n == 100
 
     def test_changed_plot_budget_at_creation(self, small_synthetic):
         inst = small_synthetic
         cfg = small_cfg("CR_DES", init_change_fraction=0.25, population_size=40)
-        pop = initialize_population(inst, cfg, np.random.default_rng(2))
+        pop = initial_population(inst, cfg, np.random.default_rng(2))
         cap = math.ceil(0.25 * len(inst.unlocked_ids))
-        for ind in pop:
-            assert ind.changed_count <= cap
+        assert (pop.changed <= cap).all()
 
     def test_locked_plots_untouched(self, small_synthetic):
         inst = small_synthetic
         cfg = small_cfg("CR_DES", init_change_fraction=1.0, population_size=30)
-        pop = initialize_population(inst, cfg, np.random.default_rng(3))
+        pop = initial_population(inst, cfg, np.random.default_rng(3))
         locked_floor = np.repeat(inst.locked, inst.floor_counts)
-        for ind in pop:
-            assert np.array_equal(
-                ind.allocation.codes[locked_floor], inst.actual_codes[locked_floor]
-            )
+        for row in pop.codes:
+            assert np.array_equal(row[locked_floor], inst.actual_codes[locked_floor])
 
 
 class TestEngineRuns:
@@ -177,10 +187,9 @@ class TestEngineRuns:
         }
         cfg = small_cfg(alg, population_size=20, generations=60, seed=5)
         rec = run_engine(tiny1, cfg)
-        assert rec.front_indices, "front must be non-empty"
-        for ind in rec.front():
-            pt = (round(ind.objectives.compatibility, 6), round(ind.objectives.price, 6))
-            assert pt in true_set
+        assert len(rec.front_indices), "front must be non-empty"
+        for c, p in rec.population.objectives()[rec.front_indices]:
+            assert (round(c, 6), round(p, 6)) in true_set
 
     def test_front_members_satisfy_final_constraints(self, small_synthetic):
         inst = small_synthetic
@@ -190,13 +199,14 @@ class TestEngineRuns:
             relax=RelaxationSchedule(0.9, 1.0, inst.gamma, inst.mu),
         )
         rec = run_cr_des(inst, cfg)
-        for ind in rec.front():
-            report = check_constraints(inst, ind.allocation, inst.gamma, inst.mu)
+        for row in rec.population.codes[rec.front_indices]:
+            a = Allocation(row, inst.floor_offsets, inst.n_uses)
+            report = check_constraints(inst, a, inst.gamma, inst.mu)
             assert report.area_ok and report.price_ok
 
     def test_front_is_mutually_nondominated(self, small_synthetic):
         rec = run_msbx_nsga2(small_synthetic, small_cfg("MSBX_NSGA2", generations=25))
-        pts = [(i.objectives.compatibility, i.objectives.price) for i in rec.front()]
+        pts = [tuple(p) for p in rec.population.objectives()[rec.front_indices]]
         for a in pts:
             for b in pts:
                 assert not (a[0] >= b[0] and a[1] >= b[1] and a != b) or not (
@@ -208,15 +218,13 @@ class TestEngineRuns:
         locked_floor = np.repeat(inst.locked, inst.floor_counts)
         for alg in ("SOA", "MSBX_NSGA2", "CR_DES", "MSBX_MO"):
             rec = run_engine(inst, small_cfg(alg, generations=15, seed=2))
-            for ind in rec.population:
-                assert np.array_equal(
-                    ind.allocation.codes[locked_floor], inst.actual_codes[locked_floor]
-                )
+            for row in rec.population.codes:
+                assert np.array_equal(row[locked_floor], inst.actual_codes[locked_floor])
 
     def test_population_size_constant(self, small_synthetic):
         for alg in ("SOA", "MSBX_NSGA2", "CR_DES", "MSBX_MO"):
             rec = run_engine(small_synthetic, small_cfg(alg, generations=10))
-            assert len(rec.population) == 30
+            assert rec.population.n == 30
 
 
 class TestSoa:
@@ -239,14 +247,14 @@ class TestSoa:
         cfg = small_cfg("SOA", soa_a=1.0, soa_b=0.0, population_size=20, generations=80)
         rec = run_soa(tiny1, cfg)
         assert len(rec.front_indices) == 1
-        got = rec.front()[0].objectives.price
+        got = rec.population.price[rec.front_indices[0]]
         assert got == pytest.approx(best_price, rel=1e-9)
 
     def test_degenerate_compat_weight_finds_best_compatibility(self, tiny1):
         best_compat = brute_force_best_scalar(tiny1, a_price=0.0, b_compat=1.0)
         cfg = small_cfg("SOA", soa_a=0.0, soa_b=1.0, population_size=20, generations=80)
         rec = run_soa(tiny1, cfg)
-        got = rec.front()[0].objectives.compatibility
+        got = rec.population.comp[rec.front_indices[0]]
         assert got == pytest.approx(best_compat, rel=1e-9)
 
     def test_exhaustive_scalar_optimum_with_mixed_weights(self, tiny1):
@@ -254,8 +262,8 @@ class TestSoa:
         best = brute_force_best_scalar(tiny1, a_price=a, b_compat=b)
         cfg = small_cfg("SOA", soa_a=a, soa_b=b, population_size=20, generations=80)
         rec = run_soa(tiny1, cfg)
-        ind = rec.front()[0]
-        got = a * ind.objectives.price + b * ind.objectives.compatibility
+        best_idx = rec.front_indices[0]
+        got = a * rec.population.price[best_idx] + b * rec.population.comp[best_idx]
         assert got == pytest.approx(best, rel=1e-9)
 
 
@@ -263,32 +271,32 @@ class TestMsbxMoFixedPoint:
     def test_identical_population_zero_scale_children_equal_parents(self, tiny1):
         # scaled_add with F = 0 returns the target; SBX of identical parents
         # returns the parents, so the composed variation is the identity.
-        x = tiny1.actual_allocation()
-        mutant = scaled_add(x, x.copy(), 0.0, tiny1)
-        assert np.array_equal(mutant.codes, x.codes)
+        x = tiny1.actual_codes[None, :]
+        mutant = scaled_add_batch(x, x.copy(), 0.0, tiny1)
+        assert np.array_equal(mutant, x)
         cfg = OperatorConfig(crossover_plot_fraction=1.0)
-        c1, c2 = sbx_crossover(mutant, x, cfg, tiny1, np.random.default_rng(0))
-        assert np.array_equal(c1.codes, x.codes)
-        assert np.array_equal(c2.codes, x.codes)
+        c1, c2 = sbx_batch(mutant, x, cfg, tiny1, np.random.default_rng(0))
+        assert np.array_equal(c1, x)
+        assert np.array_equal(c2, x)
 
 
 class TestOffspringShapes:
     def test_cr_des_emits_population_size_children(self, small_synthetic):
-        from landalloc.engines import _offspring_cr_des, _Pop, _init_codes, _resolved
+        from landalloc.engines import _offspring_cr_des
 
         inst = small_synthetic
         cfg = _resolved(inst, small_cfg("CR_DES", population_size=17))
         rng = np.random.default_rng(4)
-        pop = _Pop.evaluate(inst, _init_codes(inst, cfg, rng))
+        pop = initial_population(inst, cfg, rng)
         out = _offspring_cr_des(inst, cfg, pop, np.arange(8), rng)
         assert out.shape == (17, inst.total_floors)
 
     def test_msbx_mo_one_child_per_parent(self, small_synthetic):
-        from landalloc.engines import _offspring_msbx_mo, _Pop, _init_codes, _resolved
+        from landalloc.engines import _offspring_msbx_mo
 
         inst = small_synthetic
         cfg = _resolved(inst, small_cfg("MSBX_MO", population_size=12))
         rng = np.random.default_rng(5)
-        pop = _Pop.evaluate(inst, _init_codes(inst, cfg, rng))
+        pop = initial_population(inst, cfg, rng)
         out = _offspring_msbx_mo(inst, cfg, pop, rng)
         assert out.shape == (12, inst.total_floors)

@@ -59,7 +59,7 @@ def compute_digests() -> dict[str, dict[str, str]]:
             label, cfg = build_engine_config(dict(entry, generations=GENERATIONS), inst)
             for seed in SEEDS:
                 rec = run_engine(inst, replace(cfg, seed=seed))
-                codes = np.array([ind.allocation.codes for ind in rec.population])
+                codes = rec.population.codes
                 h = hashlib.sha256(codes.astype("<i2").tobytes())
                 h.update(np.asarray(rec.front_indices, dtype="<i8").tobytes())
                 text = record_to_json(label, rec)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from landalloc.metrics import (
-    FrontSet,
     NormalizationBounds,
-    combine_fronts,
     flip_for_minimization,
     gd,
     gd_plus,
@@ -14,6 +12,7 @@ from landalloc.metrics import (
     indicator_suite,
     normalize,
     pareto_filter,
+    pareto_indices,
 )
 
 from oracles import naive_pareto_set
@@ -79,6 +78,16 @@ class TestParetoFilter:
         for _ in range(50):
             pts = rng.integers(0, 8, size=(40, 2)).astype(float)
             assert set(map(tuple, pareto_filter(pts))) == naive_pareto_set(pts)
+
+    def test_indices_unique_ascending_first_objective(self):
+        pts = np.array([[1.0, 3.0], [3.0, 1.0], [1.0, 3.0], [2.0, 2.0], [0.0, 0.0], [3.0, 1.0]])
+        assert pareto_indices(pts).tolist() == [0, 3, 1]  # of equal points, the first
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            pts = rng.integers(0, 8, size=(40, 2)).astype(float)
+            idx = pareto_indices(pts)
+            assert np.all(np.diff(pts[idx, 0]) > 0)
+            assert set(map(tuple, pts[idx])) == naive_pareto_set(pts)
 
 
 class TestDistanceIndicators:
@@ -146,33 +155,28 @@ class TestDistanceIndicators:
 
 
 class TestCombineFronts:
+    """The union of fronts, filtered: how the report builds its reference set."""
+
     def test_single_front_prunes_internal_dominated(self):
-        f = FrontSet("a", np.array([[1.0, 1.0], [2.0, 2.0]]))
-        out = combine_fronts([f])
-        assert out.points.tolist() == [[2.0, 2.0]]
+        out = pareto_filter(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        assert out.tolist() == [[2.0, 2.0]]
 
     def test_disjoint_nondominated_union(self):
-        f1 = FrontSet("a", np.array([[0.0, 3.0]]))
-        f2 = FrontSet("b", np.array([[3.0, 0.0]]))
-        out = combine_fronts([f1, f2])
-        assert set(map(tuple, out.points)) == {(0.0, 3.0), (3.0, 0.0)}
+        out = pareto_filter(np.vstack([[[0.0, 3.0]], [[3.0, 0.0]]]))
+        assert set(map(tuple, out)) == {(0.0, 3.0), (3.0, 0.0)}
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            fronts = [
-                FrontSet(str(k), rng.integers(0, 6, size=(10, 2)).astype(float))
-                for k in range(3)
-            ]
-            out = combine_fronts(fronts)
-            allpts = np.vstack([f.points for f in fronts])
-            assert set(map(tuple, out.points)) == naive_pareto_set(allpts)
+            fronts = [rng.integers(0, 6, size=(10, 2)).astype(float) for _ in range(3)]
+            allpts = np.vstack(fronts)
+            out = pareto_filter(allpts)
+            assert set(map(tuple, out)) == naive_pareto_set(allpts)
 
     def test_output_mutually_nondominated(self):
         rng = np.random.default_rng(8)
-        fronts = [FrontSet("x", rng.random((30, 2)))]
-        out = combine_fronts(fronts)
-        assert set(map(tuple, out.points)) == naive_pareto_set(out.points)
+        out = pareto_filter(rng.random((30, 2)))
+        assert set(map(tuple, out)) == naive_pareto_set(out)
 
 
 class TestIndicatorSuite:

@@ -3,29 +3,29 @@ import pytest
 
 from landalloc.model import Allocation
 from landalloc.operators import (
-    EncodedPlot,
     OperatorConfig,
     decode_uses,
     encode_uses,
-    polynomial_mutation,
+    polynomial_mutation_batch,
     polynomial_values,
-    random_mutation,
-    sbx_crossover,
-    scaled_add,
-    scaled_difference,
-    tournament_select,
-    uniform_crossover,
+    random_mutation_batch,
+    sbx_batch,
+    scaled_add_batch,
+    scaled_difference_batch,
+    tournament_indices,
+    uniform_batch,
 )
 
 from oracles import random_instance
 
 
-def rand_alloc(inst, rng):
-    return Allocation(
-        rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16),
-        inst.floor_offsets,
-        inst.n_uses,
-    )
+def rand_codes(inst, rng):
+    """One random (1, total_floors) code row."""
+    return rng.integers(0, inst.n_uses, size=(1, inst.total_floors)).astype(np.int16)
+
+
+def as_allocation(codes, inst):
+    return Allocation(codes[0], inst.floor_offsets, inst.n_uses)
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def inst():
 class TestEncoding:
     def test_paper_example_122_is_17(self):
         assert encode_uses([1, 2, 2], 3) == 17
-        assert EncodedPlot.from_uses([1, 2, 2], 3).value == 17
+        assert decode_uses(17, 3, 3).tolist() == [1, 2, 2]
 
     def test_roundtrip_exhaustive_small(self):
         for base, digits in [(2, 4), (3, 3)]:
@@ -102,117 +102,102 @@ class TestCodecDigitTable:
 
 class TestTournament:
     def test_seeded_reproducibility(self):
-        pop = ["A", "B"]
-        key = lambda s: 1.0 if s == "A" else 0.0
-        pools = [
-            tournament_select(pop, key, 10, np.random.default_rng(99)) for _ in range(2)
-        ]
-        assert pools[0] == pools[1]
-        assert pools[0].count("A") >= pools[0].count("B")
+        rank = np.array([1, 0])  # member 0 is the fitter
+        pools = [tournament_indices(rank, 10, np.random.default_rng(99)) for _ in range(2)]
+        assert np.array_equal(pools[0], pools[1])
+        assert np.count_nonzero(pools[0] == 0) >= np.count_nonzero(pools[0] == 1)
 
     def test_equal_fitness_is_uniform(self):
-        pop = [0, 1]
         rng = np.random.default_rng(1)
-        pool = tournament_select(pop, lambda _: 0.0, 20000, rng)
-        freq = pool.count(0) / len(pool)
+        pool = tournament_indices(np.zeros(2), 20000, rng)
+        freq = np.count_nonzero(pool == 0) / len(pool)
         assert freq == pytest.approx(0.5, abs=0.02)
 
     def test_binary_tournament_probability(self):
         # best of three is drawn in a pair with prob 5/9
-        pop = [3.0, 2.0, 1.0]
         rng = np.random.default_rng(2)
-        pool = tournament_select(pop, lambda v: v, 10000, rng)
-        assert pool.count(3.0) / len(pool) == pytest.approx(5 / 9, abs=0.02)
+        pool = tournament_indices(np.array([2, 1, 0]), 10000, rng)
+        assert np.count_nonzero(pool == 0) / len(pool) == pytest.approx(5 / 9, abs=0.02)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_select([], lambda v: v, 1, np.random.default_rng(0))
+            tournament_indices(np.zeros(0), 1, np.random.default_rng(0))
 
 
 class TestSbx:
     def test_identical_parents_fixed_point(self, inst):
         rng = np.random.default_rng(0)
-        a = rand_alloc(inst, rng)
+        a = rand_codes(inst, rng)
         for eta in (0.5, 2.0, 20.0, 500.0):
             cfg = OperatorConfig(sbx_eta=eta, crossover_plot_fraction=1.0)
-            c1, c2 = sbx_crossover(a, a.copy(), cfg, inst, np.random.default_rng(5))
-            assert np.array_equal(c1.codes, a.codes)
-            assert np.array_equal(c2.codes, a.codes)
+            c1, c2 = sbx_batch(a, a.copy(), cfg, inst, np.random.default_rng(5))
+            assert np.array_equal(c1, a)
+            assert np.array_equal(c2, a)
 
     def test_children_valid_over_many_trials(self, inst):
         rng = np.random.default_rng(11)
         cfg = OperatorConfig(crossover_plot_fraction=0.7)
+        locked_floor = np.repeat(inst.locked, inst.floor_counts)
         for _ in range(300):
-            p1, p2 = rand_alloc(inst, rng), rand_alloc(inst, rng)
-            p1.codes[np.repeat(inst.locked, inst.floor_counts)] = inst.actual_codes[
-                np.repeat(inst.locked, inst.floor_counts)
-            ]
-            p2.codes[np.repeat(inst.locked, inst.floor_counts)] = inst.actual_codes[
-                np.repeat(inst.locked, inst.floor_counts)
-            ]
-            c1, c2 = sbx_crossover(p1, p2, cfg, inst, rng)
-            c1.validate(inst)
-            c2.validate(inst)
+            p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
+            p1[:, locked_floor] = inst.actual_codes[locked_floor]
+            p2[:, locked_floor] = inst.actual_codes[locked_floor]
+            c1, c2 = sbx_batch(p1, p2, cfg, inst, rng)
+            as_allocation(c1, inst).validate(inst)
+            as_allocation(c2, inst).validate(inst)
 
     def test_seeded_determinism(self, inst):
         rng = np.random.default_rng(3)
-        p1, p2 = rand_alloc(inst, rng), rand_alloc(inst, rng)
+        p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
         cfg = OperatorConfig()
-        out1 = sbx_crossover(p1, p2, cfg, inst, np.random.default_rng(7))
-        out2 = sbx_crossover(p1, p2, cfg, inst, np.random.default_rng(7))
-        assert np.array_equal(out1[0].codes, out2[0].codes)
-        assert np.array_equal(out1[1].codes, out2[1].codes)
+        out1 = sbx_batch(p1, p2, cfg, inst, np.random.default_rng(7))
+        out2 = sbx_batch(p1, p2, cfg, inst, np.random.default_rng(7))
+        assert np.array_equal(out1[0], out2[0])
+        assert np.array_equal(out1[1], out2[1])
 
     def test_zero_fraction_is_identity(self, inst):
         rng = np.random.default_rng(4)
-        p1, p2 = rand_alloc(inst, rng), rand_alloc(inst, rng)
+        p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
         cfg = OperatorConfig(crossover_plot_fraction=0.0)
-        c1, c2 = sbx_crossover(p1, p2, cfg, inst, rng)
-        assert np.array_equal(c1.codes, p1.codes)
-        assert np.array_equal(c2.codes, p2.codes)
+        c1, c2 = sbx_batch(p1, p2, cfg, inst, rng)
+        assert np.array_equal(c1, p1)
+        assert np.array_equal(c2, p2)
 
 
 class TestUniformCrossover:
     def test_zero_probability_copies(self, inst):
         rng = np.random.default_rng(6)
-        p1, p2 = rand_alloc(inst, rng), rand_alloc(inst, rng)
-        c1, c2 = uniform_crossover(
-            p1, p2, OperatorConfig(crossover_plot_fraction=0.0), inst, rng
-        )
-        assert np.array_equal(c1.codes, p1.codes)
-        assert np.array_equal(c2.codes, p2.codes)
+        p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
+        c1, c2 = uniform_batch(p1, p2, OperatorConfig(crossover_plot_fraction=0.0), inst, rng)
+        assert np.array_equal(c1, p1)
+        assert np.array_equal(c2, p2)
 
     def test_full_swap_plotwise(self, inst):
         rng = np.random.default_rng(8)
-        p1, p2 = rand_alloc(inst, rng), rand_alloc(inst, rng)
-        c1, c2 = uniform_crossover(
-            p1, p2, OperatorConfig(crossover_plot_fraction=1.0), inst, rng
-        )
+        p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
+        c1, c2 = uniform_batch(p1, p2, OperatorConfig(crossover_plot_fraction=1.0), inst, rng)
         unlocked_floor = np.repeat(~inst.locked, inst.floor_counts)
-        assert np.array_equal(c1.codes[unlocked_floor], p2.codes[unlocked_floor])
-        assert np.array_equal(c2.codes[unlocked_floor], p1.codes[unlocked_floor])
-        assert np.array_equal(c1.codes[~unlocked_floor], p1.codes[~unlocked_floor])
+        assert np.array_equal(c1[:, unlocked_floor], p2[:, unlocked_floor])
+        assert np.array_equal(c2[:, unlocked_floor], p1[:, unlocked_floor])
+        assert np.array_equal(c1[:, ~unlocked_floor], p1[:, ~unlocked_floor])
 
     @pytest.mark.parametrize("floorwise", [False, True])
     def test_positional_material_is_conserved(self, inst, floorwise):
         rng = np.random.default_rng(10)
         cfg = OperatorConfig(crossover_plot_fraction=0.5, floorwise=floorwise)
         for _ in range(200):
-            p1, p2 = rand_alloc(inst, rng), rand_alloc(inst, rng)
-            c1, c2 = uniform_crossover(p1, p2, cfg, inst, rng)
+            p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
+            c1, c2 = uniform_batch(p1, p2, cfg, inst, rng)
             for t in range(inst.total_floors):
-                assert {int(c1.codes[t]), int(c2.codes[t])} == {
-                    int(p1.codes[t]),
-                    int(p2.codes[t]),
-                }
+                assert {int(c1[0, t]), int(c2[0, t])} == {int(p1[0, t]), int(p2[0, t])}
 
 
 class TestRandomMutation:
     def test_zero_budget_is_identity(self, inst):
         rng = np.random.default_rng(12)
-        a = rand_alloc(inst, rng)
-        out = random_mutation(a, OperatorConfig(mutation_plot_budget=0), inst, rng)
-        assert np.array_equal(out.codes, a.codes)
+        a = rand_codes(inst, rng)
+        out = random_mutation_batch(a, OperatorConfig(mutation_plot_budget=0), inst, rng)
+        assert np.array_equal(out, a)
 
     def test_redraw_is_uniform(self):
         from landalloc.model import LandUse, Plot, ProblemInstance
@@ -222,29 +207,27 @@ class TestRandomMutation:
         inst1 = ProblemInstance(plots, uses, np.eye(2), np.ones((1, 2)), 0.5, 1.0, 0.0, 100.0)
         rng = np.random.default_rng(14)
         cfg = OperatorConfig(mutation_plot_budget=1)
-        a = inst1.actual_allocation()
-        ones = sum(
-            int(random_mutation(a, cfg, inst1, rng).codes[0]) for _ in range(10000)
-        )
+        a = inst1.actual_codes[None, :]
+        ones = sum(int(random_mutation_batch(a, cfg, inst1, rng)[0, 0]) for _ in range(10000))
         assert ones / 10000 == pytest.approx(0.5, abs=0.02)
 
     def test_locked_plots_never_touched(self, inst):
         rng = np.random.default_rng(16)
         cfg = OperatorConfig(mutation_plot_budget=inst.n_plots)
         locked_floor = np.repeat(inst.locked, inst.floor_counts)
-        a = inst.actual_allocation()
+        a = inst.actual_codes[None, :]
         for _ in range(500):
-            out = random_mutation(a, cfg, inst, rng)
-            assert np.array_equal(out.codes[locked_floor], a.codes[locked_floor])
+            out = random_mutation_batch(a, cfg, inst, rng)
+            assert np.array_equal(out[:, locked_floor], a[:, locked_floor])
 
 
 class TestPolynomialMutation:
     def test_huge_eta_rarely_moves(self, inst):
         rng = np.random.default_rng(18)
         cfg = OperatorConfig(poly_eta=1e6, mutation_plot_budget=2)
-        a = inst.actual_allocation()
+        a = inst.actual_codes[None, :]
         same = sum(
-            np.array_equal(polynomial_mutation(a, cfg, inst, rng).codes, a.codes)
+            np.array_equal(polynomial_mutation_batch(a, cfg, inst, rng), a)
             for _ in range(2000)
         )
         assert same / 2000 >= 0.99
@@ -258,18 +241,18 @@ class TestPolynomialMutation:
         rng = np.random.default_rng(20)
         cfg = OperatorConfig(poly_eta=2.0, mutation_plot_budget=inst.n_plots)
         for _ in range(300):
-            a = rand_alloc(inst, rng)
-            out = polynomial_mutation(a, cfg, inst, rng)
-            assert out.codes.min() >= 0
-            assert out.codes.max() < inst.n_uses
+            a = rand_codes(inst, rng)
+            out = polynomial_mutation_batch(a, cfg, inst, rng)
+            assert out.min() >= 0
+            assert out.max() < inst.n_uses
 
 
 class TestScaledOperators:
     def test_scaled_add_zero_factor_returns_target(self, inst):
         rng = np.random.default_rng(22)
-        t, d = rand_alloc(inst, rng), rand_alloc(inst, rng)
-        out = scaled_add(t, d, 0.0, inst)
-        assert np.array_equal(out.codes, t.codes)
+        t, d = rand_codes(inst, rng), rand_codes(inst, rng)
+        out = scaled_add_batch(t, d, 0.0, inst)
+        assert np.array_equal(out, t)
 
     def test_scaled_add_hand_case(self):
         from landalloc.model import LandUse, Plot, ProblemInstance
@@ -277,10 +260,10 @@ class TestScaledOperators:
         plots = [Plot(0, 3, 10.0, (), False, (0, 0, 0))]
         uses = [LandUse(0, "a"), LandUse(1, "b")]
         inst1 = ProblemInstance(plots, uses, np.eye(2), np.ones((1, 2)), 0.5, 1.0, 0.0, 100.0)
-        target = Allocation.from_lists([[0, 1, 1]], 2)  # encodes to 3
-        donor = Allocation.from_lists([[1, 0, 0]], 2)  # encodes to 4
-        out = scaled_add(target, donor, 0.5, inst1)  # 3 + round(2.0) = 5
-        assert out.codes.tolist() == [1, 0, 1]
+        target = np.array([[0, 1, 1]], dtype=np.int16)  # encodes to 3
+        donor = np.array([[1, 0, 0]], dtype=np.int16)  # encodes to 4
+        out = scaled_add_batch(target, donor, 0.5, inst1)  # 3 + round(2.0) = 5
+        assert out.tolist() == [[1, 0, 1]]
 
     def test_scaled_difference_hand_case(self):
         from landalloc.model import LandUse, Plot, ProblemInstance
@@ -288,17 +271,17 @@ class TestScaledOperators:
         plots = [Plot(0, 2, 10.0, (), False, (0, 0))]
         uses = [LandUse(m, str(m)) for m in range(3)]
         inst1 = ProblemInstance(plots, uses, np.eye(3), np.ones((1, 3)), 0.5, 1.0, 0.0, 100.0)
-        a = Allocation.from_lists([[2, 1]], 3)  # 7
-        b = Allocation.from_lists([[0, 2]], 3)  # 2
-        out = scaled_difference(a, b, 1.0, inst1)  # 5 -> [1, 2]
-        assert out.codes.tolist() == [1, 2]
+        a = np.array([[2, 1]], dtype=np.int16)  # 7
+        b = np.array([[0, 2]], dtype=np.int16)  # 2
+        out = scaled_difference_batch(a, b, 1.0, inst1)  # 5 -> [1, 2]
+        assert out.tolist() == [[1, 2]]
 
     def test_scaled_difference_self_gives_all_zero(self, inst):
         rng = np.random.default_rng(24)
-        a = rand_alloc(inst, rng)
-        out = scaled_difference(a, a.copy(), 0.7, inst)
+        a = rand_codes(inst, rng)
+        out = scaled_difference_batch(a, a.copy(), 0.7, inst)
         unlocked_floor = np.repeat(~inst.locked, inst.floor_counts)
-        assert not out.codes[unlocked_floor].any()
+        assert not out[:, unlocked_floor].any()
 
     def test_negative_difference_clamps_to_zero(self):
         from landalloc.model import LandUse, Plot, ProblemInstance
@@ -306,22 +289,21 @@ class TestScaledOperators:
         plots = [Plot(0, 3, 10.0, (), False, (0, 0, 0))]
         uses = [LandUse(0, "a"), LandUse(1, "b")]
         inst1 = ProblemInstance(plots, uses, np.eye(2), np.ones((1, 2)), 0.5, 1.0, 0.0, 100.0)
-        a = Allocation.from_lists([[0, 0, 0]], 2)  # 0
-        b = Allocation.from_lists([[1, 1, 1]], 2)  # 7
-        out = scaled_difference(a, b, 1.5, inst1)
-        assert out.codes.tolist() == [0, 0, 0]
+        a = np.array([[0, 0, 0]], dtype=np.int16)  # 0
+        b = np.array([[1, 1, 1]], dtype=np.int16)  # 7
+        out = scaled_difference_batch(a, b, 1.5, inst1)
+        assert out.tolist() == [[0, 0, 0]]
 
     def test_results_always_valid(self, inst):
         rng = np.random.default_rng(26)
+        locked_floor = np.repeat(inst.locked, inst.floor_counts)
         for _ in range(300):
-            a, b = rand_alloc(inst, rng), rand_alloc(inst, rng)
-            a.codes[np.repeat(inst.locked, inst.floor_counts)] = inst.actual_codes[
-                np.repeat(inst.locked, inst.floor_counts)
-            ]
+            a, b = rand_codes(inst, rng), rand_codes(inst, rng)
+            a[:, locked_floor] = inst.actual_codes[locked_floor]
             f = float(rng.uniform(0.1, 2.0))
-            scaled_add(a, b, f, inst).validate(inst)
-            out = scaled_difference(a, b, f, inst)
-            assert out.codes.min() >= 0 and out.codes.max() < inst.n_uses
+            as_allocation(scaled_add_batch(a, b, f, inst), inst).validate(inst)
+            out = scaled_difference_batch(a, b, f, inst)
+            assert out.min() >= 0 and out.max() < inst.n_uses
 
 
 class TestConfigValidation:
