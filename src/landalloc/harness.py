@@ -453,14 +453,15 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         except Exception as exc:
             issues.append(f"{tag}: unreadable run file ({exc})")
             continue
-        config = config_by_label.get(entry["label"])
-        if config is None:
-            issues.append(f"{tag}: no engine entry in the manifest")
+        config = config_by_label.get(entry["label"], {})
+        try:
+            generations = config["generations"]
+            gamma_final = float(config["relax"]["gamma_final"])
+        except (KeyError, TypeError, ValueError):
+            issues.append(f"{tag}: manifest lacks the engine's generations or relax.gamma_final")
             continue
-        if len(rec.hv_trace) != config["generations"]:
-            issues.append(
-                f"{tag}: hv trace length {len(rec.hv_trace)} != generations {config['generations']}"
-            )
+        if len(rec.hv_trace) != generations:
+            issues.append(f"{tag}: hv trace length {len(rec.hv_trace)} != generations {generations}")
         if np.any(np.diff(rec.hv_trace) < 0):
             issues.append(f"{tag}: hv trace decreases")
         stale = _stale_members(rec, stats)
@@ -473,8 +474,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         if ((front < 0) | (front >= rec.population.n)).any():
             issues.append(f"{tag}: front indices out of range")
             continue
-        in_final = rec.population.in_band_and_box(inst, config["relax"]["gamma_final"])
-        outside = front[~in_final[front]]
+        outside = front[~rec.population.in_band_and_box(inst, gamma_final)[front]]
         if outside.size:
             issues.append(
                 f"{tag}: {outside.size} front member(s) outside the final area band "

@@ -228,6 +228,18 @@ class TestVerifyCommand:
         assert main(["verify", "--bundle", str(bundle)]) == 3
 
 
+    @pytest.mark.parametrize("key", ["generations", "relax"])
+    def test_manifest_without_engine_settings_reported(self, config_path, tmp_path, capsys, key):
+        main(["run", "--config", str(config_path)])
+        bundle = tmp_path / "bundle"
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        del manifest["engines"][0]["config"][key]
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest lacks the engine's generations or relax.gamma_final" in err
+
+
 class TestVerifyRederives:
     """verify re-derives member objectives, the final band and box, and the HV trace.
 
