@@ -48,7 +48,6 @@ class OperatorConfig:
     crossover_plot_fraction: float = 0.2
     mutation_plot_budget: int = 1
     floorwise: bool = False
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.crossover_plot_fraction <= 1.0:

@@ -398,6 +398,10 @@ class TestHarnessInternals:
             build_engine_config(
                 {"label": "X", "algorithm": "CR_DES", "nonsense": 5}, inst
             )
+        with pytest.raises(ExperimentConfigError):  # OperatorConfig has no rng_seed
+            build_engine_config(
+                {"label": "X", "algorithm": "CR_DES", "operators": {"rng_seed": 0}}, inst
+            )
         with pytest.raises(ExperimentConfigError):
             ExperimentConfig.from_dict({"instance": "x", "engines": [], "seeds": [1]})
         with pytest.raises(ExperimentConfigError):
