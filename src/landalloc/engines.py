@@ -337,12 +337,18 @@ def _pop_fronts(pop: Population) -> list[np.ndarray]:
 def _pop_crowding(pop: Population, fronts: list[np.ndarray]) -> None:
     objs = pop.objectives()
     for fr in fronts:
-        pop.crowd[fr] = crowding_distance(objs[fr])
+        # One or two members are all boundary points.
+        pop.crowd[fr] = crowding_distance(objs[fr]) if len(fr) > 2 else np.inf
 
 
 def _pop_survival(pop: Population, fronts: list[np.ndarray], target: int) -> Population:
-    """Fill whole fronts, trimming the last admitted one by crowding."""
-    _pop_crowding(pop, fronts)
+    """Fill whole fronts, trimming the last admitted one by crowding.
+
+    Crowding is set only on the fronts up to the one the cut falls in;
+    the members of later fronts are dropped unread.
+    """
+    cut = int(np.searchsorted(np.cumsum([len(fr) for fr in fronts]), target))
+    _pop_crowding(pop, fronts[: cut + 1])
     chosen: list[np.ndarray] = []
     total = 0
     for fr in fronts:
@@ -396,9 +402,12 @@ def _init_codes(inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generat
             row = inst.actual_codes.copy()
             if n_change:
                 picks = rng.choice(inst.unlocked_ids, size=n_change, replace=False)
-                for p in picks:
-                    lo, hi = inst.floor_offsets[p], inst.floor_offsets[p + 1]
-                    row[lo:hi] = rng.integers(0, inst.n_uses, size=hi - lo)
+                # The picked plots' floors in pick order, redrawn in one call.
+                counts = inst.floor_counts[picks]
+                ends = np.cumsum(counts)
+                shift = np.repeat(inst.floor_offsets[picks] - (ends - counts), counts)
+                floors = np.arange(ends[-1]) + shift
+                row[floors] = rng.integers(0, inst.n_uses, size=len(floors))
             if price_box_mask(inst, evaluate_batch(inst, row[None, :]).price[0]):
                 break
         codes[r] = row

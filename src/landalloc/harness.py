@@ -32,7 +32,14 @@ from .instance_io import (
     canonical_dumps,
     load_instance,
 )
-from .model import CODE_DTYPE, BatchStats, ProblemInstance, evaluate_batch
+from .model import (
+    CODE_DTYPE,
+    BatchStats,
+    ProblemInstance,
+    codes_in_range_mask,
+    evaluate_batch,
+    locked_kept_mask,
+)
 from .operators import OperatorConfig
 
 RECORD_SCHEMA = 1
@@ -181,10 +188,19 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
 
 
 def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord, BatchStats]:
-    """record_from_dict plus the evaluation of the stored codes."""
+    """record_from_dict plus the evaluation of the stored codes.
+
+    Raises InstanceError if a stored code lies outside [0, K).
+    """
     pop_docs = doc["population"]
     codes = np.array([d["floor_uses"] for d in pop_docs], dtype=CODE_DTYPE)
     codes = codes.reshape(len(pop_docs), inst.total_floors)
+    outside = np.flatnonzero(~codes_in_range_mask(inst, codes))
+    if outside.size:  # evaluate_batch would count such a floor against another plot or use
+        raise InstanceError(
+            f"floor-use codes outside [0, {inst.n_uses}) in {outside.size} member(s) "
+            f"(first: member {outside[0]})"
+        )
     stats = evaluate_batch(inst, codes)
 
     def column(key: str, dtype) -> np.ndarray:
@@ -407,7 +423,8 @@ def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
 def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     """Check bundle completeness and invariants.
 
-    Each run's stored member objectives and changed counts are checked
+    Each run's codes must lie in [0, K) and keep every locked plot as
+    built. Its stored member objectives and changed counts are checked
     against the evaluation of its codes that loading the record already
     makes, its front members must lie inside the final gamma band (areas
     from that evaluation) and the price box, and its HV trace must never
@@ -469,6 +486,11 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             issues.append(
                 f"{tag}: stored objectives or changed counts of {len(stale)} member(s) "
                 f"do not match their floor uses (first: member {stale[0]})"
+            )
+        altered = np.flatnonzero(~locked_kept_mask(inst, rec.population.codes))
+        if altered.size:
+            issues.append(
+                f"{tag}: {altered.size} member(s) alter a locked plot (first: member {altered[0]})"
             )
         front = rec.front_indices
         if ((front < 0) | (front >= rec.population.n)).any():

@@ -192,11 +192,10 @@ class Allocation:
             self.offsets, inst.floor_offsets
         ):
             raise ValueError("floor layout mismatch")
-        if np.any(self.codes < 0) or np.any(self.codes >= inst.n_uses):
+        if not codes_in_range_mask(inst, self.codes[None, :])[0]:
             raise ValueError("floor-use code out of range")
-        for i in np.flatnonzero(inst.locked):
-            if not np.array_equal(self.floor_uses(i), inst.actual_codes[inst.floor_offsets[i] : inst.floor_offsets[i + 1]]):
-                raise ValueError(f"locked plot {i} was altered")
+        if not locked_kept_mask(inst, self.codes[None, :])[0]:
+            raise ValueError("a locked plot was altered")
 
 
 @dataclass(frozen=True)
@@ -235,16 +234,28 @@ class BatchStats:
 # block's (N, B, K) arrays stay cache-sized; 33 rows at 1,290 plots x 3 uses.
 _BLOCK_VALUES = 1 << 17
 
+# Edges per chunk of the compatibility stage: a chunk's two (C, B, K) edge
+# gathers take 2 x 400 KB at 33 rows x 3 uses, so they stay in L2.
+_EDGE_CHUNK = 512
+
 
 def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
     """Evaluate a (B, total_floors) batch of flat code arrays.
 
     Returns both objectives plus the per-use areas and changed-plot counts
-    needed by the constraint checks.
+    needed by the constraint checks. Codes are not range-checked: a code
+    outside [0, K) may be counted against another plot or use, so code
+    read from outside the program is checked first (`Allocation.validate`,
+    `codes_in_range_mask`).
 
     Rows are evaluated in blocks of about 2^17 per-plot values each (33
     rows at 1,290 plots x 3 uses). A batch of 2 or more rows never yields
     a 1-row block: a trailing single row joins the block before it.
+    Inside a block, the compatibility stage runs over chunks of 512 edges:
+    each chunk gathers both edge ends into two small buffers and writes
+    its per-edge contributions into an (E, B) array. These three buffers
+    are kept on the instance, sized for the tallest block so far, and
+    reused by every block; no returned array is a view of them.
 
     Summation order: inside a block of 2 or more rows, each row's
     compatibility adds the per-edge contributions one by one in stored
@@ -269,37 +280,66 @@ def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
     return BatchStats(*map(np.concatenate, zip(*blocks)))
 
 
+def _edge_buffers(inst: ProblemInstance, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two (C, b, K) gather buffers and the (E, b) contribution array.
+
+    They are views of three flat arrays kept on the instance and
+    reallocated only when a block is taller than any before it (at paper
+    scale: 1, then 33, then 34 rows). Blocks can reach thousands of rows
+    on small instances, so sizing them up front for the largest possible
+    block would waste memory that small batches never touch.
+    """
+    e, k = len(inst.edge_i), inst.n_uses
+    chunk = min(_EDGE_CHUNK, e)
+    bufs = getattr(inst, "_edge_bufs", None)
+    if bufs is None or len(bufs[2]) < e * b:
+        bufs = (np.empty(chunk * b * k), np.empty(chunk * b * k), np.empty(e * b))
+        inst._edge_bufs = bufs
+    gather_i, gather_j, contrib = bufs
+    size = chunk * b * k
+    return (
+        gather_i[:size].reshape(chunk, b, k),
+        gather_j[:size].reshape(chunk, b, k),
+        contrib[: e * b].reshape(e, b),
+    )
+
+
 def _evaluate_block(inst: ProblemInstance, codes: np.ndarray) -> tuple[np.ndarray, ...]:
     """BatchStats fields for one block of rows."""
     b = codes.shape[0]
     n, k = inst.n_plots, inst.n_uses
-    flat = (
-        np.arange(b, dtype=np.int64)[:, None] * (n * k)
-        + inst.floor_plot_index[None, :] * k
-        + codes.astype(np.int64)
-    ).ravel()
-    counts = np.bincount(flat, minlength=b * n * k).reshape(b, n, k)
+    flat = codes.astype(np.int64)
+    flat += inst.floor_plot_index * k
+    flat += np.arange(b, dtype=np.int64)[:, None] * (n * k)
+    counts = np.bincount(flat.ravel(), minlength=b * n * k).reshape(b, n, k)
+    del flat
     props = counts / inst.floor_counts[None, :, None]
-    areas = props * inst.floor_space[None, :, None]  # (B, N, K)
+    del counts
     price = np.einsum("bnk,nk->b", props, inst.price)
+    areas = np.multiply(props, inst.floor_space[None, :, None], out=props)  # (B, N, K)
     # Plot-major copy: both edge ends become contiguous (B, K) slabs, and
     # summing over plots along axis 0 adds them in the same order as a
     # batch-major sum over axis 1, bit for bit.
     plot_major = np.ascontiguousarray(areas.transpose(1, 0, 2))  # (N, B, K)
+    del props, areas
     per_use_area = plot_major.sum(axis=0)
-    if len(inst.edge_i):
+    e = len(inst.edge_i)
+    if e:
         weighted = plot_major @ inst.compat
-        contrib = np.einsum(
-            "ebk,ebk->eb",
-            weighted.take(inst.edge_i, axis=0),
-            plot_major.take(inst.edge_j, axis=0),
-        )  # (E, B)
+        gather_i, gather_j, contrib = _edge_buffers(inst, b)
+        for lo in range(0, e, len(gather_i)):
+            hi = min(lo + len(gather_i), e)
+            ends_i, ends_j = gather_i[: hi - lo], gather_j[: hi - lo]
+            # mode="clip" lets take() write straight into `out` (the
+            # instance already checked every edge index).
+            np.take(weighted, inst.edge_i[lo:hi], axis=0, out=ends_i, mode="clip")
+            np.take(plot_major, inst.edge_j[lo:hi], axis=0, out=ends_j, mode="clip")
+            np.einsum("ebk,ebk->eb", ends_i, ends_j, out=contrib[lo:hi])
         compatibility = contrib.sum(axis=0)
     else:
         compatibility = np.zeros(b)
-    diff = (codes != inst.actual_codes[None, :]).astype(np.int64)
-    per_plot = np.add.reduceat(diff, inst.floor_offsets[:-1], axis=1)
-    changed = (per_plot > 0).sum(axis=1)
+    diff = codes != inst.actual_codes[None, :]
+    changed = np.logical_or.reduceat(diff, inst.floor_offsets[:-1], axis=1).sum(axis=1)
     return compatibility, price, per_use_area, changed
 
 
@@ -346,6 +386,17 @@ def area_band_mask(inst: ProblemInstance, areas: np.ndarray, gamma: float) -> np
 def price_box_mask(inst: ProblemInstance, price: np.ndarray) -> np.ndarray:
     """Constraint 4 per price: total price within [price_min, price_max]."""
     return (price >= inst.price_min) & (price <= inst.price_max)
+
+
+def codes_in_range_mask(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:
+    """Per row of (B, total_floors) `codes`: every floor-use code in [0, K)."""
+    return ((codes >= 0) & (codes < inst.n_uses)).all(axis=1)
+
+
+def locked_kept_mask(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:
+    """Per row of (B, total_floors) `codes`: every locked plot keeps its as-built floors."""
+    floors = np.repeat(inst.locked, inst.floor_counts)
+    return (codes[:, floors] == inst.actual_codes[floors]).all(axis=1)
 
 
 def plot_budget_mask(inst: ProblemInstance, changed: np.ndarray, mu: float) -> np.ndarray:

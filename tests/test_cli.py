@@ -306,6 +306,50 @@ class TestVerifyRederives:
         assert main(["verify", "--bundle", str(bundle)]) != 0
         assert "dominated points" in capsys.readouterr().err
 
+    def _rewritten(self, clean_bundle, tmp_path, edit):
+        """Bundle copy whose first non-front member has its codes edited by
+        `edit(inst, codes)` and its stored objectives and changed count
+        rewritten from the evaluation of the edited codes."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        inst = load_instance(bundle / "instance.landalloc.json")
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        victim = next(i for i in range(len(doc["population"])) if i not in doc["front"])
+        member = doc["population"][victim]
+        codes = np.array(member["floor_uses"], dtype=np.int16)
+        edit(inst, codes)
+        stats = evaluate_batch(inst, codes[None, :])
+        member["floor_uses"] = codes.tolist()
+        member["compatibility"] = float(stats.compatibility[0])
+        member["price"] = float(stats.price[0])
+        member["changed"] = int(stats.changed[0])
+        run.write_text(json.dumps(doc))
+        return bundle
+
+    def test_code_outside_range_fails(self, clean_bundle, tmp_path, capsys):
+        # Plot 0's first floor set to code K = 3: the evaluation counts it
+        # as plot 1's use 0, so the rewritten objectives match it.
+        def edit(inst, codes):
+            codes[0] = inst.n_uses
+
+        bundle = self._rewritten(clean_bundle, tmp_path, edit)
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        assert "floor-use codes outside [0, 3)" in capsys.readouterr().err
+        assert main(["report", "--bundle", str(bundle)]) == 2
+        assert "floor-use codes outside [0, 3)" in capsys.readouterr().err
+
+    def test_altered_locked_plot_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(inst, codes):
+            first = inst.floor_offsets[np.flatnonzero(inst.locked)[0]]
+            codes[first] = (codes[first] + 1) % inst.n_uses
+
+        bundle = self._rewritten(clean_bundle, tmp_path, edit)
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "alter a locked plot" in err
+        assert "do not match their floor uses" not in err
+
     def test_front_member_outside_final_band_fails(self, tmp_path, capsys):
         # Every unlocked floor of the one SOA front member set to use 0, with
         # its stored objectives and changed count rewritten to match: the

@@ -26,6 +26,7 @@ from oracles import (
     brute_force_best_scalar,
     brute_force_pareto,
     naive_fronts,
+    naive_init_codes,
 )
 
 
@@ -154,6 +155,18 @@ class TestInitialization:
         pop = initial_population(inst, cfg, np.random.default_rng(2))
         cap = math.ceil(0.25 * len(inst.unlocked_ids))
         assert (pop.changed <= cap).all()
+
+    @pytest.mark.parametrize("uses, grid", [(2, (12, 10)), (3, (43, 30)), (6, (12, 10))])
+    def test_one_draw_per_attempt_equals_per_plot_draws(self, uses, grid):
+        from landalloc.instance_io import GeneratorSpec, generate_synthetic
+
+        spec = GeneratorSpec(grid_width=grid[0], grid_height=grid[1], use_count=uses, rng_seed=7)
+        inst = generate_synthetic(spec)
+        cfg = _resolved(inst, small_cfg("CR_DES", population_size=6))
+        for seed in (1, 2, 3):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(_init_codes(inst, cfg, fast), naive_init_codes(inst, cfg, slow))
+            assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_locked_plots_untouched(self, small_synthetic):
         inst = small_synthetic

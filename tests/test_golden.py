@@ -45,19 +45,28 @@ SEEDS = (1, 2)
 GENERATIONS = 30
 
 
-def _instances():
-    return {
-        "tiny1": load_instance(DATA / "tiny1.landalloc.json"),
-        "grid12x10": generate_synthetic(GeneratorSpec(grid_width=12, grid_height=10, rng_seed=3)),
-    }
+def _cases():
+    """(name, instance, engines, seeds, generations) per pinned instance.
+
+    The 43x30 paper-scale instance is the one whose batches span several
+    evaluate_batch blocks; three generations keep it fast.
+    """
+    def grid(width: int, height: int, seed: int):
+        return generate_synthetic(GeneratorSpec(grid_width=width, grid_height=height, rng_seed=seed))
+
+    return (
+        ("tiny1", load_instance(DATA / "tiny1.landalloc.json"), ENGINES, SEEDS, GENERATIONS),
+        ("grid12x10", grid(12, 10, 3), ENGINES, SEEDS, GENERATIONS),
+        ("grid43x30", grid(43, 30, 7), ENGINES[:4], (1,), 3),
+    )
 
 
 def compute_digests() -> dict[str, dict[str, str]]:
     out = {}
-    for name, inst in _instances().items():
-        for entry in ENGINES:
-            label, cfg = build_engine_config(dict(entry, generations=GENERATIONS), inst)
-            for seed in SEEDS:
+    for name, inst, engines, seeds, generations in _cases():
+        for entry in engines:
+            label, cfg = build_engine_config(dict(entry, generations=generations), inst)
+            for seed in seeds:
                 rec = run_engine(inst, replace(cfg, seed=seed))
                 codes = rec.population.codes
                 h = hashlib.sha256(codes.astype("<i2").tobytes())

@@ -195,6 +195,22 @@ class TestConstraints:
             check_constraints(tiny1, a, mu=1.5)
 
 
+@pytest.fixture(scope="module")
+def grid43x30():
+    from landalloc.instance_io import GeneratorSpec, generate_synthetic
+
+    return generate_synthetic(GeneratorSpec(grid_width=43, grid_height=30, rng_seed=7))
+
+
+def perturbed_rows(inst, b, seed=0):
+    """`b` copies of the as-built codes with about 20% of floors redrawn."""
+    rng = np.random.default_rng(seed)
+    codes = np.repeat(inst.actual_codes[None, :], b, axis=0)
+    redraw = rng.random(codes.shape) < 0.2
+    codes[redraw] = rng.integers(0, inst.n_uses, size=int(redraw.sum()))
+    return codes
+
+
 class TestBatchEvaluation:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(23)
@@ -208,17 +224,13 @@ class TestBatchEvaluation:
             )
             assert stats.price[r] == pytest.approx(evaluate_price(inst, a), rel=1e-12)
 
-    def test_blocks_do_not_change_rows(self, monkeypatch):
+    def test_blocks_do_not_change_rows(self, monkeypatch, grid43x30):
         import landalloc.model as model
-        from landalloc.instance_io import GeneratorSpec, generate_synthetic
 
-        inst = generate_synthetic(GeneratorSpec(grid_width=43, grid_height=30, rng_seed=7))
+        inst = grid43x30
         step = model._BLOCK_VALUES // (inst.n_plots * inst.n_uses)
         b = 3 * step + 1  # three full blocks plus a 1-row remainder
-        rng = np.random.default_rng(0)
-        codes = np.repeat(inst.actual_codes[None, :], b, axis=0)
-        redraw = rng.random(codes.shape) < 0.2
-        codes[redraw] = rng.integers(0, inst.n_uses, size=int(redraw.sum()))
+        codes = perturbed_rows(inst, b)
         blocks = []
         block_fn = model._evaluate_block
 
@@ -235,6 +247,32 @@ class TestBatchEvaluation:
                 got = getattr(stats, name)[r]
                 want = getattr(pair, name)[0]
                 assert got.tobytes() == want.tobytes(), (r, name)
+
+    def test_results_are_not_views_of_reused_buffers(self, grid43x30):
+        # Every block shares the instance's edge buffers; a later call
+        # must leave the arrays an earlier one returned untouched.
+        fields = ("compatibility", "price", "areas", "changed")
+        for rows in (1, 34, 100):
+            first = evaluate_batch(grid43x30, perturbed_rows(grid43x30, rows, seed=1))
+            kept = [getattr(first, f).copy() for f in fields]
+            evaluate_batch(grid43x30, perturbed_rows(grid43x30, 100, seed=2))
+            for f, want in zip(fields, kept):
+                assert np.array_equal(getattr(first, f), want), (rows, f)
+
+    def test_warm_call_allocates_little(self, grid43x30):
+        # Full (E, B, K) edge gathers per block would peak near 16 MB here;
+        # the chunked edge stage peaks near 2.5 MB.
+        import tracemalloc
+
+        codes = perturbed_rows(grid43x30, 100)
+        evaluate_batch(grid43x30, codes)
+        tracemalloc.start()
+        try:
+            evaluate_batch(grid43x30, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_no_edges_give_zero_compatibility_in_batches(self):
         plots = [Plot(i, 2, 80.0 + i, (), False, (0, 1)) for i in range(4)]
