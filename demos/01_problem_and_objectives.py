@@ -5,19 +5,21 @@ plot 1, a two-floor building with 200 units. With two use categories
 (residential = 0, commercial = 1), the compatibility matrix rewards
 same-use neighbors and penalizes mixing, and each plot has its own
 full-plot price per use.
+
+A land-use map is one flat row of floor-use codes, plot i's floors at
+row[floor_offsets[i]:floor_offsets[i+1]]. `evaluate_batch` scores a
+(B, total_floors) batch of such rows; the `*_mask` functions check them.
 """
 
 import numpy as np
 
-from landalloc import (
-    Allocation,
-    LandUse,
-    Plot,
-    ProblemInstance,
-    check_constraints,
-    evaluate_compatibility,
-    evaluate_price,
-    proportions,
+from landalloc import LandUse, Plot, ProblemInstance
+from landalloc.model import (
+    area_band,
+    area_band_mask,
+    evaluate_batch,
+    plot_budget_mask,
+    price_box_mask,
 )
 
 plots = [
@@ -32,25 +34,33 @@ inst = ProblemInstance(
     plots, uses, compat, price, gamma=0.3, mu=0.5, price_min=40.0, price_max=50.0
 )
 
-print("The as-built allocation: plot 0 = [res, com], plot 1 = [res, res]")
-actual = inst.actual_allocation()
+print("The as-built map: plot 0 = [res, com], plot 1 = [res, res]")
+actual = inst.actual_codes
+print(f"  code row {actual.tolist()}, plot offsets {inst.floor_offsets.tolist()}")
 for i in range(inst.n_plots):
-    print(f"  plot {i}: proportions x[{i}, .] = {proportions(actual, i)}")
+    floors = actual[inst.floor_offsets[i] : inst.floor_offsets[i + 1]]
+    print(f"  plot {i}: proportions x[{i}, .] = {np.bincount(floors, minlength=2) / len(floors)}")
 
-print(f"\ncompatibility = {evaluate_compatibility(inst, actual):,.0f}")
+stats = evaluate_batch(inst, actual[None, :])
+print(f"\ncompatibility = {stats.compatibility[0]:,.0f}")
 print("  (each ordered neighbor pair contributes C[l,m] * x_il * x_jm * F_i * F_j;")
 print("   here the pair (0,1) and its mirror each contribute 5000)")
-print(f"price = {evaluate_price(inst, actual):,.1f}")
+print(f"price = {stats.price[0]:,.1f}")
 
 print("\nNow flip plot 1 entirely to commercial and re-check the constraints:")
-candidate = Allocation.from_lists([[0, 1], [1, 1]], use_count=2)
-print(f"  compatibility = {evaluate_compatibility(inst, candidate):,.0f}")
-print(f"  price         = {evaluate_price(inst, candidate):,.1f}")
-report = check_constraints(inst, candidate)
-print(f"  area band ok?   {report.area_ok}")
-print(f"  price box ok?   {report.price_ok}")
-print(f"  plots changed:  {report.changed_plot_count} (budget ok? {report.plot_budget_ok})")
-print(f"  worst per-use area shift: {report.max_area_change_fraction:.1%}")
+candidate = np.array([[0, 1, 1, 1]], dtype=actual.dtype)
+stats = evaluate_batch(inst, candidate)
+areas, changed = stats.areas[0], int(stats.changed[0])
+lo, hi = area_band(inst, inst.gamma)
+print(f"  compatibility = {stats.compatibility[0]:,.0f}")
+print(f"  price         = {stats.price[0]:,.1f}")
+for use, area, a, b in zip(inst.uses, areas, lo, hi):
+    print(f"  {use.name:12s} area {area:5.0f} (band {a:.0f} .. {b:.0f})")
+print(f"  area band ok?   {area_band_mask(inst, areas, inst.gamma)}")
+print(f"  price box ok?   {price_box_mask(inst, stats.price[0])}")
+print(f"  plots changed:  {changed} (budget ok? {plot_budget_mask(inst, changed, inst.mu)})")
+shift = np.abs(areas - inst.actual_areas) / inst.actual_areas
+print(f"  worst per-use area shift: {shift.max():.1%}")
 
 print("\nTightening the area band to zero tolerance rejects any area shift:")
-print(f"  area ok at gamma=0: {check_constraints(inst, candidate, gamma=0.0).area_ok}")
+print(f"  area ok at gamma=0: {area_band_mask(inst, areas, 0.0)}")

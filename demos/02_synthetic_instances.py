@@ -9,7 +9,6 @@ the as-built total price (+9.7% above, -1.65% below by default).
 import numpy as np
 
 from landalloc import GeneratorSpec, generate_synthetic, load_instance, save_instance
-from landalloc.model import evaluate_price
 
 spec = GeneratorSpec(grid_width=6, grid_height=4, use_count=3, floor_range=(1, 5), rng_seed=42)
 inst = generate_synthetic(spec)
@@ -22,7 +21,7 @@ shares = inst.actual_areas / inst.actual_areas.sum()
 for use, share in zip(inst.uses, shares):
     print(f"  {use.name:12s} {share:6.1%} of floor area")
 
-actual_price = evaluate_price(inst, inst.actual_allocation())
+actual_price = inst.actual_objectives.price
 print(f"\nactual total price: {actual_price:,.0f}")
 print(f"price box: [{inst.price_min:,.0f}, {inst.price_max:,.0f}] "
       f"(x{inst.price_min / actual_price:.4f} .. x{inst.price_max / actual_price:.4f})")

@@ -36,16 +36,10 @@ from .metrics import (
     pareto_filter,
 )
 from .model import (
-    Allocation,
-    ConstraintReport,
     LandUse,
     ObjectiveVector,
     Plot,
     ProblemInstance,
-    check_constraints,
-    evaluate_compatibility,
-    evaluate_price,
-    proportions,
 )
 from .operators import (
     OperatorConfig,

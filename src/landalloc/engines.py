@@ -66,6 +66,14 @@ class RelaxationSchedule:
     gamma_final: float
     mu_final: float
 
+    def __post_init__(self):
+        for name in ("gamma_final", "gamma_search"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("mu_final", "mu_search"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+
     @classmethod
     def constant(cls, gamma: float, mu: float) -> "RelaxationSchedule":
         return cls(gamma, mu, gamma, mu)
@@ -96,6 +104,8 @@ class EngineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        if self.algorithm == "SOA" and abs(self.soa_a + self.soa_b - 1.0) > 1e-9:
+            raise ValueError("soa_a + soa_b must equal 1")
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +248,7 @@ def fast_non_dominated_sort(objs) -> list[list[int]]:
     return [front.tolist() for front in np.split(by_front, cuts)]
 
 
-def crowding_distance(
-    objs, obj_min: np.ndarray | None = None, obj_max: np.ndarray | None = None
-) -> np.ndarray:
+def crowding_distance(objs) -> np.ndarray:
     """NSGA-II crowding distances for one front.
 
     Boundary points get +inf per objective; interior points accumulate
@@ -250,16 +258,14 @@ def crowding_distance(
     n = len(pts)
     if pts.size == 0:
         raise ValueError("front must be non-empty")
-    lo = pts.min(axis=0) if obj_min is None else np.asarray(obj_min, dtype=float)
-    hi = pts.max(axis=0) if obj_max is None else np.asarray(obj_max, dtype=float)
+    span = pts.max(axis=0) - pts.min(axis=0)
     d = np.zeros(n)
     for m in range(pts.shape[1]):
         order = np.argsort(pts[:, m], kind="stable")
         d[order[0]] = np.inf
         d[order[-1]] = np.inf
-        span = hi[m] - lo[m]
-        if span > 0 and n > 2:
-            d[order[1:-1]] += (pts[order[2:], m] - pts[order[:-2], m]) / span
+        if span[m] > 0 and n > 2:
+            d[order[1:-1]] += (pts[order[2:], m] - pts[order[:-2], m]) / span[m]
     return d
 
 
@@ -631,8 +637,6 @@ def run_soa(
     """Single-objective GA on the weighted raw objectives."""
     if cfg.algorithm != "SOA":
         raise ValueError("run_soa requires algorithm='SOA'")
-    if abs(cfg.soa_a + cfg.soa_b - 1.0) > 1e-9:
-        raise ValueError("soa_a + soa_b must equal 1")
 
     def variation(pop: Population, rng):
         pool = tournament_indices(_soa_scores(pop, cfg), cfg.population_size // 2, rng)

@@ -118,18 +118,18 @@ def build_engine_config(entry: dict, inst: ProblemInstance) -> tuple[str, Engine
     algorithm = entry.pop("algorithm", None)
     if algorithm is None:
         raise ExperimentConfigError(f"engine {label!r}: missing 'algorithm'")
-    gamma_final = float(entry.pop("gamma_final", inst.gamma))
-    mu_final = float(entry.pop("mu_final", inst.mu))
-    relax = RelaxationSchedule(
-        gamma_search=float(entry.pop("gamma_search", gamma_final)),
-        mu_search=float(entry.pop("mu_search", mu_final)),
-        gamma_final=gamma_final,
-        mu_final=mu_final,
-    )
     op = entry.pop("operators", {})
     if not isinstance(op, dict):
         raise ExperimentConfigError(f"engine {label!r}: 'operators' must be an object")
     try:
+        gamma_final = float(entry.pop("gamma_final", inst.gamma))
+        mu_final = float(entry.pop("mu_final", inst.mu))
+        relax = RelaxationSchedule(
+            gamma_search=float(entry.pop("gamma_search", gamma_final)),
+            mu_search=float(entry.pop("mu_search", mu_final)),
+            gamma_final=gamma_final,
+            mu_final=mu_final,
+        )
         operator_cfg = OperatorConfig(**op)
         cfg = EngineConfig(
             algorithm=algorithm, relax=relax, operator_cfg=operator_cfg, **entry
@@ -190,9 +190,16 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
 def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord, BatchStats]:
     """record_from_dict plus the evaluation of the stored codes.
 
-    Raises InstanceError if a stored code lies outside [0, K).
+    Raises InstanceError if a member's floor list does not have one code
+    per floor of the instance or a stored code lies outside [0, K).
     """
     pop_docs = doc["population"]
+    for r, d in enumerate(pop_docs):
+        if len(d["floor_uses"]) != inst.total_floors:
+            raise InstanceError(
+                f"member {r} has {len(d['floor_uses'])} floor-use codes, "
+                f"the instance has {inst.total_floors} floors"
+            )
     codes = np.array([d["floor_uses"] for d in pop_docs], dtype=CODE_DTYPE)
     codes = codes.reshape(len(pop_docs), inst.total_floors)
     outside = np.flatnonzero(~codes_in_range_mask(inst, codes))

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import LandUse, Plot, ProblemInstance, evaluate_price
+from .model import LandUse, Plot, ProblemInstance
 
 SCHEMA_VERSION = 1
 
@@ -334,7 +334,7 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
     uses = [LandUse(m, _use_name(m)) for m in range(k)]
     # Price box brackets the actual total price, so the as-built map is feasible.
     probe = ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, 0.0, math.inf)
-    actual_price = evaluate_price(probe, probe.actual_allocation())
+    actual_price = probe.actual_objectives.price
     return ProblemInstance(
         plots,
         uses,

@@ -1,20 +1,22 @@
-"""Problem model: plots, land uses, allocations, objectives and constraints.
+"""Problem model: plots, land uses, objectives and constraints.
 
 A problem instance describes N plots, each carrying one building with f_i
 floors, a K-use catalog, a K x K compatibility matrix, an N x K full-plot
 price matrix, and the constraint parameters (area band gamma, plot-change
-budget mu, and the price box). An allocation assigns one use code to every
-floor of every plot; the induced per-plot use proportions drive both
-objectives.
+budget mu, and the price box). A land-use map is one flat code row of
+`total_floors` use codes, plot i's floors at
+`row[floor_offsets[i]:floor_offsets[i+1]]`; the induced per-plot use
+proportions drive both objectives. `evaluate_batch` scores a (B,
+total_floors) batch of rows and the `*_mask` functions check them.
 
 Everything here is pure and deterministic; instances are immutable after
-construction and allocations are value-copied by the variation operators.
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +51,7 @@ class ProblemInstance:
     """Immutable bundle of plots, uses, matrices and constraint parameters.
 
     Construction validates the structural invariants and precomputes the
-    flat floor layout plus the actual allocation's per-use areas so that
+    flat floor layout plus the as-built map's per-use areas so that
     objective evaluation and constraint checks are single vectorized
     passes.
     """
@@ -147,60 +149,13 @@ class ProblemInstance:
     def n_uses(self) -> int:
         return len(self.uses)
 
-    def actual_allocation(self) -> "Allocation":
-        """Fresh Allocation holding the as-built floor uses."""
-        return Allocation(self.actual_codes.copy(), self.floor_offsets, self.n_uses)
-
-
-@dataclass
-class Allocation:
-    """Per-plot floor-use vectors, stored as one flat code array.
-
-    `codes[offsets[i]:offsets[i+1]]` is plot i's floor-use vector. The
-    offsets array is shared with the instance and never mutated; operators
-    copy `codes` before editing.
-    """
-
-    codes: np.ndarray
-    offsets: np.ndarray
-    use_count: int
-
-    @classmethod
-    def from_lists(cls, floor_uses: Iterable[Sequence[int]], use_count: int) -> "Allocation":
-        rows = [np.asarray(u, dtype=CODE_DTYPE) for u in floor_uses]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in rows], out=offsets[1:])
-        codes = np.concatenate(rows) if rows else np.zeros(0, dtype=CODE_DTYPE)
-        return cls(codes, offsets, use_count)
-
-    @property
-    def n_plots(self) -> int:
-        return len(self.offsets) - 1
-
-    def floor_uses(self, i: int) -> np.ndarray:
-        """Read-only view of plot i's floor-use vector."""
-        return self.codes[self.offsets[i] : self.offsets[i + 1]]
-
-    def copy(self) -> "Allocation":
-        return Allocation(self.codes.copy(), self.offsets, self.use_count)
-
-    def validate(self, inst: ProblemInstance) -> None:
-        """Raise ValueError unless this allocation is valid for `inst`."""
-        if self.use_count != inst.n_uses:
-            raise ValueError("use_count mismatch")
-        if len(self.codes) != inst.total_floors or not np.array_equal(
-            self.offsets, inst.floor_offsets
-        ):
-            raise ValueError("floor layout mismatch")
-        if not codes_in_range_mask(inst, self.codes[None, :])[0]:
-            raise ValueError("floor-use code out of range")
-        if not locked_kept_mask(inst, self.codes[None, :])[0]:
-            raise ValueError("a locked plot was altered")
-
 
 @dataclass(frozen=True)
 class ObjectiveVector:
-    """A (compatibility, price) pair; both objectives are maximized."""
+    """A (compatibility, price) pair; both objectives are maximized.
+
+    Held as `ProblemInstance.actual_objectives`, the as-built map's point.
+    """
 
     compatibility: float
     price: float
@@ -210,19 +165,8 @@ class ObjectiveVector:
 
 
 @dataclass(frozen=True)
-class ConstraintReport:
-    """Outcome of the area / price / plot-change checks for one allocation."""
-
-    area_ok: bool
-    price_ok: bool
-    changed_plot_count: int
-    plot_budget_ok: bool
-    max_area_change_fraction: float
-
-
-@dataclass(frozen=True)
 class BatchStats:
-    """Vectorized evaluation results for a batch of allocations."""
+    """Vectorized evaluation results for a batch of code rows."""
 
     compatibility: np.ndarray  # (B,)
     price: np.ndarray  # (B,)
@@ -240,13 +184,21 @@ _EDGE_CHUNK = 512
 
 
 def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
-    """Evaluate a (B, total_floors) batch of flat code arrays.
+    """Evaluate a (B, total_floors) batch of flat code rows.
 
     Returns both objectives plus the per-use areas and changed-plot counts
-    needed by the constraint checks. Codes are not range-checked: a code
-    outside [0, K) may be counted against another plot or use, so code
-    read from outside the program is checked first (`Allocation.validate`,
-    `codes_in_range_mask`).
+    needed by the constraint masks. With x[i, m] the share of plot i's
+    floors holding use m and F[i] its floor space:
+
+    * compatibility sums C[l, m] * x[i, l] * x[j, m] * F[i] * F[j] over
+      every stored ordered neighbor pair (i, j) and every use pair (l, m);
+    * price sums P[i, m] * x[i, m] over plots and uses;
+    * areas[m] sums x[i, m] * F[i] over plots;
+    * changed counts the plots whose floors differ from the as-built map.
+
+    Codes are not range-checked: a code outside [0, K) may be counted
+    against another plot or use, so code read from outside the program is
+    checked first with `codes_in_range_mask`.
 
     Rows are evaluated in blocks of about 2^17 per-plot values each (33
     rows at 1,290 plots x 3 uses). A batch of 2 or more rows never yields
@@ -268,7 +220,7 @@ def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
     b = codes.shape[0]
     if codes.shape[1] != inst.total_floors:
         raise ValueError(
-            f"expected {inst.total_floors} floor codes per allocation, got {codes.shape[1]}"
+            f"expected {inst.total_floors} floor codes per row, got {codes.shape[1]}"
         )
     step = max(2, _BLOCK_VALUES // (inst.n_plots * inst.n_uses))
     bounds = list(range(0, max(b, 1), step)) + [b]  # an empty batch is one empty block
@@ -343,35 +295,6 @@ def _evaluate_block(inst: ProblemInstance, codes: np.ndarray) -> tuple[np.ndarra
     return compatibility, price, per_use_area, changed
 
 
-def _single_stats(inst: ProblemInstance, a: Allocation) -> BatchStats:
-    if len(a.codes) != inst.total_floors:
-        raise ValueError("allocation does not match the instance floor layout")
-    return evaluate_batch(inst, a.codes[None, :])
-
-
-def evaluate_compatibility(inst: ProblemInstance, a: Allocation) -> float:
-    """Neighborhood compatibility score.
-
-    Sums C[l, m] * x[i, l] * x[j, m] * F[i] * F[j] over every stored
-    ordered neighbor pair (i, j) and every use pair (l, m), where x is the
-    floor-proportion matrix induced by the allocation.
-    """
-    return float(_single_stats(inst, a).compatibility[0])
-
-
-def evaluate_price(inst: ProblemInstance, a: Allocation) -> float:
-    """Total land price: sum over plots and uses of P[i, m] * x[i, m]."""
-    return float(_single_stats(inst, a).price[0])
-
-
-def proportions(a: Allocation, i: int) -> np.ndarray:
-    """Use proportions x[i, .] of plot i (fractions of its floors)."""
-    if not 0 <= i < a.n_plots:
-        raise ValueError(f"plot id {i} out of range")
-    row = a.floor_uses(i)
-    return np.bincount(row, minlength=a.use_count) / len(row)
-
-
 def area_band(inst: ProblemInstance, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Constraint 3's per-use bounds: (1 -/+ gamma) times the as-built areas."""
     return (1.0 - gamma) * inst.actual_areas, (1.0 + gamma) * inst.actual_areas
@@ -402,39 +325,3 @@ def locked_kept_mask(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:
 def plot_budget_mask(inst: ProblemInstance, changed: np.ndarray, mu: float) -> np.ndarray:
     """Constraint 5 per changed-plot count: at most mu * N (soft guide)."""
     return changed <= mu * inst.n_plots + 1e-9
-
-
-def check_constraints(
-    inst: ProblemInstance,
-    a: Allocation,
-    gamma: float | None = None,
-    mu: float | None = None,
-) -> ConstraintReport:
-    """Check Constraints 3-5 for one allocation.
-
-    `gamma` and `mu` override the instance defaults; relaxation schedules
-    pass the phase values here. Constraints 1-2 hold structurally for
-    every Allocation (proportions are floor fractions).
-    """
-    gamma = inst.gamma if gamma is None else float(gamma)
-    mu = inst.mu if mu is None else float(mu)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must be in [0, 1]")
-    stats = _single_stats(inst, a)
-    areas = stats.areas[0]
-    price = float(stats.price[0])
-    changed = int(stats.changed[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(areas - inst.actual_areas) / inst.actual_areas
-    rel = np.where(
-        inst.actual_areas > 0, rel, np.where(areas > 0, np.inf, 0.0)
-    )
-    return ConstraintReport(
-        area_ok=bool(area_band_mask(inst, areas, gamma)),
-        price_ok=bool(price_box_mask(inst, price)),
-        changed_plot_count=changed,
-        plot_budget_ok=bool(plot_budget_mask(inst, changed, mu)),
-        max_area_change_fraction=float(np.max(rel)) if len(rel) else 0.0,
-    )

@@ -12,21 +12,27 @@ import math
 
 import numpy as np
 
-from landalloc.model import Allocation, ProblemInstance
+from landalloc.model import ProblemInstance
 
 
-def naive_proportions(a: Allocation, i: int, k: int) -> list[float]:
-    row = list(a.floor_uses(i))
-    return [row.count(m) / len(row) for m in range(k)]
+def _plot_floors(inst: ProblemInstance, row, i: int) -> list[int]:
+    """Plot i's floor codes in the flat code row `row`, sliced by the plots' floor counts."""
+    start = sum(p.floor_count for p in inst.plots[:i])
+    return [int(u) for u in row[start : start + inst.plots[i].floor_count]]
 
 
-def naive_compatibility(inst: ProblemInstance, a: Allocation) -> float:
+def naive_proportions(inst: ProblemInstance, row, i: int) -> list[float]:
+    floors = _plot_floors(inst, row, i)
+    return [floors.count(m) / len(floors) for m in range(inst.n_uses)]
+
+
+def naive_compatibility(inst: ProblemInstance, row) -> float:
     k = inst.n_uses
     total = 0.0
     for p in inst.plots:
-        xi = naive_proportions(a, p.id, k)
+        xi = naive_proportions(inst, row, p.id)
         for j in p.neighbors:
-            xj = naive_proportions(a, j, k)
+            xj = naive_proportions(inst, row, j)
             fj = inst.plots[j].total_floor_space
             for l in range(k):
                 for m in range(k):
@@ -34,40 +40,40 @@ def naive_compatibility(inst: ProblemInstance, a: Allocation) -> float:
     return total
 
 
-def naive_price(inst: ProblemInstance, a: Allocation) -> float:
+def naive_price(inst: ProblemInstance, row) -> float:
     total = 0.0
     for p in inst.plots:
-        x = naive_proportions(a, p.id, inst.n_uses)
+        x = naive_proportions(inst, row, p.id)
         for m in range(inst.n_uses):
             total += inst.price[p.id, m] * x[m]
     return total
 
 
-def naive_area_per_use(inst: ProblemInstance, a: Allocation) -> list[float]:
+def naive_area_per_use(inst: ProblemInstance, row) -> list[float]:
     out = [0.0] * inst.n_uses
     for p in inst.plots:
-        x = naive_proportions(a, p.id, inst.n_uses)
+        x = naive_proportions(inst, row, p.id)
         for m in range(inst.n_uses):
             out[m] += x[m] * p.total_floor_space
     return out
 
 
 def naive_constraint_flags(
-    inst: ProblemInstance, a: Allocation, gamma: float, mu: float
+    inst: ProblemInstance, row, gamma: float, mu: float
 ) -> tuple[bool, bool, int, bool]:
-    actual = inst.actual_allocation()
-    areas = naive_area_per_use(inst, a)
+    actual = [u for p in inst.plots for u in p.actual_uses]
+    areas = naive_area_per_use(inst, row)
     actual_areas = naive_area_per_use(inst, actual)
     area_ok = all(
         (1 - gamma) * actual_areas[m] <= areas[m] <= (1 + gamma) * actual_areas[m]
         for m in range(inst.n_uses)
     )
-    price = naive_price(inst, a)
+    price = naive_price(inst, row)
     price_ok = inst.price_min <= price <= inst.price_max
     changed = sum(
         1
         for p in inst.plots
-        if list(a.floor_uses(p.id)) != list(actual.floor_uses(p.id))
+        if _plot_floors(inst, row, p.id) != _plot_floors(inst, actual, p.id)
     )
     budget_ok = changed <= mu * inst.n_plots + 1e-9
     return area_ok, price_ok, changed, budget_ok

@@ -16,7 +16,7 @@ from landalloc import metrics
 from landalloc.engines import RelaxationSchedule
 from landalloc.harness import ExperimentConfig, record_to_json, run_experiment
 from landalloc.instance_io import GeneratorSpec, generate_synthetic, save_instance
-from landalloc.model import check_constraints, evaluate_compatibility, evaluate_price
+from landalloc.model import area_band_mask, evaluate_batch, price_box_mask
 from landalloc.operators import OperatorConfig
 from landalloc.report import generate_report
 
@@ -150,13 +150,10 @@ class TestCriterion2ObjectiveOracles:
         worst_c = worst_p = 0.0
         for _ in range(100):
             inst = random_instance(rng, n_plots=int(rng.integers(3, 9)))
-            a = la.Allocation(
-                rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16),
-                inst.floor_offsets,
-                inst.n_uses,
-            )
-            c_fast, c_slow = evaluate_compatibility(inst, a), naive_compatibility(inst, a)
-            p_fast, p_slow = evaluate_price(inst, a), naive_price(inst, a)
+            row = rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16)
+            stats = evaluate_batch(inst, row[None, :])
+            c_fast, c_slow = stats.compatibility[0], naive_compatibility(inst, row)
+            p_fast, p_slow = stats.price[0], naive_price(inst, row)
             if c_slow != 0:
                 worst_c = max(worst_c, abs(c_fast - c_slow) / abs(c_slow))
             else:
@@ -391,9 +388,9 @@ class TestCriterion9UnrelaxationFilter:
         for rec in relaxation_runs["relaxed"]:
             survivor_counts.append(len(rec.front_indices))
             for row in rec.population.codes[rec.front_indices]:
-                a = la.Allocation(row, inst.floor_offsets, inst.n_uses)
-                report = check_constraints(inst, a, gamma=0.3)
-                if not (report.area_ok and report.price_ok):
+                stats = evaluate_batch(inst, row[None, :])
+                if not (area_band_mask(inst, stats.areas[0], 0.3)
+                        and price_box_mask(inst, stats.price[0])):
                     violations += 1
         ok = violations == 0 and min(survivor_counts) >= 1
         _record(

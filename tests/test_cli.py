@@ -155,6 +155,27 @@ class TestRunCommand:
         path.write_text(json.dumps(experiment_doc))
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [("gamma_final", -0.5), ("mu_search", 1.5)])
+    def test_relaxation_values_out_of_range_rejected(
+        self, experiment_doc, tmp_path, capsys, key, value
+    ):
+        experiment_doc["engines"][0][key] = value
+        path = tmp_path / "relax.json"
+        path.write_text(json.dumps(experiment_doc))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid experiment" in err and key in err
+        assert not (tmp_path / "bundle").exists()
+
+    def test_soa_weights_not_summing_to_one_rejected(self, experiment_doc, tmp_path, capsys):
+        experiment_doc["engines"][1].update(soa_a=0.7, soa_b=0.7)
+        path = tmp_path / "soa.json"
+        path.write_text(json.dumps(experiment_doc))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid experiment" in err and "soa_a + soa_b must equal 1" in err
+        assert not (tmp_path / "bundle").exists()
+
     def test_non_integer_workers_is_usage_error(self, config_path, tmp_path, monkeypatch, capsys):
         assert main(["run", "--config", str(config_path), "--workers", "abc"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -338,6 +359,19 @@ class TestVerifyRederives:
         assert "floor-use codes outside [0, 3)" in capsys.readouterr().err
         assert main(["report", "--bundle", str(bundle)]) == 2
         assert "floor-use codes outside [0, 3)" in capsys.readouterr().err
+
+    def test_floor_list_of_wrong_length_fails(self, clean_bundle, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        doc["population"][0]["floor_uses"].pop()
+        run.write_text(json.dumps(doc))
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        assert "unreadable run file (member 0 has" in capsys.readouterr().err
+        assert main(["report", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot build report: member 0 has" in err and "Traceback" not in err
 
     def test_altered_locked_plot_fails(self, clean_bundle, tmp_path, capsys):
         def edit(inst, codes):

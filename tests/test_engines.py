@@ -19,7 +19,7 @@ from landalloc.engines import (
     run_soa,
 )
 from landalloc.harness import record_to_json
-from landalloc.model import Allocation, check_constraints
+from landalloc.model import area_band_mask, evaluate_batch, price_box_mask
 from landalloc.operators import OperatorConfig, sbx_batch, scaled_add_batch
 
 from oracles import (
@@ -76,7 +76,7 @@ class TestNonDominatedSort:
 class TestCrowding:
     def test_hand_case_middle_is_two(self):
         objs = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
-        d = crowding_distance(objs, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        d = crowding_distance(objs)
         assert d[1] == pytest.approx(2.0)
         assert math.isinf(d[0]) and math.isinf(d[2])
 
@@ -130,6 +130,16 @@ class TestRelaxationPhase:
             apply_relaxation_phase(0, cfg)
         with pytest.raises(ValueError):
             apply_relaxation_phase(11, cfg)
+
+    def test_gamma_mu_validation(self):
+        for bad in ((-0.1, 0.2, 0.3, 0.2), (0.3, 0.2, -0.1, 0.2)):
+            with pytest.raises(ValueError, match="gamma"):
+                RelaxationSchedule(*bad)
+        for bad in ((0.3, 1.5, 0.3, 0.2), (0.3, 0.2, 0.3, -0.5)):
+            with pytest.raises(ValueError, match="mu"):
+                RelaxationSchedule(*bad)
+        with pytest.raises(ValueError):
+            RelaxationSchedule.constant(0.3, 1.5)
 
 
 def initial_population(inst, cfg, rng) -> Population:
@@ -213,9 +223,9 @@ class TestEngineRuns:
         )
         rec = run_cr_des(inst, cfg)
         for row in rec.population.codes[rec.front_indices]:
-            a = Allocation(row, inst.floor_offsets, inst.n_uses)
-            report = check_constraints(inst, a, inst.gamma, inst.mu)
-            assert report.area_ok and report.price_ok
+            stats = evaluate_batch(inst, row[None, :])
+            assert area_band_mask(inst, stats.areas[0], inst.gamma)
+            assert price_box_mask(inst, stats.price[0])
 
     def test_front_is_mutually_nondominated(self, small_synthetic):
         rec = run_msbx_nsga2(small_synthetic, small_cfg("MSBX_NSGA2", generations=25))
@@ -241,9 +251,11 @@ class TestEngineRuns:
 
 
 class TestSoa:
-    def test_weights_must_sum_to_one(self, tiny1):
+    def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="equal 1"):
-            run_soa(tiny1, small_cfg("SOA", soa_a=0.7, soa_b=0.7))
+            small_cfg("SOA", soa_a=0.7, soa_b=0.7)
+        # Only SOA reads the weights.
+        small_cfg("CR_DES", soa_a=0.7, soa_b=0.7)
 
     def test_wrong_algorithm_rejected(self, tiny1):
         with pytest.raises(ValueError):

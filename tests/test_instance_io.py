@@ -17,7 +17,12 @@ from landalloc.instance_io import (
     parse_instance,
     save_instance,
 )
-from landalloc.model import check_constraints, evaluate_compatibility, evaluate_price
+from landalloc.model import (
+    area_band_mask,
+    evaluate_batch,
+    plot_budget_mask,
+    price_box_mask,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -26,9 +31,9 @@ class TestRoundTrip:
     def test_canonical_tiny1_file_loads(self, tiny1):
         inst = load_instance(DATA / "tiny1.landalloc.json")
         assert inst.n_plots == 2
-        a = inst.actual_allocation()
-        assert evaluate_compatibility(inst, a) == pytest.approx(10000.0)
-        assert evaluate_price(inst, a) == pytest.approx(45.0)
+        stats = evaluate_batch(inst, inst.actual_codes[None, :])
+        assert stats.compatibility[0] == pytest.approx(10000.0)
+        assert stats.price[0] == pytest.approx(45.0)
         assert instance_to_json(inst) == instance_to_json(tiny1)
 
     def test_save_load_byte_stable(self, tmp_path, small_synthetic):
@@ -115,15 +120,17 @@ class TestGenerator:
         assert len(inst.plots[0].neighbors) == 2  # corner
         assert len(inst.plots[5].neighbors) == 4  # interior (1, 1)
 
-    def test_actual_allocation_feasible(self, small_synthetic):
+    def test_as_built_map_feasible(self, small_synthetic):
         inst = small_synthetic
-        report = check_constraints(inst, inst.actual_allocation())
-        assert report.area_ok and report.price_ok and report.plot_budget_ok
+        stats = evaluate_batch(inst, inst.actual_codes[None, :])
+        assert area_band_mask(inst, stats.areas[0], inst.gamma)
+        assert price_box_mask(inst, stats.price[0])
+        assert plot_budget_mask(inst, stats.changed[0], inst.mu)
 
     def test_price_box_factors_exact(self):
         spec = GeneratorSpec(grid_width=5, grid_height=4, rng_seed=3)
         inst = generate_synthetic(spec)
-        actual_price = evaluate_price(inst, inst.actual_allocation())
+        actual_price = evaluate_batch(inst, inst.actual_codes[None, :]).price[0]
         assert inst.price_max / actual_price == pytest.approx(1.097, abs=1e-9)
         assert inst.price_min / actual_price == pytest.approx(0.9835, abs=1e-9)
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from landalloc.model import (
-    Allocation,
     LandUse,
     Plot,
     ProblemInstance,
-    check_constraints,
+    area_band_mask,
+    codes_in_range_mask,
     evaluate_batch,
-    evaluate_compatibility,
-    evaluate_price,
-    proportions,
+    locked_kept_mask,
+    plot_budget_mask,
+    price_box_mask,
 )
 
 from oracles import (
@@ -21,14 +21,43 @@ from oracles import (
 )
 
 
-def alloc(inst, rows):
-    return Allocation.from_lists(rows, inst.n_uses)
+def code_row(floor_uses):
+    """One flat code row from per-plot floor-use lists."""
+    return np.concatenate([np.asarray(u, dtype=np.int16) for u in floor_uses])
+
+
+def random_row(inst, rng):
+    return rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16)
+
+
+def evaluate_one(inst, row):
+    return evaluate_batch(inst, np.asarray(row)[None, :])
+
+
+def shares(inst, row, i):
+    """x[i, .] through evaluate_batch: the price with P[i, m] = 1 and every other entry 0."""
+    out = []
+    for m in range(inst.n_uses):
+        price = np.zeros_like(inst.price)
+        price[i, m] = 1.0
+        probe = ProblemInstance(
+            inst.plots, inst.uses, inst.compat, price, inst.gamma, inst.mu, 0.0, 1.0
+        )
+        out.append(float(evaluate_one(probe, row).price[0]))
+    return out
+
+
+def one_plot(k, floors):
+    """A one-plot instance with K uses and the given number of floors."""
+    plots = [Plot(0, floors, 10.0, (), False, (0,) * floors)]
+    uses = [LandUse(m, f"u{m}") for m in range(k)]
+    return ProblemInstance(plots, uses, np.eye(k), np.ones((1, k)), 0.3, 0.5, 0.0, 10.0)
 
 
 class TestCompatibility:
     def test_tiny1_hand_value(self, tiny1):
-        a = alloc(tiny1, [[0, 1], [0, 0]])
-        assert evaluate_compatibility(tiny1, a) == pytest.approx(10000.0, abs=1e-9)
+        row = code_row([[0, 1], [0, 0]])
+        assert evaluate_one(tiny1, row).compatibility[0] == pytest.approx(10000.0, abs=1e-9)
 
     def test_empty_neighborhoods_give_zero(self):
         plots = [
@@ -37,31 +66,24 @@ class TestCompatibility:
         ]
         uses = [LandUse(0, "a"), LandUse(1, "b")]
         inst = ProblemInstance(plots, uses, np.eye(2), np.ones((2, 2)), 0.3, 0.5, 0.0, 10.0)
-        assert evaluate_compatibility(inst, inst.actual_allocation()) == 0.0
+        assert evaluate_one(inst, inst.actual_codes).compatibility[0] == 0.0
 
     def test_matches_quadruple_loop_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             inst = random_instance(rng, n_plots=5)
-            a = Allocation(
-                rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16),
-                inst.floor_offsets,
-                inst.n_uses,
-            )
-            fast = evaluate_compatibility(inst, a)
-            slow = naive_compatibility(inst, a)
+            row = random_row(inst, rng)
+            fast = evaluate_one(inst, row).compatibility[0]
+            slow = naive_compatibility(inst, row)
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
 
     def test_symmetric_instance_doubles_unordered_pairs(self, tiny1):
         # C and J are symmetric here, so ordered-pair total = 2x one direction
-        a = alloc(tiny1, [[0, 1], [0, 0]])
-        total = evaluate_compatibility(tiny1, a)
+        row = code_row([[0, 1], [0, 0]])
+        total = evaluate_one(tiny1, row).compatibility[0]
+        x0, x1 = shares(tiny1, row, 0), shares(tiny1, row, 1)
         one_way = sum(
-            tiny1.compat[l, m]
-            * proportions(a, 0)[l]
-            * proportions(a, 1)[m]
-            * 100.0
-            * 200.0
+            tiny1.compat[l, m] * x0[l] * x1[m] * 100.0 * 200.0
             for l in range(2)
             for m in range(2)
         )
@@ -70,14 +92,14 @@ class TestCompatibility:
 
 class TestPrice:
     def test_tiny1_hand_value(self, tiny1):
-        a = alloc(tiny1, [[0, 1], [0, 0]])
-        assert evaluate_price(tiny1, a) == pytest.approx(45.0, abs=1e-12)
+        row = code_row([[0, 1], [0, 0]])
+        assert evaluate_one(tiny1, row).price[0] == pytest.approx(45.0, abs=1e-12)
 
     def test_zero_price_matrix(self, tiny1):
         inst = ProblemInstance(
             tiny1.plots, tiny1.uses, tiny1.compat, np.zeros((2, 2)), 0.3, 0.2, 0.0, 1.0
         )
-        assert evaluate_price(inst, inst.actual_allocation()) == 0.0
+        assert evaluate_one(inst, inst.actual_codes).price[0] == 0.0
 
     def test_price_scaling_is_linear(self):
         rng = np.random.default_rng(7)
@@ -87,112 +109,78 @@ class TestPrice:
             inst.gamma, inst.mu, inst.price_min, inst.price_max * 3.5,
         )
         for _ in range(10):
-            a = Allocation(
-                rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16),
-                inst.floor_offsets,
-                inst.n_uses,
-            )
-            assert evaluate_price(scaled, a) == pytest.approx(
-                3.5 * evaluate_price(inst, a), rel=1e-12
+            row = random_row(inst, rng)
+            assert evaluate_one(scaled, row).price[0] == pytest.approx(
+                3.5 * evaluate_one(inst, row).price[0], rel=1e-12
             )
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             inst = random_instance(rng, n_plots=5)
-            a = Allocation(
-                rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16),
-                inst.floor_offsets,
-                inst.n_uses,
-            )
-            assert evaluate_price(inst, a) == pytest.approx(
-                naive_price(inst, a), rel=1e-9
+            row = random_row(inst, rng)
+            assert evaluate_one(inst, row).price[0] == pytest.approx(
+                naive_price(inst, row), rel=1e-9
             )
 
 
 class TestProportions:
     def test_half_half(self, tiny1):
-        a = alloc(tiny1, [[0, 1], [0, 0]])
-        assert proportions(a, 0).tolist() == [0.5, 0.5]
+        assert shares(tiny1, code_row([[0, 1], [0, 0]]), 0) == [0.5, 0.5]
 
     def test_single_use_plot(self):
-        a = Allocation.from_lists([[2, 2, 2]], 3)
-        assert proportions(a, 0).tolist() == [0.0, 0.0, 1.0]
+        assert shares(one_plot(3, 3), code_row([[2, 2, 2]]), 0) == [0.0, 0.0, 1.0]
 
     def test_mixed_counts(self):
-        a = Allocation.from_lists([[0, 1, 2, 0]], 3)
-        assert proportions(a, 0).tolist() == [0.5, 0.25, 0.25]
+        assert shares(one_plot(3, 4), code_row([[0, 1, 2, 0]]), 0) == [0.5, 0.25, 0.25]
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         inst = random_instance(rng, n_plots=8, max_floors=5)
-        a = Allocation(
-            rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16),
-            inst.floor_offsets,
-            inst.n_uses,
-        )
+        row = random_row(inst, rng)
         for i in range(inst.n_plots):
-            assert proportions(a, i).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_plot_id(self, tiny1):
-        a = tiny1.actual_allocation()
-        with pytest.raises(ValueError):
-            proportions(a, 5)
+            assert sum(shares(inst, row, i)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConstraints:
     def test_identity_case_all_ok(self, tiny1):
-        report = check_constraints(tiny1, tiny1.actual_allocation(), gamma=0.3, mu=0.2)
-        assert report.area_ok and report.price_ok and report.plot_budget_ok
-        assert report.changed_plot_count == 0
-        assert report.max_area_change_fraction == 0.0
+        stats = evaluate_one(tiny1, tiny1.actual_codes)
+        assert area_band_mask(tiny1, stats.areas[0], 0.3)
+        assert price_box_mask(tiny1, stats.price[0])
+        assert plot_budget_mask(tiny1, stats.changed[0], 0.2)
+        assert stats.changed[0] == 0
+        assert np.array_equal(stats.areas[0], tiny1.actual_areas)  # no per-use area shift
 
     def test_zero_gamma_rejects_any_area_shift(self, tiny1):
-        a = alloc(tiny1, [[1, 1], [0, 0]])
-        report = check_constraints(tiny1, a, gamma=0.0, mu=1.0)
-        assert not report.area_ok
-        assert report.changed_plot_count == 1
+        stats = evaluate_one(tiny1, code_row([[1, 1], [0, 0]]))
+        assert not area_band_mask(tiny1, stats.areas[0], 0.0)
+        assert stats.changed[0] == 1
 
     def test_matches_oracle_on_random_perturbations(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             inst = random_instance(rng, n_plots=10)
-            a = Allocation(
-                rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16),
-                inst.floor_offsets,
-                inst.n_uses,
-            )
+            row = random_row(inst, rng)
             gamma = float(rng.uniform(0, 0.8))
             mu = float(rng.uniform(0, 1))
-            report = check_constraints(inst, a, gamma, mu)
+            stats = evaluate_one(inst, row)
             area_ok, price_ok, changed, budget_ok = naive_constraint_flags(
-                inst, a, gamma, mu
+                inst, row, gamma, mu
             )
-            assert report.area_ok == area_ok
-            assert report.price_ok == price_ok
-            assert report.changed_plot_count == changed
-            assert report.plot_budget_ok == budget_ok
+            assert area_band_mask(inst, stats.areas[0], gamma) == area_ok
+            assert price_box_mask(inst, stats.price[0]) == price_ok
+            assert stats.changed[0] == changed
+            assert plot_budget_mask(inst, stats.changed[0], mu) == budget_ok
 
     def test_huge_gamma_always_area_ok(self, tiny1):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            a = Allocation(
-                rng.integers(0, 2, size=4).astype(np.int16),
-                tiny1.floor_offsets,
-                2,
-            )
-            assert check_constraints(tiny1, a, gamma=1e12, mu=1.0).area_ok
+            row = rng.integers(0, 2, size=4).astype(np.int16)
+            assert area_band_mask(tiny1, evaluate_one(tiny1, row).areas[0], 1e12)
 
     def test_mu_one_always_budget_ok(self, tiny1):
-        a = alloc(tiny1, [[1, 0], [1, 1]])
-        assert check_constraints(tiny1, a, gamma=1e12, mu=1.0).plot_budget_ok
-
-    def test_gamma_mu_validation(self, tiny1):
-        a = tiny1.actual_allocation()
-        with pytest.raises(ValueError):
-            check_constraints(tiny1, a, gamma=-0.1)
-        with pytest.raises(ValueError):
-            check_constraints(tiny1, a, mu=1.5)
+        stats = evaluate_one(tiny1, code_row([[1, 0], [1, 1]]))
+        assert plot_budget_mask(tiny1, stats.changed[0], 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -218,11 +206,9 @@ class TestBatchEvaluation:
         codes = rng.integers(0, inst.n_uses, size=(12, inst.total_floors)).astype(np.int16)
         stats = evaluate_batch(inst, codes)
         for r in range(12):
-            a = Allocation(codes[r], inst.floor_offsets, inst.n_uses)
-            assert stats.compatibility[r] == pytest.approx(
-                evaluate_compatibility(inst, a), rel=1e-12
-            )
-            assert stats.price[r] == pytest.approx(evaluate_price(inst, a), rel=1e-12)
+            single = evaluate_one(inst, codes[r])
+            assert stats.compatibility[r] == pytest.approx(single.compatibility[0], rel=1e-12)
+            assert stats.price[r] == pytest.approx(single.price[0], rel=1e-12)
 
     def test_blocks_do_not_change_rows(self, monkeypatch, grid43x30):
         import landalloc.model as model
@@ -287,22 +273,17 @@ class TestBatchEvaluation:
         with pytest.raises(ValueError):
             evaluate_batch(tiny1, np.zeros((2, 7), dtype=np.int16))
 
-    def test_allocation_layout_mismatch_raises(self, tiny1):
-        bad = Allocation.from_lists([[0], [0]], 2)
-        with pytest.raises(ValueError):
-            evaluate_price(tiny1, bad)
-
 
 class TestValidation:
     def test_locked_plot_enforced_by_validate(self, small_synthetic):
         inst = small_synthetic
         locked = int(np.flatnonzero(inst.locked)[0])
-        a = inst.actual_allocation()
-        a.codes[inst.floor_offsets[locked]] = (
-            a.codes[inst.floor_offsets[locked]] + 1
+        codes = inst.actual_codes.copy()[None, :]
+        codes[0, inst.floor_offsets[locked]] = (
+            codes[0, inst.floor_offsets[locked]] + 1
         ) % inst.n_uses
-        with pytest.raises(ValueError, match="locked"):
-            a.validate(inst)
+        assert codes_in_range_mask(inst, codes)[0]
+        assert not locked_kept_mask(inst, codes)[0]
 
     def test_self_neighbor_rejected(self):
         plots = [Plot(0, 1, 10.0, (0,), False, (0,))]
