@@ -9,11 +9,7 @@ from .engines import (
     apply_relaxation_phase,
     crowding_distance,
     fast_non_dominated_sort,
-    run_cr_des,
     run_engine,
-    run_msbx_mo,
-    run_msbx_nsga2,
-    run_soa,
 )
 from .instance_io import (
     GeneratorSpec,

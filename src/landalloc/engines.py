@@ -43,6 +43,7 @@ from .model import (
 )
 from .operators import (
     OperatorConfig,
+    plot_codec,
     polynomial_mutation_batch,
     random_mutation_batch,
     sbx_batch,
@@ -477,6 +478,7 @@ def _offspring_mutate_sbx(
     replacement_mutation: str,
 ) -> np.ndarray:
     """Random mutation before SBX; sometimes mutation replaces crossover."""
+    codec = plot_codec(inst)
     lam = cfg.population_size
     n_pairs = (lam + 1) // 2
     i = rng.integers(0, len(pool), size=n_pairs)
@@ -490,17 +492,22 @@ def _offspring_mutate_sbx(
     if cross.size:
         m1 = random_mutation_batch(p1[cross], cfg.operator_cfg, inst, rng)
         m2 = random_mutation_batch(p2[cross], cfg.operator_cfg, inst, rng)
-        c1, c2 = sbx_batch(m1, m2, cfg.operator_cfg, inst, rng)
-        out1[cross] = c1
-        out2[cross] = c2
+        c1, c2 = sbx_batch(
+            codec.encode_rows(m1), codec.encode_rows(m2), cfg.operator_cfg, inst, rng
+        )
+        out1[cross] = codec.decode_rows(c1)
+        out2[cross] = codec.decode_rows(c2)
     solo = np.flatnonzero(mutate_only)
     if solo.size:
         if replacement_mutation == "random":
             out1[solo] = random_mutation_batch(p1[solo], cfg.operator_cfg, inst, rng)
             out2[solo] = random_mutation_batch(p2[solo], cfg.operator_cfg, inst, rng)
         else:
-            out1[solo] = polynomial_mutation_batch(p1[solo], cfg.operator_cfg, inst, rng)
-            out2[solo] = polynomial_mutation_batch(p2[solo], cfg.operator_cfg, inst, rng)
+            for parents, out in ((p1, out1), (p2, out2)):
+                values = codec.encode_rows(parents[solo])
+                out[solo] = codec.decode_rows(
+                    polynomial_mutation_batch(values, cfg.operator_cfg, inst, rng)
+                )
     return _interleave(out1, out2, lam)
 
 
@@ -524,13 +531,14 @@ def _offspring_cr_des(
     de_units = used[de_flag[used]]
     cr_units = used[~de_flag[used]]
     if de_units.size:
-        rows = scaled_difference_batch(
-            pop.codes[pool[ai[de_units]]],
-            pop.codes[pool[bi[de_units]]],
+        codec = plot_codec(inst)
+        values = scaled_difference_batch(
+            codec.encode_rows(pop.codes[pool[ai[de_units]]]),
+            codec.encode_rows(pop.codes[pool[bi[de_units]]]),
             cfg.operator_cfg.de_scale,
             inst,
         )
-        out[starts[de_units]] = rows
+        out[starts[de_units]] = codec.decode_rows(values)
     if cr_units.size:
         c1, c2 = uniform_batch(
             pop.codes[pool[ai[cr_units]]],
@@ -556,28 +564,56 @@ def _offspring_msbx_mo(
 
     The emitted child is the x-anchored one: unselected plots keep x and
     the participating plots are SBX-mixed toward the mutant, the DE
-    trial-vector construction.
+    trial-vector construction. The population is encoded once; only the
+    kept child is decoded.
     """
     n = pop.n
     donors = rng.integers(0, n - 1, size=n)
     donors += donors >= np.arange(n)
-    mutants = scaled_add_batch(pop.codes, pop.codes[donors], cfg.operator_cfg.de_scale, inst)
-    _, children = sbx_batch(mutants, pop.codes, cfg.operator_cfg, inst, rng)
-    return children
+    codec = plot_codec(inst)
+    values = codec.encode_rows(pop.codes)
+    mutants = scaled_add_batch(values, values[donors], cfg.operator_cfg.de_scale, inst)
+    _, children = sbx_batch(mutants, values, cfg.operator_cfg, inst, rng)
+    return codec.decode_rows(children)
+
+
+# The one step in which the engines differ: (inst, cfg, pop, rng) -> offspring code rows.
+_VARIATIONS: dict[str, Callable[..., np.ndarray]] = {
+    # Single-objective GA on the weighted raw objectives.
+    "SOA": lambda inst, cfg, pop, rng: _offspring_mutate_sbx(
+        inst, cfg, pop,
+        tournament_indices(_soa_scores(pop, cfg), cfg.population_size // 2, rng),
+        rng, "random",
+    ),
+    # NSGA-II with random mutation before SBX, polynomial as the solo branch.
+    "MSBX_NSGA2": lambda inst, cfg, pop, rng: _offspring_mutate_sbx(
+        inst, cfg, pop, _nsga_pool(pop, rng, cfg.population_size // 2), rng, "polynomial"
+    ),
+    # NSGA-II skeleton; uniform crossover plus DE difference children.
+    "CR_DES": lambda inst, cfg, pop, rng: _offspring_cr_des(
+        inst, cfg, pop, _nsga_pool(pop, rng, cfg.population_size // 2), rng
+    ),
+    # Scaled-donor mutants crossed with their parents, Pareto-rank survival.
+    "MSBX_MO": _offspring_msbx_mo,
+}
 
 
 # ---------------------------------------------------------------------------
-# the engine loops
+# the engine loop
 
 
-def _evolve(
-    inst: ProblemInstance,
-    cfg: EngineConfig,
-    rng: np.random.Generator | None,
-    variation: Callable[[Population, np.random.Generator], np.ndarray],
-    soa: bool,
+def run_engine(
+    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator | None = None
 ) -> RunRecord:
+    """Run the configured algorithm.
+
+    SOA survives by its scalar score; the three others by feasible-first
+    fronts and crowding. Beyond that the engines differ only in their
+    variation step (`_VARIATIONS`).
+    """
     cfg = _resolved(inst, cfg)
+    variation = _VARIATIONS[cfg.algorithm]
+    soa = cfg.algorithm == "SOA"
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     t0 = time.perf_counter()
     pop = Population.evaluate(inst, _init_codes(inst, cfg, rng))
@@ -592,7 +628,7 @@ def _evolve(
         gamma, mu = apply_relaxation_phase(gen, cfg)
         # Selection reuses the rank/crowding assigned by the previous
         # survival step, as in canonical NSGA-II.
-        offspring = Population.evaluate(inst, variation(pop, rng))
+        offspring = Population.evaluate(inst, variation(inst, cfg, pop, rng))
         merged = pop.concat(offspring)
         if gen == cfg.generations and archive.members is not None:
             merged = merged.concat(archive.members)
@@ -629,73 +665,3 @@ def _final_front_indices(
         fitness = cfg.soa_a * pop.price[ok] + cfg.soa_b * pop.comp[ok]
         return ok[[int(np.argmax(fitness))]]
     return ok[fast_non_dominated_sort(pop.objectives()[ok])[0]]
-
-
-def run_soa(
-    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator | None = None
-) -> RunRecord:
-    """Single-objective GA on the weighted raw objectives."""
-    if cfg.algorithm != "SOA":
-        raise ValueError("run_soa requires algorithm='SOA'")
-
-    def variation(pop: Population, rng):
-        pool = tournament_indices(_soa_scores(pop, cfg), cfg.population_size // 2, rng)
-        return _offspring_mutate_sbx(inst, cfg, pop, pool, rng, "random")
-
-    return _evolve(inst, cfg, rng, variation, soa=True)
-
-
-def run_msbx_nsga2(
-    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator | None = None
-) -> RunRecord:
-    """NSGA-II with random mutation before SBX, polynomial as the solo branch."""
-    if cfg.algorithm != "MSBX_NSGA2":
-        raise ValueError("run_msbx_nsga2 requires algorithm='MSBX_NSGA2'")
-
-    def variation(pop: Population, rng):
-        pool = _nsga_pool(pop, rng, cfg.population_size // 2)
-        return _offspring_mutate_sbx(inst, cfg, pop, pool, rng, "polynomial")
-
-    return _evolve(inst, cfg, rng, variation, soa=False)
-
-
-def run_cr_des(
-    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator | None = None
-) -> RunRecord:
-    """NSGA-II skeleton; uniform crossover plus DE difference children."""
-    if cfg.algorithm != "CR_DES":
-        raise ValueError("run_cr_des requires algorithm='CR_DES'")
-
-    def variation(pop: Population, rng):
-        pool = _nsga_pool(pop, rng, cfg.population_size // 2)
-        return _offspring_cr_des(inst, cfg, pop, pool, rng)
-
-    return _evolve(inst, cfg, rng, variation, soa=False)
-
-
-def run_msbx_mo(
-    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator | None = None
-) -> RunRecord:
-    """Scaled-donor mutants crossed with their parents, Pareto-rank survival."""
-    if cfg.algorithm != "MSBX_MO":
-        raise ValueError("run_msbx_mo requires algorithm='MSBX_MO'")
-
-    def variation(pop: Population, rng):
-        return _offspring_msbx_mo(inst, cfg, pop, rng)
-
-    return _evolve(inst, cfg, rng, variation, soa=False)
-
-
-_RUNNERS = {
-    "SOA": run_soa,
-    "MSBX_NSGA2": run_msbx_nsga2,
-    "CR_DES": run_cr_des,
-    "MSBX_MO": run_msbx_mo,
-}
-
-
-def run_engine(
-    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator | None = None
-) -> RunRecord:
-    """Dispatch to the configured algorithm."""
-    return _RUNNERS[cfg.algorithm](inst, cfg, rng)

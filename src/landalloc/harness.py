@@ -190,24 +190,38 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
 def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord, BatchStats]:
     """record_from_dict plus the evaluation of the stored codes.
 
-    Raises InstanceError if a member's floor list does not have one code
-    per floor of the instance or a stored code lies outside [0, K).
+    Raises InstanceError if a member's floor uses are not a list of one
+    integer code per floor of the instance, or a code lies outside [0, K).
     """
     pop_docs = doc["population"]
     for r, d in enumerate(pop_docs):
+        if not isinstance(d["floor_uses"], list):
+            raise InstanceError(f"member {r} has no list of floor-use codes")
         if len(d["floor_uses"]) != inst.total_floors:
             raise InstanceError(
                 f"member {r} has {len(d['floor_uses'])} floor-use codes, "
                 f"the instance has {inst.total_floors} floors"
             )
-    codes = np.array([d["floor_uses"] for d in pop_docs], dtype=CODE_DTYPE)
-    codes = codes.reshape(len(pop_docs), inst.total_floors)
-    outside = np.flatnonzero(~codes_in_range_mask(inst, codes))
+    try:
+        raw = np.array([d["floor_uses"] for d in pop_docs])
+        raw = raw.reshape(len(pop_docs), inst.total_floors)
+    except ValueError:  # a code that is itself a list
+        raw = None
+    if raw is None or raw.dtype.kind not in "biuf":
+        bad = next(r for r, d in enumerate(pop_docs)
+                   if not all(isinstance(u, (int, float)) for u in d["floor_uses"]))
+        raise InstanceError(f"member {bad} has a floor-use code that is not a number")
+    if raw.dtype.kind == "f":
+        fractional = np.flatnonzero(~(np.isfinite(raw) & (raw == np.rint(raw))).all(axis=1))
+        if fractional.size:
+            raise InstanceError(f"member {fractional[0]} has a floor-use code that is not an integer")
+    outside = np.flatnonzero(~codes_in_range_mask(inst, raw))
     if outside.size:  # evaluate_batch would count such a floor against another plot or use
         raise InstanceError(
             f"floor-use codes outside [0, {inst.n_uses}) in {outside.size} member(s) "
             f"(first: member {outside[0]})"
         )
+    codes = raw.astype(CODE_DTYPE)
     stats = evaluate_batch(inst, codes)
 
     def column(key: str, dtype) -> np.ndarray:

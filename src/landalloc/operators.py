@@ -4,13 +4,18 @@ Plots are recombined on their base-K integer encoding: a floor-use vector
 [u_0, ..., u_{f-1}] maps to the integer sum(u_t * K^(f-1-t)), most
 significant digit first (so "122" in base 3 is 17). Real-coded SBX,
 polynomial mutation and the DE-style scaled operators act on these
-integers, then round half-to-even and clamp back into [0, K^f - 1] before
-decoding, which keeps the near-parent bias that a modulo wrap would
-destroy.
+integers, then round half-to-even and clamp back into [0, K^f - 1], which
+keeps the near-parent bias that a modulo wrap would destroy.
 
-Every operator works on a (B, total_floors) batch of code rows; the
-random ones take an explicit numpy Generator and are deterministic given
-(inputs, config, seed). Locked plots always copy through.
+Those four operators take and return (B, N) per-plot values; uniform
+crossover and random mutation act on (B, total_floors) code rows. An
+engine encodes its parents once with `PlotCodec.encode_rows`, chains the
+value operators, and decodes the children it keeps once with
+`decode_rows`. `decode_rows(encode_rows(x)) == x` for every row of
+in-range codes, so the plots an operator leaves alone (locked plots,
+SBX's unselected plots) come back bit-exact. The random operators take
+an explicit numpy Generator and are deterministic given (inputs, config,
+seed). Locked plots always copy through.
 """
 
 from __future__ import annotations
@@ -135,7 +140,8 @@ class PlotCodec:
     def encode_rows(self, codes: np.ndarray) -> np.ndarray:
         """(B, total_floors) code rows -> (B, N) per-plot integers."""
         codes = np.atleast_2d(codes)
-        weighted = codes.astype(self.place_values.dtype) * self.place_values[None, :]
+        weighted = codes.astype(self.place_values.dtype)
+        weighted *= self.place_values  # in place: one fresh (B, floors) array, not two
         if self.inst.n_plots == 0:
             return np.zeros((codes.shape[0], 0), dtype=self.place_values.dtype)
         return np.add.reduceat(weighted, self.inst.floor_offsets[:-1], axis=1)
@@ -152,20 +158,38 @@ class PlotCodec:
         digits = self._table.take(chunks, axis=0).reshape(values.shape[0], -1)
         return digits.take(self._columns, axis=1)
 
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        """Clamp (B, N) rounded reals into [0, K^f - 1] as codec integers."""
+    def clamp(self, values: np.ndarray, plots: np.ndarray | None = None) -> np.ndarray:
+        """Clamp rounded reals into [0, K^f - 1] as codec integers.
+
+        `values` is (B, N), or 1-D with `plots` giving each entry's plot.
+        The bound is applied in integers: K^f - 1 above 2^53 has no exact
+        float.
+        """
+        limits = self.max_values if plots is None else self.max_values[plots]
         if self._exact:
-            v = np.clip(values, 0, None)
-            v = np.minimum(v, self.max_values[None, :].astype(float))
-            return v.astype(np.int64)
-        out = np.empty(values.shape, dtype=object)
-        for i in range(values.shape[0]):
-            for j in range(values.shape[1]):
-                out[i, j] = min(max(int(values[i, j]), 0), int(self.max_values[j]))
-        return out
+            # Every limit is below 2^62, so the clip keeps the cast exact.
+            return np.minimum(np.clip(values, 0.0, 2.0**62).astype(np.int64), limits)
+        return np.minimum(np.maximum(_py_ints(values), 0), limits)
+
+    def add_clamped(self, values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """(B, N) values plus integral float `steps`, clamped into [0, K^f - 1].
+
+        The sum is exact integer arithmetic. A step beyond +-2^62 is cut
+        there first, which moves no result and keeps int64 from
+        overflowing.
+        """
+        if self._exact:
+            steps = np.clip(steps, -(2.0**62), 2.0**62).astype(np.int64)
+            return values + np.clip(steps, -values, self.max_values - values)
+        return np.minimum(np.maximum(values + _py_ints(steps), 0), self.max_values)
 
 
-def _codec(inst: ProblemInstance) -> PlotCodec:
+# Integral floats -> python ints, exactly, for the object-dtype codec path.
+_py_ints = np.frompyfunc(int, 1, 1)
+
+
+def plot_codec(inst: ProblemInstance) -> PlotCodec:
+    """The instance's PlotCodec, built on first use and kept on the instance."""
     codec = getattr(inst, "_plot_codec", None)
     if codec is None:
         codec = PlotCodec(inst)
@@ -204,43 +228,39 @@ def tournament_indices(
 
 
 def sbx_batch(
-    codes1: np.ndarray,
-    codes2: np.ndarray,
+    values1: np.ndarray,
+    values2: np.ndarray,
     cfg: OperatorConfig,
     inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SBX over paired code rows; each unlocked plot joins independently."""
-    codes1 = np.atleast_2d(codes1)
-    codes2 = np.atleast_2d(codes2)
-    codec = _codec(inst)
-    b, n = codes1.shape[0], inst.n_plots
+    """SBX over paired (B, N) plot-value rows; each unlocked plot joins independently.
+
+    Plots that do not join keep their parent's value; beta and the
+    children are computed at the joining (row, plot) entries only.
+    """
+    codec = plot_codec(inst)
+    b, n = values1.shape[0], inst.n_plots
     select = (rng.random((b, n)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
     u = rng.random((b, n))
-    if not select.any():
-        return codes1.copy(), codes2.copy()
-    v1 = codec.encode_rows(codes1)
-    v2 = codec.encode_rows(codes2)
+    child1 = values1.copy()
+    child2 = values2.copy()
+    at = np.flatnonzero(select)  # flat (row, plot) indices; gathers beat boolean masks
+    if not at.size:
+        return child1, child2
+    u = u.take(at)
+    plots = at % n
     eta = cfg.sbx_eta
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** (1.0 / (eta + 1.0)),
         (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
     )
-    f1 = v1.astype(float)
-    f2 = v2.astype(float)
-    c1 = codec.clamp(np.rint(0.5 * ((1.0 + beta) * f1 + (1.0 - beta) * f2)))
-    c2 = codec.clamp(np.rint(0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)))
-    child1 = np.where(select, c1, v1)
-    child2 = np.where(select, c2, v2)
-    out1 = codec.decode_rows(child1)
-    out2 = codec.decode_rows(child2)
-    # Unselected plots copy through bit-exactly (no re-encode drift).
-    fmask = np.repeat(select, inst.floor_counts, axis=1)
-    return (
-        np.where(fmask, out1, codes1).astype(CODE_DTYPE),
-        np.where(fmask, out2, codes2).astype(CODE_DTYPE),
-    )
+    f1 = values1.take(at).astype(float)
+    f2 = values2.take(at).astype(float)
+    np.put(child1, at, codec.clamp(np.rint(0.5 * ((1.0 + beta) * f1 + (1.0 - beta) * f2)), plots))
+    np.put(child2, at, codec.clamp(np.rint(0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)), plots))
+    return child1, child2
 
 
 def uniform_batch(
@@ -322,27 +342,22 @@ def polynomial_values(
 
 
 def polynomial_mutation_batch(
-    codes: np.ndarray,
+    values: np.ndarray,
     cfg: OperatorConfig,
     inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Perturb the encoded value of up to mutation_plot_budget plots per row."""
-    codes = np.atleast_2d(codes)
-    codec = _codec(inst)
-    b = codes.shape[0]
+    """Perturb the (B, N) plot values of up to mutation_plot_budget plots per row."""
+    codec = plot_codec(inst)
+    b = values.shape[0]
     mask = _pick_plots_batch(b, cfg.mutation_plot_budget, inst, rng)
     u = rng.random((b, inst.n_plots))
     if not mask.any():
-        return codes.copy()
-    values = codec.encode_rows(codes)
+        return values.copy()
     low = np.zeros(inst.n_plots)
     high = codec.max_values.astype(float)
     perturbed = polynomial_values(values.astype(float), low, high, cfg.poly_eta, u)
-    mutated = codec.clamp(np.rint(perturbed))
-    out = codec.decode_rows(np.where(mask, mutated, values))
-    fmask = np.repeat(mask, inst.floor_counts, axis=1)
-    return np.where(fmask, out, codes).astype(CODE_DTYPE)
+    return np.where(mask, codec.clamp(np.rint(perturbed)), values)
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +367,17 @@ def polynomial_mutation_batch(
 def scaled_add_batch(
     target: np.ndarray, donor: np.ndarray, f: float, inst: ProblemInstance
 ) -> np.ndarray:
-    """Per unlocked plot: encode(target) + round(f * encode(donor)), clamped."""
-    target = np.atleast_2d(target)
-    donor = np.atleast_2d(donor)
-    codec = _codec(inst)
-    vt = codec.encode_rows(target)
-    vd = codec.encode_rows(donor)
-    moved = codec.clamp(vt.astype(float) + np.rint(f * vd.astype(float)))
-    out = codec.decode_rows(moved)
-    fmask = np.repeat(~inst.locked, inst.floor_counts)
-    return np.where(fmask[None, :], out, target).astype(CODE_DTYPE)
+    """Per unlocked plot of (B, N) values: target + round(f * donor), clamped.
+
+    Only the step is computed in float, so a zero donor is the identity.
+    """
+    moved = plot_codec(inst).add_clamped(target, np.rint(f * donor.astype(float)))
+    return np.where(inst.locked, target, moved)
 
 
 def scaled_difference_batch(
     a: np.ndarray, b: np.ndarray, f: float, inst: ProblemInstance
 ) -> np.ndarray:
-    """Per unlocked plot: round(f * (encode(a) - encode(b))), clamped."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    codec = _codec(inst)
-    va = codec.encode_rows(a)
-    vb = codec.encode_rows(b)
-    moved = codec.clamp(np.rint(f * (va.astype(float) - vb.astype(float))))
-    out = codec.decode_rows(moved)
-    fmask = np.repeat(~inst.locked, inst.floor_counts)
-    return np.where(fmask[None, :], out, a).astype(CODE_DTYPE)
+    """Per unlocked plot of (B, N) values: round(f * (a - b)), clamped; locked plots keep a."""
+    moved = plot_codec(inst).clamp(np.rint(f * (a - b).astype(float)))
+    return np.where(inst.locked, a, moved)

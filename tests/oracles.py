@@ -270,3 +270,66 @@ def naive_init_codes(inst: ProblemInstance, cfg, rng: np.random.Generator) -> np
                 break
         codes[r] = row
     return codes
+
+
+def _naive_encode(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:
+    """(B, N) int64 plot values of code rows, plot by plot, MSB first."""
+    out = np.zeros((len(codes), inst.n_plots), dtype=np.int64)
+    for i in range(inst.n_plots):
+        for t in range(inst.floor_offsets[i], inst.floor_offsets[i + 1]):
+            out[:, i] = out[:, i] * inst.n_uses + codes[:, t]
+    return out
+
+
+def _naive_decode(inst: ProblemInstance, values: np.ndarray) -> np.ndarray:
+    """Code rows of (B, N) plot values, by repeated divmod from the last floor."""
+    values = values.copy()
+    out = np.empty((len(values), inst.total_floors), dtype=inst.actual_codes.dtype)
+    for i in range(inst.n_plots):
+        for t in range(inst.floor_offsets[i + 1] - 1, inst.floor_offsets[i] - 1, -1):
+            values[:, i], out[:, t] = np.divmod(values[:, i], inst.n_uses)
+    return out
+
+
+def _naive_clamp(inst: ProblemInstance, values: np.ndarray) -> np.ndarray:
+    top = (inst.n_uses ** inst.floor_counts.astype(np.int64) - 1).astype(float)
+    return np.minimum(np.clip(values, 0, None), top).astype(np.int64)
+
+
+def naive_msbx_mo_children(
+    inst: ProblemInstance, codes: np.ndarray, ops, rng: np.random.Generator
+) -> np.ndarray:
+    """MSBX_MO's children composed on code rows, one operator after the other.
+
+    Each row x gets a random other row as donor. The mutant is x + round(F *
+    donor) per unlocked plot, clamped and decoded, with locked floors from
+    x. SBX of (mutant, x) re-encodes both rows; the x-anchored child is
+    decoded and its unselected and locked floors are spliced from x. Same
+    draws, float formulas and rounding as the engine; plots below 2^53 only.
+    """
+    n = len(codes)
+    donors = rng.integers(0, n - 1, size=n)
+    donors += donors >= np.arange(n)
+    unlocked_floor = np.repeat(~inst.locked, inst.floor_counts)
+    vt = _naive_encode(inst, codes).astype(float)
+    vd = _naive_encode(inst, codes[donors]).astype(float)
+    moved = _naive_clamp(inst, vt + np.rint(ops.de_scale * vd))
+    mutants = np.where(unlocked_floor[None, :], _naive_decode(inst, moved), codes)
+
+    select = (rng.random((n, inst.n_plots)) < ops.crossover_plot_fraction) & ~inst.locked[None, :]
+    u = rng.random((n, inst.n_plots))
+    if not select.any():
+        return codes.copy()
+    v1 = _naive_encode(inst, mutants)
+    v2 = _naive_encode(inst, codes)
+    eta = ops.sbx_eta
+    beta = np.where(
+        u <= 0.5,
+        (2.0 * u) ** (1.0 / (eta + 1.0)),
+        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
+    )
+    f1 = v1.astype(float)
+    f2 = v2.astype(float)
+    c2 = _naive_clamp(inst, np.rint(0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)))
+    child = _naive_decode(inst, np.where(select, c2, v2))
+    return np.where(np.repeat(select, inst.floor_counts, axis=1), child, codes)

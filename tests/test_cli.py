@@ -417,6 +417,66 @@ class TestVerifyRederives:
         assert "do not match their floor uses" not in err
 
 
+class TestStoredCodesChecked:
+    """A run file's floor-use codes must be a list of integers, per member.
+
+    On a 6x5 (generator seed 11) SOA bundle of 5 generations, each tamper
+    makes `report` exit 2 with "cannot build report" and no traceback, and
+    makes `verify` fail, naming the member.
+    """
+
+    @pytest.fixture(scope="class")
+    def clean_bundle(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("codes")
+        main(["generate", "--grid", "6x5", "--seed", "11", "--out", str(root / "inst.landalloc.json")])
+        doc = {
+            "instance": "inst.landalloc.json", "output": "bundle", "seeds": [1],
+            "engines": [{"label": "SOA", "algorithm": "SOA", "generations": 5}],
+        }
+        (root / "exp.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(root / "exp.json")]) == 0
+        assert main(["verify", "--bundle", str(root / "bundle")]) == 0
+        return root / "bundle"
+
+    def _check_refused(self, clean_bundle, tmp_path, capsys, edit, message):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        edit(doc["population"][0])
+        run.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot build report: member 0 {message}" in err and "Traceback" not in err
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        assert f"unreadable run file (member 0 {message}" in capsys.readouterr().err
+
+    def test_fractional_code_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(member):
+            member["floor_uses"][0] += 0.5
+
+        self._check_refused(
+            clean_bundle, tmp_path, capsys, edit, "has a floor-use code that is not an integer"
+        )
+
+    def test_non_numeric_code_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(member):
+            member["floor_uses"][0] = "a"
+
+        self._check_refused(
+            clean_bundle, tmp_path, capsys, edit, "has a floor-use code that is not a number"
+        )
+
+    def test_floor_uses_not_a_list_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(member):
+            member["floor_uses"] = 5
+
+        self._check_refused(
+            clean_bundle, tmp_path, capsys, edit, "has no list of floor-use codes"
+        )
+
+
 class TestHarnessInternals:
     def test_record_roundtrip(self, instance_path):
         import landalloc as la

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from landalloc.engines import (
+    ALGORITHMS,
     EngineConfig,
     Population,
     RelaxationSchedule,
@@ -12,21 +13,18 @@ from landalloc.engines import (
     apply_relaxation_phase,
     crowding_distance,
     fast_non_dominated_sort,
-    run_cr_des,
     run_engine,
-    run_msbx_mo,
-    run_msbx_nsga2,
-    run_soa,
 )
 from landalloc.harness import record_to_json
 from landalloc.model import area_band_mask, evaluate_batch, price_box_mask
-from landalloc.operators import OperatorConfig, sbx_batch, scaled_add_batch
+from landalloc.operators import OperatorConfig, plot_codec, sbx_batch, scaled_add_batch
 
 from oracles import (
     brute_force_best_scalar,
     brute_force_pareto,
     naive_fronts,
     naive_init_codes,
+    naive_msbx_mo_children,
 )
 
 
@@ -221,14 +219,14 @@ class TestEngineRuns:
             generations=40,
             relax=RelaxationSchedule(0.9, 1.0, inst.gamma, inst.mu),
         )
-        rec = run_cr_des(inst, cfg)
+        rec = run_engine(inst, cfg)
         for row in rec.population.codes[rec.front_indices]:
             stats = evaluate_batch(inst, row[None, :])
             assert area_band_mask(inst, stats.areas[0], inst.gamma)
             assert price_box_mask(inst, stats.price[0])
 
     def test_front_is_mutually_nondominated(self, small_synthetic):
-        rec = run_msbx_nsga2(small_synthetic, small_cfg("MSBX_NSGA2", generations=25))
+        rec = run_engine(small_synthetic, small_cfg("MSBX_NSGA2", generations=25))
         pts = [tuple(p) for p in rec.population.objectives()[rec.front_indices]]
         for a in pts:
             for b in pts:
@@ -258,19 +256,23 @@ class TestSoa:
         small_cfg("CR_DES", soa_a=0.7, soa_b=0.7)
 
     def test_wrong_algorithm_rejected(self, tiny1):
+        # run_engine runs the configured algorithm; a name that is not one
+        # (a label, another spelling) is refused when the config is built.
         with pytest.raises(ValueError):
-            run_soa(tiny1, small_cfg("CR_DES"))
+            small_cfg("CR_DES_C")
         with pytest.raises(ValueError):
-            run_cr_des(tiny1, small_cfg("SOA"))
+            small_cfg("soa")
         with pytest.raises(ValueError):
-            run_msbx_nsga2(tiny1, small_cfg("MSBX_MO"))
+            small_cfg("MSBX-NSGA2")
         with pytest.raises(ValueError):
-            run_msbx_mo(tiny1, small_cfg("MSBX_NSGA2"))
+            small_cfg("")
+        for alg in ALGORITHMS:
+            assert run_engine(tiny1, small_cfg(alg, generations=2)).algorithm == alg
 
     def test_degenerate_price_weight_finds_best_price(self, tiny1):
         best_price = brute_force_best_scalar(tiny1, a_price=1.0, b_compat=0.0)
         cfg = small_cfg("SOA", soa_a=1.0, soa_b=0.0, population_size=20, generations=80)
-        rec = run_soa(tiny1, cfg)
+        rec = run_engine(tiny1, cfg)
         assert len(rec.front_indices) == 1
         got = rec.population.price[rec.front_indices[0]]
         assert got == pytest.approx(best_price, rel=1e-9)
@@ -278,7 +280,7 @@ class TestSoa:
     def test_degenerate_compat_weight_finds_best_compatibility(self, tiny1):
         best_compat = brute_force_best_scalar(tiny1, a_price=0.0, b_compat=1.0)
         cfg = small_cfg("SOA", soa_a=0.0, soa_b=1.0, population_size=20, generations=80)
-        rec = run_soa(tiny1, cfg)
+        rec = run_engine(tiny1, cfg)
         got = rec.population.comp[rec.front_indices[0]]
         assert got == pytest.approx(best_compat, rel=1e-9)
 
@@ -286,7 +288,7 @@ class TestSoa:
         a, b = 0.6, 0.4
         best = brute_force_best_scalar(tiny1, a_price=a, b_compat=b)
         cfg = small_cfg("SOA", soa_a=a, soa_b=b, population_size=20, generations=80)
-        rec = run_soa(tiny1, cfg)
+        rec = run_engine(tiny1, cfg)
         best_idx = rec.front_indices[0]
         got = a * rec.population.price[best_idx] + b * rec.population.comp[best_idx]
         assert got == pytest.approx(best, rel=1e-9)
@@ -296,13 +298,55 @@ class TestMsbxMoFixedPoint:
     def test_identical_population_zero_scale_children_equal_parents(self, tiny1):
         # scaled_add with F = 0 returns the target; SBX of identical parents
         # returns the parents, so the composed variation is the identity.
+        codec = plot_codec(tiny1)
         x = tiny1.actual_codes[None, :]
-        mutant = scaled_add_batch(x, x.copy(), 0.0, tiny1)
-        assert np.array_equal(mutant, x)
+        vx = codec.encode_rows(x)
+        mutant = scaled_add_batch(vx, vx.copy(), 0.0, tiny1)
+        assert np.array_equal(codec.decode_rows(mutant), x)
         cfg = OperatorConfig(crossover_plot_fraction=1.0)
-        c1, c2 = sbx_batch(mutant, x, cfg, tiny1, np.random.default_rng(0))
-        assert np.array_equal(c1, x)
-        assert np.array_equal(c2, x)
+        c1, c2 = sbx_batch(mutant, vx, cfg, tiny1, np.random.default_rng(0))
+        assert np.array_equal(codec.decode_rows(c1), x)
+        assert np.array_equal(codec.decode_rows(c2), x)
+
+
+class TestMsbxMoFusedVariation:
+    """`_offspring_msbx_mo` encodes once and decodes the kept child once; it
+    must give the children of the operator-by-operator composition on code
+    rows, and leave the generator in the same state."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        from landalloc.instance_io import GeneratorSpec, generate_synthetic
+
+        def grid(width, height, seed):
+            return generate_synthetic(
+                GeneratorSpec(grid_width=width, grid_height=height, rng_seed=seed)
+            )
+
+        return {"grid12x10": grid(12, 10, 5), "grid43x30": grid(43, 30, 7)}
+
+    # (de_scale, crossover_plot_fraction) per seed; seed 0 is the default.
+    SETTINGS = ((0.5, 0.2), (0.8, 0.5), (1.0, 1.0), (0.3, 0.1), (2.0, 0.7))
+
+    @pytest.mark.parametrize("name", ["tiny1", "grid12x10", "grid43x30"])
+    def test_matches_composition_on_code_rows(self, name, tiny1, instances):
+        from landalloc.engines import _offspring_msbx_mo
+
+        inst = tiny1 if name == "tiny1" else instances[name]
+        for seed, (f, frac) in enumerate(self.SETTINGS):
+            ops = OperatorConfig(de_scale=f, crossover_plot_fraction=frac)
+            cfg = small_cfg("MSBX_MO", population_size=40, operator_cfg=ops)
+            draw = np.random.default_rng(100 + seed)
+            codes = np.repeat(inst.actual_codes[None, :], 40, axis=0)
+            redraw = (draw.random(codes.shape) < 0.3) & np.repeat(~inst.locked, inst.floor_counts)
+            codes[redraw] = draw.integers(0, inst.n_uses, size=int(redraw.sum()))
+            pop = Population.evaluate(inst, codes)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _offspring_msbx_mo(inst, cfg, pop, rng)
+            want = naive_msbx_mo_children(inst, codes, ops, ref_rng)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestOffspringShapes:

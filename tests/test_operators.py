@@ -6,6 +6,7 @@ from landalloc.operators import (
     OperatorConfig,
     decode_uses,
     encode_uses,
+    plot_codec,
     polynomial_mutation_batch,
     polynomial_values,
     random_mutation_batch,
@@ -17,6 +18,34 @@ from landalloc.operators import (
 )
 
 from oracles import random_instance
+
+
+# The value operators applied to code rows, through the codec as an engine does.
+
+
+def sbx_codes(codes1, codes2, cfg, inst, rng):
+    codec = plot_codec(inst)
+    c1, c2 = sbx_batch(codec.encode_rows(codes1), codec.encode_rows(codes2), cfg, inst, rng)
+    return codec.decode_rows(c1), codec.decode_rows(c2)
+
+
+def polynomial_codes(codes, cfg, inst, rng):
+    codec = plot_codec(inst)
+    return codec.decode_rows(polynomial_mutation_batch(codec.encode_rows(codes), cfg, inst, rng))
+
+
+def scaled_add_codes(target, donor, f, inst):
+    codec = plot_codec(inst)
+    return codec.decode_rows(
+        scaled_add_batch(codec.encode_rows(target), codec.encode_rows(donor), f, inst)
+    )
+
+
+def scaled_difference_codes(a, b, f, inst):
+    codec = plot_codec(inst)
+    return codec.decode_rows(
+        scaled_difference_batch(codec.encode_rows(a), codec.encode_rows(b), f, inst)
+    )
 
 
 def rand_codes(inst, rng):
@@ -133,7 +162,7 @@ class TestSbx:
         a = rand_codes(inst, rng)
         for eta in (0.5, 2.0, 20.0, 500.0):
             cfg = OperatorConfig(sbx_eta=eta, crossover_plot_fraction=1.0)
-            c1, c2 = sbx_batch(a, a.copy(), cfg, inst, np.random.default_rng(5))
+            c1, c2 = sbx_codes(a, a.copy(), cfg, inst, np.random.default_rng(5))
             assert np.array_equal(c1, a)
             assert np.array_equal(c2, a)
 
@@ -145,7 +174,7 @@ class TestSbx:
             p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
             p1[:, locked_floor] = inst.actual_codes[locked_floor]
             p2[:, locked_floor] = inst.actual_codes[locked_floor]
-            c1, c2 = sbx_batch(p1, p2, cfg, inst, rng)
+            c1, c2 = sbx_codes(p1, p2, cfg, inst, rng)
             assert_valid(c1, inst)
             assert_valid(c2, inst)
 
@@ -153,8 +182,8 @@ class TestSbx:
         rng = np.random.default_rng(3)
         p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
         cfg = OperatorConfig()
-        out1 = sbx_batch(p1, p2, cfg, inst, np.random.default_rng(7))
-        out2 = sbx_batch(p1, p2, cfg, inst, np.random.default_rng(7))
+        out1 = sbx_codes(p1, p2, cfg, inst, np.random.default_rng(7))
+        out2 = sbx_codes(p1, p2, cfg, inst, np.random.default_rng(7))
         assert np.array_equal(out1[0], out2[0])
         assert np.array_equal(out1[1], out2[1])
 
@@ -162,7 +191,7 @@ class TestSbx:
         rng = np.random.default_rng(4)
         p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
         cfg = OperatorConfig(crossover_plot_fraction=0.0)
-        c1, c2 = sbx_batch(p1, p2, cfg, inst, rng)
+        c1, c2 = sbx_codes(p1, p2, cfg, inst, rng)
         assert np.array_equal(c1, p1)
         assert np.array_equal(c2, p2)
 
@@ -230,7 +259,7 @@ class TestPolynomialMutation:
         cfg = OperatorConfig(poly_eta=1e6, mutation_plot_budget=2)
         a = inst.actual_codes[None, :]
         same = sum(
-            np.array_equal(polynomial_mutation_batch(a, cfg, inst, rng), a)
+            np.array_equal(polynomial_codes(a, cfg, inst, rng), a)
             for _ in range(2000)
         )
         assert same / 2000 >= 0.99
@@ -245,7 +274,7 @@ class TestPolynomialMutation:
         cfg = OperatorConfig(poly_eta=2.0, mutation_plot_budget=inst.n_plots)
         for _ in range(300):
             a = rand_codes(inst, rng)
-            out = polynomial_mutation_batch(a, cfg, inst, rng)
+            out = polynomial_codes(a, cfg, inst, rng)
             assert out.min() >= 0
             assert out.max() < inst.n_uses
 
@@ -254,7 +283,7 @@ class TestScaledOperators:
     def test_scaled_add_zero_factor_returns_target(self, inst):
         rng = np.random.default_rng(22)
         t, d = rand_codes(inst, rng), rand_codes(inst, rng)
-        out = scaled_add_batch(t, d, 0.0, inst)
+        out = scaled_add_codes(t, d, 0.0, inst)
         assert np.array_equal(out, t)
 
     def test_scaled_add_hand_case(self):
@@ -265,7 +294,7 @@ class TestScaledOperators:
         inst1 = ProblemInstance(plots, uses, np.eye(2), np.ones((1, 2)), 0.5, 1.0, 0.0, 100.0)
         target = np.array([[0, 1, 1]], dtype=np.int16)  # encodes to 3
         donor = np.array([[1, 0, 0]], dtype=np.int16)  # encodes to 4
-        out = scaled_add_batch(target, donor, 0.5, inst1)  # 3 + round(2.0) = 5
+        out = scaled_add_codes(target, donor, 0.5, inst1)  # 3 + round(2.0) = 5
         assert out.tolist() == [[1, 0, 1]]
 
     def test_scaled_difference_hand_case(self):
@@ -276,13 +305,13 @@ class TestScaledOperators:
         inst1 = ProblemInstance(plots, uses, np.eye(3), np.ones((1, 3)), 0.5, 1.0, 0.0, 100.0)
         a = np.array([[2, 1]], dtype=np.int16)  # 7
         b = np.array([[0, 2]], dtype=np.int16)  # 2
-        out = scaled_difference_batch(a, b, 1.0, inst1)  # 5 -> [1, 2]
+        out = scaled_difference_codes(a, b, 1.0, inst1)  # 5 -> [1, 2]
         assert out.tolist() == [[1, 2]]
 
     def test_scaled_difference_self_gives_all_zero(self, inst):
         rng = np.random.default_rng(24)
         a = rand_codes(inst, rng)
-        out = scaled_difference_batch(a, a.copy(), 0.7, inst)
+        out = scaled_difference_codes(a, a.copy(), 0.7, inst)
         unlocked_floor = np.repeat(~inst.locked, inst.floor_counts)
         assert not out[:, unlocked_floor].any()
 
@@ -294,7 +323,7 @@ class TestScaledOperators:
         inst1 = ProblemInstance(plots, uses, np.eye(2), np.ones((1, 2)), 0.5, 1.0, 0.0, 100.0)
         a = np.array([[0, 0, 0]], dtype=np.int16)  # 0
         b = np.array([[1, 1, 1]], dtype=np.int16)  # 7
-        out = scaled_difference_batch(a, b, 1.5, inst1)
+        out = scaled_difference_codes(a, b, 1.5, inst1)
         assert out.tolist() == [[0, 0, 0]]
 
     def test_results_always_valid(self, inst):
@@ -304,9 +333,80 @@ class TestScaledOperators:
             a, b = rand_codes(inst, rng), rand_codes(inst, rng)
             a[:, locked_floor] = inst.actual_codes[locked_floor]
             f = float(rng.uniform(0.1, 2.0))
-            assert_valid(scaled_add_batch(a, b, f, inst), inst)
-            out = scaled_difference_batch(a, b, f, inst)
+            assert_valid(scaled_add_codes(a, b, f, inst), inst)
+            out = scaled_difference_codes(a, b, f, inst)
             assert out.min() >= 0 and out.max() < inst.n_uses
+
+
+def tall_instance(k, beyond=False):
+    """One unlocked plot per floor count 1..f_max, where K^f_max is the tallest
+    plot the codec still holds in int64 (f_max * log2 K <= 62); `beyond` adds
+    a plot one floor taller, which moves the codec to python ints."""
+    from landalloc.model import LandUse, Plot, ProblemInstance
+
+    f_max = int(62 // np.log2(k))
+    floors = list(range(1, f_max + 1 + beyond))
+    plots = [Plot(i, f, 100.0, (), False, (0,) * f) for i, f in enumerate(floors)]
+    uses = [LandUse(m, str(m)) for m in range(k)]
+    n = len(plots)
+    return ProblemInstance(plots, uses, np.eye(k), np.ones((n, k)), 0.5, 1.0, 0.0, 1e9)
+
+
+class TestTallPlots:
+    """The value operators stay exact on plots whose codes pass 2^53, on
+    both the int64 and the python-int codec path."""
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_zero_donor_is_identity(self, k, beyond):
+        inst = tall_instance(k, beyond)
+        codec = plot_codec(inst)
+        assert codec._exact != beyond and int(codec.max_values[-1]) > 2**53
+        rng = np.random.default_rng(k)
+        x = rng.integers(0, k, size=(50, inst.total_floors)).astype(np.int16)
+        x[0] = k - 1  # every plot at its largest value
+        zero = np.zeros_like(x)
+        for f in (0.5, 1.0, 3.7):
+            assert np.array_equal(scaled_add_codes(x, zero, f, inst), x)
+        vx = codec.encode_rows(x)
+        assert np.array_equal(scaled_add_batch(vx, np.zeros_like(vx), 0.5, inst), vx)
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_huge_scale_clamps_without_overflow(self, k, beyond):
+        inst = tall_instance(k, beyond)
+        codec = plot_codec(inst)
+        rng = np.random.default_rng(10 + k)
+        vx = codec.encode_rows(rng.integers(0, k, size=(20, inst.total_floors)))
+        vd = codec.encode_rows(rng.integers(0, k, size=(20, inst.total_floors)))
+        moved = scaled_add_batch(vx, vd, 1e200, inst)
+        assert np.array_equal(moved, np.where(vd > 0, codec.max_values, vx))
+        moved = scaled_difference_batch(vx, vd, 1e200, inst)
+        assert np.array_equal(moved, np.where(vx > vd, codec.max_values, 0))
+        # float(K^f - 1) may round up past K^f - 1; the clamp must not.
+        top = np.broadcast_to(codec.max_values, vx.shape)
+        moved = scaled_difference_batch(top, np.zeros_like(vx), 1.0, inst)
+        assert (moved >= 0).all() and (moved <= codec.max_values).all()
+        assert_valid(codec.decode_rows(moved), inst)
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_sbx_keeps_unselected_plots(self, k, beyond):
+        inst = tall_instance(k, beyond)
+        codec = plot_codec(inst)
+        rng = np.random.default_rng(20 + k)
+        p1 = rng.integers(0, k, size=(40, inst.total_floors)).astype(np.int16)
+        p2 = rng.integers(0, k, size=(40, inst.total_floors)).astype(np.int16)
+        cfg = OperatorConfig(crossover_plot_fraction=0.5)
+        # The operator's first draw decides which plots join.
+        joined = np.random.default_rng(5).random((40, inst.n_plots)) < 0.5
+        assert joined.any() and not joined.all()
+        c1, c2 = sbx_codes(p1, p2, cfg, inst, np.random.default_rng(5))
+        kept = np.repeat(~joined, inst.floor_counts, axis=1)
+        assert np.array_equal(c1[kept], p1[kept])
+        assert np.array_equal(c2[kept], p2[kept])
+        assert_valid(c1, inst)
+        assert_valid(c2, inst)
 
 
 class TestConfigValidation:
