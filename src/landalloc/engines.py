@@ -329,13 +329,9 @@ def _pop_fronts(pop: Population) -> list[np.ndarray]:
     if inf_idx.size:
         v = pop.violation[inf_idx]
         order = np.argsort(v, kind="stable")
-        sorted_idx = inf_idx[order]
         sorted_v = v[order]
-        start = 0
-        for k in range(1, len(sorted_idx) + 1):
-            if k == len(sorted_idx) or sorted_v[k] != sorted_v[start]:
-                fronts.append(sorted_idx[start:k])
-                start = k
+        breaks = np.flatnonzero(sorted_v[1:] != sorted_v[:-1]) + 1
+        fronts.extend(np.split(inf_idx[order], breaks))
     for r, fr in enumerate(fronts):
         pop.rank[fr] = r
     return fronts

@@ -21,6 +21,7 @@ import json
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -191,7 +192,9 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
     """record_from_dict plus the evaluation of the stored codes.
 
     Raises InstanceError if a member's floor uses are not a list of one
-    integer code per floor of the instance, or a code lies outside [0, K).
+    integer code per floor of the instance, a code lies outside [0, K), or
+    a stored number (a member field, the seed, the HV trace or the front)
+    does not convert.
     """
     pop_docs = doc["population"]
     for r, d in enumerate(pop_docs):
@@ -225,7 +228,13 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
     stats = evaluate_batch(inst, codes)
 
     def column(key: str, dtype) -> np.ndarray:
-        return np.array([d[key] for d in pop_docs], dtype=dtype)
+        values = [d[key] for d in pop_docs]
+        try:
+            return _vector(values, dtype, key)
+        except InstanceError:  # name the first member whose value fails alone
+            for r, v in enumerate(values):
+                _vector([v], dtype, f"member {r}'s {key}")
+            raise
 
     population = Population(
         codes=codes,
@@ -241,13 +250,24 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
     rec = RunRecord(
         algorithm=doc["algorithm"],
         config=doc["config"],
-        seed=int(doc["seed"]),
-        hv_trace=[float(v) for v in doc["hv_trace"]],
+        seed=int(_vector([doc["seed"]], np.int64, "seed")[0]),
+        hv_trace=_vector(doc["hv_trace"], float, "hv_trace").tolist(),
         population=population,
-        front_indices=np.array([int(i) for i in doc["front"]], dtype=np.int64),
+        front_indices=_vector(doc["front"], np.int64, "front"),
         wall_time_s=float("nan"),
     )
     return doc["label"], rec, stats
+
+
+def _vector(values, dtype, what: str) -> np.ndarray:
+    """`values` as a 1-D array of `dtype`, or an InstanceError saying `what` is not numeric."""
+    try:
+        out = np.array(values, dtype=dtype)
+        if out.ndim == 1:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InstanceError(f"{what} is not numeric")
 
 
 def _stale_members(rec: RunRecord, stats: BatchStats) -> list[int]:
@@ -299,11 +319,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _execute_run(instance_path: str, label: str, cfg: EngineConfig) -> tuple[str, int, str, float]:
-    """Worker entry: returns (label, seed, record json, wall time)."""
-    inst = load_instance(instance_path)
-    rec = run_engine(inst, cfg)
-    return label, cfg.seed, record_to_json(label, rec), rec.wall_time_s
+def _execute_run(instance_path: str, cfg: EngineConfig) -> RunRecord:
+    """Worker entry: load the instance and run one job."""
+    return run_engine(load_instance(instance_path), cfg)
+
+
+def _outcome(run) -> tuple[RunRecord | None, str | None]:
+    """(record, None) from `run()`, or (None, "<ExcType>: <msg>") if it raises."""
+    try:
+        return run(), None
+    except Exception as exc:  # run isolation: one failure, one gap
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -324,53 +350,32 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
     local_instance = bundle / "instance.landalloc.json"
     local_instance.write_bytes(Path(cfg.instance_path).read_bytes())
 
-    jobs = []
-    for idx, (label, ecfg) in enumerate(engines):
-        for seed in cfg.seeds:
-            jobs.append((idx, label, replace(ecfg, seed=int(seed))))
-
-    outcomes: dict[tuple[str, int], tuple[str | None, str | None, float]] = {}
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {
-                pool.submit(_execute_run, str(local_instance), label, ecfg): (label, ecfg.seed)
-                for _, label, ecfg in jobs
-            }
-            for fut, (label, seed) in futures.items():
-                try:
-                    _, _, text, wall = fut.result()
-                    outcomes[(label, seed)] = (text, None, wall)
-                except Exception as exc:  # run isolation: one failure, one gap
-                    outcomes[(label, seed)] = (None, f"{type(exc).__name__}: {exc}", 0.0)
-    else:
-        for _, label, ecfg in jobs:
-            try:
-                _, _, text, wall = _execute_run(str(local_instance), label, ecfg)
-                outcomes[(label, ecfg.seed)] = (text, None, wall)
-            except Exception as exc:
-                outcomes[(label, ecfg.seed)] = (None, f"{type(exc).__name__}: {exc}", 0.0)
-
+    jobs = [
+        (idx, label, replace(ecfg, seed=int(seed)))
+        for idx, (label, ecfg) in enumerate(engines)
+        for seed in cfg.seeds
+    ]
     run_entries = []
     timings = {}
     failures = []
-    ok = 0
     label_records: dict[str, list[RunRecord]] = {label: [] for label, _ in engines}
-    for idx, (label, ecfg) in enumerate(engines):
-        for seed in cfg.seeds:
-            text, error, wall = outcomes[(label, int(seed))]
-            fname = f"runs/{slug(idx, label)}__s{seed}.json"
-            entry = {"label": label, "seed": int(seed), "file": fname, "status": "ok"}
-            if error is None:
-                (bundle / fname).write_text(text, encoding="utf-8")
-                timings[fname] = wall
-                _, rec = record_from_dict(json.loads(text), inst)
-                label_records[label].append(rec)
-                ok += 1
-            else:
-                entry["status"] = "failed"
-                entry["error"] = error
-                failures.append(f"{label} seed {seed}: {error}")
-            run_entries.append(entry)
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(_execute_run, str(local_instance), ecfg) for _, _, ecfg in jobs]
+            outcomes = [_outcome(fut.result) for fut in futures]
+    else:  # serial runs share the instance loaded above, one record at a time
+        outcomes = (_outcome(partial(run_engine, inst, ecfg)) for _, _, ecfg in jobs)
+    for (idx, label, ecfg), (rec, error) in zip(jobs, outcomes):
+        fname = f"runs/{slug(idx, label)}__s{ecfg.seed}.json"
+        entry = {"label": label, "seed": ecfg.seed, "file": fname, "status": "ok"}
+        if error is None:
+            (bundle / fname).write_text(record_to_json(label, rec), encoding="utf-8")
+            timings[fname] = rec.wall_time_s
+            label_records[label].append(rec)
+        else:
+            entry.update(status="failed", error=error)
+            failures.append(f"{label} seed {ecfg.seed}: {error}")
+        run_entries.append(entry)
 
     for idx, (label, ecfg) in enumerate(engines):
         front = combined_front_entries(label_records[label])
@@ -397,7 +402,7 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
     (bundle / "timings.json").write_text(
         canonical_dumps({"wall_time_s": timings}), encoding="utf-8"
     )
-    return BundleResult(bundle, ok, len(failures), failures)
+    return BundleResult(bundle, len(jobs) - len(failures), len(failures), failures)
 
 
 def _config_dict(cfg: EngineConfig) -> dict:
@@ -524,9 +529,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
                 f"or price box (first: member {outside[0]})"
             )
         pts = rec.population.objectives()[front]
-        # dominates[i, a]: point i is at least as good as a everywhere, better somewhere
-        at_least = (pts[:, None] >= pts[None, :]).all(axis=2)
-        dominates = at_least & (pts[:, None] > pts[None, :]).any(axis=2)
-        if dominates.any():
+        # pareto_indices keeps one of each unique non-dominated point
+        if len(np.unique(pts, axis=0)) > len(metrics.pareto_indices(pts)):
             issues.append(f"{tag}: reported front contains dominated points")
     return issues, incomplete

@@ -26,21 +26,19 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, stats
-from .engines import RunRecord, crowding_distance
+from .engines import crowding_distance
 from .harness import LoadedBundle, combined_front_entries, load_bundle
 from .instance_io import canonical_dumps
 from .model import CODE_DTYPE, ProblemInstance, evaluate_batch
 
-# metric name -> (runs_metrics column, higher is better)
-STATS_METRICS = {
-    "best_price": ("best_price", True),
-    "best_compatibility": ("best_compatibility", True),
-    "hv": ("hv", True),
-    "gd": ("gd", False),
-    "gd_plus": ("gd_plus", False),
-    "igd": ("igd", False),
-    "igd_plus": ("igd_plus", False),
-}
+# runs_metrics.csv columns; each from best_compatibility on can be a stats metric
+RUN_COLUMNS = (
+    "label", "seed", "front_size", "best_compatibility", "best_price",
+    "hv", "gd", "gd_plus", "igd", "igd_plus",
+)
+STATS_COLUMNS = RUN_COLUMNS[3:]
+INDICATORS = RUN_COLUMNS[5:]
+LOWER_IS_BETTER = frozenset({"gd", "gd_plus", "igd", "igd_plus"})
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -76,67 +74,41 @@ def generate_report(bundle_dir: str | Path, out_dir: str | Path | None = None) -
 
     # Reference set: non-dominated union over every compared front (declared
     # in the summary); normalization universe adds the actual point.
-    per_run: list[tuple[str, int, np.ndarray, RunRecord]] = []
-    stacks = []
-    for label in labels:
-        for rec in lb.records[label]:
-            pts = rec.population.objectives()[rec.front_indices]
-            per_run.append((label, rec.seed, pts, rec))
-            if pts.size:
-                stacks.append(pts)
+    per_run = [
+        (label, rec.seed, rec.population.objectives()[rec.front_indices])
+        for label in labels
+        for rec in lb.records[label]
+    ]
+    pooled = np.vstack([np.zeros((0, 2))] + [pts for _, _, pts in per_run])
+    reference = metrics.pareto_filter(pooled)
+    bounds = metrics.NormalizationBounds.from_points(
+        np.vstack([pooled, reference, actual[None, :]])
+    )
     gaps = list(lb.gaps)
-    if stacks:
-        reference = metrics.pareto_filter(np.vstack(stacks))
-        bounds = metrics.NormalizationBounds.from_points(
-            np.vstack(stacks + [reference, actual[None, :]])
-        )
-    else:
-        reference = np.zeros((0, 2))
-        bounds = metrics.NormalizationBounds.from_points(actual[None, :])
 
+    # one dict per run; an empty front has no objective or indicator keys
     metric_rows = []
-    for label, seed, pts, rec in per_run:
+    for label, seed, pts in per_run:
+        row = {"label": label, "seed": seed, "front_size": len(pts)}
         if pts.size == 0:
             gaps.append(f"{label} seed {seed}: empty reported front")
-            metric_rows.append([label, seed, 0] + [None] * 7)
-            continue
-        suite = metrics.indicator_suite(pts, reference, bounds)
-        metric_rows.append(
-            [
-                label,
-                seed,
-                len(pts),
-                float(pts[:, 0].max()),
-                float(pts[:, 1].max()),
-                suite["hv"],
-                suite["gd"],
-                suite["gd_plus"],
-                suite["igd"],
-                suite["igd_plus"],
-            ]
-        )
+        else:
+            row["best_compatibility"] = float(pts[:, 0].max())
+            row["best_price"] = float(pts[:, 1].max())
+            row.update(metrics.indicator_suite(pts, reference, bounds))
+        metric_rows.append(row)
     _write_csv(
         out / "runs_metrics.csv",
-        [
-            "label", "seed", "front_size", "best_compatibility", "best_price",
-            "hv", "gd", "gd_plus", "igd", "igd_plus",
-        ],
-        metric_rows,
+        list(RUN_COLUMNS),
+        [[row.get(c) for c in RUN_COLUMNS] for row in metric_rows],
     )
 
     indicator_rows = []
     for label in labels:
-        rows = [r for r in metric_rows if r[0] == label and r[5] is not None]
-        if rows:
-            means = [float(np.mean([r[c] for r in rows])) for c in range(5, 10)]
-            indicator_rows.append([label, len(rows)] + means)
-        else:
-            indicator_rows.append([label, 0] + [None] * 5)
-    _write_csv(
-        out / "indicators.csv",
-        ["label", "runs", "hv", "gd", "gd_plus", "igd", "igd_plus"],
-        indicator_rows,
-    )
+        rows = [r for r in metric_rows if r["label"] == label and "hv" in r]
+        means = [float(np.mean([r[c] for r in rows])) if rows else None for c in INDICATORS]
+        indicator_rows.append([label, len(rows), *means])
+    _write_csv(out / "indicators.csv", ["label", "runs", *INDICATORS], indicator_rows)
 
     stats_doc = _stats_report(lb, labels, metric_rows)
     (out / "stats.json").write_text(canonical_dumps(stats_doc), encoding="utf-8")
@@ -174,21 +146,15 @@ def generate_report(bundle_dir: str | Path, out_dir: str | Path | None = None) -
 
 def _stats_report(lb: LoadedBundle, labels: list[str], metric_rows) -> dict:
     alpha = float(lb.manifest.get("alpha", 0.05))
-    wanted = lb.manifest.get("stats_metrics", list(STATS_METRICS))
-    col_index = {
-        "best_compatibility": 3, "best_price": 4, "hv": 5,
-        "gd": 6, "gd_plus": 7, "igd": 8, "igd_plus": 9,
-    }
+    wanted = lb.manifest.get("stats_metrics", list(STATS_COLUMNS))
     doc: dict = {"alpha": alpha, "metrics": {}}
     for metric in wanted:
-        if metric not in STATS_METRICS:
+        if metric not in STATS_COLUMNS:
             doc["metrics"][metric] = {"error": "unknown metric"}
             continue
-        _, higher_better = STATS_METRICS[metric]
-        col = col_index[metric]
         groups = []
         for label in labels:
-            vals = [r[col] for r in metric_rows if r[0] == label and r[col] is not None]
+            vals = [r[metric] for r in metric_rows if r["label"] == label and metric in r]
             if vals:
                 groups.append(stats.SampleGroup(label, tuple(vals)))
         if len(groups) < 2:
@@ -200,7 +166,7 @@ def _stats_report(lb: LoadedBundle, labels: list[str], metric_rows) -> dict:
         pos = {label: i for i, label in enumerate(labels)}
         order = sorted(
             medians,
-            key=lambda l: ((-medians[l]) if higher_better else medians[l], pos[l]),
+            key=lambda l: (medians[l] if metric in LOWER_IS_BETTER else -medians[l], pos[l]),
         )
         cld = stats.compact_letter_display(pairwise, order)
         doc["metrics"][metric] = {
@@ -423,15 +389,15 @@ def _summary(lb, labels, combined, metric_rows, reference, gaps) -> str:
         "",
     ]
     for label in labels:
-        rows = [r for r in metric_rows if r[0] == label]
-        survivors = [r[2] for r in rows]
+        rows = [r for r in metric_rows if r["label"] == label]
+        survivors = [r["front_size"] for r in rows]
         lines.append(f"{label}:")
         lines.append(
             f"  runs: {len(lb.records[label])}/{len(rows)} ok; "
             f"final-front survivors per seed: {survivors}"
         )
         lines.append(f"  combined front size: {len(combined[label])}")
-        vals = [r[5] for r in rows if r[5] is not None]
+        vals = [r["hv"] for r in rows if "hv" in r]
         if vals:
             lines.append(f"  mean HV: {float(np.mean(vals))!r}")
         lines.append("")

@@ -128,40 +128,22 @@ def normal_sf_two_sided(z: float) -> float:
 # rank machinery
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sv = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _pooled(groups: Sequence[SampleGroup]) -> tuple[int, list[np.ndarray], float]:
+    """Pooled size, each group's mid-ranks in the pooled data, and the sum of
+    t^3 - t over its tie groups.
 
-
-def _tie_term(values: np.ndarray) -> float:
-    """Sum of t^3 - t over tie groups."""
-    _, counts = np.unique(values, return_counts=True)
-    t = counts.astype(float)
-    return float((t**3 - t).sum())
-
-
-def _pooled(groups: Sequence[SampleGroup]) -> tuple[np.ndarray, list[np.ndarray]]:
+    A tie group of t values ending at cumulative count c spans ranks
+    c - t + 1 .. c, so its mid-rank is c - (t - 1) / 2.
+    """
     labels = [g.label for g in groups]
     if len(set(labels)) != len(labels):
         raise ValueError("group labels must be unique")
     pooled = np.concatenate([np.asarray(g.values, dtype=float) for g in groups])
-    ranks = _midranks(pooled)
-    out = []
-    at = 0
-    for g in groups:
-        out.append(ranks[at : at + len(g.values)])
-        at += len(g.values)
-    return pooled, out
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    t = counts.astype(float)
+    ranks = (np.cumsum(t) - (t - 1.0) / 2.0)[inverse]
+    splits = np.cumsum([len(g.values) for g in groups])[:-1]
+    return len(pooled), np.split(ranks, splits), float((t**3 - t).sum())
 
 
 def kruskal_wallis(groups: Sequence[SampleGroup]) -> KruskalWallisResult:
@@ -172,13 +154,12 @@ def kruskal_wallis(groups: Sequence[SampleGroup]) -> KruskalWallisResult:
     """
     if len(groups) < 2:
         raise ValueError("need at least two groups")
-    pooled, group_ranks = _pooled(groups)
-    n = len(pooled)
+    n, group_ranks, ties = _pooled(groups)
     df = len(groups) - 1
     h = 12.0 / (n * (n + 1)) * sum(
         r.sum() ** 2 / len(r) for r in group_ranks
     ) - 3.0 * (n + 1)
-    divisor = 1.0 - _tie_term(pooled) / (n**3 - n)
+    divisor = 1.0 - ties / (n**3 - n)
     if divisor <= 0.0:
         return KruskalWallisResult(0.0, df, 1.0)
     h = max(h / divisor, 0.0)
@@ -191,11 +172,10 @@ def dunn_posthoc(groups: Sequence[SampleGroup], alpha: float = 0.05) -> list[Pai
         raise ValueError("alpha must be in (0, 1)")
     if len(groups) < 2:
         return []
-    pooled, group_ranks = _pooled(groups)
-    n = len(pooled)
+    n, group_ranks, ties = _pooled(groups)
     mean_ranks = [r.mean() for r in group_ranks]
     sizes = [len(r) for r in group_ranks]
-    var_term = n * (n + 1) / 12.0 - _tie_term(pooled) / (12.0 * (n - 1))
+    var_term = n * (n + 1) / 12.0 - ties / (12.0 * (n - 1))
     n_pairs = len(groups) * (len(groups) - 1) // 2
     out = []
     for i, j in combinations(range(len(groups)), 2):

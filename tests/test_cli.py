@@ -327,6 +327,27 @@ class TestVerifyRederives:
         assert main(["verify", "--bundle", str(bundle)]) != 0
         assert "dominated points" in capsys.readouterr().err
 
+    def test_repeated_front_member_is_not_dominated(self, clean_bundle, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        doc["front"].append(doc["front"][0])
+        run.write_text(json.dumps(doc))
+        assert main(["verify", "--bundle", str(bundle)]) == 0
+
+    def test_nan_objective_is_stale(self, clean_bundle, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        doc["population"][doc["front"][1]]["price"] = float("nan")
+        run.write_text(json.dumps(doc))
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "do not match their floor uses (first: member" in err
+        assert "unreadable" not in err
+
     def _rewritten(self, clean_bundle, tmp_path, edit):
         """Bundle copy whose first non-front member has its codes edited by
         `edit(inst, codes)` and its stored objectives and changed count
@@ -439,42 +460,68 @@ class TestStoredCodesChecked:
         return root / "bundle"
 
     def _check_refused(self, clean_bundle, tmp_path, capsys, edit, message):
+        """`edit(doc)` tampers with the run file; both commands must name `message`."""
         bundle = tmp_path / "bundle"
         shutil.copytree(clean_bundle, bundle)
         run = sorted((bundle / "runs").glob("*.json"))[0]
         doc = json.loads(run.read_text())
-        edit(doc["population"][0])
+        edit(doc)
         run.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["report", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
-        assert f"cannot build report: member 0 {message}" in err and "Traceback" not in err
+        assert f"cannot build report: {message}" in err and "Traceback" not in err
         assert main(["verify", "--bundle", str(bundle)]) == 2
-        assert f"unreadable run file (member 0 {message}" in capsys.readouterr().err
+        assert f"unreadable run file ({message}" in capsys.readouterr().err
 
     def test_fractional_code_fails(self, clean_bundle, tmp_path, capsys):
-        def edit(member):
-            member["floor_uses"][0] += 0.5
+        def edit(doc):
+            doc["population"][0]["floor_uses"][0] += 0.5
 
         self._check_refused(
-            clean_bundle, tmp_path, capsys, edit, "has a floor-use code that is not an integer"
+            clean_bundle, tmp_path, capsys, edit,
+            "member 0 has a floor-use code that is not an integer",
         )
 
     def test_non_numeric_code_fails(self, clean_bundle, tmp_path, capsys):
-        def edit(member):
-            member["floor_uses"][0] = "a"
+        def edit(doc):
+            doc["population"][0]["floor_uses"][0] = "a"
 
         self._check_refused(
-            clean_bundle, tmp_path, capsys, edit, "has a floor-use code that is not a number"
+            clean_bundle, tmp_path, capsys, edit,
+            "member 0 has a floor-use code that is not a number",
         )
 
     def test_floor_uses_not_a_list_fails(self, clean_bundle, tmp_path, capsys):
-        def edit(member):
-            member["floor_uses"] = 5
+        def edit(doc):
+            doc["population"][0]["floor_uses"] = 5
 
         self._check_refused(
-            clean_bundle, tmp_path, capsys, edit, "has no list of floor-use codes"
+            clean_bundle, tmp_path, capsys, edit,
+            "member 0 has no list of floor-use codes",
         )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("price", "x", "member 0's price is not numeric"),
+            ("changed", [1, 2], "member 0's changed is not numeric"),
+            ("seed", "one", "seed is not numeric"),
+            ("hv_trace", 5, "hv_trace is not numeric"),
+            ("front", ["a"], "front is not numeric"),
+        ],
+        ids=["price", "changed", "seed", "hv_trace", "front"],
+    )
+    def test_stored_number_that_does_not_convert_fails(
+        self, clean_bundle, tmp_path, capsys, field, value, message
+    ):
+        def edit(doc):
+            if field in ("price", "changed"):
+                doc["population"][0][field] = value
+            else:
+                doc[field] = value
+
+        self._check_refused(clean_bundle, tmp_path, capsys, edit, message)
 
 
 class TestHarnessInternals:
@@ -524,9 +571,42 @@ class TestHarnessInternals:
         doc2["output"] = str(tmp_path / "parallel")
         doc2["workers"] = 2
         run_experiment(ExperimentConfig.from_dict(doc2))
-        serial = {p.name: p.read_bytes() for p in sorted((tmp_path / "serial" / "runs").glob("*"))}
-        parallel = {p.name: p.read_bytes() for p in sorted((tmp_path / "parallel" / "runs").glob("*"))}
+
+        def files(root):
+            paths = [*root.glob("runs/*"), *root.glob("combined/*"), root / "manifest.json"]
+            return {str(p.relative_to(root)): p.read_bytes() for p in paths}
+
+        serial, parallel = files(tmp_path / "serial"), files(tmp_path / "parallel")
+        assert len(serial) == 4 + 2 + 1
         assert serial == parallel
+
+    def test_run_that_raises_is_isolated(self, config_path, tmp_path, monkeypatch, capsys):
+        import landalloc.harness as harness
+
+        real = harness.run_engine
+
+        def flaky(inst, cfg):
+            if cfg.algorithm == "SOA" and cfg.seed == 2:
+                raise RuntimeError("engine blew up")
+            return real(inst, cfg)
+
+        monkeypatch.setattr(harness, "run_engine", flaky)
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert "failed: SOA seed 2: RuntimeError: engine blew up" in capsys.readouterr().err
+        bundle = tmp_path / "bundle"
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        statuses = [(r["label"], r["seed"], r["status"]) for r in manifest["runs"]]
+        assert statuses == [
+            ("CR+DES", 1, "ok"), ("CR+DES", 2, "ok"), ("SOA", 1, "ok"), ("SOA", 2, "failed"),
+        ]
+        assert manifest["runs"][3]["error"] == "RuntimeError: engine blew up"
+        assert sorted(p.name for p in (bundle / "runs").glob("*")) == [
+            "00_CR-DES__s1.json", "00_CR-DES__s2.json", "01_SOA__s1.json",
+        ]
+        soa = json.loads((bundle / "combined" / "01_SOA.json").read_text())
+        assert soa["points"] and {pt["seed"] for pt in soa["points"]} == {1}
+        assert json.loads((bundle / "combined" / "00_CR-DES.json").read_text())["points"]
+        assert main(["verify", "--bundle", str(bundle)]) == 3
 
     def test_bad_entries_raise_config_error(self, instance_path):
         inst = load_instance(instance_path)

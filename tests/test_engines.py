@@ -9,6 +9,7 @@ from landalloc.engines import (
     Population,
     RelaxationSchedule,
     _init_codes,
+    _pop_fronts,
     _resolved,
     apply_relaxation_phase,
     crowding_distance,
@@ -69,6 +70,37 @@ class TestNonDominatedSort:
             fast_non_dominated_sort(np.zeros((0, 2)))
         with pytest.raises(ValueError, match="empty"):
             fast_non_dominated_sort([])
+
+
+class TestPopulationFronts:
+    def test_infeasible_members_grouped_by_equal_violation(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 25))
+            pop = Population(
+                codes=np.zeros((n, 1), dtype=np.int16),
+                comp=rng.integers(0, 4, n).astype(float),
+                price=rng.integers(0, 4, n).astype(float),
+                areas=np.zeros((n, 1)),
+                changed=np.zeros(n, dtype=np.int64),
+                feasible=rng.random(n) < 0.4,
+                violation=rng.integers(0, 4, n) / 4.0,
+            )
+            feas = np.flatnonzero(pop.feasible)
+            expected = []
+            if feas.size:
+                objs = pop.objectives()[feas]
+                expected = [feas[fr].tolist() for fr in fast_non_dominated_sort(objs)]
+            groups = []  # equal violations, in index order: sorted() is stable
+            for i in sorted(np.flatnonzero(~pop.feasible).tolist(), key=lambda i: pop.violation[i]):
+                if groups and pop.violation[groups[-1][0]] == pop.violation[i]:
+                    groups[-1].append(i)
+                else:
+                    groups.append([i])
+            fronts = _pop_fronts(pop)
+            assert [fr.tolist() for fr in fronts] == expected + groups
+            for r, fr in enumerate(fronts):
+                assert (pop.rank[fr] == r).all()
 
 
 class TestCrowding:

@@ -8,6 +8,7 @@ from scipy.special import gammaincc
 from landalloc.stats import (
     PairwiseResult,
     SampleGroup,
+    _pooled,
     chi2_sf,
     compact_letter_display,
     dunn_posthoc,
@@ -68,6 +69,19 @@ class TestKruskalWallis:
             ref = sps.kruskal(*vals)
             assert h == pytest.approx(ref.statistic, rel=1e-10, abs=1e-10)
             assert p == pytest.approx(ref.pvalue, rel=1e-8, abs=1e-12)
+
+    def test_midranks_and_ties_match_counting_reference(self):
+        # mid-rank of v = #(values < v) + (#(values == v) + 1) / 2
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            vals = rng.integers(0, rng.integers(1, 6), size=rng.integers(2, 30)).astype(float)
+            cut = int(rng.integers(1, len(vals)))
+            n, (ra, rb), ties = _pooled(groups(vals[:cut], vals[cut:]))
+            ref = [(vals < v).sum() + ((vals == v).sum() + 1) / 2 for v in vals]
+            assert n == len(vals)
+            assert np.concatenate([ra, rb]).tolist() == ref
+            counts = np.unique(vals, return_counts=True)[1]
+            assert ties == sum(float(t) ** 3 - t for t in counts)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(6)
