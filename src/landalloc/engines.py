@@ -20,6 +20,14 @@ generation. Every run is driven by a single seeded Generator, so identical
 
 A population is one bundle of parallel arrays (codes matrix, objectives,
 cached constraint stats), both inside the engines and in the RunRecord.
+
+Each variation step names, for every child, the parent it keeps its
+unselected plots from (its anchor), and offspring are scored from their
+anchors' values where that is cheaper (`model.evaluate_near`). These
+search values steer selection, survival, the archive and the HV trace;
+they agree with a full evaluation to rounding. The final population is
+evaluated in full before its feasibility and front are taken, so every
+objective a RunRecord stores is an `evaluate_batch` value.
 """
 
 from __future__ import annotations
@@ -34,10 +42,12 @@ import numpy as np
 from . import metrics
 from .model import (
     CODE_DTYPE,
+    BatchStats,
     ProblemInstance,
     area_band,
     area_band_mask,
     evaluate_batch,
+    evaluate_near,
     plot_budget_mask,
     price_box_mask,
 )
@@ -138,8 +148,19 @@ class Population:
         self.violation = np.zeros(n) if violation is None else violation
 
     @classmethod
-    def evaluate(cls, inst: ProblemInstance, codes: np.ndarray) -> "Population":
-        stats = evaluate_batch(inst, codes)
+    def evaluate(
+        cls,
+        inst: ProblemInstance,
+        codes: np.ndarray,
+        parent: "Population | None" = None,
+        anchors: np.ndarray | None = None,
+    ) -> "Population":
+        """Score `codes` in full, or, given `parent`, row r from member anchors[r] (-1: none)."""
+        if parent is None:
+            stats = evaluate_batch(inst, codes)
+        else:
+            base = BatchStats(parent.comp, parent.price, parent.areas, parent.changed)
+            stats = evaluate_near(inst, codes, parent.codes, base, anchors)
         return cls(codes, stats.compatibility, stats.price, stats.areas, stats.changed)
 
     @property
@@ -299,22 +320,19 @@ def apply_relaxation_phase(gen: int, cfg: EngineConfig) -> tuple[float, float]:
 def _refresh_pop(inst: ProblemInstance, pop: Population, gamma: float, mu: float) -> None:
     """Set feasible/violation arrays under (gamma, mu).
 
-    Violation is the normalized area excess plus normalized price excess;
-    the plot budget participates in the flag only.
+    Violation is the area excess over `inst.area_scale` plus the price
+    excess over `inst.price_scale`; the plot budget participates in the
+    flag only.
     """
     pop.feasible = pop.in_band_and_box(inst, gamma) & plot_budget_mask(inst, pop.changed, mu)
     lo, hi = area_band(inst, gamma)
-    positive = inst.actual_areas[inst.actual_areas > 0]
-    fallback = positive.mean() if positive.size else 1.0
-    denom = np.where(inst.actual_areas > 0, inst.actual_areas, fallback)
-    area_excess = (np.maximum(pop.areas - hi, 0.0) + np.maximum(lo - pop.areas, 0.0)) / denom
-    span = inst.price_max - inst.price_min
-    if span <= 0 or not np.isfinite(span):
-        span = max(abs(inst.price_max), 1.0) if np.isfinite(inst.price_max) else 1.0
+    area_excess = (
+        np.maximum(pop.areas - hi, 0.0) + np.maximum(lo - pop.areas, 0.0)
+    ) / inst.area_scale
     price_excess = (
         np.maximum(pop.price - inst.price_max, 0.0)
         + np.maximum(inst.price_min - pop.price, 0.0)
-    ) / span
+    ) / inst.price_scale
     pop.violation = area_excess.sum(axis=1) + price_excess
 
 
@@ -459,7 +477,7 @@ def _nsga_pool(pop: Population, rng: np.random.Generator, size: int) -> np.ndarr
 
 
 def _interleave(c1: np.ndarray, c2: np.ndarray, lam: int) -> np.ndarray:
-    out = np.empty((2 * len(c1), c1.shape[1]), dtype=CODE_DTYPE)
+    out = np.empty((2 * len(c1),) + c1.shape[1:], dtype=c1.dtype)
     out[0::2] = c1
     out[1::2] = c2
     return out[:lam]
@@ -472,8 +490,11 @@ def _offspring_mutate_sbx(
     pool: np.ndarray,
     rng: np.random.Generator,
     replacement_mutation: str,
-) -> np.ndarray:
-    """Random mutation before SBX; sometimes mutation replaces crossover."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random mutation before SBX; sometimes mutation replaces crossover.
+
+    Each child is anchored at the parent it was mutated or crossed from.
+    """
     codec = plot_codec(inst)
     lam = cfg.population_size
     n_pairs = (lam + 1) // 2
@@ -504,7 +525,7 @@ def _offspring_mutate_sbx(
                 out[solo] = codec.decode_rows(
                     polynomial_mutation_batch(values, cfg.operator_cfg, inst, rng)
                 )
-    return _interleave(out1, out2, lam)
+    return _interleave(out1, out2, lam), _interleave(pool[i], pool[j], lam)
 
 
 def _offspring_cr_des(
@@ -513,8 +534,12 @@ def _offspring_cr_des(
     pop: Population,
     pool: np.ndarray,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform crossover; a DE difference child replaces a pair sometimes."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform crossover; a DE difference child replaces a pair sometimes.
+
+    A crossover child is anchored at the parent whose unswapped plots it
+    keeps; a difference child has no anchor (-1).
+    """
     lam = cfg.population_size
     de_flag = rng.random(lam) < cfg.de_child_probability
     ai = rng.integers(0, len(pool), size=lam)
@@ -524,6 +549,7 @@ def _offspring_cr_des(
     starts = ends - counts
     used = np.flatnonzero(starts < lam)
     out = np.empty((lam, inst.total_floors), dtype=CODE_DTYPE)
+    anchors = np.full(lam, -1, dtype=np.int64)
     de_units = used[de_flag[used]]
     cr_units = used[~de_flag[used]]
     if de_units.size:
@@ -544,10 +570,12 @@ def _offspring_cr_des(
             rng,
         )
         out[starts[cr_units]] = c1
+        anchors[starts[cr_units]] = pool[ai[cr_units]]
         second = starts[cr_units] + 1
         fits = second < lam
         out[second[fits]] = c2[fits]
-    return out
+        anchors[second[fits]] = pool[bi[cr_units]][fits]
+    return out, anchors
 
 
 def _offspring_msbx_mo(
@@ -555,7 +583,7 @@ def _offspring_msbx_mo(
     cfg: EngineConfig,
     pop: Population,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each x is shifted by a scaled random donor and SBX-crossed with itself.
 
     The emitted child is the x-anchored one: unselected plots keep x and
@@ -570,11 +598,12 @@ def _offspring_msbx_mo(
     values = codec.encode_rows(pop.codes)
     mutants = scaled_add_batch(values, values[donors], cfg.operator_cfg.de_scale, inst)
     _, children = sbx_batch(mutants, values, cfg.operator_cfg, inst, rng)
-    return codec.decode_rows(children)
+    return codec.decode_rows(children), np.arange(n)
 
 
-# The one step in which the engines differ: (inst, cfg, pop, rng) -> offspring code rows.
-_VARIATIONS: dict[str, Callable[..., np.ndarray]] = {
+# The one step in which the engines differ: (inst, cfg, pop, rng) -> offspring
+# code rows and, per child, the member of `pop` it is anchored at (-1: none).
+_VARIATIONS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
     # Single-objective GA on the weighted raw objectives.
     "SOA": lambda inst, cfg, pop, rng: _offspring_mutate_sbx(
         inst, cfg, pop,
@@ -605,7 +634,9 @@ def run_engine(
 
     SOA survives by its scalar score; the three others by feasible-first
     fronts and crowding. Beyond that the engines differ only in their
-    variation step (`_VARIATIONS`).
+    variation step (`_VARIATIONS`). The returned population carries full
+    evaluations, with feasibility under the final (gamma, mu); its ranks
+    and crowding are the last survival step's.
     """
     cfg = _resolved(inst, cfg)
     variation = _VARIATIONS[cfg.algorithm]
@@ -624,7 +655,8 @@ def run_engine(
         gamma, mu = apply_relaxation_phase(gen, cfg)
         # Selection reuses the rank/crowding assigned by the previous
         # survival step, as in canonical NSGA-II.
-        offspring = Population.evaluate(inst, variation(inst, cfg, pop, rng))
+        codes, anchors = variation(inst, cfg, pop, rng)
+        offspring = Population.evaluate(inst, codes, pop, anchors)
         merged = pop.concat(offspring)
         if gen == cfg.generations and archive.members is not None:
             merged = merged.concat(archive.members)
@@ -638,6 +670,7 @@ def run_engine(
             pop = _pop_survival(merged, _pop_fronts(merged), cfg.population_size)
         archive.offer(offspring)
         snapshots.append(archive.snapshot())
+    _evaluate_in_full(inst, pop, gamma, mu)
     front_indices = _final_front_indices(inst, cfg, pop, soa)
     return RunRecord(
         algorithm=cfg.algorithm,
@@ -648,6 +681,15 @@ def run_engine(
         front_indices=front_indices,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def _evaluate_in_full(inst: ProblemInstance, pop: Population, gamma: float, mu: float) -> None:
+    """Replace the search values of `pop` by one full evaluation; refresh under (gamma, mu)."""
+    full = evaluate_batch(inst, pop.codes)
+    pop.comp, pop.price, pop.areas, pop.changed = (
+        full.compatibility, full.price, full.areas, full.changed
+    )
+    _refresh_pop(inst, pop, gamma, mu)
 
 
 def _final_front_indices(

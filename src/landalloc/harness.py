@@ -183,21 +183,33 @@ def record_to_json(label: str, rec: RunRecord) -> str:
 
 
 def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
-    """Rebuild a RunRecord; per-use areas are recomputed from the codes."""
+    """Rebuild a RunRecord; per-use areas are recomputed from the codes.
+
+    Raises InstanceError as `_record_and_stats` does, and if a member's
+    stored compatibility or price is not finite.
+    """
     label, rec, _ = _record_and_stats(doc, inst)
+    pop = rec.population
+    for key, values in (("compatibility", pop.comp), ("price", pop.price)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InstanceError(f"member {bad[0]}'s {key} is not finite")
     return label, rec
 
 
 def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord, BatchStats]:
     """record_from_dict plus the evaluation of the stored codes.
 
-    Raises InstanceError if a member's floor uses are not a list of one
-    integer code per floor of the instance, a code lies outside [0, K), or
-    a stored number (a member field, the seed, the HV trace or the front)
-    does not convert.
+    Raises InstanceError if a member is not an object, its floor uses are
+    not a list of one integer code per floor of the instance, a code lies
+    outside [0, K), or a stored number (a member field, the seed, the HV
+    trace or the front) is null or does not convert. A stored NaN or
+    infinity converts: `verify` reports it as stale.
     """
     pop_docs = doc["population"]
     for r, d in enumerate(pop_docs):
+        if not isinstance(d, dict):
+            raise InstanceError(f"member {r} is not an object")
         if not isinstance(d["floor_uses"], list):
             raise InstanceError(f"member {r} has no list of floor-use codes")
         if len(d["floor_uses"]) != inst.total_floors:
@@ -260,10 +272,13 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
 
 
 def _vector(values, dtype, what: str) -> np.ndarray:
-    """`values` as a 1-D array of `dtype`, or an InstanceError saying `what` is not numeric."""
+    """`values` as a 1-D array of `dtype`, or an InstanceError saying `what` is not numeric.
+
+    A null converts to NaN (or False) in numpy, so it is refused first.
+    """
     try:
         out = np.array(values, dtype=dtype)
-        if out.ndim == 1:
+        if out.ndim == 1 and not any(v is None for v in values):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -271,17 +286,15 @@ def _vector(values, dtype, what: str) -> np.ndarray:
 
 
 def _stale_members(rec: RunRecord, stats: BatchStats) -> list[int]:
-    """Members whose stored objectives or changed count disagree with their codes.
+    """Members whose stored objectives or changed count differ from their codes' evaluation.
 
-    Objectives match within 1e-9 relative: an engine evaluates a member
-    inside batches of varying shape, which may move the last bits.
+    The match is exact: an engine stores one full `evaluate_batch` of its
+    final population, and a row's values do not depend on its batch.
     """
     pop = rec.population
     stored = np.column_stack([pop.comp, pop.price, pop.changed])
     fresh = np.column_stack([stats.compatibility, stats.price, stats.changed])
-    tol = np.abs(fresh) * np.array([1e-9, 1e-9, 0.0])
-    ok = (np.abs(stored - fresh) <= tol).all(axis=1)  # a NaN is never ok
-    return np.flatnonzero(~ok).tolist()
+    return np.flatnonzero(~(stored == fresh).all(axis=1)).tolist()  # a NaN is never equal
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ budget mu, and the price box). A land-use map is one flat code row of
 proportions drive both objectives. `evaluate_batch` scores a (B,
 total_floors) batch of rows and the `*_mask` functions check them.
 
+`evaluate_near` scores rows that were copied from rows already scored
+(a child and its anchor parent): a row that differs from its anchor in a
+few plots is updated from the anchor's values over those plots and the
+edges that touch them (`evaluate_delta`), which agrees with a full
+evaluation to rounding (about 1e-15 relative per step); every other row
+goes through `evaluate_batch`, whose values do not depend on the batch a
+row is evaluated in.
+
 Everything here is pure and deterministic; instances are immutable after
 construction.
 """
@@ -132,6 +140,13 @@ class ProblemInstance:
             ej.extend(p.neighbors)
         self.edge_i = np.array(ei, dtype=np.int64)
         self.edge_j = np.array(ej, dtype=np.int64)
+        # Out-edges of plot i are edge ids out_ptr[i]:out_ptr[i+1] (edges are
+        # stored plot by plot); its in-edges are in_edges[in_ptr[i]:in_ptr[i+1]].
+        self.out_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edge_i, minlength=n), out=self.out_ptr[1:])
+        self.in_edges = np.argsort(self.edge_j, kind="stable")
+        self.in_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edge_j, minlength=n), out=self.in_ptr[1:])
         self.actual_codes = np.concatenate(
             [np.asarray(p.actual_uses, dtype=CODE_DTYPE) for p in self.plots]
         )
@@ -140,6 +155,23 @@ class ProblemInstance:
         self.actual_objectives = ObjectiveVector(
             compatibility=float(stats.compatibility[0]), price=float(stats.price[0])
         )
+        # Normalizers of the constraint violation: as-built areas (a zero
+        # area falls back to the mean positive one) and the price box width.
+        positive = self.actual_areas[self.actual_areas > 0]
+        fallback = positive.mean() if positive.size else 1.0
+        self.area_scale = np.where(self.actual_areas > 0, self.actual_areas, fallback)
+        span = self.price_max - self.price_min
+        if span <= 0 or not np.isfinite(span):
+            span = max(abs(self.price_max), 1.0) if np.isfinite(self.price_max) else 1.0
+        self.price_scale = span
+        # Work estimates for evaluate_near, in gathered values: a full pass
+        # per row, and a delta step per changed plot (both of its rows'
+        # floors, each neighbour's floors and a K x K product per edge).
+        k = self.n_uses
+        self.full_row_work = 2 * self.total_floors + 4 * n * k + 3 * len(self.edge_i) * k
+        touching = np.bincount(self.edge_i, self.floor_counts[self.edge_j] + k * k, minlength=n)
+        touching += np.bincount(self.edge_j, self.floor_counts[self.edge_i] + k * k, minlength=n)
+        self.plot_delta_work = 2 * self.floor_counts + touching.astype(np.int64)
 
     @property
     def n_plots(self) -> int:
@@ -201,20 +233,22 @@ def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
     checked first with `codes_in_range_mask`.
 
     Rows are evaluated in blocks of about 2^17 per-plot values each (33
-    rows at 1,290 plots x 3 uses). A batch of 2 or more rows never yields
-    a 1-row block: a trailing single row joins the block before it.
-    Inside a block, the compatibility stage runs over chunks of 512 edges:
-    each chunk gathers both edge ends into two small buffers and writes
-    its per-edge contributions into an (E, B) array. These three buffers
-    are kept on the instance, sized for the tallest block so far, and
-    reused by every block; no returned array is a view of them.
+    rows at 1,290 plots x 3 uses), and never in a 1-row block: a trailing
+    single row joins the block before it, and a 1-row batch is evaluated
+    as a block of that row twice. Inside a block, the compatibility
+    stage runs over chunks of 512 edges: each chunk gathers both edge
+    ends into two small buffers and writes its per-edge contributions
+    into an (E, B) array. These three buffers are kept on the instance,
+    sized for the tallest block so far, and reused by every block; no
+    returned array is a view of them.
 
-    Summation order: inside a block of 2 or more rows, each row's
+    Summation order: in a block of 2 or more rows, each row's
     compatibility adds the per-edge contributions one by one in stored
-    edge order, so a row's value does not depend on its block or batch.
-    A 1-row batch is one contiguous reduction, which numpy sums pairwise;
-    its compatibility can therefore differ in the last bits from the same
-    row evaluated inside a larger batch.
+    edge order, and its per-plot products do not depend on the block's
+    height, so a row's values do not depend on its block or batch, bit
+    for bit. A 1-row block would differ in the last bits: numpy sums a
+    contiguous column pairwise, and (seen with 6 uses) a single row's
+    per-plot products can round differently too.
     """
     codes = np.atleast_2d(codes)
     b = codes.shape[0]
@@ -222,6 +256,8 @@ def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
         raise ValueError(
             f"expected {inst.total_floors} floor codes per row, got {codes.shape[1]}"
         )
+    if b == 1:
+        return BatchStats(*(f[:1] for f in _evaluate_block(inst, np.repeat(codes, 2, axis=0))))
     step = max(2, _BLOCK_VALUES // (inst.n_plots * inst.n_uses))
     bounds = list(range(0, max(b, 1), step)) + [b]  # an empty batch is one empty block
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -237,7 +273,7 @@ def _edge_buffers(inst: ProblemInstance, b: int) -> tuple[np.ndarray, np.ndarray
 
     They are views of three flat arrays kept on the instance and
     reallocated only when a block is taller than any before it (at paper
-    scale: 1, then 33, then 34 rows). Blocks can reach thousands of rows
+    scale: 2, then 33, then 34 rows). Blocks can reach thousands of rows
     on small instances, so sizing them up front for the largest possible
     block would waste memory that small batches never touch.
     """
@@ -293,6 +329,168 @@ def _evaluate_block(inst: ProblemInstance, codes: np.ndarray) -> tuple[np.ndarra
     diff = codes != inst.actual_codes[None, :]
     changed = np.logical_or.reduceat(diff, inst.floor_offsets[:-1], axis=1).sum(axis=1)
     return compatibility, price, per_use_area, changed
+
+
+# Work of one delta call beyond its rows (its fixed run of array calls), in
+# the units of `ProblemInstance.full_row_work`: about one full row at paper
+# scale. Batches whose full evaluation costs less never try the delta path.
+_DELTA_CALL_WORK = 1 << 16
+
+# A delta step gathers its values one by one, a full pass streams them: a
+# row takes the delta path only if its delta work times this is below the
+# full pass's.
+_DELTA_COST = 12
+
+
+def evaluate_near(
+    inst: ProblemInstance,
+    codes: np.ndarray,
+    base_codes: np.ndarray,
+    base: BatchStats,
+    anchors: np.ndarray,
+) -> BatchStats:
+    """Evaluate (B, total_floors) `codes`, each row from its anchor where that is cheaper.
+
+    `anchors[r]` is the row of `base_codes` (scored as `base`) that row r
+    keeps its unchanged plots from, or -1 if it has none. An anchored row
+    whose delta step (`evaluate_delta`) is estimated to cost less than a
+    full pass takes it; the other rows go through `evaluate_batch`. The
+    estimate counts the values each path gathers: per changed plot, its
+    floors in both rows, its neighbours' floors and a K x K product per
+    touching edge. A batch whose full evaluation costs less than a delta
+    call's fixed work (tiny instances) is evaluated in full.
+    """
+    codes, anchors = np.atleast_2d(codes), np.asarray(anchors)
+    anchored = np.flatnonzero(anchors >= 0)
+    if anchored.size * inst.full_row_work <= _DELTA_CALL_WORK:
+        return evaluate_batch(inst, codes)
+    pr, pp = _changed_plots(inst, codes[anchored], base_codes[anchors[anchored]])
+    work = _DELTA_COST * np.bincount(pr, inst.plot_delta_work[pp], minlength=len(anchored))
+    cheap = work < inst.full_row_work
+    if (inst.full_row_work - work[cheap]).sum() <= _DELTA_CALL_WORK:
+        return evaluate_batch(inst, codes)
+    keep = cheap[pr]
+    rows = anchored[cheap]
+    pr = (np.cumsum(cheap) - 1)[pr[keep]]  # the pairs of the cheap rows, renumbered
+    near = _delta_stats(inst, codes, base_codes, base, rows, anchors[rows], pr, pp[keep])
+    if len(rows) == len(codes):
+        return near
+    full = np.ones(len(codes), dtype=bool)
+    full[rows] = False
+    full = np.flatnonzero(full)
+    stats = BatchStats(
+        np.empty(len(codes)), np.empty(len(codes)), np.empty((len(codes), inst.n_uses)),
+        np.empty(len(codes), dtype=np.int64),
+    )
+    for out_rows, part in ((rows, near), (full, evaluate_batch(inst, codes[full]))):
+        for name, values in vars(part).items():
+            getattr(stats, name)[out_rows] = values
+    return stats
+
+
+def evaluate_delta(
+    inst: ProblemInstance, codes: np.ndarray, base_codes: np.ndarray, base: BatchStats
+) -> BatchStats:
+    """BatchStats of `codes` from `base`, the BatchStats of `base_codes`, row for row.
+
+    Only the plots where a row differs from its base row are read. With
+    a_i plot i's per-use areas in the base row, a_i' in the new row and
+    d_i = a_i' - a_i (zero on unchanged plots), each stored edge (i, j)
+    moves the compatibility by d_i C a_j' + a_i C d_j: out-edges of the
+    changed plots take the new row's neighbour areas and in-edges the base
+    row's, so an edge between two changed plots is counted once in each
+    term and neighbour lists need not be symmetric. Price, areas and the
+    changed count move by the changed plots' differences. A row equal to
+    its base returns the base values bit for bit; other rows agree with
+    `evaluate_batch` to rounding.
+    """
+    codes, base_codes = np.atleast_2d(codes), np.atleast_2d(base_codes)
+    rows = np.arange(len(codes))
+    pr, pp = _changed_plots(inst, codes, base_codes)
+    return _delta_stats(inst, codes, base_codes, base, rows, rows, pr, pp)
+
+
+def _changed_plots(
+    inst: ProblemInstance, codes: np.ndarray, base_codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, plot) pairs where the two batches differ, by row and then plot."""
+    at = np.flatnonzero(codes != base_codes)
+    rows, floors = np.divmod(at, inst.total_floors)
+    key = rows * inst.n_plots + inst.floor_plot_index[floors]  # sorted, a plot's floors adjacent
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return np.divmod(key[first], inst.n_plots)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each range [starts[p], starts[p] + lengths[p]) in turn, and the p each element is from."""
+    owner = np.repeat(np.arange(len(starts)), lengths)
+    ends = np.cumsum(lengths)
+    return owner, np.arange(int(lengths.sum())) + (starts - (ends - lengths))[owner]
+
+
+def _shares(
+    inst: ProblemInstance, plots: np.ndarray, pair: np.ndarray, floor_codes: np.ndarray
+) -> np.ndarray:
+    """(P, K) use shares of `plots` from their floors' codes, each tagged by its plot's place."""
+    k = inst.n_uses
+    counts = np.bincount(pair * k + floor_codes, minlength=len(plots) * k)
+    # the same division as _evaluate_block's, so the shares match it bit for bit
+    return counts.reshape(-1, k) / inst.floor_counts[plots][:, None]
+
+
+def _plot_areas(
+    inst: ProblemInstance, codes: np.ndarray, rows: np.ndarray, plots: np.ndarray
+) -> np.ndarray:
+    """(P, K) per-use areas of plot plots[p] in row rows[p] of `codes`."""
+    pair, floors = _ranges(inst.floor_offsets[plots], inst.floor_counts[plots])
+    shares = _shares(inst, plots, pair, codes[rows[pair], floors])
+    return shares * inst.floor_space[plots][:, None]
+
+
+def _delta_stats(
+    inst: ProblemInstance,
+    codes: np.ndarray,
+    base_codes: np.ndarray,
+    base: BatchStats,
+    rows: np.ndarray,
+    src: np.ndarray,
+    pr: np.ndarray,
+    pp: np.ndarray,
+) -> BatchStats:
+    """evaluate_delta of codes[rows] against base_codes[src] (scored in `base`).
+
+    The changed plots are pp, in row rows[pr] (pr ascending).
+    """
+    out = BatchStats(*(f[src] for f in vars(base).values()))  # fancy indexing copies
+    if not pr.size:
+        return out
+    new_rows, base_rows = rows[pr], src[pr]
+    pair, floors = _ranges(inst.floor_offsets[pp], inst.floor_counts[pp])
+    new_floors = codes[new_rows[pair], floors]
+    old_floors = base_codes[base_rows[pair], floors]
+    new_x = _shares(inst, pp, pair, new_floors)
+    old_x = _shares(inst, pp, pair, old_floors)
+    space = inst.floor_space[pp][:, None]
+    d_areas = new_x * space - old_x * space
+    d_price = ((new_x - old_x) * inst.price[pp]).sum(axis=1)
+    actual = inst.actual_codes[floors]
+    now_off = np.bincount(pair, new_floors != actual, minlength=len(pp)) > 0
+    was_off = np.bincount(pair, old_floors != actual, minlength=len(pp)) > 0
+    # Out-edges (i changed, j any) read the new row; in-edges (i any, j changed) the base row.
+    at, out_e = _ranges(inst.out_ptr[pp], np.diff(inst.out_ptr)[pp])
+    a_j = _plot_areas(inst, codes, new_rows[at], inst.edge_j[out_e])
+    d_comp = np.zeros(len(pp))  # bincount of no weights is an int array
+    d_comp += np.bincount(at, ((d_areas @ inst.compat)[at] * a_j).sum(axis=1), minlength=len(pp))
+    at, in_at = _ranges(inst.in_ptr[pp], np.diff(inst.in_ptr)[pp])
+    a_i = _plot_areas(inst, base_codes, base_rows[at], inst.edge_i[inst.in_edges[in_at]])
+    d_comp += np.bincount(at, ((a_i @ inst.compat) * d_areas[at]).sum(axis=1), minlength=len(pp))
+    touched, starts = np.unique(pr, return_index=True)
+    out.compatibility[touched] += np.add.reduceat(d_comp, starts)
+    out.price[touched] += np.add.reduceat(d_price, starts)
+    out.areas[touched] += np.add.reduceat(d_areas, starts, axis=0)
+    out.changed[touched] += np.add.reduceat(now_off.astype(np.int64) - was_off, starts)
+    return out
 
 
 def area_band(inst: ProblemInstance, gamma: float) -> tuple[np.ndarray, np.ndarray]:

@@ -348,6 +348,26 @@ class TestVerifyRederives:
         assert "do not match their floor uses (first: member" in err
         assert "unreadable" not in err
 
+    @pytest.mark.parametrize("field, tamper", [
+        ("price", lambda v: float(np.nextafter(v, np.inf))),
+        ("compatibility", lambda v: float(np.nextafter(v, -np.inf))),
+        ("compatibility", lambda v: float("nan")),
+    ], ids=["price-ulp", "compatibility-ulp", "compatibility-nan"])
+    def test_stored_objective_is_compared_exactly(
+        self, clean_bundle, tmp_path, capsys, field, tamper
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        victim = doc["population"][doc["front"][1]]
+        victim[field] = tamper(victim[field])
+        run.write_text(json.dumps(doc))
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert f"do not match their floor uses (first: member {doc['front'][1]})" in err
+        assert "unreadable" not in err
+
     def _rewritten(self, clean_bundle, tmp_path, edit):
         """Bundle copy whose first non-front member has its codes edited by
         `edit(inst, codes)` and its stored objectives and changed count
@@ -501,22 +521,50 @@ class TestStoredCodesChecked:
             "member 0 has no list of floor-use codes",
         )
 
+    def test_member_that_is_not_an_object_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(doc):
+            doc["population"][0] = 5
+
+        self._check_refused(clean_bundle, tmp_path, capsys, edit, "member 0 is not an object")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_objective_refused_by_report(self, clean_bundle, tmp_path, capsys, value):
+        # report cannot rank a non-finite objective; verify reports it as stale
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        doc["population"][doc["front"][0]]["price"] = value
+        run.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot build report: member {doc['front'][0]}'s price is not finite" in err
+        assert "Traceback" not in err
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "do not match their floor uses" in err and "unreadable" not in err
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
+            ("price", None, "member 0's price is not numeric"),
+            ("compatibility", None, "member 0's compatibility is not numeric"),
+            ("feasible", None, "member 0's feasible is not numeric"),
             ("price", "x", "member 0's price is not numeric"),
             ("changed", [1, 2], "member 0's changed is not numeric"),
             ("seed", "one", "seed is not numeric"),
             ("hv_trace", 5, "hv_trace is not numeric"),
             ("front", ["a"], "front is not numeric"),
         ],
-        ids=["price", "changed", "seed", "hv_trace", "front"],
+        ids=["price-null", "compatibility-null", "feasible-null", "price", "changed", "seed",
+             "hv_trace", "front"],
     )
     def test_stored_number_that_does_not_convert_fails(
         self, clean_bundle, tmp_path, capsys, field, value, message
     ):
         def edit(doc):
-            if field in ("price", "changed"):
+            if field in ("price", "compatibility", "feasible", "changed"):
                 doc["population"][0][field] = value
             else:
                 doc[field] = value

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from landalloc.engines import (
+    _VARIATIONS,
     ALGORITHMS,
     EngineConfig,
     Population,
     RelaxationSchedule,
     _init_codes,
     _pop_fronts,
+    _refresh_pop,
     _resolved,
     apply_relaxation_phase,
     crowding_distance,
@@ -374,10 +376,11 @@ class TestMsbxMoFusedVariation:
             codes[redraw] = draw.integers(0, inst.n_uses, size=int(redraw.sum()))
             pop = Population.evaluate(inst, codes)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _offspring_msbx_mo(inst, cfg, pop, rng)
+            got, anchors = _offspring_msbx_mo(inst, cfg, pop, rng)
             want = naive_msbx_mo_children(inst, codes, ops, ref_rng)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+            assert np.array_equal(anchors, np.arange(40))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -389,8 +392,9 @@ class TestOffspringShapes:
         cfg = _resolved(inst, small_cfg("CR_DES", population_size=17))
         rng = np.random.default_rng(4)
         pop = initial_population(inst, cfg, rng)
-        out = _offspring_cr_des(inst, cfg, pop, np.arange(8), rng)
+        out, anchors = _offspring_cr_des(inst, cfg, pop, np.arange(8), rng)
         assert out.shape == (17, inst.total_floors)
+        assert anchors.shape == (17,)
 
     def test_msbx_mo_one_child_per_parent(self, small_synthetic):
         from landalloc.engines import _offspring_msbx_mo
@@ -399,5 +403,95 @@ class TestOffspringShapes:
         cfg = _resolved(inst, small_cfg("MSBX_MO", population_size=12))
         rng = np.random.default_rng(5)
         pop = initial_population(inst, cfg, rng)
-        out = _offspring_msbx_mo(inst, cfg, pop, rng)
+        out, anchors = _offspring_msbx_mo(inst, cfg, pop, rng)
         assert out.shape == (12, inst.total_floors)
+        assert anchors.shape == (12,)
+
+
+class TestAnchoredOffspring:
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_children_equal_their_anchors_without_variation(self, alg, small_synthetic):
+        # With no crossover plots and no mutation plots, every anchored child
+        # is a copy of its anchor; only CR_DES difference children have none.
+        inst = small_synthetic
+        ops = OperatorConfig(crossover_plot_fraction=0.0, mutation_plot_budget=0)
+        cfg = _resolved(
+            inst, small_cfg(alg, population_size=30, de_child_probability=0.5, operator_cfg=ops)
+        )
+        rng = np.random.default_rng(8)
+        pop = initial_population(inst, cfg, rng)
+        codes, anchors = _VARIATIONS[alg](inst, cfg, pop, rng)
+        assert codes.shape == (30, inst.total_floors)
+        assert ((anchors >= -1) & (anchors < pop.n)).all()
+        anchored = anchors >= 0
+        assert np.array_equal(codes[anchored], pop.codes[anchors[anchored]])
+        assert anchored.all() == (alg != "CR_DES")
+
+
+class TestRecordValues:
+    """Offspring carry search values (delta steps from their anchors); the
+    population a RunRecord holds carries one full evaluation."""
+
+    @pytest.fixture(scope="class")
+    def grid12x10(self):
+        from landalloc.instance_io import GeneratorSpec, generate_synthetic
+
+        return generate_synthetic(GeneratorSpec(grid_width=12, grid_height=10, rng_seed=3))
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_stored_values_are_one_full_evaluation(self, alg, grid12x10, monkeypatch):
+        import landalloc.model as model
+
+        delta_rows = []
+        kernel = model._delta_stats
+
+        def spy(inst_, codes, *rest):
+            delta_rows.append(len(codes))
+            return kernel(inst_, codes, *rest)
+
+        monkeypatch.setattr(model, "_delta_stats", spy)
+        cfg = _resolved(grid12x10, small_cfg(alg, population_size=100, generations=30))
+        pop = run_engine(grid12x10, cfg).population
+        assert delta_rows  # the delta path ran
+        full = evaluate_batch(grid12x10, pop.codes)
+        for stored, fresh in (
+            (pop.comp, full.compatibility), (pop.price, full.price),
+            (pop.areas, full.areas), (pop.changed, full.changed),
+        ):
+            assert stored.tobytes() == fresh.tobytes()
+        check = Population(pop.codes, full.compatibility, full.price, full.areas, full.changed)
+        _refresh_pop(grid12x10, check, cfg.relax.gamma_final, cfg.relax.mu_final)
+        assert np.array_equal(check.feasible, pop.feasible)
+        assert check.violation.tobytes() == pop.violation.tobytes()
+
+
+def test_search_values_stay_within_rounding_of_full_values(monkeypatch):
+    """One default 43x30 run per engine: the final population's search values
+    (delta steps chained over 150 generations) against its full evaluation."""
+    import landalloc.engines as engines
+    from landalloc.instance_io import GeneratorSpec, generate_synthetic
+
+    from conftest import ACCEPTANCE_LINES
+
+    inst = generate_synthetic(GeneratorSpec(grid_width=43, grid_height=30, rng_seed=7))
+    gaps = {}
+    evaluate_in_full = engines._evaluate_in_full
+
+    def spy(inst_, pop, gamma, mu):
+        search = (pop.comp.copy(), pop.price.copy(), pop.areas.copy(), pop.changed.copy())
+        evaluate_in_full(inst_, pop, gamma, mu)
+        assert np.array_equal(search[3], pop.changed)
+        gaps[alg] = max(
+            float(np.max(np.abs(s - f) / np.maximum(np.abs(s), np.abs(f))))
+            for s, f in zip(search[:3], (pop.comp, pop.price, pop.areas))
+        )
+
+    monkeypatch.setattr(engines, "_evaluate_in_full", spy)
+    for alg in ALGORITHMS:
+        run_engine(inst, EngineConfig(algorithm=alg, seed=1))
+    line = "search vs full values, 43x30 seed-7 runs: max relative gap " + ", ".join(
+        f"{alg} {gap:.1e}" for alg, gap in gaps.items()
+    ) + " (tol 1e-12)"
+    ACCEPTANCE_LINES.append(line)
+    print(line)
+    assert max(gaps.values()) <= 1e-12

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from landalloc.model import (
+    BatchStats,
     LandUse,
     Plot,
     ProblemInstance,
     area_band_mask,
     codes_in_range_mask,
     evaluate_batch,
+    evaluate_delta,
+    evaluate_near,
     locked_kept_mask,
     plot_budget_mask,
     price_box_mask,
@@ -199,16 +202,30 @@ def perturbed_rows(inst, b, seed=0):
     return codes
 
 
+FIELDS = ("compatibility", "price", "areas", "changed")
+
+
 class TestBatchEvaluation:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(23)
-        inst = random_instance(rng, n_plots=7)
-        codes = rng.integers(0, inst.n_uses, size=(12, inst.total_floors)).astype(np.int16)
-        stats = evaluate_batch(inst, codes)
-        for r in range(12):
-            single = evaluate_one(inst, codes[r])
-            assert stats.compatibility[r] == pytest.approx(single.compatibility[0], rel=1e-12)
-            assert stats.price[r] == pytest.approx(single.price[0], rel=1e-12)
+        for k, max_floors in ((3, 3), (2, 12), (6, 5)):
+            inst = random_instance(rng, n_plots=7, k=k, max_floors=max_floors)
+            codes = rng.integers(0, inst.n_uses, size=(12, inst.total_floors)).astype(np.int16)
+            stats = evaluate_batch(inst, codes)
+            for r in range(12):
+                single = evaluate_one(inst, codes[r])
+                for name in FIELDS:
+                    assert getattr(stats, name)[r].tobytes() == getattr(single, name)[0].tobytes()
+
+    def test_single_row_matches_batch_at_scale(self, grid43x30):
+        # 5,014 edges: a pairwise sum of one row's contributions would
+        # differ from the edge-by-edge column sums in the last bits.
+        codes = perturbed_rows(grid43x30, 20, seed=3)
+        stats = evaluate_batch(grid43x30, codes)
+        for r in range(20):
+            single = evaluate_one(grid43x30, codes[r])
+            for name in FIELDS:
+                assert getattr(stats, name)[r].tobytes() == getattr(single, name)[0].tobytes()
 
     def test_blocks_do_not_change_rows(self, monkeypatch, grid43x30):
         import landalloc.model as model
@@ -229,7 +246,7 @@ class TestBatchEvaluation:
         assert blocks == [step, step, step + 1]
         for r in range(b):
             pair = evaluate_batch(inst, codes[[r, (r + 1) % b]])
-            for name in ("compatibility", "price", "areas", "changed"):
+            for name in FIELDS:
                 got = getattr(stats, name)[r]
                 want = getattr(pair, name)[0]
                 assert got.tobytes() == want.tobytes(), (r, name)
@@ -237,12 +254,11 @@ class TestBatchEvaluation:
     def test_results_are_not_views_of_reused_buffers(self, grid43x30):
         # Every block shares the instance's edge buffers; a later call
         # must leave the arrays an earlier one returned untouched.
-        fields = ("compatibility", "price", "areas", "changed")
         for rows in (1, 34, 100):
             first = evaluate_batch(grid43x30, perturbed_rows(grid43x30, rows, seed=1))
-            kept = [getattr(first, f).copy() for f in fields]
+            kept = [getattr(first, f).copy() for f in FIELDS]
             evaluate_batch(grid43x30, perturbed_rows(grid43x30, 100, seed=2))
-            for f, want in zip(fields, kept):
+            for f, want in zip(FIELDS, kept):
                 assert np.array_equal(getattr(first, f), want), (rows, f)
 
     def test_warm_call_allocates_little(self, grid43x30):
@@ -272,6 +288,122 @@ class TestBatchEvaluation:
     def test_dimension_mismatch_raises(self, tiny1):
         with pytest.raises(ValueError):
             evaluate_batch(tiny1, np.zeros((2, 7), dtype=np.int16))
+
+
+def redraw_plots(inst, row, plots, rng):
+    """`row` with every floor of `plots` redrawn."""
+    out = row.copy()
+    for p in plots:
+        lo, hi = inst.floor_offsets[p], inst.floor_offsets[p + 1]
+        out[lo:hi] = rng.integers(0, inst.n_uses, size=hi - lo)
+    return out
+
+
+def assert_delta_agrees(inst, delta, full, base):
+    """Within 1e-12 of the larger of the full and the base value (a value that
+    drops to zero keeps the rounding of the terms that cancelled); `changed`
+    exactly."""
+    for name in ("compatibility", "price", "areas"):
+        got, want, was = getattr(delta, name), getattr(full, name), getattr(base, name)
+        scale = np.maximum(np.abs(want), np.abs(was))
+        assert (np.abs(got - want) <= 1e-12 * scale).all(), name
+    assert np.array_equal(delta.changed, full.changed)
+
+
+class TestDeltaEvaluation:
+    """`evaluate_delta` against `evaluate_batch` on random instances: stored
+    neighbour lists are asymmetric and some plots have none, some plots are
+    locked and some are tall. Rows run from one equal to its base up to one
+    with every unlocked plot redrawn."""
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_matches_full_evaluation(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(30):
+            inst = random_instance(
+                rng, n_plots=int(rng.integers(1, 13)), k=k, max_floors=12, locked_fraction=0.3
+            )
+            base_codes = rng.integers(0, k, size=(1, inst.total_floors)).astype(np.int16)
+            locked = np.repeat(inst.locked, inst.floor_counts)
+            base_codes[0, locked] = inst.actual_codes[locked]
+            unlocked = rng.permutation(inst.unlocked_ids)
+            rows = np.stack([
+                redraw_plots(inst, base_codes[0], unlocked[:m], rng)
+                for m in range(len(unlocked) + 1)
+            ])
+            base_rows = np.repeat(base_codes, len(rows), axis=0)
+            base = evaluate_batch(inst, base_rows)
+            delta = evaluate_delta(inst, rows, base_rows, base)
+            assert_delta_agrees(inst, delta, evaluate_batch(inst, rows), base)
+            for name in FIELDS:  # row 0 is its base
+                assert getattr(delta, name)[0].tobytes() == getattr(base, name)[0].tobytes()
+
+    def test_one_sided_and_missing_neighbour_lists(self):
+        # Plot 0 lists 1 and 2, nobody lists 0; plot 3 has no neighbours at
+        # all (and is locked); plot 2 is tall.
+        plots = [
+            Plot(0, 1, 120.0, (1, 2), False, (0,)),
+            Plot(1, 2, 80.0, (2,), False, (1, 1)),
+            Plot(2, 9, 400.0, (), False, (2,) * 9),
+            Plot(3, 3, 60.0, (), True, (0, 1, 2)),
+        ]
+        uses = [LandUse(m, f"u{m}") for m in range(3)]
+        compat = np.array([[1.0, -0.5, 0.2], [0.3, 2.0, -1.0], [0.0, 0.7, 1.5]])
+        inst = ProblemInstance(
+            plots, uses, compat, np.arange(12.0).reshape(4, 3), 0.3, 0.5, 0.0, 100.0
+        )
+        rng = np.random.default_rng(9)
+        base_rows = np.repeat(inst.actual_codes[None, :], 8, axis=0)
+        rows = np.stack([redraw_plots(inst, inst.actual_codes, [p % 3], rng) for p in range(8)])
+        base = evaluate_batch(inst, base_rows)
+        delta = evaluate_delta(inst, rows, base_rows, base)
+        assert_delta_agrees(inst, delta, evaluate_batch(inst, rows), base)
+
+    def test_routes_by_work_estimate(self, monkeypatch, grid43x30):
+        # Few changed plots take the delta path and an unanchored or heavily
+        # changed row the full one; values agree either way.
+        import landalloc.model as model
+
+        calls = []
+        kernel = model._delta_stats
+
+        def spy(inst_, codes, base_codes, base_, rows, src, pr, pp):
+            calls.append(rows[np.unique(pr)].tolist())
+            return kernel(inst_, codes, base_codes, base_, rows, src, pr, pp)
+
+        monkeypatch.setattr(model, "_delta_stats", spy)
+        inst = grid43x30
+        rng = np.random.default_rng(5)
+        parents = perturbed_rows(inst, 6, seed=4)
+        base = evaluate_batch(inst, parents)
+        children = np.stack([
+            redraw_plots(inst, parents[r % 6], rng.choice(inst.unlocked_ids, m, replace=False), rng)
+            for r, m in enumerate([0, 1, 3, 8, 600, 2, 4, 900])
+        ])
+        anchors = np.array([0, 1, 2, 3, 4, -1, 0, 1])
+        near = evaluate_near(inst, children, parents, base, anchors)
+        # one call reads the changed plots of rows 1, 2, 3 and 6 (row 0
+        # equals its anchor); rows 4 and 7 go in full
+        assert calls == [[1, 2, 3, 6]]
+        want = evaluate_batch(inst, children)
+        assert_delta_agrees(inst, near, want, want)
+        full = evaluate_batch(inst, children[[4, 5, 7]])
+        for name in FIELDS:
+            assert getattr(near, name)[[4, 5, 7]].tobytes() == getattr(full, name).tobytes()
+        assert near.compatibility[0].tobytes() == base.compatibility[0].tobytes()
+
+    def test_tiny_instances_skip_the_delta_path(self, monkeypatch, tiny1):
+        import landalloc.model as model
+
+        def fail(*args):
+            raise AssertionError("delta path taken")
+
+        monkeypatch.setattr(model, "_delta_stats", fail)
+        codes = np.repeat(tiny1.actual_codes[None, :], 200, axis=0)
+        base = evaluate_batch(tiny1, codes)
+        near = evaluate_near(tiny1, codes, codes, base, np.arange(200))
+        for name in FIELDS:
+            assert getattr(near, name).tobytes() == getattr(base, name).tobytes()
 
 
 class TestValidation:
