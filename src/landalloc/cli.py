@@ -42,6 +42,10 @@ class _UsageError(Exception):
     pass
 
 
+class _ValidationError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
@@ -69,6 +73,19 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(",") if v != "")
     except ValueError:
         raise _UsageError(f"--seeds expects a comma-separated integer list, got {text!r}")
+
+
+def _read_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`; a _ValidationError names `what` if there is none."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise _ValidationError(f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise _ValidationError(f"{what} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise _ValidationError(f"{what} root must be an object")
+    return doc
 
 
 def _build_parser() -> _Parser:
@@ -102,19 +119,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    doc = {}
-    if args.spec:
-        try:
-            doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except OSError as exc:
-            print(f"cannot read generator spec: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except json.JSONDecodeError as exc:
-            print(f"generator spec is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        if not isinstance(doc, dict):
-            print("generator spec root must be an object", file=sys.stderr)
-            return EXIT_VALIDATION
+    doc = _read_object(args.spec, "generator spec") if args.spec else {}
     if args.grid:
         doc["grid_width"], doc["grid_height"] = _parse_grid(args.grid)
     if args.uses is not None:
@@ -132,24 +137,17 @@ def _cmd_generate(args) -> int:
     except InstanceError as exc:
         raise _UsageError(str(exc))
     inst = generate_synthetic(spec)
-    path = save_instance(inst, args.out)
+    try:
+        path = save_instance(inst, args.out)
+    except OSError as exc:
+        raise _ValidationError(f"cannot write instance: {exc}")
     print(f"wrote {path} ({inst.n_plots} plots, {inst.n_uses} uses)")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
-    try:
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not isinstance(doc, dict):
-        print("config root must be an object", file=sys.stderr)
-        return EXIT_VALIDATION
+    doc = _read_object(config_path, "config")
     if args.instance:
         doc["instance"] = str(Path(args.instance).resolve())
     if args.out:
@@ -171,11 +169,9 @@ def _cmd_run(args) -> int:
         cfg = ExperimentConfig.from_dict(doc, base_dir=config_path.resolve().parent)
         result = run_experiment(cfg)
     except (ExperimentConfigError, InstanceError) as exc:
-        print(f"invalid experiment: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _ValidationError(f"invalid experiment: {exc}")
     except OSError as exc:
-        print(f"cannot run experiment: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _ValidationError(f"cannot run experiment: {exc}")
     print(f"bundle: {result.bundle_dir} ({result.ok_runs} runs ok, {result.failed_runs} failed)")
     for line in result.failures:
         print(f"  failed: {line}", file=sys.stderr)
@@ -186,8 +182,7 @@ def _cmd_report(args) -> int:
     try:
         out = generate_report(args.bundle, args.out)
     except (InstanceError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot build report: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _ValidationError(f"cannot build report: {exc}")
     print(f"report: {out}")
     return EXIT_OK
 
@@ -216,6 +211,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _ValidationError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

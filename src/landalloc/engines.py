@@ -18,8 +18,9 @@ relaxation schedule that restores the original constraints at the final
 generation. Every run is driven by a single seeded Generator, so identical
 (instance, config, seed) produce bit-identical RunRecords.
 
-A population is one bundle of parallel arrays (codes matrix, objectives,
-cached constraint stats), both inside the engines and in the RunRecord.
+A population is one bundle of parallel arrays, both inside the engines and
+in the RunRecord: a `Population` is an evaluation (`model.BatchStats`)
+extended by its codes matrix and search state.
 
 Each variation step names, for every child, the parent it keeps its
 unselected plots from (its anchor), and offspring are scored from their
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -123,29 +125,27 @@ class EngineConfig:
 # array-backed population state
 
 
-class Population:
-    """Parallel arrays for one population; cheap to slice and concatenate.
+@dataclass(eq=False)
+class Population(BatchStats):
+    """One population: its evaluation plus its codes and search state.
 
-    Row r is one member: its flat floor codes, compatibility and price,
-    per-use floor areas (K,), changed-plot count, front rank, crowding
+    Row r is one member: its compatibility and price, per-use floor areas
+    (K,), changed-plot count, flat floor codes, front rank, crowding
     distance, feasibility flag and constraint violation.
     """
 
-    __slots__ = ("codes", "comp", "price", "areas", "changed", "rank", "crowd",
-                 "feasible", "violation")
+    codes: np.ndarray
+    rank: np.ndarray | None = None
+    crowd: np.ndarray | None = None
+    feasible: np.ndarray | None = None
+    violation: np.ndarray | None = None
 
-    def __init__(self, codes, comp, price, areas, changed,
-                 rank=None, crowd=None, feasible=None, violation=None):
-        n = len(comp)
-        self.codes = codes
-        self.comp = comp
-        self.price = price
-        self.areas = areas
-        self.changed = changed
-        self.rank = np.zeros(n, dtype=np.int64) if rank is None else rank
-        self.crowd = np.zeros(n) if crowd is None else crowd
-        self.feasible = np.ones(n, dtype=bool) if feasible is None else feasible
-        self.violation = np.zeros(n) if violation is None else violation
+    def __post_init__(self):
+        n = self.n
+        self.rank = np.zeros(n, dtype=np.int64) if self.rank is None else self.rank
+        self.crowd = np.zeros(n) if self.crowd is None else self.crowd
+        self.feasible = np.ones(n, dtype=bool) if self.feasible is None else self.feasible
+        self.violation = np.zeros(n) if self.violation is None else self.violation
 
     @classmethod
     def evaluate(
@@ -159,38 +159,22 @@ class Population:
         if parent is None:
             stats = evaluate_batch(inst, codes)
         else:
-            base = BatchStats(parent.comp, parent.price, parent.areas, parent.changed)
-            stats = evaluate_near(inst, codes, parent.codes, base, anchors)
-        return cls(codes, stats.compatibility, stats.price, stats.areas, stats.changed)
+            stats = evaluate_near(inst, codes, parent.codes, parent, anchors)
+        return cls(**vars(stats), codes=codes)
 
     @property
     def n(self) -> int:
-        return len(self.comp)
+        return len(self.compatibility)
 
     def objectives(self) -> np.ndarray:
-        return np.column_stack([self.comp, self.price])
+        return np.column_stack([self.compatibility, self.price])
 
     def in_band_and_box(self, inst: ProblemInstance, gamma: float) -> np.ndarray:
         """Per member: inside the gamma area band and the price box."""
         return area_band_mask(inst, self.areas, gamma) & price_box_mask(inst, self.price)
 
-    def concat(self, *others: "Population") -> "Population":
-        pops = (self,) + others
-        return Population(
-            np.concatenate([p.codes for p in pops]),
-            np.concatenate([p.comp for p in pops]),
-            np.concatenate([p.price for p in pops]),
-            np.concatenate([p.areas for p in pops]),
-            np.concatenate([p.changed for p in pops]),
-        )
 
-    def take(self, idx) -> "Population":
-        idx = np.asarray(idx, dtype=np.int64)
-        return Population(
-            self.codes[idx], self.comp[idx], self.price[idx], self.areas[idx],
-            self.changed[idx], self.rank[idx], self.crowd[idx], self.feasible[idx],
-            self.violation[idx],
-        )
+Population.columns = attrgetter(*(f.name for f in fields(Population)))
 
 
 @dataclass
@@ -401,7 +385,7 @@ def _dense_rank(*cols: np.ndarray) -> np.ndarray:
 
 
 def _soa_scores(pop: Population, cfg: EngineConfig) -> np.ndarray:
-    fitness = cfg.soa_a * pop.price + cfg.soa_b * pop.comp
+    fitness = cfg.soa_a * pop.price + cfg.soa_b * pop.compatibility
     return _dense_rank(pop.feasible.astype(float), -pop.violation, fitness)
 
 
@@ -685,10 +669,7 @@ def run_engine(
 
 def _evaluate_in_full(inst: ProblemInstance, pop: Population, gamma: float, mu: float) -> None:
     """Replace the search values of `pop` by one full evaluation; refresh under (gamma, mu)."""
-    full = evaluate_batch(inst, pop.codes)
-    pop.comp, pop.price, pop.areas, pop.changed = (
-        full.compatibility, full.price, full.areas, full.changed
-    )
+    vars(pop).update(vars(evaluate_batch(inst, pop.codes)))
     _refresh_pop(inst, pop, gamma, mu)
 
 
@@ -700,6 +681,6 @@ def _final_front_indices(
     if not ok.size:
         return ok
     if soa:
-        fitness = cfg.soa_a * pop.price[ok] + cfg.soa_b * pop.comp[ok]
+        fitness = cfg.soa_a * pop.price[ok] + cfg.soa_b * pop.compatibility[ok]
         return ok[[int(np.argmax(fitness))]]
     return ok[fast_non_dominated_sort(pop.objectives()[ok])[0]]

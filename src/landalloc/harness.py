@@ -95,21 +95,28 @@ class ExperimentConfig:
             raise ExperimentConfigError("config is missing 'instance'")
         if "engines" not in doc or not isinstance(doc["engines"], list):
             raise ExperimentConfigError("config is missing an 'engines' list")
+        seeds = doc.get("seeds", DEFAULT_SEEDS)
+        stats_metrics = doc.get("stats_metrics", DEFAULT_STATS_METRICS)
+        for values, kind, message in (
+            (doc["engines"], dict, "every engine entry must be an object"),
+            (seeds, int, "seeds must be a list of integers"),
+            (stats_metrics, str, "stats_metrics must be a list of metric names"),
+        ):
+            if not isinstance(values, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, kind) for v in values
+            ):
+                raise ExperimentConfigError(message)
         base = base_dir or Path(".")
         return cls(
             instance_path=(base / doc["instance"]).resolve(),
             engine_entries=list(doc["engines"]),
-            seeds=tuple(doc.get("seeds", DEFAULT_SEEDS)),
+            seeds=tuple(seeds),
             output_dir=(base / doc.get("output", "results")).resolve(),
             alpha=float(doc.get("alpha", 0.05)),
-            stats_metrics=tuple(doc.get("stats_metrics", DEFAULT_STATS_METRICS)),
+            stats_metrics=tuple(stats_metrics),
             reference_set=str(doc.get("reference_set", "combined")),
             workers=int(doc.get("workers", 1)),
         )
-
-    @property
-    def labels(self) -> list[str]:
-        return [e["label"] for e in self.engine_entries]
 
 
 def build_engine_config(entry: dict, inst: ProblemInstance) -> tuple[str, EngineConfig]:
@@ -148,10 +155,24 @@ def slug(index: int, label: str) -> str:
 # RunRecord (de)serialization
 
 
+# A run file member: (JSON key, `Population` field, dtype its values are read as).
+# The floor uses come first; they are read by their own checks.
+_MEMBER_FIELDS = (
+    ("floor_uses", "codes", CODE_DTYPE),
+    ("compatibility", "compatibility", float),
+    ("price", "price", float),
+    ("changed", "changed", np.int64),
+    ("rank", "rank", np.int64),
+    ("crowding", "crowd", float),
+    ("feasible", "feasible", bool),
+    ("violation", "violation", float),
+)
+
+
 def record_to_dict(label: str, rec: RunRecord) -> dict:
     pop = rec.population
-    columns = (pop.codes, pop.comp, pop.price, pop.changed, pop.rank, pop.crowd,
-               pop.feasible, pop.violation)
+    keys = [key for key, _, _ in _MEMBER_FIELDS]
+    columns = [getattr(pop, name).tolist() for _, name, _ in _MEMBER_FIELDS]
     return {
         "schema": RECORD_SCHEMA,
         "label": label,
@@ -160,21 +181,7 @@ def record_to_dict(label: str, rec: RunRecord) -> dict:
         "config": rec.config,
         "hv_trace": [float(v) for v in rec.hv_trace],
         "front": rec.front_indices.tolist(),
-        "population": [
-            {
-                "floor_uses": codes,
-                "compatibility": comp,
-                "price": price,
-                "changed": changed,
-                "rank": rank,
-                "crowding": crowd,
-                "feasible": feasible,
-                "violation": violation,
-            }
-            for codes, comp, price, changed, rank, crowd, feasible, violation in zip(
-                *(c.tolist() for c in columns)
-            )
-        ],
+        "population": [dict(zip(keys, member)) for member in zip(*columns)],
     }
 
 
@@ -190,7 +197,7 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
     """
     label, rec, _ = _record_and_stats(doc, inst)
     pop = rec.population
-    for key, values in (("compatibility", pop.comp), ("price", pop.price)):
+    for key, values in (("compatibility", pop.compatibility), ("price", pop.price)):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise InstanceError(f"member {bad[0]}'s {key} is not finite")
@@ -250,14 +257,8 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
 
     population = Population(
         codes=codes,
-        comp=column("compatibility", float),
-        price=column("price", float),
         areas=stats.areas,
-        changed=column("changed", np.int64),
-        rank=column("rank", np.int64),
-        crowd=column("crowding", float),
-        feasible=column("feasible", bool),
-        violation=column("violation", float),
+        **{name: column(key, dtype) for key, name, dtype in _MEMBER_FIELDS[1:]},
     )
     rec = RunRecord(
         algorithm=doc["algorithm"],
@@ -292,9 +293,8 @@ def _stale_members(rec: RunRecord, stats: BatchStats) -> list[int]:
     final population, and a row's values do not depend on its batch.
     """
     pop = rec.population
-    stored = np.column_stack([pop.comp, pop.price, pop.changed])
-    fresh = np.column_stack([stats.compatibility, stats.price, stats.changed])
-    return np.flatnonzero(~(stored == fresh).all(axis=1)).tolist()  # a NaN is never equal
+    same = [getattr(pop, c) == getattr(stats, c) for c in ("compatibility", "price", "changed")]
+    return np.flatnonzero(~np.logical_and.reduce(same)).tolist()  # a NaN is never equal
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
         rec, i = members[k]
         entries.append(
             {
-                "compatibility": float(rec.population.comp[i]),
+                "compatibility": float(rec.population.compatibility[i]),
                 "price": float(rec.population.price[i]),
                 "seed": rec.seed,
                 "floor_uses": rec.population.codes[i].tolist(),
@@ -405,8 +405,9 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
         "alpha": cfg.alpha,
         "stats_metrics": list(cfg.stats_metrics),
         "reference_set": cfg.reference_set,
-        "engines": [
-            {"label": label, "slug": slug(idx, label), "config": _config_dict(ecfg)}
+        "engines": [  # seeds vary per run; the manifest lists them once
+            {"label": label, "slug": slug(idx, label),
+             "config": {k: v for k, v in asdict(ecfg).items() if k != "seed"}}
             for idx, (label, ecfg) in enumerate(engines)
         ],
         "runs": run_entries,
@@ -416,12 +417,6 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
         canonical_dumps({"wall_time_s": timings}), encoding="utf-8"
     )
     return BundleResult(bundle, len(jobs) - len(failures), len(failures), failures)
-
-
-def _config_dict(cfg: EngineConfig) -> dict:
-    out = asdict(cfg)
-    out.pop("seed", None)  # seeds vary per run; the manifest lists them once
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +432,44 @@ class LoadedBundle:
     gaps: list[str]
 
 
+# The entries `run` writes in a manifest, with the types their readers rely on.
+_MANIFEST_ENTRIES = {
+    "engines": {"label": str, "config": dict},
+    "runs": {"label": str, "seed": int, "status": str, "file": str},
+}
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at `path`; InstanceError unless its entries have the shape `run` writes."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise InstanceError("manifest is not an object")
+    if not isinstance(manifest.get("instance", ""), str):
+        raise InstanceError("manifest instance is not a file name")
+    for key, fields in _MANIFEST_ENTRIES.items():
+        entries = manifest.get(key, [])
+        if not isinstance(entries, list):
+            raise InstanceError(f"manifest {key} is not a list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or any(
+                not isinstance(entry.get(name), kind) for name, kind in fields.items()
+            ):
+                raise InstanceError(f"manifest {key} entry {i} lacks one of {', '.join(fields)}")
+    return manifest
+
+
+def _foreign_run(entry: dict, label: str, rec: RunRecord) -> str | None:
+    """What is wrong if the run file of manifest `entry` holds another run."""
+    same = (label, rec.seed) == (entry["label"], entry["seed"])
+    return None if same else f"run file {entry['file']} holds {label} seed {rec.seed}"
+
+
 def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
         raise InstanceError(f"no manifest.json in {bundle}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(manifest_path)
     inst = load_instance(bundle / manifest["instance"])
     records: dict[str, list[RunRecord]] = {e["label"]: [] for e in manifest["engines"]}
     gaps = []
@@ -455,6 +482,8 @@ def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
             gaps.append(f"{entry['label']} seed {entry['seed']}: file missing")
             continue
         label, rec = record_from_dict(json.loads(path.read_text(encoding="utf-8")), inst)
+        if foreign := _foreign_run(entry, label, rec):
+            raise InstanceError(f"{entry['label']} seed {entry['seed']}: {foreign}")
         records[label].append(rec)
     return LoadedBundle(bundle, manifest, inst, records, gaps)
 
@@ -469,6 +498,9 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     from that evaluation) and the price box, and its HV trace must never
     decrease.
 
+    A run file must hold the label and seed of its manifest entry, and
+    the manifest's engine and run entries the fields `run` writes.
+
     Returns (issues, incomplete): `incomplete` marks missing or failed
     runs; other issues are integrity problems.
     """
@@ -479,8 +511,8 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     if not manifest_path.exists():
         return ([f"{bundle}: manifest.json missing"], True)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        manifest = _read_manifest(manifest_path)
+    except (json.JSONDecodeError, InstanceError) as exc:
         return ([f"manifest.json unreadable: {exc}"], False)
     inst_path = bundle / manifest.get("instance", "instance.landalloc.json")
     if not inst_path.exists():
@@ -508,6 +540,9 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             label, rec, stats = _record_and_stats(doc, inst)
         except Exception as exc:
             issues.append(f"{tag}: unreadable run file ({exc})")
+            continue
+        if foreign := _foreign_run(entry, label, rec):
+            issues.append(f"{tag}: {foreign}")
             continue
         config = config_by_label.get(entry["label"], {})
         try:

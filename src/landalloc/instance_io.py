@@ -312,15 +312,8 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
     plots = []
     for i in range(n):
         x, y = int(xs[i]), int(ys[i])
-        nb = []
-        if x > 0:
-            nb.append(i - 1)
-        if x < w - 1:
-            nb.append(i + 1)
-        if y > 0:
-            nb.append(i - w)
-        if y < h - 1:
-            nb.append(i + w)
+        sides = ((i - 1, x > 0), (i + 1, x < w - 1), (i - w, y > 0), (i + w, y < h - 1))
+        nb = [j for j, inside in sides if inside]
         plots.append(
             Plot(
                 id=i,
@@ -335,13 +328,5 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
     # Price box brackets the actual total price, so the as-built map is feasible.
     probe = ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, 0.0, math.inf)
     actual_price = probe.actual_objectives.price
-    return ProblemInstance(
-        plots,
-        uses,
-        compat,
-        price,
-        spec.gamma,
-        spec.mu,
-        actual_price * spec.price_low_factor,
-        actual_price * spec.price_high_factor,
-    )
+    lo, hi = actual_price * spec.price_low_factor, actual_price * spec.price_high_factor
+    return ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, lo, hi)

@@ -23,7 +23,8 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -196,14 +197,29 @@ class ObjectiveVector:
         return np.array([self.compatibility, self.price], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class BatchStats:
-    """Vectorized evaluation results for a batch of code rows."""
+    """Evaluated code rows, one array per column with a row per code row.
+
+    `engines.Population` extends it with the rows' codes and search state;
+    `take` and `concat` act on every column its class's `columns` gets.
+    """
 
     compatibility: np.ndarray  # (B,)
     price: np.ndarray  # (B,)
     areas: np.ndarray  # (B, K) floor area per use
     changed: np.ndarray  # (B,) plots differing from actual
+
+    def take(self, idx) -> "BatchStats":
+        """Rows `idx` (an index array) of every column, as a new object of this type."""
+        return type(self)(*[column[idx] for column in self.columns(self)])
+
+    def concat(self, *others: "BatchStats") -> "BatchStats":
+        return type(self)(*map(np.concatenate, zip(*map(self.columns, (self,) + others))))
+
+
+# An object's columns as a tuple, in constructor order; a subclass sets its own.
+BatchStats.columns = attrgetter(*(f.name for f in fields(BatchStats)))
 
 
 # Rows per evaluation block: about 2^17 per-plot values (rows x N x K), so a
@@ -375,17 +391,9 @@ def evaluate_near(
     near = _delta_stats(inst, codes, base_codes, base, rows, anchors[rows], pr, pp[keep])
     if len(rows) == len(codes):
         return near
-    full = np.ones(len(codes), dtype=bool)
-    full[rows] = False
-    full = np.flatnonzero(full)
-    stats = BatchStats(
-        np.empty(len(codes)), np.empty(len(codes)), np.empty((len(codes), inst.n_uses)),
-        np.empty(len(codes), dtype=np.int64),
-    )
-    for out_rows, part in ((rows, near), (full, evaluate_batch(inst, codes[full]))):
-        for name, values in vars(part).items():
-            getattr(stats, name)[out_rows] = values
-    return stats
+    full = np.setdiff1d(np.arange(len(codes)), rows, assume_unique=True)
+    both = near.concat(evaluate_batch(inst, codes[full]))
+    return both.take(np.argsort(np.concatenate([rows, full])))
 
 
 def evaluate_delta(
@@ -462,7 +470,8 @@ def _delta_stats(
 
     The changed plots are pp, in row rows[pr] (pr ascending).
     """
-    out = BatchStats(*(f[src] for f in vars(base).values()))  # fancy indexing copies
+    # base's evaluation columns (base may be a Population), copied: they are updated in place
+    out = BatchStats(*[column[src] for column in BatchStats.columns(base)])
     if not pr.size:
         return out
     new_rows, base_rows = rows[pr], src[pr]

@@ -266,12 +266,15 @@ def _scale(lo: float, hi: float, size: float, margin: float):
     return to_px
 
 
-def _axes(width, height, margin, x_lo, x_hi, y_lo, y_hi, x_label, y_label) -> list[str]:
+def _frame(width, height, margin, x_lo, x_hi, y_lo, y_hi, x_label, y_label) -> list[str]:
+    """An SVG document's opening tags, white background and labelled axes."""
     sx = _scale(x_lo, x_hi, width - 2 * margin, margin)
     sy = _scale(y_lo, y_hi, height - 2 * margin, margin)
     parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        '<rect width="100%" height="100%" fill="white"/>',
         f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="#333"/>'
+        f'height="{height - 2 * margin}" fill="none" stroke="#333"/>',
     ]
     for k in range(5):
         vx = x_lo + (x_hi - x_lo) * k / 4
@@ -311,11 +314,7 @@ def _fronts_svg(labels, combined, inst) -> str:
     y_lo, y_hi = min(ys) - pad_y, max(ys) + pad_y
     sx = _scale(x_lo, x_hi, width - 2 * margin, margin)
     sy = _scale(y_lo, y_hi, height - 2 * margin, margin)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    parts += _axes(width, height, margin, x_lo, x_hi, y_lo, y_hi, "price", "compatibility")
+    parts = _frame(width, height, margin, x_lo, x_hi, y_lo, y_hi, "price", "compatibility")
     for k, label in enumerate(labels):
         color = _PALETTE[k % len(_PALETTE)]
         for e in combined[label]:
@@ -350,11 +349,7 @@ def _hv_svg(labels, records) -> str:
     hv_hi = max((float(t.max()) for t in traces.values()), default=1.0) or 1.0
     sx = _scale(1, max_gen, width - 2 * margin, margin)
     sy = _scale(0.0, hv_hi, height - 2 * margin, margin)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    parts += _axes(width, height, margin, 1, max_gen, 0.0, hv_hi, "generation", "archive hypervolume")
+    parts = _frame(width, height, margin, 1, max_gen, 0.0, hv_hi, "generation", "archive hypervolume")
     for k, label in enumerate(labels):
         if label not in traces:
             continue

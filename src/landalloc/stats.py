@@ -180,10 +180,7 @@ def dunn_posthoc(groups: Sequence[SampleGroup], alpha: float = 0.05) -> list[Pai
     out = []
     for i, j in combinations(range(len(groups)), 2):
         scale = var_term * (1.0 / sizes[i] + 1.0 / sizes[j])
-        if scale > 0:
-            z = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(scale)
-        else:
-            z = 0.0
+        z = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(scale) if scale > 0 else 0.0
         p_raw = normal_sf_two_sided(z)
         p_adj = min(1.0, p_raw * n_pairs)
         out.append(
@@ -262,12 +259,10 @@ def compact_letter_display(
         lab: "".join(_letter(i) for i in sorted(ids)) for lab, ids in letter_sets.items()
     }
     sig = {frozenset(r.pair) for r in pairwise if r.significant}
-    consistent = True
-    for a, b in combinations(labels, 2):
-        share = bool(letter_sets[a] & letter_sets[b])
-        if share == (frozenset((a, b)) in sig):
-            consistent = False
-            break
+    consistent = not any(  # a shared letter exactly where a difference is not significant
+        bool(letter_sets[a] & letter_sets[b]) == (frozenset((a, b)) in sig)
+        for a, b in combinations(labels, 2)
+    )
     return CldAssignment(
         order=tuple(labels),
         letters=letters,

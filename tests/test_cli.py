@@ -109,6 +109,12 @@ class TestGenerateCommand:
     def test_grid_required_without_spec(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.json"
+        assert main(["generate", "--grid", "2x1", "--out", str(out)]) == 2
+        assert "cannot write instance" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_run_produces_expected_bundle(self, config_path, tmp_path, capsys):
@@ -174,6 +180,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "invalid experiment" in err and "soa_a + soa_b must equal 1" in err
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("engines", [5], "every engine entry must be an object"),
+            ("stats_metrics", 5, "stats_metrics must be a list of metric names"),
+            ("seeds", [1.5], "seeds must be a list of integers"),
+            ("seeds", "12", "seeds must be a list of integers"),
+        ],
+        ids=["engine-entry", "stats-metrics", "fractional-seed", "seed-string"],
+    )
+    def test_malformed_config_value_rejected(
+        self, experiment_doc, tmp_path, capsys, key, value, message
+    ):
+        experiment_doc[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(experiment_doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"invalid experiment: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
     def test_non_integer_workers_is_usage_error(self, config_path, tmp_path, monkeypatch, capsys):
@@ -259,6 +285,80 @@ class TestVerifyCommand:
         assert main(["verify", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
         assert "manifest lacks the engine's generations or relax.gamma_final" in err
+
+
+class TestManifestChecked:
+    """A run file must belong to its manifest entry, and the manifest must
+    have the shape `run` writes.
+
+    On a 6x5 (generator seed 11) bundle of SOA and CR_DES ("CR") runs on
+    seeds 1 and 2 (5 generations), each tamper makes `verify` report an
+    issue and exit 2, and `report` exit 2 with "cannot build report".
+    """
+
+    @pytest.fixture(scope="class")
+    def clean_bundle(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest")
+        main(["generate", "--grid", "6x5", "--seed", "11", "--out", str(root / "inst.landalloc.json")])
+        doc = {
+            "instance": "inst.landalloc.json", "output": "bundle", "seeds": [1, 2],
+            "engines": [
+                {"label": "SOA", "algorithm": "SOA", "generations": 5},
+                {"label": "CR", "algorithm": "CR_DES", "generations": 5},
+            ],
+        }
+        (root / "exp.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(root / "exp.json")]) == 0
+        assert main(["verify", "--bundle", str(root / "bundle")]) == 0
+        return root / "bundle"
+
+    def _check_refused(self, bundle, capsys, message):
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert f"issue: {message}" in err and "Traceback" not in err
+        assert main(["report", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot build report" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source, target, message",
+        [
+            ("00_SOA__s1", "00_SOA__s2", "SOA seed 2: run file runs/00_SOA__s2.json holds SOA seed 1"),
+            ("01_CR__s1", "00_SOA__s1", "SOA seed 1: run file runs/00_SOA__s1.json holds CR seed 1"),
+        ],
+        ids=["other-seed", "other-engine"],
+    )
+    def test_run_file_of_another_run_fails(
+        self, clean_bundle, tmp_path, capsys, source, target, message
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        shutil.copyfile(bundle / "runs" / f"{source}.json", bundle / "runs" / f"{target}.json")
+        self._check_refused(bundle, capsys, message)
+
+    @pytest.mark.parametrize(
+        "malformed, message",
+        [
+            ("list", "manifest is not an object"),
+            ("seedless run", "manifest runs entry 0 lacks one of label, seed, status, file"),
+            ("numeric instance", "manifest instance is not a file name"),
+        ],
+        ids=["list", "seedless-run", "numeric-instance"],
+    )
+    def test_malformed_manifest_fails(self, clean_bundle, tmp_path, capsys, malformed, message):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if malformed == "list":
+            manifest = []
+        elif malformed == "seedless run":
+            del manifest["runs"][0]["seed"]
+        else:
+            manifest["instance"] = 5
+        path.write_text(json.dumps(manifest))
+        self._check_refused(bundle, capsys, f"manifest.json unreadable: {message}")
 
 
 class TestVerifyRederives:

@@ -81,7 +81,7 @@ class TestPopulationFronts:
             n = int(rng.integers(1, 25))
             pop = Population(
                 codes=np.zeros((n, 1), dtype=np.int16),
-                comp=rng.integers(0, 4, n).astype(float),
+                compatibility=rng.integers(0, 4, n).astype(float),
                 price=rng.integers(0, 4, n).astype(float),
                 areas=np.zeros((n, 1)),
                 changed=np.zeros(n, dtype=np.int64),
@@ -315,7 +315,7 @@ class TestSoa:
         best_compat = brute_force_best_scalar(tiny1, a_price=0.0, b_compat=1.0)
         cfg = small_cfg("SOA", soa_a=0.0, soa_b=1.0, population_size=20, generations=80)
         rec = run_engine(tiny1, cfg)
-        got = rec.population.comp[rec.front_indices[0]]
+        got = rec.population.compatibility[rec.front_indices[0]]
         assert got == pytest.approx(best_compat, rel=1e-9)
 
     def test_exhaustive_scalar_optimum_with_mixed_weights(self, tiny1):
@@ -324,7 +324,7 @@ class TestSoa:
         cfg = small_cfg("SOA", soa_a=a, soa_b=b, population_size=20, generations=80)
         rec = run_engine(tiny1, cfg)
         best_idx = rec.front_indices[0]
-        got = a * rec.population.price[best_idx] + b * rec.population.comp[best_idx]
+        got = a * rec.population.price[best_idx] + b * rec.population.compatibility[best_idx]
         assert got == pytest.approx(best, rel=1e-9)
 
 
@@ -455,11 +455,11 @@ class TestRecordValues:
         assert delta_rows  # the delta path ran
         full = evaluate_batch(grid12x10, pop.codes)
         for stored, fresh in (
-            (pop.comp, full.compatibility), (pop.price, full.price),
+            (pop.compatibility, full.compatibility), (pop.price, full.price),
             (pop.areas, full.areas), (pop.changed, full.changed),
         ):
             assert stored.tobytes() == fresh.tobytes()
-        check = Population(pop.codes, full.compatibility, full.price, full.areas, full.changed)
+        check = Population(full.compatibility, full.price, full.areas, full.changed, pop.codes)
         _refresh_pop(grid12x10, check, cfg.relax.gamma_final, cfg.relax.mu_final)
         assert np.array_equal(check.feasible, pop.feasible)
         assert check.violation.tobytes() == pop.violation.tobytes()
@@ -478,12 +478,12 @@ def test_search_values_stay_within_rounding_of_full_values(monkeypatch):
     evaluate_in_full = engines._evaluate_in_full
 
     def spy(inst_, pop, gamma, mu):
-        search = (pop.comp.copy(), pop.price.copy(), pop.areas.copy(), pop.changed.copy())
+        search = (pop.compatibility.copy(), pop.price.copy(), pop.areas.copy(), pop.changed.copy())
         evaluate_in_full(inst_, pop, gamma, mu)
         assert np.array_equal(search[3], pop.changed)
         gaps[alg] = max(
             float(np.max(np.abs(s - f) / np.maximum(np.abs(s), np.abs(f))))
-            for s, f in zip(search[:3], (pop.comp, pop.price, pop.areas))
+            for s, f in zip(search[:3], (pop.compatibility, pop.price, pop.areas))
         )
 
     monkeypatch.setattr(engines, "_evaluate_in_full", spy)
