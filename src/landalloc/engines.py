@@ -11,12 +11,13 @@ Engines:
 * ``MSBX_MO``     DE-flavored loop: every solution is shifted by a scaled
                   random donor and crossed (SBX) with itself
 
-All engines share initialization (perturb 25% of the unlocked plots of the
-actual map), binary tournaments over a half-population mating pool,
-(mu + lambda) survival, feasible-first constraint handling, and the
-relaxation schedule that restores the original constraints at the final
-generation. Every run is driven by a single seeded Generator, so identical
-(instance, config, seed) produce bit-identical RunRecords.
+All engines share initialization (one random mutation of the actual map
+that redraws 25% of its unlocked plots), binary tournaments over a
+half-population mating pool, (mu + lambda) survival, feasible-first
+constraint handling, and the relaxation schedule that restores the
+original constraints at the final generation. Every run is driven by a
+single seeded Generator, so identical (instance, config, seed) produce
+bit-identical RunRecords.
 
 A population is one bundle of parallel arrays, both inside the engines and
 in the RunRecord: a `Population` is an evaluation (`model.BatchStats`)
@@ -66,9 +67,6 @@ from .operators import (
 )
 
 ALGORITHMS = ("SOA", "MSBX_NSGA2", "CR_DES", "MSBX_MO")
-
-_INIT_RETRY_CAP = 50
-
 
 @dataclass(frozen=True)
 class RelaxationSchedule:
@@ -394,29 +392,16 @@ def _soa_scores(pop: Population, cfg: EngineConfig) -> np.ndarray:
 
 
 def _init_codes(inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
-    """Initial code rows: the actual map with some unlocked plots redrawn.
+    """Initial code rows: one random mutation of copies of the actual map.
 
-    Each row re-randomizes the floors of ceil(init_change_fraction *
-    N_unlocked) uniformly chosen unlocked plots; a row outside the price
-    box is redrawn up to a retry cap and then admitted infeasible.
+    Each row redraws every floor of ceil(init_change_fraction *
+    N_unlocked) distinct unlocked plots uniformly. Rows are not screened:
+    one outside the price box enters with its violation.
     """
-    n_change = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
-    codes = np.empty((cfg.population_size, inst.total_floors), dtype=CODE_DTYPE)
-    for r in range(cfg.population_size):
-        for _ in range(_INIT_RETRY_CAP):
-            row = inst.actual_codes.copy()
-            if n_change:
-                picks = rng.choice(inst.unlocked_ids, size=n_change, replace=False)
-                # The picked plots' floors in pick order, redrawn in one call.
-                counts = inst.floor_counts[picks]
-                ends = np.cumsum(counts)
-                shift = np.repeat(inst.floor_offsets[picks] - (ends - counts), counts)
-                floors = np.arange(ends[-1]) + shift
-                row[floors] = rng.integers(0, inst.n_uses, size=len(floors))
-            if price_box_mask(inst, evaluate_batch(inst, row[None, :]).price[0]):
-                break
-        codes[r] = row
-    return codes
+    budget = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
+    op_cfg = replace(cfg.operator_cfg, mutation_plot_budget=budget)
+    actual = np.repeat(inst.actual_codes[None, :], cfg.population_size, axis=0)
+    return random_mutation_batch(actual, op_cfg, inst, rng)
 
 
 class _FinalFeasibleArchive:
@@ -655,7 +640,8 @@ def run_engine(
         archive.offer(offspring)
         snapshots.append(archive.snapshot())
     _evaluate_in_full(inst, pop, gamma, mu)
-    front_indices = _final_front_indices(inst, cfg, pop, soa)
+    soa_weights = (cfg.soa_a, cfg.soa_b) if soa else None
+    front_indices = final_front_indices(inst, pop, cfg.relax.gamma_final, soa_weights)
     return RunRecord(
         algorithm=cfg.algorithm,
         config=asdict(cfg),
@@ -673,14 +659,18 @@ def _evaluate_in_full(inst: ProblemInstance, pop: Population, gamma: float, mu: 
     _refresh_pop(inst, pop, gamma, mu)
 
 
-def _final_front_indices(
-    inst: ProblemInstance, cfg: EngineConfig, pop: Population, soa: bool
+def final_front_indices(
+    inst: ProblemInstance, pop: Population, gamma: float, soa_weights: tuple[float, float] | None
 ) -> np.ndarray:
-    """Feasible-filtered front: original gamma band and price box only."""
-    ok = np.flatnonzero(pop.in_band_and_box(inst, cfg.relax.gamma_final))
+    """Feasible-filtered front of the members inside the gamma band and price box.
+
+    Their first non-dominated front in ascending order, or under SOA
+    weights (a, b) the best a*price + b*compatibility member.
+    """
+    ok = np.flatnonzero(pop.in_band_and_box(inst, gamma))
     if not ok.size:
         return ok
-    if soa:
-        fitness = cfg.soa_a * pop.price[ok] + cfg.soa_b * pop.compatibility[ok]
-        return ok[[int(np.argmax(fitness))]]
+    if soa_weights is not None:
+        a, b = soa_weights
+        return ok[[int(np.argmax(a * pop.price[ok] + b * pop.compatibility[ok]))]]
     return ok[fast_non_dominated_sort(pop.objectives()[ok])[0]]

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .engines import EngineConfig, Population, RelaxationSchedule, RunRecord, run_engine
+from .engines import EngineConfig, Population, RelaxationSchedule, RunRecord
+from .engines import final_front_indices, run_engine
 from .instance_io import (
     InstanceError,
     canonical_dumps,
@@ -97,10 +98,13 @@ class ExperimentConfig:
             raise ExperimentConfigError("config is missing an 'engines' list")
         seeds = doc.get("seeds", DEFAULT_SEEDS)
         stats_metrics = doc.get("stats_metrics", DEFAULT_STATS_METRICS)
+        alpha, workers = doc.get("alpha", 0.05), doc.get("workers", 1)
         for values, kind, message in (
             (doc["engines"], dict, "every engine entry must be an object"),
             (seeds, int, "seeds must be a list of integers"),
             (stats_metrics, str, "stats_metrics must be a list of metric names"),
+            ([alpha], (int, float), "alpha must be a number"),
+            ([workers], int, "workers must be an integer"),
         ):
             if not isinstance(values, (list, tuple)) or any(
                 isinstance(v, bool) or not isinstance(v, kind) for v in values
@@ -112,10 +116,10 @@ class ExperimentConfig:
             engine_entries=list(doc["engines"]),
             seeds=tuple(seeds),
             output_dir=(base / doc.get("output", "results")).resolve(),
-            alpha=float(doc.get("alpha", 0.05)),
+            alpha=float(alpha),
             stats_metrics=tuple(stats_metrics),
             reference_set=str(doc.get("reference_set", "combined")),
-            workers=int(doc.get("workers", 1)),
+            workers=workers,
         )
 
 
@@ -496,7 +500,8 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     against the evaluation of its codes that loading the record already
     makes, its front members must lie inside the final gamma band (areas
     from that evaluation) and the price box, and its HV trace must never
-    decrease.
+    decrease. Unless a member is stale, its front must be the stored
+    population's `final_front_indices` (a repeated index is no difference).
 
     A run file must hold the label and seed of its manifest entry, and
     the manifest's engine and run entries the fields `run` writes.
@@ -548,8 +553,11 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         try:
             generations = config["generations"]
             gamma_final = float(config["relax"]["gamma_final"])
+            soa = config["algorithm"] == "SOA"
+            soa_weights = (float(config["soa_a"]), float(config["soa_b"])) if soa else None
         except (KeyError, TypeError, ValueError):
-            issues.append(f"{tag}: manifest lacks the engine's generations or relax.gamma_final")
+            lacks = "generations or relax.gamma_final (or its algorithm and SOA weights)"
+            issues.append(f"{tag}: manifest lacks the engine's {lacks}")
             continue
         if len(rec.hv_trace) != generations:
             issues.append(f"{tag}: hv trace length {len(rec.hv_trace)} != generations {generations}")
@@ -580,4 +588,12 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         # pareto_indices keeps one of each unique non-dominated point
         if len(np.unique(pts, axis=0)) > len(metrics.pareto_indices(pts)):
             issues.append(f"{tag}: reported front contains dominated points")
+        if not stale:  # stale objectives, reported above, give no engine's front
+            listed = set(front.tolist())
+            derived = final_front_indices(inst, rec.population, gamma_final, soa_weights)
+            if listed != set(derived.tolist()):
+                issues.append(
+                    f"{tag}: front is not the stored population's final front "
+                    f"({len(listed)} member(s) listed, {derived.size} derived)"
+                )
     return issues, incomplete

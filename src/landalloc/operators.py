@@ -43,8 +43,7 @@ class OperatorConfig:
     defaults follow common NSGA-II practice), de_scale is the DE scale
     factor F, crossover_plot_fraction is the per-plot participation /
     swap probability, and mutation_plot_budget caps how many plots one
-    mutation may alter. floorwise switches uniform crossover from
-    plot-wise to floor-wise swapping.
+    mutation may alter.
     """
 
     sbx_eta: float = 20.0
@@ -52,7 +51,6 @@ class OperatorConfig:
     de_scale: float = 0.5
     crossover_plot_fraction: float = 0.2
     mutation_plot_budget: int = 1
-    floorwise: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.crossover_plot_fraction <= 1.0:
@@ -270,18 +268,12 @@ def uniform_batch(
     inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform crossover over paired code rows (plot-wise or floor-wise)."""
+    """Uniform crossover over paired code rows: each unlocked plot swaps whole."""
     codes1 = np.atleast_2d(codes1)
     codes2 = np.atleast_2d(codes2)
-    b = codes1.shape[0]
-    unlocked_floor = np.repeat(~inst.locked, inst.floor_counts)
-    if cfg.floorwise:
-        swap = (rng.random((b, inst.total_floors)) < cfg.crossover_plot_fraction)
-        swap &= unlocked_floor[None, :]
-    else:
-        plot_swap = (rng.random((b, inst.n_plots)) < cfg.crossover_plot_fraction)
-        plot_swap &= ~inst.locked[None, :]
-        swap = np.repeat(plot_swap, inst.floor_counts, axis=1)
+    plot_swap = rng.random((codes1.shape[0], inst.n_plots)) < cfg.crossover_plot_fraction
+    plot_swap &= ~inst.locked[None, :]
+    swap = np.repeat(plot_swap, inst.floor_counts, axis=1)
     out1 = np.where(swap, codes2, codes1)
     out2 = np.where(swap, codes1, codes2)
     return out1.astype(CODE_DTYPE), out2.astype(CODE_DTYPE)

@@ -246,32 +246,6 @@ def random_instance(
     )
 
 
-def naive_init_codes(inst: ProblemInstance, cfg, rng: np.random.Generator) -> np.ndarray:
-    """The engines' initial code rows, drawn plot by plot.
-
-    Same picks, retry cap and price-box test as `engines._init_codes`, but
-    one `rng.integers` call per picked plot, in pick order. The price comes
-    from the library's evaluation, so that both take the same retries.
-    """
-    from landalloc.engines import _INIT_RETRY_CAP
-    from landalloc.model import evaluate_batch
-
-    n_change = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
-    codes = np.empty((cfg.population_size, inst.total_floors), dtype=inst.actual_codes.dtype)
-    for r in range(cfg.population_size):
-        for _ in range(_INIT_RETRY_CAP):
-            row = inst.actual_codes.copy()
-            if n_change:
-                for p in rng.choice(inst.unlocked_ids, size=n_change, replace=False):
-                    lo, hi = inst.floor_offsets[p], inst.floor_offsets[p + 1]
-                    row[lo:hi] = rng.integers(0, inst.n_uses, size=hi - lo)
-            price = evaluate_batch(inst, row[None, :]).price[0]
-            if inst.price_min <= price <= inst.price_max:
-                break
-        codes[r] = row
-    return codes
-
-
 def _naive_encode(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:
     """(B, N) int64 plot values of code rows, plot by plot, MSB first."""
     out = np.zeros((len(codes), inst.n_plots), dtype=np.int64)

@@ -189,8 +189,14 @@ class TestRunCommand:
             ("stats_metrics", 5, "stats_metrics must be a list of metric names"),
             ("seeds", [1.5], "seeds must be a list of integers"),
             ("seeds", "12", "seeds must be a list of integers"),
+            ("alpha", "x", "alpha must be a number"),
+            ("workers", "x", "workers must be an integer"),
+            ("workers", 1.5, "workers must be an integer"),
         ],
-        ids=["engine-entry", "stats-metrics", "fractional-seed", "seed-string"],
+        ids=[
+            "engine-entry", "stats-metrics", "fractional-seed", "seed-string",
+            "alpha-string", "workers-string", "fractional-workers",
+        ],
     )
     def test_malformed_config_value_rejected(
         self, experiment_doc, tmp_path, capsys, key, value, message
@@ -200,6 +206,15 @@ class TestRunCommand:
         path.write_text(json.dumps(experiment_doc))
         assert main(["run", "--config", str(path)]) == 2
         assert f"invalid experiment: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
+    def test_removed_floorwise_operator_rejected(self, experiment_doc, tmp_path, capsys):
+        experiment_doc["engines"][0]["operators"]["floorwise"] = True
+        path = tmp_path / "floorwise.json"
+        path.write_text(json.dumps(experiment_doc))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid experiment" in err and "floorwise" in err
         assert not (tmp_path / "bundle").exists()
 
     def test_non_integer_workers_is_usage_error(self, config_path, tmp_path, monkeypatch, capsys):
@@ -285,6 +300,32 @@ class TestVerifyCommand:
         assert main(["verify", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
         assert "manifest lacks the engine's generations or relax.gamma_final" in err
+
+
+    @pytest.mark.parametrize("algorithm", ["CR_DES", "SOA"])
+    def test_front_with_a_member_left_out_fails(self, tmp_path, capsys, algorithm):
+        inst_path = str(tmp_path / "inst.landalloc.json")
+        main(["generate", "--grid", "6x5", "--seed", "11", "--out", inst_path])
+        doc = {
+            "instance": "inst.landalloc.json", "output": "bundle", "seeds": [1],
+            "engines": [{"label": algorithm, "algorithm": algorithm,
+                         "generations": 20, "population_size": 20}],
+        }
+        (tmp_path / "exp.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "exp.json")]) == 0
+        bundle = tmp_path / "bundle"
+        assert main(["verify", "--bundle", str(bundle)]) == 0
+        run = next((bundle / "runs").glob("*.json"))
+        rec = json.loads(run.read_text())
+        n = len(rec["front"])
+        assert n > (1 if algorithm == "CR_DES" else 0)
+        del rec["front"][0]
+        run.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        listed = f"({n - 1} member(s) listed, {n} derived)"
+        assert f"front is not the stored population's final front {listed}" in err
 
 
 class TestManifestChecked:

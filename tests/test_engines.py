@@ -20,13 +20,18 @@ from landalloc.engines import (
 )
 from landalloc.harness import record_to_json
 from landalloc.model import area_band_mask, evaluate_batch, price_box_mask
-from landalloc.operators import OperatorConfig, plot_codec, sbx_batch, scaled_add_batch
+from landalloc.operators import (
+    OperatorConfig,
+    plot_codec,
+    random_mutation_batch,
+    sbx_batch,
+    scaled_add_batch,
+)
 
 from oracles import (
     brute_force_best_scalar,
     brute_force_pareto,
     naive_fronts,
-    naive_init_codes,
     naive_msbx_mo_children,
 )
 
@@ -199,16 +204,25 @@ class TestInitialization:
         assert (pop.changed <= cap).all()
 
     @pytest.mark.parametrize("uses, grid", [(2, (12, 10)), (3, (43, 30)), (6, (12, 10))])
-    def test_one_draw_per_attempt_equals_per_plot_draws(self, uses, grid):
+    def test_init_is_one_random_mutation_of_actual(self, uses, grid, monkeypatch):
+        from landalloc import engines
         from landalloc.instance_io import GeneratorSpec, generate_synthetic
 
         spec = GeneratorSpec(grid_width=grid[0], grid_height=grid[1], use_count=uses, rng_seed=7)
         inst = generate_synthetic(spec)
         cfg = _resolved(inst, small_cfg("CR_DES", population_size=6))
+        calls = []
+        real = engines.evaluate_batch
+        monkeypatch.setattr(engines, "evaluate_batch", lambda *a: calls.append(a) or real(*a))
+        budget = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
+        op_cfg = OperatorConfig(mutation_plot_budget=budget)
+        actual = np.tile(inst.actual_codes, (cfg.population_size, 1))
         for seed in (1, 2, 3):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(_init_codes(inst, cfg, fast), naive_init_codes(inst, cfg, slow))
+            want = random_mutation_batch(actual, op_cfg, inst, slow)
+            assert np.array_equal(_init_codes(inst, cfg, fast), want)
             assert fast.bit_generator.state == slow.bit_generator.state
+        assert calls == []
 
     def test_locked_plots_untouched(self, small_synthetic):
         inst = small_synthetic

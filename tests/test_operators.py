@@ -213,10 +213,9 @@ class TestUniformCrossover:
         assert np.array_equal(c2[:, unlocked_floor], p1[:, unlocked_floor])
         assert np.array_equal(c1[:, ~unlocked_floor], p1[:, ~unlocked_floor])
 
-    @pytest.mark.parametrize("floorwise", [False, True])
-    def test_positional_material_is_conserved(self, inst, floorwise):
+    def test_positional_material_is_conserved(self, inst):
         rng = np.random.default_rng(10)
-        cfg = OperatorConfig(crossover_plot_fraction=0.5, floorwise=floorwise)
+        cfg = OperatorConfig(crossover_plot_fraction=0.5)
         for _ in range(200):
             p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
             c1, c2 = uniform_batch(p1, p2, cfg, inst, rng)
