@@ -205,48 +205,25 @@ def fast_non_dominated_sort(objs) -> list[list[int]]:
 
     a dominates b iff a >= b componentwise and a != b. Front k holds the
     points non-dominated once fronts 1..k-1 are removed; each front lists
-    its indices in ascending order.
-
-    One O(n log n) sweep (Jensen 2003): points are visited by decreasing
-    first, then decreasing second objective, so every dominator of a point
-    is visited before it. Inside a front, a later member has a lower first
-    and a higher second objective than every earlier one, or repeats one,
-    so the last member visited dominates a point whenever any member does;
-    and a point not dominated by front k is not dominated by any later
-    front. A binary search over the fronts' last members therefore finds
-    each point's front. Infinite coordinates are ordered like any other;
-    NaN has no order and is rejected.
+    its indices in ascending order. Fronts are peeled off the distinct
+    points with `metrics.pareto_indices`; equal points share a front.
+    Infinite coordinates are ordered like any other; NaN has no order and
+    is rejected.
     """
     pts = np.atleast_2d(np.asarray(objs, dtype=float))
-    n = len(pts)
     if pts.size == 0:
         raise ValueError("cannot sort an empty objective list")
     if pts.shape[1] != 2:
         raise ValueError(f"expected two objectives per point, got {pts.shape[1]}")
     if np.isnan(pts).any():
         raise ValueError("cannot sort NaN objectives")
-    xs = pts[:, 0].tolist()
-    ys = pts[:, 1].tolist()
-    last_x: list[float] = []
-    last_y: list[float] = []
-    rank = np.empty(n, dtype=np.int64)
-    for i in np.lexsort((-pts[:, 1], -pts[:, 0])).tolist():
-        x, y = xs[i], ys[i]
-        lo, hi = 0, len(last_y)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            ly = last_y[mid]
-            if ly > y or (ly == y and last_x[mid] > x):  # front mid dominates i
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(last_y):
-            last_x.append(x)
-            last_y.append(y)
-        else:
-            last_x[lo] = x
-            last_y[lo] = y
-        rank[i] = lo
+    ids = _dense_rank(pts[:, 0], pts[:, 1])
+    distinct = np.empty((ids.max() + 1, 2))
+    distinct[ids] = pts
+    rank = np.full(len(distinct), -1)
+    while (left := np.flatnonzero(rank < 0)).size:
+        rank[left[metrics.pareto_indices(distinct[left])]] = rank.max() + 1
+    rank = rank[ids]
     by_front = np.argsort(rank, kind="stable")
     cuts = np.flatnonzero(np.diff(rank[by_front])) + 1
     return [front.tolist() for front in np.split(by_front, cuts)]

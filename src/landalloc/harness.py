@@ -65,7 +65,6 @@ class ExperimentConfig:
     output_dir: Path = Path("results")
     alpha: float = 0.05
     stats_metrics: tuple[str, ...] = DEFAULT_STATS_METRICS
-    reference_set: str = "combined"
     workers: int = 1
 
     def __post_init__(self):
@@ -80,11 +79,6 @@ class ExperimentConfig:
             raise ExperimentConfigError("seeds must be non-empty and distinct")
         if not 0.0 < self.alpha < 1.0:
             raise ExperimentConfigError("alpha must be in (0, 1)")
-        if self.reference_set != "combined":
-            raise ExperimentConfigError(
-                "reference_set: only the 'combined' policy (non-dominated union "
-                "of all compared fronts) is supported"
-            )
         if self.workers < 1:
             raise ExperimentConfigError("workers must be >= 1")
 
@@ -92,6 +86,9 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ExperimentConfigError("config root must be an object")
+        known = {"instance", "engines", "seeds", "output", "alpha", "stats_metrics", "workers"}
+        if unknown := set(doc) - known:
+            raise ExperimentConfigError(f"unknown config keys: {sorted(unknown)}")
         if "instance" not in doc:
             raise ExperimentConfigError("config is missing 'instance'")
         if "engines" not in doc or not isinstance(doc["engines"], list):
@@ -118,7 +115,6 @@ class ExperimentConfig:
             output_dir=(base / doc.get("output", "results")).resolve(),
             alpha=float(alpha),
             stats_metrics=tuple(stats_metrics),
-            reference_set=str(doc.get("reference_set", "combined")),
             workers=workers,
         )
 
@@ -408,7 +404,6 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
         "seeds": [int(s) for s in cfg.seeds],
         "alpha": cfg.alpha,
         "stats_metrics": list(cfg.stats_metrics),
-        "reference_set": cfg.reference_set,
         "engines": [  # seeds vary per run; the manifest lists them once
             {"label": label, "slug": slug(idx, label),
              "config": {k: v for k, v in asdict(ecfg).items() if k != "seed"}}
@@ -468,6 +463,27 @@ def _foreign_run(entry: dict, label: str, rec: RunRecord) -> str | None:
     return None if same else f"run file {entry['file']} holds {label} seed {rec.seed}"
 
 
+def _final_settings(config: dict, tag: str) -> tuple[int, float, tuple[float, float] | None]:
+    """(generations, relax.gamma_final, SOA weights or None) of a manifest engine config."""
+    try:
+        soa = config["algorithm"] == "SOA"
+        soa_weights = (float(config["soa_a"]), float(config["soa_b"])) if soa else None
+        return config["generations"], float(config["relax"]["gamma_final"]), soa_weights
+    except (KeyError, TypeError, ValueError):
+        lacks = "generations or relax.gamma_final (or its algorithm and SOA weights)"
+        raise InstanceError(f"{tag}: manifest lacks the engine's {lacks}")
+
+
+def _not_final_front(inst: ProblemInstance, rec: RunRecord, gamma: float, soa_weights) -> str | None:
+    """What is wrong if the sets of `rec`'s front and of its `final_front_indices` differ."""
+    listed = set(rec.front_indices.tolist())
+    derived = final_front_indices(inst, rec.population, gamma, soa_weights)
+    if listed != set(derived.tolist()):
+        return ("front is not the stored population's final front "
+                f"({len(listed)} member(s) listed, {derived.size} derived)")
+    return None
+
+
 def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
@@ -476,18 +492,23 @@ def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
     manifest = _read_manifest(manifest_path)
     inst = load_instance(bundle / manifest["instance"])
     records: dict[str, list[RunRecord]] = {e["label"]: [] for e in manifest["engines"]}
+    configs = {e["label"]: e["config"] for e in manifest["engines"]}
     gaps = []
     for entry in manifest["runs"]:
+        tag = f"{entry['label']} seed {entry['seed']}"
         if entry["status"] != "ok":
-            gaps.append(f"{entry['label']} seed {entry['seed']}: {entry.get('error', 'failed')}")
+            gaps.append(f"{tag}: {entry.get('error', 'failed')}")
             continue
         path = bundle / entry["file"]
         if not path.exists():
-            gaps.append(f"{entry['label']} seed {entry['seed']}: file missing")
+            gaps.append(f"{tag}: file missing")
             continue
         label, rec = record_from_dict(json.loads(path.read_text(encoding="utf-8")), inst)
         if foreign := _foreign_run(entry, label, rec):
-            raise InstanceError(f"{entry['label']} seed {entry['seed']}: {foreign}")
+            raise InstanceError(f"{tag}: {foreign}")
+        _, gamma_final, soa_weights = _final_settings(configs.get(label, {}), tag)
+        if wrong := _not_final_front(inst, rec, gamma_final, soa_weights):
+            raise InstanceError(f"{tag}: {wrong}")
         records[label].append(rec)
     return LoadedBundle(bundle, manifest, inst, records, gaps)
 
@@ -528,7 +549,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         inst = load_instance(inst_path)
     except InstanceError as exc:
         return (issues + [f"instance invalid: {exc}"], False)
-    config_by_label = {e["label"]: e["config"] for e in manifest.get("engines", [])}
+    configs = {e["label"]: e["config"] for e in manifest.get("engines", [])}
     for entry in manifest.get("runs", []):
         tag = f"{entry['label']} seed {entry['seed']}"
         if entry["status"] != "ok":
@@ -549,22 +570,16 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         if foreign := _foreign_run(entry, label, rec):
             issues.append(f"{tag}: {foreign}")
             continue
-        config = config_by_label.get(entry["label"], {})
         try:
-            generations = config["generations"]
-            gamma_final = float(config["relax"]["gamma_final"])
-            soa = config["algorithm"] == "SOA"
-            soa_weights = (float(config["soa_a"]), float(config["soa_b"])) if soa else None
-        except (KeyError, TypeError, ValueError):
-            lacks = "generations or relax.gamma_final (or its algorithm and SOA weights)"
-            issues.append(f"{tag}: manifest lacks the engine's {lacks}")
+            generations, gamma_final, soa_weights = _final_settings(configs.get(label, {}), tag)
+        except InstanceError as exc:
+            issues.append(str(exc))
             continue
         if len(rec.hv_trace) != generations:
             issues.append(f"{tag}: hv trace length {len(rec.hv_trace)} != generations {generations}")
         if np.any(np.diff(rec.hv_trace) < 0):
             issues.append(f"{tag}: hv trace decreases")
-        stale = _stale_members(rec, stats)
-        if stale:
+        if stale := _stale_members(rec, stats):
             issues.append(
                 f"{tag}: stored objectives or changed counts of {len(stale)} member(s) "
                 f"do not match their floor uses (first: member {stale[0]})"
@@ -588,12 +603,6 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         # pareto_indices keeps one of each unique non-dominated point
         if len(np.unique(pts, axis=0)) > len(metrics.pareto_indices(pts)):
             issues.append(f"{tag}: reported front contains dominated points")
-        if not stale:  # stale objectives, reported above, give no engine's front
-            listed = set(front.tolist())
-            derived = final_front_indices(inst, rec.population, gamma_final, soa_weights)
-            if listed != set(derived.tolist()):
-                issues.append(
-                    f"{tag}: front is not the stored population's final front "
-                    f"({len(listed)} member(s) listed, {derived.size} derived)"
-                )
+        if not stale and (wrong := _not_final_front(inst, rec, gamma_final, soa_weights)):
+            issues.append(f"{tag}: {wrong}")
     return issues, incomplete

@@ -379,7 +379,7 @@ def _summary(lb, labels, combined, metric_rows, reference, gaps) -> str:
         f"price box: [{inst.price_min!r}, {inst.price_max!r}]",
         f"actual: compatibility={inst.actual_objectives.compatibility!r}, "
         f"price={inst.actual_objectives.price!r}",
-        f"reference set policy: {lb.manifest.get('reference_set', 'combined')} "
+        "reference set policy: combined "
         f"(non-dominated union of all reported fronts, {len(reference)} points)",
         "",
     ]

@@ -208,6 +208,25 @@ class TestRunCommand:
         assert f"invalid experiment: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize(
+        "extra, unknown",
+        [
+            ({"seed": [7]}, "['seed']"),
+            ({"seed": [7], "workerz": 2}, "['seed', 'workerz']"),
+            ({"reference_set": "combined"}, "['reference_set']"),
+        ],
+        ids=["seed-typo", "two-typos", "removed-reference-set"],
+    )
+    def test_unknown_config_key_rejected(
+        self, experiment_doc, tmp_path, capsys, extra, unknown
+    ):
+        experiment_doc.update(extra)
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(experiment_doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"invalid experiment: unknown config keys: {unknown}" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
     def test_removed_floorwise_operator_rejected(self, experiment_doc, tmp_path, capsys):
         experiment_doc["engines"][0]["operators"]["floorwise"] = True
         path = tmp_path / "floorwise.json"
@@ -290,7 +309,7 @@ class TestVerifyCommand:
         assert main(["verify", "--bundle", str(bundle)]) == 3
 
 
-    @pytest.mark.parametrize("key", ["generations", "relax"])
+    @pytest.mark.parametrize("key", ["generations", "relax", "algorithm"])
     def test_manifest_without_engine_settings_reported(self, config_path, tmp_path, capsys, key):
         main(["run", "--config", str(config_path)])
         bundle = tmp_path / "bundle"
@@ -300,6 +319,9 @@ class TestVerifyCommand:
         assert main(["verify", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
         assert "manifest lacks the engine's generations or relax.gamma_final" in err
+        assert main(["report", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot build report: CR+DES seed 1: manifest lacks the engine's generations" in err
 
 
     @pytest.mark.parametrize("algorithm", ["CR_DES", "SOA"])
@@ -326,6 +348,13 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         listed = f"({n - 1} member(s) listed, {n} derived)"
         assert f"front is not the stored population's final front {listed}" in err
+        assert main(["report", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"cannot build report: {algorithm} seed 1: "
+            f"front is not the stored population's final front {listed}"
+        ) in err
+        assert "Traceback" not in err and not (bundle / "report").exists()
 
 
 class TestManifestChecked:

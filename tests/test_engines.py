@@ -65,6 +65,18 @@ class TestNonDominatedSort:
             pts[rng.random((40, 2)) < 0.1] = np.inf
             pts[rng.random((40, 2)) < 0.1] = -np.inf
             assert fast_non_dominated_sort(pts) == naive_fronts(pts)
+        rng = np.random.default_rng(7)
+        for _ in range(10):  # criterion-1-like: a few distinct points, many copies
+            distinct = rng.integers(0, 10, size=(int(rng.integers(1, 9)), 2)).astype(float)
+            pts = distinct[rng.integers(0, len(distinct), size=int(rng.integers(100, 160)))]
+            assert fast_non_dominated_sort(pts) == naive_fronts(pts)
+        for _ in range(4):  # signed zeros are equal coordinates
+            pts = rng.integers(-1, 2, size=(50, 2)).astype(float)
+            pts[rng.random((50, 2)) < 0.3] = -0.0
+            assert fast_non_dominated_sort(pts) == naive_fronts(pts)
+        x = rng.permutation(200).astype(float)  # a chain: one front per point
+        fronts = fast_non_dominated_sort(np.column_stack([x, 2.0 * x]))
+        assert fronts == [[int(i)] for i in np.argsort(-x)]
 
     def test_nan_and_other_widths_rejected(self):
         with pytest.raises(ValueError):
