@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import metrics
 from .engines import EngineConfig, Population, RelaxationSchedule, RunRecord
-from .engines import final_front_indices, run_engine
+from .engines import _refresh_pop, final_front_indices, run_engine
 from .instance_io import (
     InstanceError,
     canonical_dumps,
@@ -324,6 +325,11 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
     return entries
 
 
+def combined_json(label: str, records: list[RunRecord]) -> str:
+    """The text of a label's combined file: the union of its ok runs' fronts."""
+    return canonical_dumps({"label": label, "points": combined_front_entries(records)}, compact=True)
+
+
 # ---------------------------------------------------------------------------
 # bundle execution
 
@@ -391,10 +397,8 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
         run_entries.append(entry)
 
     for idx, (label, ecfg) in enumerate(engines):
-        front = combined_front_entries(label_records[label])
         (bundle / "combined" / f"{slug(idx, label)}.json").write_text(
-            canonical_dumps({"label": label, "points": front}, compact=True),
-            encoding="utf-8",
+            combined_json(label, label_records[label]), encoding="utf-8"
         )
 
     manifest = {
@@ -463,14 +467,16 @@ def _foreign_run(entry: dict, label: str, rec: RunRecord) -> str | None:
     return None if same else f"run file {entry['file']} holds {label} seed {rec.seed}"
 
 
-def _final_settings(config: dict, tag: str) -> tuple[int, float, tuple[float, float] | None]:
-    """(generations, relax.gamma_final, SOA weights or None) of a manifest engine config."""
+def _final_settings(config: dict, tag: str) -> tuple[int, float, float, tuple[float, float] | None]:
+    """(generations, relax.gamma_final, relax.mu_final, SOA weights or None) of a manifest engine config."""
     try:
         soa = config["algorithm"] == "SOA"
         soa_weights = (float(config["soa_a"]), float(config["soa_b"])) if soa else None
-        return config["generations"], float(config["relax"]["gamma_final"]), soa_weights
+        relax = config["relax"]
+        gamma, mu = float(relax["gamma_final"]), float(relax["mu_final"])
+        return config["generations"], gamma, mu, soa_weights
     except (KeyError, TypeError, ValueError):
-        lacks = "generations or relax.gamma_final (or its algorithm and SOA weights)"
+        lacks = "generations or relax.gamma_final/mu_final (or its algorithm and SOA weights)"
         raise InstanceError(f"{tag}: manifest lacks the engine's {lacks}")
 
 
@@ -506,7 +512,7 @@ def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
         label, rec = record_from_dict(json.loads(path.read_text(encoding="utf-8")), inst)
         if foreign := _foreign_run(entry, label, rec):
             raise InstanceError(f"{tag}: {foreign}")
-        _, gamma_final, soa_weights = _final_settings(configs.get(label, {}), tag)
+        _, gamma_final, _, soa_weights = _final_settings(configs.get(label, {}), tag)
         if wrong := _not_final_front(inst, rec, gamma_final, soa_weights):
             raise InstanceError(f"{tag}: {wrong}")
         records[label].append(rec)
@@ -521,8 +527,12 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     against the evaluation of its codes that loading the record already
     makes, its front members must lie inside the final gamma band (areas
     from that evaluation) and the price box, and its HV trace must never
-    decrease. Unless a member is stale, its front must be the stored
+    decrease. Unless a member is stale, its members' feasible flags and
+    violations must be exactly `_refresh_pop`'s under the final (gamma,
+    mu), as the engine stores them, and its front must be the stored
     population's `final_front_indices` (a repeated index is no difference).
+    Each label's combined file must be the text `run` writes from the
+    label's ok runs, unless one of them is missing or unreadable.
 
     A run file must hold the label and seed of its manifest entry, and
     the manifest's engine and run entries the fields `run` writes.
@@ -550,6 +560,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     except InstanceError as exc:
         return (issues + [f"instance invalid: {exc}"], False)
     configs = {e["label"]: e["config"] for e in manifest.get("engines", [])}
+    records: dict[str, list[RunRecord]] = {label: [] for label in configs}
     for entry in manifest.get("runs", []):
         tag = f"{entry['label']} seed {entry['seed']}"
         if entry["status"] != "ok":
@@ -571,7 +582,9 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             issues.append(f"{tag}: {foreign}")
             continue
         try:
-            generations, gamma_final, soa_weights = _final_settings(configs.get(label, {}), tag)
+            generations, gamma_final, mu_final, soa_weights = _final_settings(
+                configs.get(label, {}), tag
+            )
         except InstanceError as exc:
             issues.append(str(exc))
             continue
@@ -584,6 +597,16 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
                 f"{tag}: stored objectives or changed counts of {len(stale)} member(s) "
                 f"do not match their floor uses (first: member {stale[0]})"
             )
+        else:
+            pop = rec.population
+            feasible, violation = pop.feasible, pop.violation
+            _refresh_pop(inst, pop, gamma_final, mu_final)
+            differ = np.flatnonzero((feasible != pop.feasible) | (violation != pop.violation))
+            if differ.size:
+                issues.append(
+                    f"{tag}: stored feasible flags or violations of {differ.size} member(s) "
+                    f"differ from the final constraints (first: member {differ[0]})"
+                )
         altered = np.flatnonzero(~locked_kept_mask(inst, rec.population.codes))
         if altered.size:
             issues.append(
@@ -593,6 +616,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
         if ((front < 0) | (front >= rec.population.n)).any():
             issues.append(f"{tag}: front indices out of range")
             continue
+        records[label].append(rec)
         outside = front[~rec.population.in_band_and_box(inst, gamma_final)[front]]
         if outside.size:
             issues.append(
@@ -605,4 +629,15 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             issues.append(f"{tag}: reported front contains dominated points")
         if not stale and (wrong := _not_final_front(inst, rec, gamma_final, soa_weights)):
             issues.append(f"{tag}: {wrong}")
+    ok_runs = Counter(e["label"] for e in manifest.get("runs", []) if e["status"] == "ok")
+    for idx, (label, recs) in enumerate(records.items()):
+        if len(recs) != ok_runs[label]:  # a run file that is missing or unreadable
+            continue
+        name = f"combined/{slug(idx, label)}.json"
+        try:
+            same = (bundle / name).read_text(encoding="utf-8") == combined_json(label, recs)
+        except OSError:
+            same = False
+        if not same:
+            issues.append(f"{label}: {name} is missing or not the union of its runs' fronts")
     return issues, incomplete

@@ -13,6 +13,11 @@ The JSON schema is versioned and hand-editable:
       "price_min": ..., "price_max": ...
     }
 
+There is at least one plot, and each plot's K^floors is at most 2^62 (62
+floors at K = 2, 39 at K = 3, 31 at K = 4, 23 at K = 6), so its base-K
+value fits int64; `load_instance` refuses other files with
+InstanceRangeError.
+
 Serialization is canonical (sorted keys, two-space indent, repr floats), so
 save(load(x)) round-trips byte-stably and generated files are reproducible
 per seed.
@@ -232,6 +237,8 @@ class GeneratorSpec:
         lo, hi = self.floor_range
         if not 1 <= lo <= hi:
             raise ValueError("floor_range must satisfy 1 <= min <= max")
+        if hi > 62 or self.use_count**hi > 2**62:
+            raise ValueError(f"floor_range max {hi} at use_count {self.use_count} gives K^f > 2^62")
         if not 0.0 <= self.locked_fraction < 1.0:
             raise ValueError("locked_fraction must be in [0, 1)")
         if not 0.0 <= self.price_noise < 1.0:

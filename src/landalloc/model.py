@@ -59,10 +59,11 @@ class Plot:
 class ProblemInstance:
     """Immutable bundle of plots, uses, matrices and constraint parameters.
 
-    Construction validates the structural invariants and precomputes the
-    flat floor layout plus the as-built map's per-use areas so that
-    objective evaluation and constraint checks are single vectorized
-    passes.
+    Construction validates the structural invariants (among them at
+    least one plot, and K^f <= 2^62 for every plot of f floors, so a
+    plot's base-K value fits int64) and precomputes the flat floor layout
+    plus the as-built map's per-use areas so that objective evaluation
+    and constraint checks are single vectorized passes.
     """
 
     def __init__(
@@ -89,6 +90,8 @@ class ProblemInstance:
 
     def _validate(self) -> None:
         n, k = len(self.plots), len(self.uses)
+        if n == 0:
+            raise ValueError("need at least one plot")
         if k < 2:
             raise ValueError("need at least two land-use types")
         if [u.id for u in self.uses] != list(range(k)):
@@ -112,6 +115,8 @@ class ProblemInstance:
         for p in self.plots:
             if p.floor_count < 1:
                 raise ValueError(f"plot {p.id}: floor_count must be >= 1")
+            if p.floor_count > 62 or k**p.floor_count > 2**62:
+                raise ValueError(f"plot {p.id}: {p.floor_count} floors at K = {k} give K^f > 2^62")
             if p.total_floor_space <= 0:
                 raise ValueError(f"plot {p.id}: total_floor_space must be > 0")
             if len(p.actual_uses) != p.floor_count:

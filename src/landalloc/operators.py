@@ -2,10 +2,12 @@
 
 Plots are recombined on their base-K integer encoding: a floor-use vector
 [u_0, ..., u_{f-1}] maps to the integer sum(u_t * K^(f-1-t)), most
-significant digit first (so "122" in base 3 is 17). Real-coded SBX,
-polynomial mutation and the DE-style scaled operators act on these
-integers, then round half-to-even and clamp back into [0, K^f - 1], which
-keeps the near-parent bias that a modulo wrap would destroy.
+significant digit first (so "122" in base 3 is 17), held as int64.
+Real-coded SBX, polynomial mutation and the DE-style scaled operators
+each compute a real step per plot, round it half-to-even and add it with
+`PlotCodec.clamp`, which clamps into [0, K^f - 1] in integers. The clamp
+keeps the near-parent bias that a modulo wrap would destroy, and a zero
+step (SBX of equal parents, a zero donor) returns the value as is.
 
 Those four operators take and return (B, N) per-plot values; uniform
 crossover and random mutation act on (B, total_floors) code rows. An
@@ -26,10 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import CODE_DTYPE, ProblemInstance
-
-# int64 holds K^f - 1 as long as f * log2(K) stays below 63 bits; taller
-# buildings fall back to python-int (object dtype) arithmetic.
-_INT64_BITS = 62
 
 # PlotCodec's digit table holds at most this many rows (K^w <= 8192).
 _TABLE_ROWS = 8192
@@ -84,9 +82,9 @@ def decode_uses(value: int, base: int, digits: int) -> np.ndarray:
 class PlotCodec:
     """Vectorized base-K codec for a whole instance's flat code layout.
 
-    Uses int64 arithmetic when every plot's code range fits, otherwise
-    python-int (object dtype) arithmetic, so tall buildings never
-    overflow.
+    Plot values are int64: `ProblemInstance` refuses a plot with
+    K^f > 2^62, so every K^f - 1 and every sum or difference of two
+    values fits.
 
     Decoding reads a digit table built once per codec: row v holds the w
     base-K digits of v, most significant first, where w is the largest
@@ -95,27 +93,18 @@ class PlotCodec:
     most w floors decode with one table lookup and no integer division.
     Taller plots are first split into ceil(f_max / w) chunks of w digits
     by % and // of K^w; each chunk is below K^w, so it is looked up in the
-    same table, on either dtype. One gather along the flat digit axis
-    then picks every floor's digit.
+    same table. One gather along the flat digit axis then picks every
+    floor's digit.
     """
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
         self.base = inst.n_uses
-        self.digits = inst.floor_counts
-        bits = inst.floor_counts * np.log2(self.base)
-        self._exact = bool(np.all(bits <= _INT64_BITS))
-        dtype = np.int64 if self._exact else object
-        place = np.empty(inst.total_floors, dtype=dtype)
-        for i in range(inst.n_plots):
-            lo, hi = inst.floor_offsets[i], inst.floor_offsets[i + 1]
-            f = hi - lo
-            col = [self.base ** int(f - 1 - t) for t in range(f)]
-            place[lo:hi] = np.array(col, dtype=dtype)
-        self.place_values = place
-        self.max_values = np.array(
-            [self.base ** int(f) - 1 for f in inst.floor_counts], dtype=dtype
-        )
+        # Floor t of a plot is digit pos[t], counted from the least significant end.
+        last = np.repeat(inst.floor_offsets[1:] - 1, inst.floor_counts)
+        pos = last - np.arange(inst.total_floors)
+        self.place_values = np.int64(self.base) ** pos
+        self.max_values = np.int64(self.base) ** inst.floor_counts - 1
         width = 1
         tallest = int(inst.floor_counts.max())
         while width < tallest and self.base ** (width + 1) <= _TABLE_ROWS:
@@ -124,11 +113,8 @@ class PlotCodec:
         # C-order indices of a (K,) * w grid are the digits of 0..K^w - 1.
         self._table = np.indices((self.base,) * width, dtype=CODE_DTYPE).reshape(width, -1).T.copy()
         self._chunks = -(-tallest // width)
-        # Digit p of plot i, counted from the least significant end, sits in
-        # chunk p // w at table column w - 1 - p % w; the lookups are laid
-        # out as (plot, chunk, column).
-        last = np.repeat(inst.floor_offsets[1:] - 1, inst.floor_counts)
-        pos = last - np.arange(inst.total_floors)
+        # Digit p sits in chunk p // w at table column w - 1 - p % w; the
+        # lookups are laid out as (plot, chunk, column).
         self._columns = (
             inst.floor_plot_index * (self._chunks * width)
             + (pos // width) * width
@@ -137,11 +123,8 @@ class PlotCodec:
 
     def encode_rows(self, codes: np.ndarray) -> np.ndarray:
         """(B, total_floors) code rows -> (B, N) per-plot integers."""
-        codes = np.atleast_2d(codes)
-        weighted = codes.astype(self.place_values.dtype)
+        weighted = np.atleast_2d(codes).astype(np.int64)
         weighted *= self.place_values  # in place: one fresh (B, floors) array, not two
-        if self.inst.n_plots == 0:
-            return np.zeros((codes.shape[0], 0), dtype=self.place_values.dtype)
         return np.add.reduceat(weighted, self.inst.floor_offsets[:-1], axis=1)
 
     def decode_rows(self, values: np.ndarray) -> np.ndarray:
@@ -156,34 +139,17 @@ class PlotCodec:
         digits = self._table.take(chunks, axis=0).reshape(values.shape[0], -1)
         return digits.take(self._columns, axis=1)
 
-    def clamp(self, values: np.ndarray, plots: np.ndarray | None = None) -> np.ndarray:
-        """Clamp rounded reals into [0, K^f - 1] as codec integers.
+    def clamp(self, values: np.ndarray | int, steps: np.ndarray, plots: np.ndarray | None = None) -> np.ndarray:
+        """`values` plus the integral float `steps`, clamped into [0, K^f - 1].
 
-        `values` is (B, N), or 1-D with `plots` giving each entry's plot.
-        The bound is applied in integers: K^f - 1 above 2^53 has no exact
-        float.
+        `values` (or the scalar 0) and `steps` are (B, N), or 1-D with
+        `plots` giving each entry's plot. The sum is exact int64 arithmetic. A step beyond
+        +-2^62 is cut there first, which moves no result and keeps int64
+        from overflowing.
         """
         limits = self.max_values if plots is None else self.max_values[plots]
-        if self._exact:
-            # Every limit is below 2^62, so the clip keeps the cast exact.
-            return np.minimum(np.clip(values, 0.0, 2.0**62).astype(np.int64), limits)
-        return np.minimum(np.maximum(_py_ints(values), 0), limits)
-
-    def add_clamped(self, values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """(B, N) values plus integral float `steps`, clamped into [0, K^f - 1].
-
-        The sum is exact integer arithmetic. A step beyond +-2^62 is cut
-        there first, which moves no result and keeps int64 from
-        overflowing.
-        """
-        if self._exact:
-            steps = np.clip(steps, -(2.0**62), 2.0**62).astype(np.int64)
-            return values + np.clip(steps, -values, self.max_values - values)
-        return np.minimum(np.maximum(values + _py_ints(steps), 0), self.max_values)
-
-
-# Integral floats -> python ints, exactly, for the object-dtype codec path.
-_py_ints = np.frompyfunc(int, 1, 1)
+        steps = np.clip(steps, -(2.0**62), 2.0**62).astype(np.int64)
+        return values + np.clip(steps, -values, limits - values)
 
 
 def plot_codec(inst: ProblemInstance) -> PlotCodec:
@@ -254,10 +220,12 @@ def sbx_batch(
         (2.0 * u) ** (1.0 / (eta + 1.0)),
         (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
     )
-    f1 = values1.take(at).astype(float)
-    f2 = values2.take(at).astype(float)
-    np.put(child1, at, codec.clamp(np.rint(0.5 * ((1.0 + beta) * f1 + (1.0 - beta) * f2)), plots))
-    np.put(child2, at, codec.clamp(np.rint(0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)), plots))
+    v1, v2 = values1.take(at), values2.take(at)
+    # The children 0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) are v1 + step
+    # and v2 - step.
+    step = np.rint(0.5 * (1.0 - beta) * (v2 - v1).astype(float))
+    np.put(child1, at, codec.clamp(v1, step, plots))
+    np.put(child2, at, codec.clamp(v2, -step, plots))
     return child1, child2
 
 
@@ -316,21 +284,19 @@ def random_mutation_batch(
 
 def polynomial_values(
     values: np.ndarray,
-    low: np.ndarray,
     high: np.ndarray,
     eta: float,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Bounded polynomial-mutation step; degenerate domains pass through."""
-    span = high.astype(float) - low.astype(float)
+    """Polynomial-mutation step delta * high of `values` in [0, high]; zero where high is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (values - low.astype(float)) / span
-        d2 = (high.astype(float) - values) / span
+        d1 = values / high
+        d2 = (high - values) / high
         exp = 1.0 / (eta + 1.0)
         left = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
         right = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)) ** exp
     delta = np.where(u < 0.5, left, right)
-    return np.where(span > 0, values + delta * span, values)
+    return np.where(high > 0, delta * high, 0.0)
 
 
 def polynomial_mutation_batch(
@@ -346,10 +312,8 @@ def polynomial_mutation_batch(
     u = rng.random((b, inst.n_plots))
     if not mask.any():
         return values.copy()
-    low = np.zeros(inst.n_plots)
-    high = codec.max_values.astype(float)
-    perturbed = polynomial_values(values.astype(float), low, high, cfg.poly_eta, u)
-    return np.where(mask, codec.clamp(np.rint(perturbed)), values)
+    step = polynomial_values(values.astype(float), codec.max_values.astype(float), cfg.poly_eta, u)
+    return np.where(mask, codec.clamp(values, np.rint(step)), values)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +327,7 @@ def scaled_add_batch(
 
     Only the step is computed in float, so a zero donor is the identity.
     """
-    moved = plot_codec(inst).add_clamped(target, np.rint(f * donor.astype(float)))
+    moved = plot_codec(inst).clamp(target, np.rint(f * donor.astype(float)))
     return np.where(inst.locked, target, moved)
 
 
@@ -371,5 +335,5 @@ def scaled_difference_batch(
     a: np.ndarray, b: np.ndarray, f: float, inst: ProblemInstance
 ) -> np.ndarray:
     """Per unlocked plot of (B, N) values: round(f * (a - b)), clamped; locked plots keep a."""
-    moved = plot_codec(inst).clamp(np.rint(f * (a - b).astype(float)))
+    moved = plot_codec(inst).clamp(0, np.rint(f * (a - b).astype(float)))
     return np.where(inst.locked, a, moved)

@@ -106,6 +106,16 @@ class TestGenerateCommand:
         assert main(["generate", "--spec", str(spec_path),
                      "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_too_tall_floor_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = main(["generate", "--grid", "2x2", "--floors", "45:45", "--uses", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error: floor_range max 45 at use_count 3 gives K^f > 2^62" in err
+        assert "Traceback" not in err and not out.exists()
+        assert main(["generate", "--grid", "2x2", "--floors", "39:39", "--uses", "3",
+                     "--out", str(out)]) == 0
+
     def test_grid_required_without_spec(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x.json")]) == 1
 
@@ -537,6 +547,50 @@ class TestVerifyRederives:
         err = capsys.readouterr().err
         assert f"do not match their floor uses (first: member {doc['front'][1]})" in err
         assert "unreadable" not in err
+
+    @pytest.mark.parametrize("field, tamper", [
+        ("feasible", lambda v: not v),
+        ("violation", lambda v: 123.0),
+        ("violation", lambda v: float(np.nextafter(v, np.inf))),
+    ], ids=["feasible-flipped", "violation-123", "violation-ulp"])
+    def test_stored_feasibility_is_rederived(self, clean_bundle, tmp_path, capsys, field, tamper):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = sorted((bundle / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        member = doc["population"][0]
+        member[field] = tamper(member[field])
+        run.write_text(json.dumps(doc))
+        assert main(["verify", "--bundle", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "CR_DES seed 1: stored feasible flags or violations of 1 member(s) "
+            "differ from the final constraints (first: member 0)"
+        ) in err
+        assert "do not match their floor uses" not in err
+
+    @pytest.mark.parametrize("tamper", ["price", "duplicate", "missing", "run-missing"])
+    def test_combined_front_is_rederived(self, clean_bundle, tmp_path, capsys, tamper):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        path = bundle / "combined" / "00_CR_DES.json"
+        doc = json.loads(path.read_text())
+        if tamper == "price":
+            doc["points"][0]["price"] += 1000.0
+        elif tamper == "duplicate":
+            doc["points"].append(doc["points"][0])
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        if tamper == "missing":
+            path.unlink()
+        elif tamper == "run-missing":
+            next((bundle / "runs").glob("*.json")).unlink()
+        code = main(["verify", "--bundle", str(bundle)])
+        err = capsys.readouterr().err
+        message = "issue: CR_DES: combined/00_CR_DES.json is missing or not the union of its runs' fronts"
+        if tamper == "run-missing":  # the run file is reported; the union is not checked
+            assert code == 3 and "run file missing" in err and "combined" not in err
+        else:
+            assert code == 2 and message in err
 
     def _rewritten(self, clean_bundle, tmp_path, edit):
         """Bundle copy whose first non-front member has its codes edited by

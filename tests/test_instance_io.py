@@ -18,6 +18,7 @@ from landalloc.instance_io import (
     save_instance,
 )
 from landalloc.model import (
+    ProblemInstance,
     area_band_mask,
     evaluate_batch,
     plot_budget_mask,
@@ -81,6 +82,14 @@ class TestValidationErrors:
         doc["plots"][0]["neighbors"] = [0]
         with pytest.raises(InstanceRangeError, match="self-neighborhood"):
             instance_from_dict(doc)
+
+    def test_zero_plots_is_range_error(self, tiny1):
+        doc = self.base_doc(tiny1)
+        doc["plots"], doc["price"] = [], []
+        with pytest.raises(InstanceRangeError, match="^need at least one plot$"):
+            instance_from_dict(doc)
+        with pytest.raises(ValueError, match="^need at least one plot$"):
+            ProblemInstance([], tiny1.uses, tiny1.compat, np.zeros((0, 2)), 0.3, 0.2, 0.0, 1.0)
 
     def test_bad_json_is_schema_error(self):
         with pytest.raises(InstanceSchemaError, match="JSON"):

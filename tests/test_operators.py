@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,19 +82,23 @@ class TestEncoding:
         with pytest.raises(ValueError):
             decode_uses(8, 2, 3)
 
-    def test_tall_building_uses_python_ints(self):
-        # 45 digits in base 3 overflows int64; the codec must still round-trip
-        from landalloc.model import LandUse, Plot, ProblemInstance
-        from landalloc.operators import PlotCodec
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_tall_building_refused(self, tmp_path, k):
+        # One floor above the tallest allowed plot: K^f > 2^62 does not fit the int64 codec
+        from landalloc.instance_io import InstanceRangeError, instance_to_dict, load_instance
 
-        plots = [Plot(0, 45, 100.0, (), False, tuple([2] * 45))]
-        uses = [LandUse(m, str(m)) for m in range(3)]
-        inst = ProblemInstance(plots, uses, np.eye(3), np.ones((1, 3)), 0.5, 1.0, 0.0, 1e9)
-        codec = PlotCodec(inst)
-        codes = inst.actual_codes[None, :]
-        values = codec.encode_rows(codes)
-        assert int(values[0, 0]) == 3**45 - 1
-        assert np.array_equal(codec.decode_rows(values), codes)
+        f = tallest_floors(k) + 1
+        doc = instance_to_dict(tall_instance(k))
+        plot = doc["plots"][-1]
+        plot["floors"] = f
+        plot["actual_uses"] = [k - 1] * f
+        path = tmp_path / "tall.landalloc.json"
+        path.write_text(json.dumps(doc))
+        message = f"plot {plot['id']}: {f} floors at K = {k} give K\\^f > 2\\^62"
+        with pytest.raises(InstanceRangeError, match=message):
+            load_instance(path)
+        with pytest.raises(ValueError, match=message):
+            tall_instance(k, extra=1)
 
 
 def _digit_table_width(k):
@@ -109,7 +115,7 @@ class TestCodecDigitTable:
         from landalloc.operators import PlotCodec
 
         w = _digit_table_width(k)
-        floors = [1, w, w + 1, 2 * w + 1, 45]
+        floors = [1, w, w + 1, 2 * w + 1, tallest_floors(k)]
         plots = [Plot(i, f, 100.0, (), False, (0,) * f) for i, f in enumerate(floors)]
         uses = [LandUse(m, str(m)) for m in range(k)]
         n = len(plots)
@@ -121,7 +127,7 @@ class TestCodecDigitTable:
         codes[0] = 0
         codes[1] = k - 1
         values = codec.encode_rows(codes)
-        assert int(values[1, -1]) == k**45 - 1
+        assert int(values[1, -1]) == k ** floors[-1] - 1
         decoded = codec.decode_rows(values)
         assert decoded.dtype == codes.dtype
         assert np.array_equal(decoded, codes)
@@ -265,8 +271,8 @@ class TestPolynomialMutation:
 
     def test_degenerate_domain_is_identity(self):
         vals = np.array([0.0, 0.0])
-        out = polynomial_values(vals, np.zeros(2), np.zeros(2), 20.0, np.array([0.3, 0.9]))
-        assert np.array_equal(out, vals)
+        out = polynomial_values(vals, np.zeros(2), 20.0, np.array([0.3, 0.9]))
+        assert np.array_equal(out, np.zeros(2))
 
     def test_output_always_in_range(self, inst):
         rng = np.random.default_rng(20)
@@ -337,14 +343,18 @@ class TestScaledOperators:
             assert out.min() >= 0 and out.max() < inst.n_uses
 
 
-def tall_instance(k, beyond=False):
-    """One unlocked plot per floor count 1..f_max, where K^f_max is the tallest
-    plot the codec still holds in int64 (f_max * log2 K <= 62); `beyond` adds
-    a plot one floor taller, which moves the codec to python ints."""
+def tallest_floors(k):
+    """The most floors a plot may have at K = k: K^f <= 2^62."""
+    return max(f for f in range(1, 63) if k**f <= 2**62)
+
+
+def tall_instance(k, extra=0):
+    """One unlocked plot per floor count 1..f_max, the tallest allowed at K = k;
+    the last plot gets `extra` more floors."""
     from landalloc.model import LandUse, Plot, ProblemInstance
 
-    f_max = int(62 // np.log2(k))
-    floors = list(range(1, f_max + 1 + beyond))
+    floors = list(range(1, tallest_floors(k) + 1))
+    floors[-1] += extra
     plots = [Plot(i, f, 100.0, (), False, (0,) * f) for i, f in enumerate(floors)]
     uses = [LandUse(m, str(m)) for m in range(k)]
     n = len(plots)
@@ -352,15 +362,14 @@ def tall_instance(k, beyond=False):
 
 
 class TestTallPlots:
-    """The value operators stay exact on plots whose codes pass 2^53, on
-    both the int64 and the python-int codec path."""
+    """The value operators stay exact on plots whose codes pass 2^53, up to
+    the tallest plot the int64 codec allows."""
 
-    @pytest.mark.parametrize("beyond", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 6])
-    def test_zero_donor_is_identity(self, k, beyond):
-        inst = tall_instance(k, beyond)
+    def test_zero_donor_is_identity(self, k):
+        inst = tall_instance(k)
         codec = plot_codec(inst)
-        assert codec._exact != beyond and int(codec.max_values[-1]) > 2**53
+        assert int(codec.max_values[-1]) > 2**53
         rng = np.random.default_rng(k)
         x = rng.integers(0, k, size=(50, inst.total_floors)).astype(np.int16)
         x[0] = k - 1  # every plot at its largest value
@@ -370,10 +379,9 @@ class TestTallPlots:
         vx = codec.encode_rows(x)
         assert np.array_equal(scaled_add_batch(vx, np.zeros_like(vx), 0.5, inst), vx)
 
-    @pytest.mark.parametrize("beyond", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 6])
-    def test_huge_scale_clamps_without_overflow(self, k, beyond):
-        inst = tall_instance(k, beyond)
+    def test_huge_scale_clamps_without_overflow(self, k):
+        inst = tall_instance(k)
         codec = plot_codec(inst)
         rng = np.random.default_rng(10 + k)
         vx = codec.encode_rows(rng.integers(0, k, size=(20, inst.total_floors)))
@@ -388,10 +396,21 @@ class TestTallPlots:
         assert (moved >= 0).all() and (moved <= codec.max_values).all()
         assert_valid(codec.decode_rows(moved), inst)
 
-    @pytest.mark.parametrize("beyond", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 6])
-    def test_sbx_keeps_unselected_plots(self, k, beyond):
-        inst = tall_instance(k, beyond)
+    def test_sbx_identical_parents_fixed_point(self, k):
+        inst = tall_instance(k)
+        rng = np.random.default_rng(30 + k)
+        x = rng.integers(0, k, size=(50, inst.total_floors)).astype(np.int16)
+        x[0] = k - 1
+        for eta in (0.5, 20.0):
+            cfg = OperatorConfig(sbx_eta=eta, crossover_plot_fraction=1.0)
+            c1, c2 = sbx_codes(x, x.copy(), cfg, inst, np.random.default_rng(5))
+            assert np.array_equal(c1, x)
+            assert np.array_equal(c2, x)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_sbx_keeps_unselected_plots(self, k):
+        inst = tall_instance(k)
         codec = plot_codec(inst)
         rng = np.random.default_rng(20 + k)
         p1 = rng.integers(0, k, size=(40, inst.total_floors)).astype(np.int16)
