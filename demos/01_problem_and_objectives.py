@@ -6,9 +6,12 @@ plot 1, a two-floor building with 200 units. With two use categories
 same-use neighbors and penalizes mixing, and each plot has its own
 full-plot price per use.
 
-A land-use map is one flat row of floor-use codes, plot i's floors at
-row[floor_offsets[i]:floor_offsets[i+1]]. `evaluate_batch` scores a
-(B, total_floors) batch of such rows; the `*_mask` functions check them.
+A land-use map is one row of plot values: plot i's floor uses as one
+base-K integer, most significant floor first. `evaluate_batch` scores a
+(B, N) batch of such rows; the `*_mask` functions check them. The files
+store a map as one flat row of floor-use codes, plot i's floors at
+row[floor_offsets[i]:floor_offsets[i+1]]; `inst.codec` converts between
+the two.
 """
 
 import numpy as np
@@ -35,11 +38,14 @@ inst = ProblemInstance(
 )
 
 print("The as-built map: plot 0 = [res, com], plot 1 = [res, res]")
-actual = inst.actual_codes
-print(f"  code row {actual.tolist()}, plot offsets {inst.floor_offsets.tolist()}")
+codes = inst.actual_codes
+print(f"  code row {codes.tolist()}, plot offsets {inst.floor_offsets.tolist()}")
+actual = inst.actual_values
+print(f"  plot values {actual.tolist()} (base 2: 01 -> 1, 00 -> 0)")
+counts = inst.codec.use_counts(actual)
 for i in range(inst.n_plots):
-    floors = actual[inst.floor_offsets[i] : inst.floor_offsets[i + 1]]
-    print(f"  plot {i}: proportions x[{i}, .] = {np.bincount(floors, minlength=2) / len(floors)}")
+    print(f"  plot {i}: floors per use {counts[i].tolist()}, "
+          f"proportions x[{i}, .] = {counts[i] / inst.floor_counts[i]}")
 
 stats = evaluate_batch(inst, actual[None, :])
 print(f"\ncompatibility = {stats.compatibility[0]:,.0f}")
@@ -48,7 +54,8 @@ print("   here the pair (0,1) and its mirror each contribute 5000)")
 print(f"price = {stats.price[0]:,.1f}")
 
 print("\nNow flip plot 1 entirely to commercial and re-check the constraints:")
-candidate = np.array([[0, 1, 1, 1]], dtype=actual.dtype)
+candidate = inst.codec.encode_rows(np.array([[0, 1, 1, 1]]))
+print(f"  code row [0, 1, 1, 1] -> plot values {candidate[0].tolist()}")
 stats = evaluate_batch(inst, candidate)
 areas, changed = stats.areas[0], int(stats.changed[0])
 lo, hi = area_band(inst, inst.gamma)

@@ -5,17 +5,17 @@ floor first, so "122" in base 3 is 17). SBX, polynomial mutation and the
 DE-style operators do real-valued arithmetic on those integers, then
 round half-to-even and clamp back into [0, K^floors - 1].
 
-Uniform crossover and random mutation work on a batch of code rows, one
-row per allocation; SBX, polynomial mutation and the scaled operators work
-on the batch's per-plot integers, so the codes are encoded before them and
-decoded after. Here each batch holds one row.
+Uniform crossover swaps whole plot values and random mutation redraws a
+plot's value uniformly from [0, K^floors - 1]. Every operator takes and
+returns a batch of value rows, one row per allocation; the codes are
+encoded once before them and decoded only to print them. Here each batch
+holds one row.
 """
 
 import numpy as np
 
 from landalloc import GeneratorSpec, OperatorConfig, decode_uses, encode_uses, generate_synthetic
 from landalloc.operators import (
-    plot_codec,
     random_mutation_batch,
     sbx_batch,
     scaled_add_batch,
@@ -43,20 +43,21 @@ p2[:, locked_floor] = inst.actual_codes[locked_floor]
 print("\nparent 1 codes:", p1[0].tolist())
 print("parent 2 codes:", p2[0].tolist())
 
-codec = plot_codec(inst)
+codec = inst.codec
 v1, v2 = codec.encode_rows(p1), codec.encode_rows(p2)
+print("parent plot values:", v1[0].tolist(), v2[0].tolist())
 c1, c2 = (codec.decode_rows(v) for v in sbx_batch(v1, v2, cfg, inst, rng))
 print("\nSBX children (per-plot arithmetic on the encodings):")
 print("  child 1:", c1[0].tolist())
 print("  child 2:", c2[0].tolist())
 
-u1, u2 = uniform_batch(p1, p2, cfg, inst, rng)
+u1, u2 = (codec.decode_rows(v) for v in uniform_batch(v1, v2, cfg, inst, rng))
 print("uniform crossover children (whole plots swapped):")
 print("  child 1:", u1[0].tolist())
 print("  child 2:", u2[0].tolist())
 
-m = random_mutation_batch(p1, cfg, inst, rng)
-print("\nrandom mutation re-draws every floor of up to "
+m = codec.decode_rows(random_mutation_batch(v1, cfg, inst, rng))
+print("\nrandom mutation re-draws the value, so every floor, of up to "
       f"{cfg.mutation_plot_budget} plots: {m[0].tolist()}")
 
 added = codec.decode_rows(scaled_add_batch(v1, v2, 0.5, inst))

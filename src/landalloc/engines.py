@@ -21,7 +21,9 @@ bit-identical RunRecords.
 
 A population is one bundle of parallel arrays, both inside the engines and
 in the RunRecord: a `Population` is an evaluation (`model.BatchStats`)
-extended by its codes matrix and search state.
+extended by its (P, N) plot values and search state. Every operator and
+the evaluator work on plot values; the RunRecord adds the final
+population's floor codes, decoded once, for the files.
 
 Each variation step names, for every child, the parent it keeps its
 unselected plots from (its anchor), and offspring are scored from their
@@ -44,7 +46,6 @@ import numpy as np
 
 from . import metrics
 from .model import (
-    CODE_DTYPE,
     BatchStats,
     ProblemInstance,
     area_band,
@@ -56,7 +57,6 @@ from .model import (
 )
 from .operators import (
     OperatorConfig,
-    plot_codec,
     polynomial_mutation_batch,
     random_mutation_batch,
     sbx_batch,
@@ -125,14 +125,14 @@ class EngineConfig:
 
 @dataclass(eq=False)
 class Population(BatchStats):
-    """One population: its evaluation plus its codes and search state.
+    """One population: its evaluation plus its plot values and search state.
 
     Row r is one member: its compatibility and price, per-use floor areas
-    (K,), changed-plot count, flat floor codes, front rank, crowding
-    distance, feasibility flag and constraint violation.
+    (K,), changed-plot count, plot values (N,) as int64, front rank,
+    crowding distance, feasibility flag and constraint violation.
     """
 
-    codes: np.ndarray
+    values: np.ndarray
     rank: np.ndarray | None = None
     crowd: np.ndarray | None = None
     feasible: np.ndarray | None = None
@@ -149,16 +149,16 @@ class Population(BatchStats):
     def evaluate(
         cls,
         inst: ProblemInstance,
-        codes: np.ndarray,
+        values: np.ndarray,
         parent: "Population | None" = None,
         anchors: np.ndarray | None = None,
     ) -> "Population":
-        """Score `codes` in full, or, given `parent`, row r from member anchors[r] (-1: none)."""
+        """Score `values` in full, or, given `parent`, row r from member anchors[r] (-1: none)."""
         if parent is None:
-            stats = evaluate_batch(inst, codes)
+            stats = evaluate_batch(inst, values)
         else:
-            stats = evaluate_near(inst, codes, parent.codes, parent, anchors)
-        return cls(**vars(stats), codes=codes)
+            stats = evaluate_near(inst, values, parent.values, parent, anchors)
+        return cls(**vars(stats), values=values)
 
     @property
     def n(self) -> int:
@@ -183,8 +183,10 @@ class RunRecord:
     solutions feasible under the final (unrelaxed) constraints, normalized
     over the archive's own objective range plus the actual land-use point.
     `front_indices` (int64) point into `population` and select the
-    reported, feasible-filtered Pareto front. Wall time is informational
-    only and is excluded from canonical serialization.
+    reported, feasible-filtered Pareto front. `codes` holds the
+    population's floor codes, one (total_floors,) row per member, as the
+    files store them. Wall time is informational only and is excluded
+    from canonical serialization.
     """
 
     algorithm: str
@@ -192,6 +194,7 @@ class RunRecord:
     seed: int
     hv_trace: list[float]
     population: Population
+    codes: np.ndarray
     front_indices: np.ndarray
     wall_time_s: float
 
@@ -368,16 +371,16 @@ def _soa_scores(pop: Population, cfg: EngineConfig) -> np.ndarray:
 # initialization and the final-feasible archive
 
 
-def _init_codes(inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
-    """Initial code rows: one random mutation of copies of the actual map.
+def _init_values(inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+    """Initial value rows: one random mutation of copies of the actual map.
 
-    Each row redraws every floor of ceil(init_change_fraction *
+    Each row redraws the value of ceil(init_change_fraction *
     N_unlocked) distinct unlocked plots uniformly. Rows are not screened:
     one outside the price box enters with its violation.
     """
     budget = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
     op_cfg = replace(cfg.operator_cfg, mutation_plot_budget=budget)
-    actual = np.repeat(inst.actual_codes[None, :], cfg.population_size, axis=0)
+    actual = np.repeat(inst.actual_values[None, :], cfg.population_size, axis=0)
     return random_mutation_batch(actual, op_cfg, inst, rng)
 
 
@@ -441,36 +444,27 @@ def _offspring_mutate_sbx(
 
     Each child is anchored at the parent it was mutated or crossed from.
     """
-    codec = plot_codec(inst)
     lam = cfg.population_size
     n_pairs = (lam + 1) // 2
     i = rng.integers(0, len(pool), size=n_pairs)
     j = rng.integers(0, len(pool), size=n_pairs)
     mutate_only = rng.random(n_pairs) < cfg.mutation_probability
-    p1 = pop.codes[pool[i]]
-    p2 = pop.codes[pool[j]]
+    p1 = pop.values[pool[i]]
+    p2 = pop.values[pool[j]]
     out1 = np.empty_like(p1)
     out2 = np.empty_like(p2)
     cross = np.flatnonzero(~mutate_only)
     if cross.size:
         m1 = random_mutation_batch(p1[cross], cfg.operator_cfg, inst, rng)
         m2 = random_mutation_batch(p2[cross], cfg.operator_cfg, inst, rng)
-        c1, c2 = sbx_batch(
-            codec.encode_rows(m1), codec.encode_rows(m2), cfg.operator_cfg, inst, rng
-        )
-        out1[cross] = codec.decode_rows(c1)
-        out2[cross] = codec.decode_rows(c2)
+        out1[cross], out2[cross] = sbx_batch(m1, m2, cfg.operator_cfg, inst, rng)
     solo = np.flatnonzero(mutate_only)
     if solo.size:
-        if replacement_mutation == "random":
-            out1[solo] = random_mutation_batch(p1[solo], cfg.operator_cfg, inst, rng)
-            out2[solo] = random_mutation_batch(p2[solo], cfg.operator_cfg, inst, rng)
-        else:
-            for parents, out in ((p1, out1), (p2, out2)):
-                values = codec.encode_rows(parents[solo])
-                out[solo] = codec.decode_rows(
-                    polynomial_mutation_batch(values, cfg.operator_cfg, inst, rng)
-                )
+        mutation = (
+            random_mutation_batch if replacement_mutation == "random" else polynomial_mutation_batch
+        )
+        out1[solo] = mutation(p1[solo], cfg.operator_cfg, inst, rng)
+        out2[solo] = mutation(p2[solo], cfg.operator_cfg, inst, rng)
     return _interleave(out1, out2, lam), _interleave(pool[i], pool[j], lam)
 
 
@@ -494,23 +488,21 @@ def _offspring_cr_des(
     ends = np.cumsum(counts)
     starts = ends - counts
     used = np.flatnonzero(starts < lam)
-    out = np.empty((lam, inst.total_floors), dtype=CODE_DTYPE)
+    out = np.empty((lam, inst.n_plots), dtype=np.int64)
     anchors = np.full(lam, -1, dtype=np.int64)
     de_units = used[de_flag[used]]
     cr_units = used[~de_flag[used]]
     if de_units.size:
-        codec = plot_codec(inst)
-        values = scaled_difference_batch(
-            codec.encode_rows(pop.codes[pool[ai[de_units]]]),
-            codec.encode_rows(pop.codes[pool[bi[de_units]]]),
+        out[starts[de_units]] = scaled_difference_batch(
+            pop.values[pool[ai[de_units]]],
+            pop.values[pool[bi[de_units]]],
             cfg.operator_cfg.de_scale,
             inst,
         )
-        out[starts[de_units]] = codec.decode_rows(values)
     if cr_units.size:
         c1, c2 = uniform_batch(
-            pop.codes[pool[ai[cr_units]]],
-            pop.codes[pool[bi[cr_units]]],
+            pop.values[pool[ai[cr_units]]],
+            pop.values[pool[bi[cr_units]]],
             cfg.operator_cfg,
             inst,
             rng,
@@ -534,21 +526,18 @@ def _offspring_msbx_mo(
 
     The emitted child is the x-anchored one: unselected plots keep x and
     the participating plots are SBX-mixed toward the mutant, the DE
-    trial-vector construction. The population is encoded once; only the
-    kept child is decoded.
+    trial-vector construction.
     """
     n = pop.n
     donors = rng.integers(0, n - 1, size=n)
     donors += donors >= np.arange(n)
-    codec = plot_codec(inst)
-    values = codec.encode_rows(pop.codes)
-    mutants = scaled_add_batch(values, values[donors], cfg.operator_cfg.de_scale, inst)
-    _, children = sbx_batch(mutants, values, cfg.operator_cfg, inst, rng)
-    return codec.decode_rows(children), np.arange(n)
+    mutants = scaled_add_batch(pop.values, pop.values[donors], cfg.operator_cfg.de_scale, inst)
+    _, children = sbx_batch(mutants, pop.values, cfg.operator_cfg, inst, rng)
+    return children, np.arange(n)
 
 
 # The one step in which the engines differ: (inst, cfg, pop, rng) -> offspring
-# code rows and, per child, the member of `pop` it is anchored at (-1: none).
+# value rows and, per child, the member of `pop` it is anchored at (-1: none).
 _VARIATIONS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
     # Single-objective GA on the weighted raw objectives.
     "SOA": lambda inst, cfg, pop, rng: _offspring_mutate_sbx(
@@ -589,7 +578,7 @@ def run_engine(
     soa = cfg.algorithm == "SOA"
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     t0 = time.perf_counter()
-    pop = Population.evaluate(inst, _init_codes(inst, cfg, rng))
+    pop = Population.evaluate(inst, _init_values(inst, cfg, rng))
     gamma, mu = apply_relaxation_phase(1, cfg)
     _refresh_pop(inst, pop, gamma, mu)
     if not soa:
@@ -601,8 +590,8 @@ def run_engine(
         gamma, mu = apply_relaxation_phase(gen, cfg)
         # Selection reuses the rank/crowding assigned by the previous
         # survival step, as in canonical NSGA-II.
-        codes, anchors = variation(inst, cfg, pop, rng)
-        offspring = Population.evaluate(inst, codes, pop, anchors)
+        values, anchors = variation(inst, cfg, pop, rng)
+        offspring = Population.evaluate(inst, values, pop, anchors)
         merged = pop.concat(offspring)
         if gen == cfg.generations and archive.members is not None:
             merged = merged.concat(archive.members)
@@ -625,6 +614,7 @@ def run_engine(
         seed=cfg.seed,
         hv_trace=_hv_trace(inst, snapshots),
         population=pop,
+        codes=inst.codec.decode_rows(pop.values),
         front_indices=front_indices,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -632,7 +622,7 @@ def run_engine(
 
 def _evaluate_in_full(inst: ProblemInstance, pop: Population, gamma: float, mu: float) -> None:
     """Replace the search values of `pop` by one full evaluation; refresh under (gamma, mu)."""
-    vars(pop).update(vars(evaluate_batch(inst, pop.codes)))
+    vars(pop).update(vars(evaluate_batch(inst, pop.values)))
     _refresh_pop(inst, pop, gamma, mu)
 
 

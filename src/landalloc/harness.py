@@ -94,6 +94,9 @@ class ExperimentConfig:
             raise ExperimentConfigError("config is missing 'instance'")
         if "engines" not in doc or not isinstance(doc["engines"], list):
             raise ExperimentConfigError("config is missing an 'engines' list")
+        for key in ("instance", "output"):
+            if not isinstance(doc.get(key, ""), str):
+                raise ExperimentConfigError(f"{key} must be a path")
         seeds = doc.get("seeds", DEFAULT_SEEDS)
         stats_metrics = doc.get("stats_metrics", DEFAULT_STATS_METRICS)
         alpha, workers = doc.get("alpha", 0.05), doc.get("workers", 1)
@@ -156,10 +159,9 @@ def slug(index: int, label: str) -> str:
 # RunRecord (de)serialization
 
 
-# A run file member: (JSON key, `Population` field, dtype its values are read as).
-# The floor uses come first; they are read by their own checks.
+# A run file member: its floor uses (`RunRecord.codes`, read by their own
+# checks), then (JSON key, `Population` field, dtype its values are read as).
 _MEMBER_FIELDS = (
-    ("floor_uses", "codes", CODE_DTYPE),
     ("compatibility", "compatibility", float),
     ("price", "price", float),
     ("changed", "changed", np.int64),
@@ -172,8 +174,8 @@ _MEMBER_FIELDS = (
 
 def record_to_dict(label: str, rec: RunRecord) -> dict:
     pop = rec.population
-    keys = [key for key, _, _ in _MEMBER_FIELDS]
-    columns = [getattr(pop, name).tolist() for _, name, _ in _MEMBER_FIELDS]
+    keys = ["floor_uses"] + [key for key, _, _ in _MEMBER_FIELDS]
+    columns = [rec.codes.tolist()] + [getattr(pop, name).tolist() for _, name, _ in _MEMBER_FIELDS]
     return {
         "schema": RECORD_SCHEMA,
         "label": label,
@@ -206,7 +208,7 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
 
 
 def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord, BatchStats]:
-    """record_from_dict plus the evaluation of the stored codes.
+    """record_from_dict plus the evaluation of the stored codes' plot values.
 
     Raises InstanceError if a member is not an object, its floor uses are
     not a list of one integer code per floor of the instance, a code lies
@@ -245,21 +247,22 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
             f"(first: member {outside[0]})"
         )
     codes = raw.astype(CODE_DTYPE)
-    stats = evaluate_batch(inst, codes)
+    values = inst.codec.encode_rows(codes)
+    stats = evaluate_batch(inst, values)
 
     def column(key: str, dtype) -> np.ndarray:
-        values = [d[key] for d in pop_docs]
+        entries = [d[key] for d in pop_docs]
         try:
-            return _vector(values, dtype, key)
+            return _vector(entries, dtype, key)
         except InstanceError:  # name the first member whose value fails alone
-            for r, v in enumerate(values):
+            for r, v in enumerate(entries):
                 _vector([v], dtype, f"member {r}'s {key}")
             raise
 
     population = Population(
-        codes=codes,
+        values=values,
         areas=stats.areas,
-        **{name: column(key, dtype) for key, name, dtype in _MEMBER_FIELDS[1:]},
+        **{name: column(key, dtype) for key, name, dtype in _MEMBER_FIELDS},
     )
     rec = RunRecord(
         algorithm=doc["algorithm"],
@@ -267,6 +270,7 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
         seed=int(_vector([doc["seed"]], np.int64, "seed")[0]),
         hv_trace=_vector(doc["hv_trace"], float, "hv_trace").tolist(),
         population=population,
+        codes=codes,
         front_indices=_vector(doc["front"], np.int64, "front"),
         wall_time_s=float("nan"),
     )
@@ -319,7 +323,7 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
                 "compatibility": float(rec.population.compatibility[i]),
                 "price": float(rec.population.price[i]),
                 "seed": rec.seed,
-                "floor_uses": rec.population.codes[i].tolist(),
+                "floor_uses": rec.codes[i].tolist(),
             }
         )
     return entries
@@ -443,12 +447,22 @@ _MANIFEST_ENTRIES = {
 
 
 def _read_manifest(path: Path) -> dict:
-    """The manifest at `path`; InstanceError unless its entries have the shape `run` writes."""
+    """The manifest at `path`; InstanceError unless its entries have the shape `run` writes.
+
+    `alpha` and `stats_metrics`, where present, must be a number in (0, 1)
+    and a list of names; a name that is no metric is the report's to flag.
+    """
     manifest = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(manifest, dict):
         raise InstanceError("manifest is not an object")
     if not isinstance(manifest.get("instance", ""), str):
         raise InstanceError("manifest instance is not a file name")
+    alpha = manifest.get("alpha", 0.05)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+        raise InstanceError("manifest alpha is not a number in (0, 1)")
+    names = manifest.get("stats_metrics", [])
+    if not isinstance(names, list) or any(not isinstance(name, str) for name in names):
+        raise InstanceError("manifest stats_metrics is not a list of metric names")
     for key, fields in _MANIFEST_ENTRIES.items():
         entries = manifest.get(key, [])
         if not isinstance(entries, list):
@@ -607,7 +621,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
                     f"{tag}: stored feasible flags or violations of {differ.size} member(s) "
                     f"differ from the final constraints (first: member {differ[0]})"
                 )
-        altered = np.flatnonzero(~locked_kept_mask(inst, rec.population.codes))
+        altered = np.flatnonzero(~locked_kept_mask(inst, rec.codes))
         if altered.size:
             issues.append(
                 f"{tag}: {altered.size} member(s) alter a locked plot (first: member {altered[0]})"

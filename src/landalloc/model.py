@@ -3,11 +3,16 @@
 A problem instance describes N plots, each carrying one building with f_i
 floors, a K-use catalog, a K x K compatibility matrix, an N x K full-plot
 price matrix, and the constraint parameters (area band gamma, plot-change
-budget mu, and the price box). A land-use map is one flat code row of
-`total_floors` use codes, plot i's floors at
-`row[floor_offsets[i]:floor_offsets[i+1]]`; the induced per-plot use
-proportions drive both objectives. `evaluate_batch` scores a (B,
-total_floors) batch of rows and the `*_mask` functions check them.
+budget mu, and the price box). A land-use map is one row of N plot
+values: plot i's floor uses [u_0, ..., u_{f-1}] as the base-K integer
+sum(u_t * K^(f-1-t)), most significant digit first (so "122" in base 3
+is 17), held as int64. `evaluate_batch` scores a (B, N) batch of value
+rows from each plot's per-use floor counts, which `PlotCodec` reads
+straight off the values; the induced per-plot use proportions drive both
+objectives. Floor codes, one flat row of `total_floors` use codes with
+plot i's floors at `row[floor_offsets[i]:floor_offsets[i+1]]`, are the
+form maps take in files: `PlotCodec` converts between the two, and the
+code masks check code rows read from outside the program.
 
 `evaluate_near` scores rows that were copied from rows already scored
 (a child and its anchor parent): a row that differs from its anchor in a
@@ -61,8 +66,9 @@ class ProblemInstance:
 
     Construction validates the structural invariants (among them at
     least one plot, and K^f <= 2^62 for every plot of f floors, so a
-    plot's base-K value fits int64) and precomputes the flat floor layout
-    plus the as-built map's per-use areas so that objective evaluation
+    plot's base-K value fits int64) and precomputes the flat floor layout,
+    the instance's `PlotCodec` (`codec`), the as-built map's plot values
+    (`actual_values`) and its per-use areas, so that objective evaluation
     and constraint checks are single vectorized passes.
     """
 
@@ -156,7 +162,9 @@ class ProblemInstance:
         self.actual_codes = np.concatenate(
             [np.asarray(p.actual_uses, dtype=CODE_DTYPE) for p in self.plots]
         )
-        stats = evaluate_batch(self, self.actual_codes[None, :])
+        self.codec = PlotCodec(self)
+        self.actual_values = self.codec.encode_rows(self.actual_codes)[0]
+        stats = evaluate_batch(self, self.actual_values[None, :])
         self.actual_areas = stats.areas[0]
         self.actual_objectives = ObjectiveVector(
             compatibility=float(stats.compatibility[0]), price=float(stats.price[0])
@@ -188,6 +196,106 @@ class ProblemInstance:
         return len(self.uses)
 
 
+# PlotCodec's digit table holds at most this many rows (K^w <= 8192).
+_TABLE_ROWS = 8192
+
+
+class PlotCodec:
+    """Vectorized base-K codec for an instance's plot values.
+
+    Plot values are int64: `ProblemInstance` refuses a plot with
+    K^f > 2^62, so every K^f - 1 and every sum or difference of two
+    values fits.
+
+    Decoding reads a digit table built once per codec: row v holds the w
+    base-K digits of v, most significant first, where w is the largest
+    width with K^w <= 8192, capped at the tallest plot's floor count
+    (w = 8 at K = 3 with 8-floor plots: 6,561 rows of int16). Plots of at
+    most w floors decode with one table lookup and no integer division.
+    Taller plots are first split into ceil(f_max / w) chunks of w digits
+    by % and // of K^w; each chunk is below K^w, so it is looked up in the
+    same table. One gather along the flat digit axis then picks every
+    floor's digit.
+
+    The count table beside it holds, in row v, how many of v's w digits
+    equal each use. A plot's per-use floor counts are the sum of its
+    chunks' rows, less the chunks * w - f leading zero digits on use 0.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        self.base = inst.n_uses
+        self._starts = inst.floor_offsets[:-1]
+        # Floor t of a plot is digit pos[t], counted from the least significant end.
+        last = np.repeat(inst.floor_offsets[1:] - 1, inst.floor_counts)
+        pos = last - np.arange(inst.total_floors)
+        self.place_values = np.int64(self.base) ** pos
+        self.max_values = np.int64(self.base) ** inst.floor_counts - 1
+        width = 1
+        tallest = int(inst.floor_counts.max())
+        while width < tallest and self.base ** (width + 1) <= _TABLE_ROWS:
+            width += 1
+        self._width = width
+        # C-order indices of a (K,) * w grid are the digits of 0..K^w - 1.
+        self._table = np.indices((self.base,) * width, dtype=CODE_DTYPE).reshape(width, -1).T.copy()
+        counts = [(self._table == m).sum(axis=1, dtype=CODE_DTYPE) for m in range(self.base)]
+        self._counts = np.stack(counts, axis=1)
+        self._chunks = -(-tallest // width)
+        self._pad = self._chunks * width - inst.floor_counts
+        # Digit p sits in chunk p // w at table column w - 1 - p % w; the
+        # lookups are laid out as (plot, chunk, column).
+        self._columns = (
+            inst.floor_plot_index * (self._chunks * width)
+            + (pos // width) * width
+            + width - 1 - pos % width
+        )
+
+    def encode_rows(self, codes: np.ndarray) -> np.ndarray:
+        """(B, total_floors) code rows -> (B, N) per-plot integers."""
+        weighted = np.atleast_2d(codes).astype(np.int64)
+        weighted *= self.place_values  # in place: one fresh (B, floors) array, not two
+        return np.add.reduceat(weighted, self._starts, axis=1)
+
+    def decode_rows(self, values: np.ndarray) -> np.ndarray:
+        """(B, N) per-plot integers -> (B, total_floors) code rows."""
+        values = np.atleast_2d(values)
+        digits = self._table.take(self._chunk_rows(values), axis=0).reshape(values.shape[0], -1)
+        return digits.take(self._columns, axis=1)
+
+    def use_counts(self, values: np.ndarray, plots: np.ndarray | None = None) -> np.ndarray:
+        """(..., K) floors per use of each plot value.
+
+        `values` is (B, N), or 1-D with `plots` giving each entry's plot.
+        """
+        if self._chunks == 1:
+            counts = self._counts.take(values, axis=0)
+        else:
+            counts = self._counts.take(self._chunk_rows(values), axis=0).sum(axis=-2)
+        counts[..., 0] -= self._pad if plots is None else self._pad[plots]
+        return counts
+
+    def _chunk_rows(self, values: np.ndarray) -> np.ndarray:
+        """(..., chunks) table rows of each value's w-digit chunks, least significant first."""
+        span = self.base**self._width
+        chunks = np.empty(values.shape + (self._chunks,), dtype=np.int64)
+        for c in range(self._chunks - 1):
+            chunks[..., c] = values % span
+            values = values // span
+        chunks[..., -1] = values
+        return chunks
+
+    def clamp(self, values: np.ndarray | int, steps: np.ndarray, plots: np.ndarray | None = None) -> np.ndarray:
+        """`values` plus the integral float `steps`, clamped into [0, K^f - 1].
+
+        `values` (or the scalar 0) and `steps` are (B, N), or 1-D with
+        `plots` giving each entry's plot. The sum is exact int64 arithmetic. A step beyond
+        +-2^62 is cut there first, which moves no result and keeps int64
+        from overflowing.
+        """
+        limits = self.max_values if plots is None else self.max_values[plots]
+        steps = np.clip(steps, -(2.0**62), 2.0**62).astype(np.int64)
+        return values + np.clip(steps, -values, limits - values)
+
+
 @dataclass(frozen=True)
 class ObjectiveVector:
     """A (compatibility, price) pair; both objectives are maximized.
@@ -204,9 +312,9 @@ class ObjectiveVector:
 
 @dataclass(eq=False)
 class BatchStats:
-    """Evaluated code rows, one array per column with a row per code row.
+    """Evaluated value rows, one array per column with a row per map.
 
-    `engines.Population` extends it with the rows' codes and search state;
+    `engines.Population` extends it with the rows' plot values and search state;
     `take` and `concat` act on every column its class's `columns` gets.
     """
 
@@ -236,8 +344,8 @@ _BLOCK_VALUES = 1 << 17
 _EDGE_CHUNK = 512
 
 
-def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
-    """Evaluate a (B, total_floors) batch of flat code rows.
+def evaluate_batch(inst: ProblemInstance, values: np.ndarray) -> BatchStats:
+    """Evaluate a (B, N) batch of plot-value rows.
 
     Returns both objectives plus the per-use areas and changed-plot counts
     needed by the constraint masks. With x[i, m] the share of plot i's
@@ -247,11 +355,12 @@ def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
       every stored ordered neighbor pair (i, j) and every use pair (l, m);
     * price sums P[i, m] * x[i, m] over plots and uses;
     * areas[m] sums x[i, m] * F[i] over plots;
-    * changed counts the plots whose floors differ from the as-built map.
+    * changed counts the plots whose values differ from the as-built map.
 
-    Codes are not range-checked: a code outside [0, K) may be counted
-    against another plot or use, so code read from outside the program is
-    checked first with `codes_in_range_mask`.
+    x[i] is plot i's per-use floor counts (`PlotCodec.use_counts`) over
+    f_i. Values are not range-checked: a value outside [0, K^f) is counted
+    as some other map's or raises, so maps read from outside the program
+    are checked as codes first with `codes_in_range_mask`.
 
     Rows are evaluated in blocks of about 2^17 per-plot values each (33
     rows at 1,290 plots x 3 uses), and never in a 1-row block: a trailing
@@ -271,19 +380,17 @@ def evaluate_batch(inst: ProblemInstance, codes: np.ndarray) -> BatchStats:
     contiguous column pairwise, and (seen with 6 uses) a single row's
     per-plot products can round differently too.
     """
-    codes = np.atleast_2d(codes)
-    b = codes.shape[0]
-    if codes.shape[1] != inst.total_floors:
-        raise ValueError(
-            f"expected {inst.total_floors} floor codes per row, got {codes.shape[1]}"
-        )
+    values = np.atleast_2d(values)
+    b = values.shape[0]
+    if values.shape[1] != inst.n_plots:
+        raise ValueError(f"expected {inst.n_plots} plot values per row, got {values.shape[1]}")
     if b == 1:
-        return BatchStats(*(f[:1] for f in _evaluate_block(inst, np.repeat(codes, 2, axis=0))))
+        return BatchStats(*(f[:1] for f in _evaluate_block(inst, np.repeat(values, 2, axis=0))))
     step = max(2, _BLOCK_VALUES // (inst.n_plots * inst.n_uses))
     bounds = list(range(0, max(b, 1), step)) + [b]  # an empty batch is one empty block
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
-    blocks = [_evaluate_block(inst, codes[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    blocks = [_evaluate_block(inst, values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if len(blocks) == 1:
         return BatchStats(*blocks[0])
     return BatchStats(*map(np.concatenate, zip(*blocks)))
@@ -313,15 +420,10 @@ def _edge_buffers(inst: ProblemInstance, b: int) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def _evaluate_block(inst: ProblemInstance, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+def _evaluate_block(inst: ProblemInstance, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """BatchStats fields for one block of rows."""
-    b = codes.shape[0]
-    n, k = inst.n_plots, inst.n_uses
-    flat = codes.astype(np.int64)
-    flat += inst.floor_plot_index * k
-    flat += np.arange(b, dtype=np.int64)[:, None] * (n * k)
-    counts = np.bincount(flat.ravel(), minlength=b * n * k).reshape(b, n, k)
-    del flat
+    b = values.shape[0]
+    counts = inst.codec.use_counts(values)
     props = counts / inst.floor_counts[None, :, None]
     del counts
     price = np.einsum("bnk,nk->b", props, inst.price)
@@ -347,8 +449,7 @@ def _evaluate_block(inst: ProblemInstance, codes: np.ndarray) -> tuple[np.ndarra
         compatibility = contrib.sum(axis=0)
     else:
         compatibility = np.zeros(b)
-    diff = codes != inst.actual_codes[None, :]
-    changed = np.logical_or.reduceat(diff, inst.floor_offsets[:-1], axis=1).sum(axis=1)
+    changed = (values != inst.actual_values).sum(axis=1)
     return compatibility, price, per_use_area, changed
 
 
@@ -365,14 +466,14 @@ _DELTA_COST = 12
 
 def evaluate_near(
     inst: ProblemInstance,
-    codes: np.ndarray,
-    base_codes: np.ndarray,
+    values: np.ndarray,
+    base_values: np.ndarray,
     base: BatchStats,
     anchors: np.ndarray,
 ) -> BatchStats:
-    """Evaluate (B, total_floors) `codes`, each row from its anchor where that is cheaper.
+    """Evaluate (B, N) `values`, each row from its anchor where that is cheaper.
 
-    `anchors[r]` is the row of `base_codes` (scored as `base`) that row r
+    `anchors[r]` is the row of `base_values` (scored as `base`) that row r
     keeps its unchanged plots from, or -1 if it has none. An anchored row
     whose delta step (`evaluate_delta`) is estimated to cost less than a
     full pass takes it; the other rows go through `evaluate_batch`. The
@@ -381,30 +482,30 @@ def evaluate_near(
     touching edge. A batch whose full evaluation costs less than a delta
     call's fixed work (tiny instances) is evaluated in full.
     """
-    codes, anchors = np.atleast_2d(codes), np.asarray(anchors)
+    values, anchors = np.atleast_2d(values), np.asarray(anchors)
     anchored = np.flatnonzero(anchors >= 0)
     if anchored.size * inst.full_row_work <= _DELTA_CALL_WORK:
-        return evaluate_batch(inst, codes)
-    pr, pp = _changed_plots(inst, codes[anchored], base_codes[anchors[anchored]])
+        return evaluate_batch(inst, values)
+    pr, pp = np.nonzero(values[anchored] != base_values[anchors[anchored]])
     work = _DELTA_COST * np.bincount(pr, inst.plot_delta_work[pp], minlength=len(anchored))
     cheap = work < inst.full_row_work
     if (inst.full_row_work - work[cheap]).sum() <= _DELTA_CALL_WORK:
-        return evaluate_batch(inst, codes)
+        return evaluate_batch(inst, values)
     keep = cheap[pr]
     rows = anchored[cheap]
     pr = (np.cumsum(cheap) - 1)[pr[keep]]  # the pairs of the cheap rows, renumbered
-    near = _delta_stats(inst, codes, base_codes, base, rows, anchors[rows], pr, pp[keep])
-    if len(rows) == len(codes):
+    near = _delta_stats(inst, values, base_values, base, rows, anchors[rows], pr, pp[keep])
+    if len(rows) == len(values):
         return near
-    full = np.setdiff1d(np.arange(len(codes)), rows, assume_unique=True)
-    both = near.concat(evaluate_batch(inst, codes[full]))
+    full = np.setdiff1d(np.arange(len(values)), rows, assume_unique=True)
+    both = near.concat(evaluate_batch(inst, values[full]))
     return both.take(np.argsort(np.concatenate([rows, full])))
 
 
 def evaluate_delta(
-    inst: ProblemInstance, codes: np.ndarray, base_codes: np.ndarray, base: BatchStats
+    inst: ProblemInstance, values: np.ndarray, base_values: np.ndarray, base: BatchStats
 ) -> BatchStats:
-    """BatchStats of `codes` from `base`, the BatchStats of `base_codes`, row for row.
+    """BatchStats of `values` from `base`, the BatchStats of `base_values`, row for row.
 
     Only the plots where a row differs from its base row are read. With
     a_i plot i's per-use areas in the base row, a_i' in the new row and
@@ -417,22 +518,10 @@ def evaluate_delta(
     its base returns the base values bit for bit; other rows agree with
     `evaluate_batch` to rounding.
     """
-    codes, base_codes = np.atleast_2d(codes), np.atleast_2d(base_codes)
-    rows = np.arange(len(codes))
-    pr, pp = _changed_plots(inst, codes, base_codes)
-    return _delta_stats(inst, codes, base_codes, base, rows, rows, pr, pp)
-
-
-def _changed_plots(
-    inst: ProblemInstance, codes: np.ndarray, base_codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (row, plot) pairs where the two batches differ, by row and then plot."""
-    at = np.flatnonzero(codes != base_codes)
-    rows, floors = np.divmod(at, inst.total_floors)
-    key = rows * inst.n_plots + inst.floor_plot_index[floors]  # sorted, a plot's floors adjacent
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    return np.divmod(key[first], inst.n_plots)
+    values, base_values = np.atleast_2d(values), np.atleast_2d(base_values)
+    rows = np.arange(len(values))
+    pr, pp = np.nonzero(values != base_values)
+    return _delta_stats(inst, values, base_values, base, rows, rows, pr, pp)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,36 +531,23 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     return owner, np.arange(int(lengths.sum())) + (starts - (ends - lengths))[owner]
 
 
-def _shares(
-    inst: ProblemInstance, plots: np.ndarray, pair: np.ndarray, floor_codes: np.ndarray
-) -> np.ndarray:
-    """(P, K) use shares of `plots` from their floors' codes, each tagged by its plot's place."""
-    k = inst.n_uses
-    counts = np.bincount(pair * k + floor_codes, minlength=len(plots) * k)
+def _shares(inst: ProblemInstance, values: np.ndarray, plots: np.ndarray) -> np.ndarray:
+    """(P, K) use shares of plot plots[p] holding values[p]."""
     # the same division as _evaluate_block's, so the shares match it bit for bit
-    return counts.reshape(-1, k) / inst.floor_counts[plots][:, None]
-
-
-def _plot_areas(
-    inst: ProblemInstance, codes: np.ndarray, rows: np.ndarray, plots: np.ndarray
-) -> np.ndarray:
-    """(P, K) per-use areas of plot plots[p] in row rows[p] of `codes`."""
-    pair, floors = _ranges(inst.floor_offsets[plots], inst.floor_counts[plots])
-    shares = _shares(inst, plots, pair, codes[rows[pair], floors])
-    return shares * inst.floor_space[plots][:, None]
+    return inst.codec.use_counts(values, plots) / inst.floor_counts[plots][:, None]
 
 
 def _delta_stats(
     inst: ProblemInstance,
-    codes: np.ndarray,
-    base_codes: np.ndarray,
+    values: np.ndarray,
+    base_values: np.ndarray,
     base: BatchStats,
     rows: np.ndarray,
     src: np.ndarray,
     pr: np.ndarray,
     pp: np.ndarray,
 ) -> BatchStats:
-    """evaluate_delta of codes[rows] against base_codes[src] (scored in `base`).
+    """evaluate_delta of values[rows] against base_values[src] (scored in `base`).
 
     The changed plots are pp, in row rows[pr] (pr ascending).
     """
@@ -480,30 +556,29 @@ def _delta_stats(
     if not pr.size:
         return out
     new_rows, base_rows = rows[pr], src[pr]
-    pair, floors = _ranges(inst.floor_offsets[pp], inst.floor_counts[pp])
-    new_floors = codes[new_rows[pair], floors]
-    old_floors = base_codes[base_rows[pair], floors]
-    new_x = _shares(inst, pp, pair, new_floors)
-    old_x = _shares(inst, pp, pair, old_floors)
+    new_v, old_v = values[new_rows, pp], base_values[base_rows, pp]
+    new_x, old_x = _shares(inst, new_v, pp), _shares(inst, old_v, pp)
     space = inst.floor_space[pp][:, None]
     d_areas = new_x * space - old_x * space
     d_price = ((new_x - old_x) * inst.price[pp]).sum(axis=1)
-    actual = inst.actual_codes[floors]
-    now_off = np.bincount(pair, new_floors != actual, minlength=len(pp)) > 0
-    was_off = np.bincount(pair, old_floors != actual, minlength=len(pp)) > 0
+    actual = inst.actual_values[pp]
     # Out-edges (i changed, j any) read the new row; in-edges (i any, j changed) the base row.
     at, out_e = _ranges(inst.out_ptr[pp], np.diff(inst.out_ptr)[pp])
-    a_j = _plot_areas(inst, codes, new_rows[at], inst.edge_j[out_e])
+    j = inst.edge_j[out_e]
+    a_j = _shares(inst, values[new_rows[at], j], j) * inst.floor_space[j][:, None]
     d_comp = np.zeros(len(pp))  # bincount of no weights is an int array
     d_comp += np.bincount(at, ((d_areas @ inst.compat)[at] * a_j).sum(axis=1), minlength=len(pp))
     at, in_at = _ranges(inst.in_ptr[pp], np.diff(inst.in_ptr)[pp])
-    a_i = _plot_areas(inst, base_codes, base_rows[at], inst.edge_i[inst.in_edges[in_at]])
+    i = inst.edge_i[inst.in_edges[in_at]]
+    a_i = _shares(inst, base_values[base_rows[at], i], i) * inst.floor_space[i][:, None]
     d_comp += np.bincount(at, ((a_i @ inst.compat) * d_areas[at]).sum(axis=1), minlength=len(pp))
     touched, starts = np.unique(pr, return_index=True)
     out.compatibility[touched] += np.add.reduceat(d_comp, starts)
     out.price[touched] += np.add.reduceat(d_price, starts)
     out.areas[touched] += np.add.reduceat(d_areas, starts, axis=0)
-    out.changed[touched] += np.add.reduceat(now_off.astype(np.int64) - was_off, starts)
+    out.changed[touched] += np.add.reduceat(
+        (new_v != actual).astype(np.int64) - (old_v != actual), starts
+    )
     return out
 
 

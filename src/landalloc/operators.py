@@ -1,23 +1,17 @@
 """Variation and selection operators shared by all engines.
 
-Plots are recombined on their base-K integer encoding: a floor-use vector
-[u_0, ..., u_{f-1}] maps to the integer sum(u_t * K^(f-1-t)), most
-significant digit first (so "122" in base 3 is 17), held as int64.
-Real-coded SBX, polynomial mutation and the DE-style scaled operators
-each compute a real step per plot, round it half-to-even and add it with
+Every operator takes and returns (B, N) rows of plot values, a plot's
+floor uses as one base-K integer (`model.PlotCodec`). Real-coded SBX,
+polynomial mutation and the DE-style scaled operators each compute a
+real step per plot, round it half-to-even and add it with
 `PlotCodec.clamp`, which clamps into [0, K^f - 1] in integers. The clamp
 keeps the near-parent bias that a modulo wrap would destroy, and a zero
 step (SBX of equal parents, a zero donor) returns the value as is.
-
-Those four operators take and return (B, N) per-plot values; uniform
-crossover and random mutation act on (B, total_floors) code rows. An
-engine encodes its parents once with `PlotCodec.encode_rows`, chains the
-value operators, and decodes the children it keeps once with
-`decode_rows`. `decode_rows(encode_rows(x)) == x` for every row of
-in-range codes, so the plots an operator leaves alone (locked plots,
-SBX's unselected plots) come back bit-exact. The random operators take
-an explicit numpy Generator and are deterministic given (inputs, config,
-seed). Locked plots always copy through.
+Uniform crossover swaps whole plot values and random mutation redraws a
+plot's value uniformly from [0, K^f - 1], which redraws each of its
+floors uniformly. The random operators take an explicit numpy Generator
+and are deterministic given (inputs, config, seed). Locked plots always
+copy through.
 """
 
 from __future__ import annotations
@@ -27,10 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CODE_DTYPE, ProblemInstance
-
-# PlotCodec's digit table holds at most this many rows (K^w <= 8192).
-_TABLE_ROWS = 8192
+# PlotCodec stays importable from here, beside the operators that step its values.
+from .model import CODE_DTYPE, PlotCodec, ProblemInstance
 
 
 @dataclass(frozen=True)
@@ -79,88 +71,6 @@ def decode_uses(value: int, base: int, digits: int) -> np.ndarray:
     return out
 
 
-class PlotCodec:
-    """Vectorized base-K codec for a whole instance's flat code layout.
-
-    Plot values are int64: `ProblemInstance` refuses a plot with
-    K^f > 2^62, so every K^f - 1 and every sum or difference of two
-    values fits.
-
-    Decoding reads a digit table built once per codec: row v holds the w
-    base-K digits of v, most significant first, where w is the largest
-    width with K^w <= 8192, capped at the tallest plot's floor count
-    (w = 8 at K = 3 with 8-floor plots: 6,561 rows of int16). Plots of at
-    most w floors decode with one table lookup and no integer division.
-    Taller plots are first split into ceil(f_max / w) chunks of w digits
-    by % and // of K^w; each chunk is below K^w, so it is looked up in the
-    same table. One gather along the flat digit axis then picks every
-    floor's digit.
-    """
-
-    def __init__(self, inst: ProblemInstance):
-        self.inst = inst
-        self.base = inst.n_uses
-        # Floor t of a plot is digit pos[t], counted from the least significant end.
-        last = np.repeat(inst.floor_offsets[1:] - 1, inst.floor_counts)
-        pos = last - np.arange(inst.total_floors)
-        self.place_values = np.int64(self.base) ** pos
-        self.max_values = np.int64(self.base) ** inst.floor_counts - 1
-        width = 1
-        tallest = int(inst.floor_counts.max())
-        while width < tallest and self.base ** (width + 1) <= _TABLE_ROWS:
-            width += 1
-        self._width = width
-        # C-order indices of a (K,) * w grid are the digits of 0..K^w - 1.
-        self._table = np.indices((self.base,) * width, dtype=CODE_DTYPE).reshape(width, -1).T.copy()
-        self._chunks = -(-tallest // width)
-        # Digit p sits in chunk p // w at table column w - 1 - p % w; the
-        # lookups are laid out as (plot, chunk, column).
-        self._columns = (
-            inst.floor_plot_index * (self._chunks * width)
-            + (pos // width) * width
-            + width - 1 - pos % width
-        )
-
-    def encode_rows(self, codes: np.ndarray) -> np.ndarray:
-        """(B, total_floors) code rows -> (B, N) per-plot integers."""
-        weighted = np.atleast_2d(codes).astype(np.int64)
-        weighted *= self.place_values  # in place: one fresh (B, floors) array, not two
-        return np.add.reduceat(weighted, self.inst.floor_offsets[:-1], axis=1)
-
-    def decode_rows(self, values: np.ndarray) -> np.ndarray:
-        """(B, N) per-plot integers -> (B, total_floors) code rows."""
-        values = np.atleast_2d(values)
-        span = self.base**self._width
-        chunks = np.empty(values.shape + (self._chunks,), dtype=np.int64)
-        for c in range(self._chunks - 1):  # least significant chunk first
-            chunks[..., c] = values % span
-            values = values // span
-        chunks[..., -1] = values
-        digits = self._table.take(chunks, axis=0).reshape(values.shape[0], -1)
-        return digits.take(self._columns, axis=1)
-
-    def clamp(self, values: np.ndarray | int, steps: np.ndarray, plots: np.ndarray | None = None) -> np.ndarray:
-        """`values` plus the integral float `steps`, clamped into [0, K^f - 1].
-
-        `values` (or the scalar 0) and `steps` are (B, N), or 1-D with
-        `plots` giving each entry's plot. The sum is exact int64 arithmetic. A step beyond
-        +-2^62 is cut there first, which moves no result and keeps int64
-        from overflowing.
-        """
-        limits = self.max_values if plots is None else self.max_values[plots]
-        steps = np.clip(steps, -(2.0**62), 2.0**62).astype(np.int64)
-        return values + np.clip(steps, -values, limits - values)
-
-
-def plot_codec(inst: ProblemInstance) -> PlotCodec:
-    """The instance's PlotCodec, built on first use and kept on the instance."""
-    codec = getattr(inst, "_plot_codec", None)
-    if codec is None:
-        codec = PlotCodec(inst)
-        inst._plot_codec = codec
-    return codec
-
-
 # ---------------------------------------------------------------------------
 # selection
 
@@ -203,7 +113,7 @@ def sbx_batch(
     Plots that do not join keep their parent's value; beta and the
     children are computed at the joining (row, plot) entries only.
     """
-    codec = plot_codec(inst)
+    codec = inst.codec
     b, n = values1.shape[0], inst.n_plots
     select = (rng.random((b, n)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
     u = rng.random((b, n))
@@ -230,21 +140,16 @@ def sbx_batch(
 
 
 def uniform_batch(
-    codes1: np.ndarray,
-    codes2: np.ndarray,
+    values1: np.ndarray,
+    values2: np.ndarray,
     cfg: OperatorConfig,
     inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform crossover over paired code rows: each unlocked plot swaps whole."""
-    codes1 = np.atleast_2d(codes1)
-    codes2 = np.atleast_2d(codes2)
-    plot_swap = rng.random((codes1.shape[0], inst.n_plots)) < cfg.crossover_plot_fraction
-    plot_swap &= ~inst.locked[None, :]
-    swap = np.repeat(plot_swap, inst.floor_counts, axis=1)
-    out1 = np.where(swap, codes2, codes1)
-    out2 = np.where(swap, codes1, codes2)
-    return out1.astype(CODE_DTYPE), out2.astype(CODE_DTYPE)
+    """Uniform crossover over paired (B, N) value rows: each unlocked plot swaps whole."""
+    swap = rng.random(values1.shape) < cfg.crossover_plot_fraction
+    swap &= ~inst.locked
+    return np.where(swap, values2, values1), np.where(swap, values1, values2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +173,16 @@ def _pick_plots_batch(
 
 
 def random_mutation_batch(
-    codes: np.ndarray,
+    values: np.ndarray,
     cfg: OperatorConfig,
     inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Redraw every floor of up to mutation_plot_budget plots per row."""
-    codes = np.atleast_2d(codes)
-    b = codes.shape[0]
+    """Redraw the (B, N) plot values of up to mutation_plot_budget plots per row, uniformly."""
+    b = values.shape[0]
     mask = _pick_plots_batch(b, cfg.mutation_plot_budget, inst, rng)
-    fresh = rng.integers(0, inst.n_uses, size=(b, inst.total_floors), dtype=np.int64)
-    fmask = np.repeat(mask, inst.floor_counts, axis=1)
-    return np.where(fmask, fresh, codes).astype(CODE_DTYPE)
+    fresh = rng.integers(0, inst.codec.max_values + 1, size=(b, inst.n_plots))
+    return np.where(mask, fresh, values)
 
 
 def polynomial_values(
@@ -306,7 +209,7 @@ def polynomial_mutation_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Perturb the (B, N) plot values of up to mutation_plot_budget plots per row."""
-    codec = plot_codec(inst)
+    codec = inst.codec
     b = values.shape[0]
     mask = _pick_plots_batch(b, cfg.mutation_plot_budget, inst, rng)
     u = rng.random((b, inst.n_plots))
@@ -327,7 +230,7 @@ def scaled_add_batch(
 
     Only the step is computed in float, so a zero donor is the identity.
     """
-    moved = plot_codec(inst).clamp(target, np.rint(f * donor.astype(float)))
+    moved = inst.codec.clamp(target, np.rint(f * donor.astype(float)))
     return np.where(inst.locked, target, moved)
 
 
@@ -335,5 +238,5 @@ def scaled_difference_batch(
     a: np.ndarray, b: np.ndarray, f: float, inst: ProblemInstance
 ) -> np.ndarray:
     """Per unlocked plot of (B, N) values: round(f * (a - b)), clamped; locked plots keep a."""
-    moved = plot_codec(inst).clamp(0, np.rint(f * (a - b).astype(float)))
+    moved = inst.codec.clamp(0, np.rint(f * (a - b).astype(float)))
     return np.where(inst.locked, a, moved)

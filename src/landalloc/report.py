@@ -220,7 +220,7 @@ def _types_and_landuse(
             )
             if type_name in ("I", "II"):
                 codes = np.asarray(e["floor_uses"], dtype=CODE_DTYPE)
-                areas = evaluate_batch(inst, codes[None, :]).areas[0]
+                areas = evaluate_batch(inst, inst.codec.encode_rows(codes)).areas[0]
                 for m, use in enumerate(inst.uses):
                     a0 = float(inst.actual_areas[m])
                     landuse_rows.append(

@@ -158,7 +158,7 @@ def enumerate_feasible(inst: ProblemInstance, gamma: float | None = None):
         for t in range(digits - 1, -1, -1):
             rows[:, free_slots[t]] = (v % k).astype(rows.dtype)
             v //= k
-        stats = evaluate_batch(inst, rows)
+        stats = evaluate_batch(inst, inst.codec.encode_rows(rows))
         feas = (
             (stats.areas >= lo).all(axis=1)
             & (stats.areas <= hi).all(axis=1)

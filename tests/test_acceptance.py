@@ -151,7 +151,7 @@ class TestCriterion2ObjectiveOracles:
         for _ in range(100):
             inst = random_instance(rng, n_plots=int(rng.integers(3, 9)))
             row = rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16)
-            stats = evaluate_batch(inst, row[None, :])
+            stats = evaluate_batch(inst, inst.codec.encode_rows(row))
             c_fast, c_slow = stats.compatibility[0], naive_compatibility(inst, row)
             p_fast, p_slow = stats.price[0], naive_price(inst, row)
             if c_slow != 0:
@@ -387,8 +387,8 @@ class TestCriterion9UnrelaxationFilter:
         violations = 0
         for rec in relaxation_runs["relaxed"]:
             survivor_counts.append(len(rec.front_indices))
-            for row in rec.population.codes[rec.front_indices]:
-                stats = evaluate_batch(inst, row[None, :])
+            for row in rec.codes[rec.front_indices]:
+                stats = evaluate_batch(inst, inst.codec.encode_rows(row))
                 if not (area_band_mask(inst, stats.areas[0], 0.3)
                         and price_box_mask(inst, stats.price[0])):
                     violations += 1

@@ -15,7 +15,7 @@ from landalloc.harness import (
     run_experiment,
 )
 from landalloc.instance_io import GeneratorSpec, generate_synthetic, load_instance, save_instance
-from landalloc.model import evaluate_batch
+from landalloc.model import codes_in_range_mask, evaluate_batch
 
 
 @pytest.fixture
@@ -202,10 +202,13 @@ class TestRunCommand:
             ("alpha", "x", "alpha must be a number"),
             ("workers", "x", "workers must be an integer"),
             ("workers", 1.5, "workers must be an integer"),
+            ("instance", 5, "instance must be a path"),
+            ("output", ["x"], "output must be a path"),
         ],
         ids=[
             "engine-entry", "stats-metrics", "fractional-seed", "seed-string",
             "alpha-string", "workers-string", "fractional-workers",
+            "numeric-instance", "list-output",
         ],
     )
     def test_malformed_config_value_rejected(
@@ -423,8 +426,15 @@ class TestManifestChecked:
             ("list", "manifest is not an object"),
             ("seedless run", "manifest runs entry 0 lacks one of label, seed, status, file"),
             ("numeric instance", "manifest instance is not a file name"),
+            ("string alpha", "manifest alpha is not a number in (0, 1)"),
+            ("alpha of one", "manifest alpha is not a number in (0, 1)"),
+            ("numeric stats_metrics", "manifest stats_metrics is not a list of metric names"),
+            ("numeric metric name", "manifest stats_metrics is not a list of metric names"),
         ],
-        ids=["list", "seedless-run", "numeric-instance"],
+        ids=[
+            "list", "seedless-run", "numeric-instance", "string-alpha", "alpha-of-one",
+            "numeric-stats-metrics", "numeric-metric-name",
+        ],
     )
     def test_malformed_manifest_fails(self, clean_bundle, tmp_path, capsys, malformed, message):
         bundle = tmp_path / "bundle"
@@ -435,10 +445,31 @@ class TestManifestChecked:
             manifest = []
         elif malformed == "seedless run":
             del manifest["runs"][0]["seed"]
-        else:
+        elif malformed == "numeric instance":
             manifest["instance"] = 5
+        else:
+            manifest.update({
+                "string alpha": {"alpha": "x"},
+                "alpha of one": {"alpha": 1},
+                "numeric stats_metrics": {"stats_metrics": 5},
+                "numeric metric name": {"stats_metrics": ["hv", 5]},
+            }[malformed])
         path.write_text(json.dumps(manifest))
         self._check_refused(bundle, capsys, f"manifest.json unreadable: {message}")
+
+
+    def test_unknown_metric_name_is_reported_not_refused(self, clean_bundle, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["stats_metrics"] = ["hv", "no_such_metric"]
+        path.write_text(json.dumps(manifest))
+        assert main(["verify", "--bundle", str(bundle)]) == 0
+        assert main(["report", "--bundle", str(bundle)]) == 0
+        doc = json.loads((bundle / "report" / "stats.json").read_text())
+        assert doc["metrics"]["no_such_metric"] == {"error": "unknown metric"}
+        assert "kruskal_wallis" in doc["metrics"]["hv"]
 
 
 class TestVerifyRederives:
@@ -594,8 +625,8 @@ class TestVerifyRederives:
 
     def _rewritten(self, clean_bundle, tmp_path, edit):
         """Bundle copy whose first non-front member has its codes edited by
-        `edit(inst, codes)` and its stored objectives and changed count
-        rewritten from the evaluation of the edited codes."""
+        `edit(inst, codes)` and, if they stay in range, its stored objectives
+        and changed count rewritten from the evaluation of the edited codes."""
         bundle = tmp_path / "bundle"
         shutil.copytree(clean_bundle, bundle)
         inst = load_instance(bundle / "instance.landalloc.json")
@@ -605,17 +636,18 @@ class TestVerifyRederives:
         member = doc["population"][victim]
         codes = np.array(member["floor_uses"], dtype=np.int16)
         edit(inst, codes)
-        stats = evaluate_batch(inst, codes[None, :])
         member["floor_uses"] = codes.tolist()
-        member["compatibility"] = float(stats.compatibility[0])
-        member["price"] = float(stats.price[0])
-        member["changed"] = int(stats.changed[0])
+        if codes_in_range_mask(inst, codes[None, :])[0]:
+            stats = evaluate_batch(inst, inst.codec.encode_rows(codes))
+            member["compatibility"] = float(stats.compatibility[0])
+            member["price"] = float(stats.price[0])
+            member["changed"] = int(stats.changed[0])
         run.write_text(json.dumps(doc))
         return bundle
 
     def test_code_outside_range_fails(self, clean_bundle, tmp_path, capsys):
-        # Plot 0's first floor set to code K = 3: the evaluation counts it
-        # as plot 1's use 0, so the rewritten objectives match it.
+        # Plot 0's first floor set to code K = 3, which is no land use; the
+        # range check refuses it before any evaluation.
         def edit(inst, codes):
             codes[0] = inst.n_uses
 
@@ -670,7 +702,7 @@ class TestVerifyRederives:
         member = rec["population"][rec["front"][0]]
         codes = np.array(member["floor_uses"], dtype=np.int16)
         codes[np.repeat(~inst.locked, inst.floor_counts)] = 0
-        stats = evaluate_batch(inst, codes[None, :])
+        stats = evaluate_batch(inst, inst.codec.encode_rows(codes))
         member["floor_uses"] = codes.tolist()
         member["compatibility"] = float(stats.compatibility[0])
         member["price"] = float(stats.price[0])

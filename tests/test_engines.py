@@ -9,7 +9,7 @@ from landalloc.engines import (
     EngineConfig,
     Population,
     RelaxationSchedule,
-    _init_codes,
+    _init_values,
     _pop_fronts,
     _refresh_pop,
     _resolved,
@@ -22,7 +22,6 @@ from landalloc.harness import record_to_json
 from landalloc.model import area_band_mask, evaluate_batch, price_box_mask
 from landalloc.operators import (
     OperatorConfig,
-    plot_codec,
     random_mutation_batch,
     sbx_batch,
     scaled_add_batch,
@@ -97,7 +96,7 @@ class TestPopulationFronts:
         for _ in range(50):
             n = int(rng.integers(1, 25))
             pop = Population(
-                codes=np.zeros((n, 1), dtype=np.int16),
+                values=np.zeros((n, 1), dtype=np.int64),
                 compatibility=rng.integers(0, 4, n).astype(float),
                 price=rng.integers(0, 4, n).astype(float),
                 areas=np.zeros((n, 1)),
@@ -192,7 +191,7 @@ class TestRelaxationPhase:
 
 
 def initial_population(inst, cfg, rng) -> Population:
-    return Population.evaluate(inst, _init_codes(inst, _resolved(inst, cfg), rng))
+    return Population.evaluate(inst, _init_values(inst, _resolved(inst, cfg), rng))
 
 
 class TestInitialization:
@@ -200,8 +199,8 @@ class TestInitialization:
         inst = small_synthetic
         cfg = small_cfg("CR_DES", init_change_fraction=0.0, population_size=8)
         pop = initial_population(inst, cfg, np.random.default_rng(0))
-        for row in pop.codes:
-            assert np.array_equal(row, inst.actual_codes)
+        for row in pop.values:
+            assert np.array_equal(row, inst.actual_values)
 
     def test_population_size_honored(self, small_synthetic):
         cfg = small_cfg("CR_DES", population_size=100)
@@ -228,11 +227,11 @@ class TestInitialization:
         monkeypatch.setattr(engines, "evaluate_batch", lambda *a: calls.append(a) or real(*a))
         budget = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
         op_cfg = OperatorConfig(mutation_plot_budget=budget)
-        actual = np.tile(inst.actual_codes, (cfg.population_size, 1))
+        actual = np.tile(inst.actual_values, (cfg.population_size, 1))
         for seed in (1, 2, 3):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             want = random_mutation_batch(actual, op_cfg, inst, slow)
-            assert np.array_equal(_init_codes(inst, cfg, fast), want)
+            assert np.array_equal(_init_values(inst, cfg, fast), want)
             assert fast.bit_generator.state == slow.bit_generator.state
         assert calls == []
 
@@ -240,9 +239,8 @@ class TestInitialization:
         inst = small_synthetic
         cfg = small_cfg("CR_DES", init_change_fraction=1.0, population_size=30)
         pop = initial_population(inst, cfg, np.random.default_rng(3))
-        locked_floor = np.repeat(inst.locked, inst.floor_counts)
-        for row in pop.codes:
-            assert np.array_equal(row[locked_floor], inst.actual_codes[locked_floor])
+        for row in pop.values:
+            assert np.array_equal(row[inst.locked], inst.actual_values[inst.locked])
 
 
 class TestEngineRuns:
@@ -280,7 +278,7 @@ class TestEngineRuns:
             relax=RelaxationSchedule(0.9, 1.0, inst.gamma, inst.mu),
         )
         rec = run_engine(inst, cfg)
-        for row in rec.population.codes[rec.front_indices]:
+        for row in rec.population.values[rec.front_indices]:
             stats = evaluate_batch(inst, row[None, :])
             assert area_band_mask(inst, stats.areas[0], inst.gamma)
             assert price_box_mask(inst, stats.price[0])
@@ -299,7 +297,8 @@ class TestEngineRuns:
         locked_floor = np.repeat(inst.locked, inst.floor_counts)
         for alg in ("SOA", "MSBX_NSGA2", "CR_DES", "MSBX_MO"):
             rec = run_engine(inst, small_cfg(alg, generations=15, seed=2))
-            for row in rec.population.codes:
+            assert np.array_equal(rec.codes, inst.codec.decode_rows(rec.population.values))
+            for row in rec.codes:
                 assert np.array_equal(row[locked_floor], inst.actual_codes[locked_floor])
 
     def test_population_size_constant(self, small_synthetic):
@@ -358,21 +357,19 @@ class TestMsbxMoFixedPoint:
     def test_identical_population_zero_scale_children_equal_parents(self, tiny1):
         # scaled_add with F = 0 returns the target; SBX of identical parents
         # returns the parents, so the composed variation is the identity.
-        codec = plot_codec(tiny1)
-        x = tiny1.actual_codes[None, :]
-        vx = codec.encode_rows(x)
+        vx = tiny1.actual_values[None, :]
         mutant = scaled_add_batch(vx, vx.copy(), 0.0, tiny1)
-        assert np.array_equal(codec.decode_rows(mutant), x)
+        assert np.array_equal(mutant, vx)
         cfg = OperatorConfig(crossover_plot_fraction=1.0)
         c1, c2 = sbx_batch(mutant, vx, cfg, tiny1, np.random.default_rng(0))
-        assert np.array_equal(codec.decode_rows(c1), x)
-        assert np.array_equal(codec.decode_rows(c2), x)
+        assert np.array_equal(c1, vx)
+        assert np.array_equal(c2, vx)
 
 
 class TestMsbxMoFusedVariation:
-    """`_offspring_msbx_mo` encodes once and decodes the kept child once; it
-    must give the children of the operator-by-operator composition on code
-    rows, and leave the generator in the same state."""
+    """`_offspring_msbx_mo` on plot values must give the children of the
+    operator-by-operator composition on code rows, and leave the generator
+    in the same state."""
 
     @pytest.fixture(scope="class")
     def instances(self):
@@ -400,12 +397,12 @@ class TestMsbxMoFusedVariation:
             codes = np.repeat(inst.actual_codes[None, :], 40, axis=0)
             redraw = (draw.random(codes.shape) < 0.3) & np.repeat(~inst.locked, inst.floor_counts)
             codes[redraw] = draw.integers(0, inst.n_uses, size=int(redraw.sum()))
-            pop = Population.evaluate(inst, codes)
+            pop = Population.evaluate(inst, inst.codec.encode_rows(codes))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got, anchors = _offspring_msbx_mo(inst, cfg, pop, rng)
             want = naive_msbx_mo_children(inst, codes, ops, ref_rng)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert got.dtype == np.int64
+            assert np.array_equal(inst.codec.decode_rows(got), want)
             assert np.array_equal(anchors, np.arange(40))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -419,7 +416,7 @@ class TestOffspringShapes:
         rng = np.random.default_rng(4)
         pop = initial_population(inst, cfg, rng)
         out, anchors = _offspring_cr_des(inst, cfg, pop, np.arange(8), rng)
-        assert out.shape == (17, inst.total_floors)
+        assert out.shape == (17, inst.n_plots)
         assert anchors.shape == (17,)
 
     def test_msbx_mo_one_child_per_parent(self, small_synthetic):
@@ -430,7 +427,7 @@ class TestOffspringShapes:
         rng = np.random.default_rng(5)
         pop = initial_population(inst, cfg, rng)
         out, anchors = _offspring_msbx_mo(inst, cfg, pop, rng)
-        assert out.shape == (12, inst.total_floors)
+        assert out.shape == (12, inst.n_plots)
         assert anchors.shape == (12,)
 
 
@@ -446,11 +443,11 @@ class TestAnchoredOffspring:
         )
         rng = np.random.default_rng(8)
         pop = initial_population(inst, cfg, rng)
-        codes, anchors = _VARIATIONS[alg](inst, cfg, pop, rng)
-        assert codes.shape == (30, inst.total_floors)
+        values, anchors = _VARIATIONS[alg](inst, cfg, pop, rng)
+        assert values.shape == (30, inst.n_plots)
         assert ((anchors >= -1) & (anchors < pop.n)).all()
         anchored = anchors >= 0
-        assert np.array_equal(codes[anchored], pop.codes[anchors[anchored]])
+        assert np.array_equal(values[anchored], pop.values[anchors[anchored]])
         assert anchored.all() == (alg != "CR_DES")
 
 
@@ -471,21 +468,21 @@ class TestRecordValues:
         delta_rows = []
         kernel = model._delta_stats
 
-        def spy(inst_, codes, *rest):
-            delta_rows.append(len(codes))
-            return kernel(inst_, codes, *rest)
+        def spy(inst_, values, *rest):
+            delta_rows.append(len(values))
+            return kernel(inst_, values, *rest)
 
         monkeypatch.setattr(model, "_delta_stats", spy)
         cfg = _resolved(grid12x10, small_cfg(alg, population_size=100, generations=30))
         pop = run_engine(grid12x10, cfg).population
         assert delta_rows  # the delta path ran
-        full = evaluate_batch(grid12x10, pop.codes)
+        full = evaluate_batch(grid12x10, pop.values)
         for stored, fresh in (
             (pop.compatibility, full.compatibility), (pop.price, full.price),
             (pop.areas, full.areas), (pop.changed, full.changed),
         ):
             assert stored.tobytes() == fresh.tobytes()
-        check = Population(full.compatibility, full.price, full.areas, full.changed, pop.codes)
+        check = Population(full.compatibility, full.price, full.areas, full.changed, pop.values)
         _refresh_pop(grid12x10, check, cfg.relax.gamma_final, cfg.relax.mu_final)
         assert np.array_equal(check.feasible, pop.feasible)
         assert check.violation.tobytes() == pop.violation.tobytes()

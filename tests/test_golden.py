@@ -44,18 +44,41 @@ ENGINES = (
 SEEDS = (1, 2)
 GENERATIONS = 30
 
+# Criterion 1's operator and engine settings, on its 4x1, K = 2 instance:
+# every plot has one floor, so a plot's value is its floor's code.
+CRITERION1_ENGINES = tuple(
+    dict(
+        entry,
+        population_size=128 if entry["algorithm"] == "MSBX_MO" else 64,
+        mutation_probability=0.2,
+        init_change_fraction=1.0,
+        operators={
+            "mutation_plot_budget": 2, "de_scale": 1.0, "sbx_eta": 1.0,
+            "crossover_plot_fraction": 0.5,
+        },
+    )
+    for entry in ENGINES
+)
+
 
 def _cases():
     """(name, instance, engines, seeds, generations) per pinned instance.
 
     The 43x30 paper-scale instance is the one whose batches span several
-    evaluate_batch blocks; three generations keep it fast.
+    evaluate_batch blocks; three generations keep it fast. The 1-floor
+    4x1 instance is criterion 1's first of that shape.
     """
     def grid(width: int, height: int, seed: int):
         return generate_synthetic(GeneratorSpec(grid_width=width, grid_height=height, rng_seed=seed))
 
+    one_floor = generate_synthetic(GeneratorSpec(
+        grid_width=4, grid_height=1, use_count=2, floor_range=(1, 1),
+        locked_fraction=0.0, use_mix_noise=0.4, rng_seed=76,
+        price_low_factor=0.7, price_high_factor=1.4, gamma=1.0, mu=1.0,
+    ))
     return (
         ("tiny1", load_instance(DATA / "tiny1.landalloc.json"), ENGINES, SEEDS, GENERATIONS),
+        ("crit1_4x1", one_floor, CRITERION1_ENGINES, SEEDS, GENERATIONS),
         ("grid12x10", grid(12, 10, 3), ENGINES, SEEDS, GENERATIONS),
         ("grid43x30", grid(43, 30, 7), ENGINES[:4], (1,), 3),
     )
@@ -68,7 +91,7 @@ def compute_digests() -> dict[str, dict[str, str]]:
             label, cfg = build_engine_config(dict(entry, generations=generations), inst)
             for seed in seeds:
                 rec = run_engine(inst, replace(cfg, seed=seed))
-                codes = rec.population.codes
+                codes = rec.codes
                 h = hashlib.sha256(codes.astype("<i2").tobytes())
                 h.update(np.asarray(rec.front_indices, dtype="<i8").tobytes())
                 text = record_to_json(label, rec)

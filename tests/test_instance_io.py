@@ -32,7 +32,7 @@ class TestRoundTrip:
     def test_canonical_tiny1_file_loads(self, tiny1):
         inst = load_instance(DATA / "tiny1.landalloc.json")
         assert inst.n_plots == 2
-        stats = evaluate_batch(inst, inst.actual_codes[None, :])
+        stats = evaluate_batch(inst, inst.actual_values[None, :])
         assert stats.compatibility[0] == pytest.approx(10000.0)
         assert stats.price[0] == pytest.approx(45.0)
         assert instance_to_json(inst) == instance_to_json(tiny1)
@@ -131,7 +131,7 @@ class TestGenerator:
 
     def test_as_built_map_feasible(self, small_synthetic):
         inst = small_synthetic
-        stats = evaluate_batch(inst, inst.actual_codes[None, :])
+        stats = evaluate_batch(inst, inst.actual_values[None, :])
         assert area_band_mask(inst, stats.areas[0], inst.gamma)
         assert price_box_mask(inst, stats.price[0])
         assert plot_budget_mask(inst, stats.changed[0], inst.mu)
@@ -139,7 +139,7 @@ class TestGenerator:
     def test_price_box_factors_exact(self):
         spec = GeneratorSpec(grid_width=5, grid_height=4, rng_seed=3)
         inst = generate_synthetic(spec)
-        actual_price = evaluate_batch(inst, inst.actual_codes[None, :]).price[0]
+        actual_price = evaluate_batch(inst, inst.actual_values[None, :]).price[0]
         assert inst.price_max / actual_price == pytest.approx(1.097, abs=1e-9)
         assert inst.price_min / actual_price == pytest.approx(0.9835, abs=1e-9)
 

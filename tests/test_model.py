@@ -33,8 +33,13 @@ def random_row(inst, rng):
     return rng.integers(0, inst.n_uses, size=inst.total_floors).astype(np.int16)
 
 
+def values_of(inst, codes):
+    """The (B, N) plot values of (B, total_floors) code rows."""
+    return inst.codec.encode_rows(codes)
+
+
 def evaluate_one(inst, row):
-    return evaluate_batch(inst, np.asarray(row)[None, :])
+    return evaluate_batch(inst, values_of(inst, np.asarray(row)[None, :]))
 
 
 def shares(inst, row, i):
@@ -211,7 +216,7 @@ class TestBatchEvaluation:
         for k, max_floors in ((3, 3), (2, 12), (6, 5)):
             inst = random_instance(rng, n_plots=7, k=k, max_floors=max_floors)
             codes = rng.integers(0, inst.n_uses, size=(12, inst.total_floors)).astype(np.int16)
-            stats = evaluate_batch(inst, codes)
+            stats = evaluate_batch(inst, values_of(inst, codes))
             for r in range(12):
                 single = evaluate_one(inst, codes[r])
                 for name in FIELDS:
@@ -221,7 +226,7 @@ class TestBatchEvaluation:
         # 5,014 edges: a pairwise sum of one row's contributions would
         # differ from the edge-by-edge column sums in the last bits.
         codes = perturbed_rows(grid43x30, 20, seed=3)
-        stats = evaluate_batch(grid43x30, codes)
+        stats = evaluate_batch(grid43x30, values_of(grid43x30, codes))
         for r in range(20):
             single = evaluate_one(grid43x30, codes[r])
             for name in FIELDS:
@@ -233,7 +238,7 @@ class TestBatchEvaluation:
         inst = grid43x30
         step = model._BLOCK_VALUES // (inst.n_plots * inst.n_uses)
         b = 3 * step + 1  # three full blocks plus a 1-row remainder
-        codes = perturbed_rows(inst, b)
+        values = values_of(inst, perturbed_rows(inst, b))
         blocks = []
         block_fn = model._evaluate_block
 
@@ -242,10 +247,10 @@ class TestBatchEvaluation:
             return block_fn(inst_, block)
 
         monkeypatch.setattr(model, "_evaluate_block", spy)
-        stats = evaluate_batch(inst, codes)
+        stats = evaluate_batch(inst, values)
         assert blocks == [step, step, step + 1]
         for r in range(b):
-            pair = evaluate_batch(inst, codes[[r, (r + 1) % b]])
+            pair = evaluate_batch(inst, values[[r, (r + 1) % b]])
             for name in FIELDS:
                 got = getattr(stats, name)[r]
                 want = getattr(pair, name)[0]
@@ -255,9 +260,9 @@ class TestBatchEvaluation:
         # Every block shares the instance's edge buffers; a later call
         # must leave the arrays an earlier one returned untouched.
         for rows in (1, 34, 100):
-            first = evaluate_batch(grid43x30, perturbed_rows(grid43x30, rows, seed=1))
+            first = evaluate_batch(grid43x30, values_of(grid43x30, perturbed_rows(grid43x30, rows, seed=1)))
             kept = [getattr(first, f).copy() for f in FIELDS]
-            evaluate_batch(grid43x30, perturbed_rows(grid43x30, 100, seed=2))
+            evaluate_batch(grid43x30, values_of(grid43x30, perturbed_rows(grid43x30, 100, seed=2)))
             for f, want in zip(FIELDS, kept):
                 assert np.array_equal(getattr(first, f), want), (rows, f)
 
@@ -266,11 +271,11 @@ class TestBatchEvaluation:
         # the chunked edge stage peaks near 2.5 MB.
         import tracemalloc
 
-        codes = perturbed_rows(grid43x30, 100)
-        evaluate_batch(grid43x30, codes)
+        values = values_of(grid43x30, perturbed_rows(grid43x30, 100))
+        evaluate_batch(grid43x30, values)
         tracemalloc.start()
         try:
-            evaluate_batch(grid43x30, codes)
+            evaluate_batch(grid43x30, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,14 +285,14 @@ class TestBatchEvaluation:
         plots = [Plot(i, 2, 80.0 + i, (), False, (0, 1)) for i in range(4)]
         uses = [LandUse(0, "a"), LandUse(1, "b")]
         inst = ProblemInstance(plots, uses, np.eye(2), np.ones((4, 2)), 0.3, 0.5, 0.0, 10.0)
-        codes = np.random.default_rng(2).integers(0, 2, size=(5, inst.total_floors))
-        for batch in (codes[:1], codes):
-            stats = evaluate_batch(inst, batch.astype(np.int16))
+        values = values_of(inst, np.random.default_rng(2).integers(0, 2, size=(5, inst.total_floors)))
+        for batch in (values[:1], values):
+            stats = evaluate_batch(inst, batch)
             assert np.array_equal(stats.compatibility, np.zeros(len(batch)))
 
     def test_dimension_mismatch_raises(self, tiny1):
         with pytest.raises(ValueError):
-            evaluate_batch(tiny1, np.zeros((2, 7), dtype=np.int16))
+            evaluate_batch(tiny1, np.zeros((2, 7), dtype=np.int64))
 
 
 def redraw_plots(inst, row, plots, rng):
@@ -331,7 +336,7 @@ class TestDeltaEvaluation:
                 redraw_plots(inst, base_codes[0], unlocked[:m], rng)
                 for m in range(len(unlocked) + 1)
             ])
-            base_rows = np.repeat(base_codes, len(rows), axis=0)
+            rows, base_rows = values_of(inst, rows), values_of(inst, base_codes).repeat(len(rows), axis=0)
             base = evaluate_batch(inst, base_rows)
             delta = evaluate_delta(inst, rows, base_rows, base)
             assert_delta_agrees(inst, delta, evaluate_batch(inst, rows), base)
@@ -353,8 +358,9 @@ class TestDeltaEvaluation:
             plots, uses, compat, np.arange(12.0).reshape(4, 3), 0.3, 0.5, 0.0, 100.0
         )
         rng = np.random.default_rng(9)
-        base_rows = np.repeat(inst.actual_codes[None, :], 8, axis=0)
+        base_rows = np.repeat(inst.actual_values[None, :], 8, axis=0)
         rows = np.stack([redraw_plots(inst, inst.actual_codes, [p % 3], rng) for p in range(8)])
+        rows = values_of(inst, rows)
         base = evaluate_batch(inst, base_rows)
         delta = evaluate_delta(inst, rows, base_rows, base)
         assert_delta_agrees(inst, delta, evaluate_batch(inst, rows), base)
@@ -367,19 +373,20 @@ class TestDeltaEvaluation:
         calls = []
         kernel = model._delta_stats
 
-        def spy(inst_, codes, base_codes, base_, rows, src, pr, pp):
+        def spy(inst_, values, base_values, base_, rows, src, pr, pp):
             calls.append(rows[np.unique(pr)].tolist())
-            return kernel(inst_, codes, base_codes, base_, rows, src, pr, pp)
+            return kernel(inst_, values, base_values, base_, rows, src, pr, pp)
 
         monkeypatch.setattr(model, "_delta_stats", spy)
         inst = grid43x30
         rng = np.random.default_rng(5)
-        parents = perturbed_rows(inst, 6, seed=4)
+        parent_codes = perturbed_rows(inst, 6, seed=4)
+        parents = values_of(inst, parent_codes)
         base = evaluate_batch(inst, parents)
-        children = np.stack([
-            redraw_plots(inst, parents[r % 6], rng.choice(inst.unlocked_ids, m, replace=False), rng)
+        children = values_of(inst, np.stack([
+            redraw_plots(inst, parent_codes[r % 6], rng.choice(inst.unlocked_ids, m, replace=False), rng)
             for r, m in enumerate([0, 1, 3, 8, 600, 2, 4, 900])
-        ])
+        ]))
         anchors = np.array([0, 1, 2, 3, 4, -1, 0, 1])
         near = evaluate_near(inst, children, parents, base, anchors)
         # one call reads the changed plots of rows 1, 2, 3 and 6 (row 0
@@ -399,9 +406,9 @@ class TestDeltaEvaluation:
             raise AssertionError("delta path taken")
 
         monkeypatch.setattr(model, "_delta_stats", fail)
-        codes = np.repeat(tiny1.actual_codes[None, :], 200, axis=0)
-        base = evaluate_batch(tiny1, codes)
-        near = evaluate_near(tiny1, codes, codes, base, np.arange(200))
+        values = np.repeat(tiny1.actual_values[None, :], 200, axis=0)
+        base = evaluate_batch(tiny1, values)
+        near = evaluate_near(tiny1, values, values, base, np.arange(200))
         for name in FIELDS:
             assert getattr(near, name).tobytes() == getattr(base, name).tobytes()
 

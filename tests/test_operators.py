@@ -8,7 +8,6 @@ from landalloc.operators import (
     OperatorConfig,
     decode_uses,
     encode_uses,
-    plot_codec,
     polynomial_mutation_batch,
     polynomial_values,
     random_mutation_batch,
@@ -22,29 +21,40 @@ from landalloc.operators import (
 from oracles import random_instance
 
 
-# The value operators applied to code rows, through the codec as an engine does.
+# The operators applied to code rows, encoded before and decoded after.
 
 
 def sbx_codes(codes1, codes2, cfg, inst, rng):
-    codec = plot_codec(inst)
+    codec = inst.codec
     c1, c2 = sbx_batch(codec.encode_rows(codes1), codec.encode_rows(codes2), cfg, inst, rng)
     return codec.decode_rows(c1), codec.decode_rows(c2)
 
 
+def uniform_codes(codes1, codes2, cfg, inst, rng):
+    codec = inst.codec
+    c1, c2 = uniform_batch(codec.encode_rows(codes1), codec.encode_rows(codes2), cfg, inst, rng)
+    return codec.decode_rows(c1), codec.decode_rows(c2)
+
+
+def random_mutation_codes(codes, cfg, inst, rng):
+    codec = inst.codec
+    return codec.decode_rows(random_mutation_batch(codec.encode_rows(codes), cfg, inst, rng))
+
+
 def polynomial_codes(codes, cfg, inst, rng):
-    codec = plot_codec(inst)
+    codec = inst.codec
     return codec.decode_rows(polynomial_mutation_batch(codec.encode_rows(codes), cfg, inst, rng))
 
 
 def scaled_add_codes(target, donor, f, inst):
-    codec = plot_codec(inst)
+    codec = inst.codec
     return codec.decode_rows(
         scaled_add_batch(codec.encode_rows(target), codec.encode_rows(donor), f, inst)
     )
 
 
 def scaled_difference_codes(a, b, f, inst):
-    codec = plot_codec(inst)
+    codec = inst.codec
     return codec.decode_rows(
         scaled_difference_batch(codec.encode_rows(a), codec.encode_rows(b), f, inst)
     )
@@ -206,14 +216,14 @@ class TestUniformCrossover:
     def test_zero_probability_copies(self, inst):
         rng = np.random.default_rng(6)
         p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
-        c1, c2 = uniform_batch(p1, p2, OperatorConfig(crossover_plot_fraction=0.0), inst, rng)
+        c1, c2 = uniform_codes(p1, p2, OperatorConfig(crossover_plot_fraction=0.0), inst, rng)
         assert np.array_equal(c1, p1)
         assert np.array_equal(c2, p2)
 
     def test_full_swap_plotwise(self, inst):
         rng = np.random.default_rng(8)
         p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
-        c1, c2 = uniform_batch(p1, p2, OperatorConfig(crossover_plot_fraction=1.0), inst, rng)
+        c1, c2 = uniform_codes(p1, p2, OperatorConfig(crossover_plot_fraction=1.0), inst, rng)
         unlocked_floor = np.repeat(~inst.locked, inst.floor_counts)
         assert np.array_equal(c1[:, unlocked_floor], p2[:, unlocked_floor])
         assert np.array_equal(c2[:, unlocked_floor], p1[:, unlocked_floor])
@@ -224,7 +234,7 @@ class TestUniformCrossover:
         cfg = OperatorConfig(crossover_plot_fraction=0.5)
         for _ in range(200):
             p1, p2 = rand_codes(inst, rng), rand_codes(inst, rng)
-            c1, c2 = uniform_batch(p1, p2, cfg, inst, rng)
+            c1, c2 = uniform_codes(p1, p2, cfg, inst, rng)
             for t in range(inst.total_floors):
                 assert {int(c1[0, t]), int(c2[0, t])} == {int(p1[0, t]), int(p2[0, t])}
 
@@ -233,7 +243,7 @@ class TestRandomMutation:
     def test_zero_budget_is_identity(self, inst):
         rng = np.random.default_rng(12)
         a = rand_codes(inst, rng)
-        out = random_mutation_batch(a, OperatorConfig(mutation_plot_budget=0), inst, rng)
+        out = random_mutation_codes(a, OperatorConfig(mutation_plot_budget=0), inst, rng)
         assert np.array_equal(out, a)
 
     def test_redraw_is_uniform(self):
@@ -245,7 +255,7 @@ class TestRandomMutation:
         rng = np.random.default_rng(14)
         cfg = OperatorConfig(mutation_plot_budget=1)
         a = inst1.actual_codes[None, :]
-        ones = sum(int(random_mutation_batch(a, cfg, inst1, rng)[0, 0]) for _ in range(10000))
+        ones = sum(int(random_mutation_codes(a, cfg, inst1, rng)[0, 0]) for _ in range(10000))
         assert ones / 10000 == pytest.approx(0.5, abs=0.02)
 
     def test_locked_plots_never_touched(self, inst):
@@ -254,7 +264,7 @@ class TestRandomMutation:
         locked_floor = np.repeat(inst.locked, inst.floor_counts)
         a = inst.actual_codes[None, :]
         for _ in range(500):
-            out = random_mutation_batch(a, cfg, inst, rng)
+            out = random_mutation_codes(a, cfg, inst, rng)
             assert np.array_equal(out[:, locked_floor], a[:, locked_floor])
 
 
@@ -368,7 +378,7 @@ class TestTallPlots:
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_zero_donor_is_identity(self, k):
         inst = tall_instance(k)
-        codec = plot_codec(inst)
+        codec = inst.codec
         assert int(codec.max_values[-1]) > 2**53
         rng = np.random.default_rng(k)
         x = rng.integers(0, k, size=(50, inst.total_floors)).astype(np.int16)
@@ -382,7 +392,7 @@ class TestTallPlots:
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_huge_scale_clamps_without_overflow(self, k):
         inst = tall_instance(k)
-        codec = plot_codec(inst)
+        codec = inst.codec
         rng = np.random.default_rng(10 + k)
         vx = codec.encode_rows(rng.integers(0, k, size=(20, inst.total_floors)))
         vd = codec.encode_rows(rng.integers(0, k, size=(20, inst.total_floors)))
@@ -411,7 +421,7 @@ class TestTallPlots:
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_sbx_keeps_unselected_plots(self, k):
         inst = tall_instance(k)
-        codec = plot_codec(inst)
+        codec = inst.codec
         rng = np.random.default_rng(20 + k)
         p1 = rng.integers(0, k, size=(40, inst.total_floors)).astype(np.int16)
         p2 = rng.integers(0, k, size=(40, inst.total_floors)).astype(np.int16)
@@ -425,6 +435,87 @@ class TestTallPlots:
         assert np.array_equal(c2[kept], p2[kept])
         assert_valid(c1, inst)
         assert_valid(c2, inst)
+
+
+class TestCountTable:
+    """`PlotCodec.use_counts` against a per-use count of the decoded floors."""
+
+    @staticmethod
+    def decoded_counts(inst, values):
+        codes = inst.codec.decode_rows(values).astype(np.int64)
+        keys = inst.floor_plot_index * inst.n_uses + codes
+        return np.stack([
+            np.bincount(row, minlength=inst.n_plots * inst.n_uses).reshape(inst.n_plots, -1)
+            for row in keys
+        ])
+
+    @pytest.mark.parametrize("k, tallest", [(2, 62), (3, 39), (6, 23)])
+    def test_matches_decoded_floors_up_to_the_tallest_plot(self, k, tallest):
+        inst = tall_instance(k)  # plots of 1 to `tallest` floors
+        assert inst.floor_counts.max() == tallest
+        rng = np.random.default_rng(40 + k)
+        codes = rng.integers(0, k, size=(30, inst.total_floors))
+        codes[0], codes[1] = 0, k - 1
+        values = inst.codec.encode_rows(codes)
+        counts = inst.codec.use_counts(values)
+        assert np.array_equal(counts, self.decoded_counts(inst, values))
+        rows, plots = np.nonzero(np.ones(values.shape, dtype=bool))
+        assert np.array_equal(inst.codec.use_counts(values[rows, plots], plots), counts[rows, plots])
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_matches_decoded_floors_on_one_floor_plots(self, k):
+        rng = np.random.default_rng(k)
+        inst = random_instance(rng, n_plots=7, k=k, max_floors=1)
+        values = rng.integers(0, k, size=(20, inst.n_plots))
+        counts = inst.codec.use_counts(values)
+        assert np.array_equal(counts, self.decoded_counts(inst, values))
+        assert np.array_equal(counts, np.eye(k, dtype=np.int64)[values])
+
+
+class TestValueOperators:
+    """Uniform crossover and random mutation on plot values."""
+
+    def test_random_mutation_changes_selected_unlocked_plots_only(self, inst):
+        from landalloc.operators import _pick_plots_batch
+
+        cfg = OperatorConfig(mutation_plot_budget=2)
+        rng = np.random.default_rng(50)
+        values = rng.integers(0, inst.codec.max_values + 1, size=(300, inst.n_plots))
+        values[:, inst.locked] = inst.actual_values[inst.locked]
+        for seed in range(5):
+            selected = _pick_plots_batch(len(values), 2, inst, np.random.default_rng(seed))
+            out = random_mutation_batch(values, cfg, inst, np.random.default_rng(seed))
+            assert not (selected & inst.locked).any()
+            assert np.array_equal(out[~selected], values[~selected])
+            assert (out != values).any()
+            assert ((out >= 0) & (out <= inst.codec.max_values)).all()
+
+    def test_random_mutation_reaches_every_value_of_a_three_floor_plot(self):
+        from landalloc.model import LandUse, Plot, ProblemInstance
+
+        plots = [Plot(0, 3, 10.0, (1,), False, (0, 1, 1)), Plot(1, 2, 10.0, (0,), True, (1, 0))]
+        uses = [LandUse(0, "a"), LandUse(1, "b")]
+        inst2 = ProblemInstance(plots, uses, np.eye(2), np.ones((2, 2)), 0.5, 1.0, 0.0, 100.0)
+        cfg = OperatorConfig(mutation_plot_budget=1)
+        parents = np.tile(inst2.actual_values, (2000, 1))
+        out = random_mutation_batch(parents, cfg, inst2, np.random.default_rng(31))
+        assert set(out[:, 0].tolist()) == set(range(8))
+        assert (out[:, 1] == inst2.actual_values[1]).all()
+
+    def test_uniform_children_take_whole_plot_values(self, inst):
+        cfg = OperatorConfig(crossover_plot_fraction=0.5)
+        for case in (inst, tall_instance(2)):
+            rng = np.random.default_rng(60)
+            p1, p2 = (rng.integers(0, case.codec.max_values + 1, size=(200, case.n_plots))
+                      for _ in range(2))
+            c1, c2 = uniform_batch(p1, p2, cfg, case, rng)
+            swapped = c1 != p1
+            assert swapped.any() and not swapped.all()
+            assert np.array_equal(c1[swapped], p2[swapped])
+            assert np.array_equal(c2[swapped], p1[swapped])
+            assert np.array_equal(c2[~swapped], p2[~swapped])
+            assert np.array_equal(c1[:, case.locked], p1[:, case.locked])
+            assert np.array_equal(c2[:, case.locked], p2[:, case.locked])
 
 
 class TestConfigValidation:
