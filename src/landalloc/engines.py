@@ -117,6 +117,8 @@ class EngineConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.algorithm == "SOA" and abs(self.soa_a + self.soa_b - 1.0) > 1e-9:
             raise ValueError("soa_a + soa_b must equal 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +633,9 @@ def final_front_indices(
 ) -> np.ndarray:
     """Feasible-filtered front of the members inside the gamma band and price box.
 
-    Their first non-dominated front in ascending order, or under SOA
-    weights (a, b) the best a*price + b*compatibility member.
+    Their first non-dominated front in ascending order (the members equal
+    to a point `metrics.pareto_indices` keeps, duplicates included), or
+    under SOA weights (a, b) the best a*price + b*compatibility member.
     """
     ok = np.flatnonzero(pop.in_band_and_box(inst, gamma))
     if not ok.size:
@@ -640,4 +643,6 @@ def final_front_indices(
     if soa_weights is not None:
         a, b = soa_weights
         return ok[[int(np.argmax(a * pop.price[ok] + b * pop.compatibility[ok]))]]
-    return ok[fast_non_dominated_sort(pop.objectives()[ok])[0]]
+    objs = pop.objectives()[ok]
+    ids = _dense_rank(objs[:, 0], objs[:, 1])
+    return ok[np.isin(ids, ids[metrics.pareto_indices(objs)])]

@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ExperimentConfigError("engine labels must be unique")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ExperimentConfigError("seeds must be non-empty and distinct")
+        if negative := [s for s in self.seeds if s < 0]:
+            raise ExperimentConfigError(f"seeds must be non-negative, got {negative[0]}")
         if not 0.0 < self.alpha < 1.0:
             raise ExperimentConfigError("alpha must be in (0, 1)")
         if self.workers < 1:

@@ -152,13 +152,16 @@ class ProblemInstance:
             ej.extend(p.neighbors)
         self.edge_i = np.array(ei, dtype=np.int64)
         self.edge_j = np.array(ej, dtype=np.int64)
-        # Out-edges of plot i are edge ids out_ptr[i]:out_ptr[i+1] (edges are
-        # stored plot by plot); its in-edges are in_edges[in_ptr[i]:in_ptr[i+1]].
+        # Plot i lists the plots edge_j[out_ptr[i]:out_ptr[i+1]] (edges are
+        # stored plot by plot), and is listed by in_nbrs[in_ptr[i]:in_ptr[i+1]].
         self.out_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_i, minlength=n), out=self.out_ptr[1:])
-        self.in_edges = np.argsort(self.edge_j, kind="stable")
+        self.in_nbrs = self.edge_i[np.argsort(self.edge_j, kind="stable")]
         self.in_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_j, minlength=n), out=self.in_ptr[1:])
+        # Per floor of each plot: its floor space, and its price per use (K, N).
+        self.area_per_floor = self.floor_space / self.floor_counts
+        self.price_per_floor = np.ascontiguousarray((self.price / self.floor_counts[:, None]).T)
         self.actual_codes = np.concatenate(
             [np.asarray(p.actual_uses, dtype=CODE_DTYPE) for p in self.plots]
         )
@@ -178,14 +181,18 @@ class ProblemInstance:
         if span <= 0 or not np.isfinite(span):
             span = max(abs(self.price_max), 1.0) if np.isfinite(self.price_max) else 1.0
         self.price_scale = span
-        # Work estimates for evaluate_near, in gathered values: a full pass
-        # per row, and a delta step per changed plot (both of its rows'
-        # floors, each neighbour's floors and a K x K product per edge).
+        # Work estimates for evaluate_near, in values read; both paths read
+        # plot values and count-table rows, never floors. A full pass per
+        # row: per plot its value and four K-wide arrays (counts, shares,
+        # areas, weighted areas), per edge its two K-wide ends and their K
+        # products. A delta step per changed plot: its value in both rows,
+        # five K-wide arrays (both counts, their change, its price and area
+        # terms) and two K x K products, and per edge end touching it five
+        # index values and three K-wide arrays (counts, areas, their sums).
         k = self.n_uses
-        self.full_row_work = 2 * self.total_floors + 4 * n * k + 3 * len(self.edge_i) * k
-        touching = np.bincount(self.edge_i, self.floor_counts[self.edge_j] + k * k, minlength=n)
-        touching += np.bincount(self.edge_j, self.floor_counts[self.edge_i] + k * k, minlength=n)
-        self.plot_delta_work = 2 * self.floor_counts + touching.astype(np.int64)
+        ends = np.diff(self.out_ptr) + np.diff(self.in_ptr)
+        self.full_row_work = n * (4 * k + 1) + 3 * k * len(self.edge_i)
+        self.plot_delta_work = 2 + 5 * k + 2 * k * k + (3 * k + 5) * ends
 
     @property
     def n_plots(self) -> int:
@@ -218,8 +225,9 @@ class PlotCodec:
     floor's digit.
 
     The count table beside it holds, in row v, how many of v's w digits
-    equal each use. A plot's per-use floor counts are the sum of its
-    chunks' rows, less the chunks * w - f leading zero digits on use 0.
+    equal each use (kept transposed too, for `plot_use_counts`). A plot's
+    per-use floor counts are the sum of its chunks' rows, less the
+    chunks * w - f leading zero digits on use 0.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -239,6 +247,7 @@ class PlotCodec:
         self._table = np.indices((self.base,) * width, dtype=CODE_DTYPE).reshape(width, -1).T.copy()
         counts = [(self._table == m).sum(axis=1, dtype=CODE_DTYPE) for m in range(self.base)]
         self._counts = np.stack(counts, axis=1)
+        self._counts_by_use = np.stack(counts)
         self._chunks = -(-tallest // width)
         self._pad = self._chunks * width - inst.floor_counts
         # Digit p sits in chunk p // w at table column w - 1 - p % w; the
@@ -261,16 +270,28 @@ class PlotCodec:
         digits = self._table.take(self._chunk_rows(values), axis=0).reshape(values.shape[0], -1)
         return digits.take(self._columns, axis=1)
 
-    def use_counts(self, values: np.ndarray, plots: np.ndarray | None = None) -> np.ndarray:
-        """(..., K) floors per use of each plot value.
-
-        `values` is (B, N), or 1-D with `plots` giving each entry's plot.
-        """
+    def use_counts(self, values: np.ndarray) -> np.ndarray:
+        """(..., N, K) floors per use of each plot value in (..., N) `values`."""
         if self._chunks == 1:
             counts = self._counts.take(values, axis=0)
         else:
             counts = self._counts.take(self._chunk_rows(values), axis=0).sum(axis=-2)
-        counts[..., 0] -= self._pad if plots is None else self._pad[plots]
+        counts[..., 0] -= self._pad
+        return counts
+
+    def plot_use_counts(self, values: np.ndarray, plots: np.ndarray) -> np.ndarray:
+        """(K, P) floors per use of plot plots[p] holding values[p], one row per use.
+
+        It reads the transposed count table one chunk at a time, so each
+        use's counts are contiguous.
+        """
+        span = self.base**self._width
+        table, last = self._counts_by_use, self._chunks - 1
+        counts = table.take(values % span if last else values, axis=1)
+        for c in range(1, self._chunks):
+            values = values // span
+            counts += table.take(values % span if c < last else values, axis=1)
+        counts[0] -= self._pad[plots]
         return counts
 
     def _chunk_rows(self, values: np.ndarray) -> np.ndarray:
@@ -456,12 +477,17 @@ def _evaluate_block(inst: ProblemInstance, values: np.ndarray) -> tuple[np.ndarr
 # Work of one delta call beyond its rows (its fixed run of array calls), in
 # the units of `ProblemInstance.full_row_work`: about one full row at paper
 # scale. Batches whose full evaluation costs less never try the delta path.
+# Fitted, with _DELTA_COST, on a 2-CPU x86-64 host (Python 3.11.7, numpy
+# 2.4.6): a delta call's fixed cost read 46k-90k units across 43x30, 80x60
+# and 12x10 grids with 2 to 6 uses.
 _DELTA_CALL_WORK = 1 << 16
 
 # A delta step gathers its values one by one, a full pass streams them: a
 # row takes the delta path only if its delta work times this is below the
-# full pass's.
-_DELTA_COST = 12
+# full pass's. Measured per value read, delta steps cost 1.1-1.7 times a
+# full pass (more as a batch's changed plots outgrow the cache); with 2 the
+# break-even on the 43x30 paper instance is about 215 changed plots.
+_DELTA_COST = 2
 
 
 def evaluate_near(
@@ -477,16 +503,20 @@ def evaluate_near(
     keeps its unchanged plots from, or -1 if it has none. An anchored row
     whose delta step (`evaluate_delta`) is estimated to cost less than a
     full pass takes it; the other rows go through `evaluate_batch`. The
-    estimate counts the values each path gathers: per changed plot, its
-    floors in both rows, its neighbours' floors and a K x K product per
-    touching edge. A batch whose full evaluation costs less than a delta
-    call's fixed work (tiny instances) is evaluated in full.
+    estimate counts the values each path reads: per row of a full pass,
+    every plot's value and use counts and both ends of every edge; per
+    changed plot of a delta step, its use counts in both rows and, per
+    edge touching it, the neighbour's value and use counts (it does not
+    depend on floor counts). A batch whose full evaluation costs less than
+    a delta call's fixed work (tiny instances) is evaluated in full.
     """
     values, anchors = np.atleast_2d(values), np.asarray(anchors)
     anchored = np.flatnonzero(anchors >= 0)
     if anchored.size * inst.full_row_work <= _DELTA_CALL_WORK:
         return evaluate_batch(inst, values)
-    pr, pp = np.nonzero(values[anchored] != base_values[anchors[anchored]])
+    mine = values if anchored.size == len(values) else values[anchored]
+    changed = np.flatnonzero(mine != base_values.take(anchors[anchored], axis=0))
+    pr, pp = np.divmod(changed, inst.n_plots)
     work = _DELTA_COST * np.bincount(pr, inst.plot_delta_work[pp], minlength=len(anchored))
     cheap = work < inst.full_row_work
     if (inst.full_row_work - work[cheap]).sum() <= _DELTA_CALL_WORK:
@@ -524,17 +554,22 @@ def evaluate_delta(
     return _delta_stats(inst, values, base_values, base, rows, rows, pr, pp)
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each range [starts[p], starts[p] + lengths[p]) in turn, and the p each element is from."""
-    owner = np.repeat(np.arange(len(starts)), lengths)
+def _neighbour_areas(
+    inst: ProblemInstance,
+    values: np.ndarray,
+    rows: np.ndarray,
+    plots: np.ndarray,
+    ptr: np.ndarray,
+    nbrs: np.ndarray,
+) -> np.ndarray:
+    """(K, P) per-use areas in row rows[p], summed over plots[p]'s neighbours nbrs[ptr[p]:ptr[p+1]]."""
+    starts, lengths = ptr[plots], ptr[plots + 1] - ptr[plots]
+    owner = np.repeat(np.arange(len(plots)), lengths)
     ends = np.cumsum(lengths)
-    return owner, np.arange(int(lengths.sum())) + (starts - (ends - lengths))[owner]
-
-
-def _shares(inst: ProblemInstance, values: np.ndarray, plots: np.ndarray) -> np.ndarray:
-    """(P, K) use shares of plot plots[p] holding values[p]."""
-    # the same division as _evaluate_block's, so the shares match it bit for bit
-    return inst.codec.use_counts(values, plots) / inst.floor_counts[plots][:, None]
+    j = nbrs[np.arange(len(owner)) + (starts - (ends - lengths))[owner]]
+    v = values.reshape(-1).take(rows[owner] * inst.n_plots + j)
+    areas = inst.codec.plot_use_counts(v, j) * inst.area_per_floor[j]
+    return np.stack([np.bincount(owner, use, minlength=len(plots)) for use in areas])
 
 
 def _delta_stats(
@@ -549,33 +584,35 @@ def _delta_stats(
 ) -> BatchStats:
     """evaluate_delta of values[rows] against base_values[src] (scored in `base`).
 
-    The changed plots are pp, in row rows[pr] (pr ascending).
+    The changed plots are pp, in row rows[pr] (pr ascending). Work runs
+    on (K, P) arrays, one contiguous row per use. A changed plot's area
+    change d is its count change times its floor space per floor, and its
+    neighbours' areas are summed before the K x K products, so the
+    compatibility moves by d . (C s_out + C^T s_in), with s_out the new
+    row's areas of the plots it lists and s_in the base row's areas of
+    the plots listing it.
     """
     # base's evaluation columns (base may be a Population), copied: they are updated in place
     out = BatchStats(*[column[src] for column in BatchStats.columns(base)])
     if not pr.size:
         return out
+    n = inst.n_plots
     new_rows, base_rows = rows[pr], src[pr]
-    new_v, old_v = values[new_rows, pp], base_values[base_rows, pp]
-    new_x, old_x = _shares(inst, new_v, pp), _shares(inst, old_v, pp)
-    space = inst.floor_space[pp][:, None]
-    d_areas = new_x * space - old_x * space
-    d_price = ((new_x - old_x) * inst.price[pp]).sum(axis=1)
+    new_v = values.reshape(-1).take(new_rows * n + pp)
+    old_v = base_values.reshape(-1).take(base_rows * n + pp)
+    d_counts = inst.codec.plot_use_counts(new_v, pp) - inst.codec.plot_use_counts(old_v, pp)
+    d_counts = d_counts.astype(float)
+    d_price = np.einsum("kp,kp->p", d_counts, inst.price_per_floor[:, pp])
+    d_areas = d_counts * inst.area_per_floor[pp]
+    s_out = _neighbour_areas(inst, values, new_rows, pp, inst.out_ptr, inst.edge_j)
+    s_in = _neighbour_areas(inst, base_values, base_rows, pp, inst.in_ptr, inst.in_nbrs)
+    d_comp = np.einsum("kp,kp->p", d_areas, inst.compat @ s_out + inst.compat.T @ s_in)
     actual = inst.actual_values[pp]
-    # Out-edges (i changed, j any) read the new row; in-edges (i any, j changed) the base row.
-    at, out_e = _ranges(inst.out_ptr[pp], np.diff(inst.out_ptr)[pp])
-    j = inst.edge_j[out_e]
-    a_j = _shares(inst, values[new_rows[at], j], j) * inst.floor_space[j][:, None]
-    d_comp = np.zeros(len(pp))  # bincount of no weights is an int array
-    d_comp += np.bincount(at, ((d_areas @ inst.compat)[at] * a_j).sum(axis=1), minlength=len(pp))
-    at, in_at = _ranges(inst.in_ptr[pp], np.diff(inst.in_ptr)[pp])
-    i = inst.edge_i[inst.in_edges[in_at]]
-    a_i = _shares(inst, base_values[base_rows[at], i], i) * inst.floor_space[i][:, None]
-    d_comp += np.bincount(at, ((a_i @ inst.compat) * d_areas[at]).sum(axis=1), minlength=len(pp))
-    touched, starts = np.unique(pr, return_index=True)
+    starts = np.flatnonzero(np.concatenate(([True], pr[1:] != pr[:-1])))
+    touched = pr[starts]
     out.compatibility[touched] += np.add.reduceat(d_comp, starts)
     out.price[touched] += np.add.reduceat(d_price, starts)
-    out.areas[touched] += np.add.reduceat(d_areas, starts, axis=0)
+    out.areas[touched] += np.add.reduceat(d_areas, starts, axis=1).T
     out.changed[touched] += np.add.reduceat(
         (new_v != actual).astype(np.int64) - (old_v != actual), starts
     )

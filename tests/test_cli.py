@@ -221,6 +221,17 @@ class TestRunCommand:
         assert f"invalid experiment: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize("via_flag", [True, False], ids=["flag", "config"])
+    def test_negative_seed_rejected(self, experiment_doc, tmp_path, capsys, via_flag):
+        if not via_flag:
+            experiment_doc["seeds"] = [1, -3]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(experiment_doc))
+        extra = ["--seeds=2,-3"] if via_flag else []
+        assert main(["run", "--config", str(path), *extra]) == 2
+        assert "invalid experiment: seeds must be non-negative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
     @pytest.mark.parametrize(
         "extra, unknown",
         [

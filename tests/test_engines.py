@@ -16,6 +16,7 @@ from landalloc.engines import (
     apply_relaxation_phase,
     crowding_distance,
     fast_non_dominated_sort,
+    final_front_indices,
     run_engine,
 )
 from landalloc.harness import record_to_json
@@ -121,6 +122,29 @@ class TestPopulationFronts:
                 assert (pop.rank[fr] == r).all()
 
 
+    def test_final_front_is_the_first_sorted_front(self, tiny1):
+        # An open price box, and every member at the as-built areas: all are
+        # inside the band and the box, so the final front is the first front.
+        from landalloc.model import ProblemInstance
+
+        inst = ProblemInstance(
+            tiny1.plots, tiny1.uses, tiny1.compat, tiny1.price, 0.0, 1.0, -np.inf, np.inf
+        )
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            pts = rng.integers(0, 6, size=(n, 2)).astype(float)
+            pts[rng.random((n, 2)) < 0.1] = np.inf
+            pts[rng.random((n, 2)) < 0.1] = -np.inf
+            pts = pts[rng.integers(0, n, size=n)]  # duplicates
+            pop = Population(
+                pts[:, 0], pts[:, 1], np.tile(inst.actual_areas, (n, 1)),
+                np.zeros(n, dtype=np.int64), np.zeros((n, inst.n_plots), dtype=np.int64),
+            )
+            front = final_front_indices(inst, pop, 0.0, None)
+            assert front.tolist() == fast_non_dominated_sort(pts)[0]
+
+
 class TestCrowding:
     def test_hand_case_middle_is_two(self):
         objs = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
@@ -188,6 +212,10 @@ class TestRelaxationPhase:
                 RelaxationSchedule(*bad)
         with pytest.raises(ValueError):
             RelaxationSchedule.constant(0.3, 1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            EngineConfig(algorithm="SOA", seed=-3)
 
 
 def initial_population(inst, cfg, rng) -> Population:

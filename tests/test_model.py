@@ -399,6 +399,57 @@ class TestDeltaEvaluation:
             assert getattr(near, name)[[4, 5, 7]].tobytes() == getattr(full, name).tobytes()
         assert near.compatibility[0].tobytes() == base.compatibility[0].tobytes()
 
+    @staticmethod
+    def delta_rows(monkeypatch, inst, parents, children, anchors):
+        """The rows `evaluate_near` sends to the delta path."""
+        import landalloc.model as model
+
+        rows = []
+        kernel = model._delta_stats
+
+        def spy(inst_, values, base_values, base_, rows_, src, pr, pp):
+            rows.extend(rows_[np.unique(pr)].tolist())
+            return kernel(inst_, values, base_values, base_, rows_, src, pr, pp)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_delta_stats", spy)
+            evaluate_near(inst, children, parents, evaluate_batch(inst, parents), anchors)
+        return rows
+
+    @staticmethod
+    def moved(inst, parents, plots_per_row, rng):
+        """Row r of `parents` with plots_per_row[r] distinct unlocked plots' values moved."""
+        children = parents.copy()
+        for r, m in enumerate(plots_per_row):
+            p = rng.choice(inst.unlocked_ids, m, replace=False)
+            children[r, p] = (children[r, p] + 1) % (inst.codec.max_values[p] + 1)
+        return children
+
+    def test_seventy_changed_plots_take_the_delta_path(self, monkeypatch, grid43x30):
+        # MSBX_MO's children at paper scale differ from their anchors in
+        # about 70 plots.
+        parents = values_of(grid43x30, perturbed_rows(grid43x30, 4, seed=6))
+        children = self.moved(grid43x30, parents, [70, 600, 70, 900], np.random.default_rng(6))
+        assert self.delta_rows(monkeypatch, grid43x30, parents, children, np.arange(4)) == [0, 2]
+
+    def test_floor_counts_do_not_move_the_routing(self, monkeypatch, grid43x30):
+        from dataclasses import replace
+
+        inst = grid43x30
+        one_floor = ProblemInstance(
+            [replace(p, floor_count=1, actual_uses=p.actual_uses[:1]) for p in inst.plots],
+            inst.uses, inst.compat, inst.price, inst.gamma, inst.mu, inst.price_min, inst.price_max,
+        )
+        plots_per_row = [1, 55, 60, 150, 200, 230, 260, 400, 900]
+        routed = []
+        for each in (inst, one_floor):
+            parents = np.repeat(each.actual_values[None, :], len(plots_per_row), axis=0)
+            children = self.moved(each, parents, plots_per_row, np.random.default_rng(8))
+            anchors = np.arange(len(plots_per_row))
+            routed.append(self.delta_rows(monkeypatch, each, parents, children, anchors))
+        assert routed[0] == routed[1]
+        assert 0 < len(routed[0]) < len(plots_per_row)
+
     def test_tiny_instances_skip_the_delta_path(self, monkeypatch, tiny1):
         import landalloc.model as model
 

@@ -438,7 +438,7 @@ class TestTallPlots:
 
 
 class TestCountTable:
-    """`PlotCodec.use_counts` against a per-use count of the decoded floors."""
+    """`PlotCodec.use_counts` and `plot_use_counts` against counts of the decoded floors."""
 
     @staticmethod
     def decoded_counts(inst, values):
@@ -460,7 +460,8 @@ class TestCountTable:
         counts = inst.codec.use_counts(values)
         assert np.array_equal(counts, self.decoded_counts(inst, values))
         rows, plots = np.nonzero(np.ones(values.shape, dtype=bool))
-        assert np.array_equal(inst.codec.use_counts(values[rows, plots], plots), counts[rows, plots])
+        by_use = inst.codec.plot_use_counts(values[rows, plots], plots)
+        assert np.array_equal(by_use.T, counts[rows, plots])
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_matches_decoded_floors_on_one_floor_plots(self, k):
