@@ -478,13 +478,13 @@ def _evaluate_block(inst: ProblemInstance, values: np.ndarray) -> tuple[np.ndarr
 # the units of `ProblemInstance.full_row_work`: about one full row at paper
 # scale. Batches whose full evaluation costs less never try the delta path.
 # Fitted, with _DELTA_COST, on a 2-CPU x86-64 host (Python 3.11.7, numpy
-# 2.4.6): a delta call's fixed cost read 46k-90k units across 43x30, 80x60
-# and 12x10 grids with 2 to 6 uses.
+# 2.4.6) over 43x30, 80x60, 25x20 and 12x10 grids with 2 to 6 uses: a delta
+# call's fixed cost read 23k-91k units.
 _DELTA_CALL_WORK = 1 << 16
 
 # A delta step gathers its values one by one, a full pass streams them: a
 # row takes the delta path only if its delta work times this is below the
-# full pass's. Measured per value read, delta steps cost 1.1-1.7 times a
+# full pass's. Measured per value read, a delta step costs 0.8-1.7 times a
 # full pass (more as a batch's changed plots outgrow the cache); with 2 the
 # break-even on the 43x30 paper instance is about 215 changed plots.
 _DELTA_COST = 2
