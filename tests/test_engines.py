@@ -121,7 +121,6 @@ class TestPopulationFronts:
             for r, fr in enumerate(fronts):
                 assert (pop.rank[fr] == r).all()
 
-
     def test_final_front_is_the_first_sorted_front(self, tiny1):
         # An open price box, and every member at the as-built areas: all are
         # inside the band and the box, so the final front is the first front.
