@@ -205,15 +205,52 @@ class RunRecord:
 # non-dominated sorting and crowding
 
 
+def _dense_rank(*cols: np.ndarray) -> np.ndarray:
+    """Dense higher-is-better scores from higher-is-better key columns."""
+    arrs = [np.asarray(c, dtype=float) for c in cols]
+    order = np.lexsort(tuple(arrs[::-1]))
+    key = np.stack(arrs, axis=1)[order]
+    change = np.zeros(len(order), dtype=np.int64)
+    change[1:] = np.any(key[1:] != key[:-1], axis=1)
+    out = np.empty_like(change)
+    out[order] = np.cumsum(change)
+    return out
+
+
+def front_ranks(objs, need: int) -> np.ndarray:
+    """Pareto front rank (int64) of each of the non-empty (n, 2) points (maximization).
+
+    a dominates b iff a >= b componentwise and a != b; front k holds the
+    points non-dominated once fronts 0..k-1 are removed, and equal points
+    share a front. Fronts are swept (`metrics.sweep_front`) off the distinct
+    points, sorted once by descending (x, y), until at least `need` points
+    are ranked; the points not reached read one past the last front swept.
+    """
+    pts = np.asarray(objs, dtype=float)
+    ids = _dense_rank(pts[:, 0], pts[:, 1])
+    ids = ids.max() - ids  # distinct ids by descending (x, y)
+    size = np.bincount(ids)
+    ys = np.empty(len(size))
+    ys[ids] = pts[:, 1]
+    rank = np.empty(len(size), dtype=np.int64)
+    left = np.arange(len(size))
+    front = 0
+    while need > 0 and left.size:
+        top = metrics.sweep_front(ys[left])
+        rank[left[top]] = front
+        need -= size[left[top]].sum()
+        left = left[~top]
+        front += 1
+    rank[left] = front
+    return rank[ids]
+
+
 def fast_non_dominated_sort(objs) -> list[list[int]]:
     """Partition two-objective points into Pareto fronts under maximization.
 
-    a dominates b iff a >= b componentwise and a != b. Front k holds the
-    points non-dominated once fronts 1..k-1 are removed; each front lists
-    its indices in ascending order. Fronts are peeled off the distinct
-    points with `metrics.pareto_indices`; equal points share a front.
-    Infinite coordinates are ordered like any other; NaN has no order and
-    is rejected.
+    Front k lists, in ascending order, the indices whose `front_ranks` is
+    k, with every point ranked. Infinite coordinates are ordered like any
+    other; NaN has no order and is rejected.
     """
     pts = np.atleast_2d(np.asarray(objs, dtype=float))
     if pts.size == 0:
@@ -222,36 +259,33 @@ def fast_non_dominated_sort(objs) -> list[list[int]]:
         raise ValueError(f"expected two objectives per point, got {pts.shape[1]}")
     if np.isnan(pts).any():
         raise ValueError("cannot sort NaN objectives")
-    ids = _dense_rank(pts[:, 0], pts[:, 1])
-    distinct = np.empty((ids.max() + 1, 2))
-    distinct[ids] = pts
-    rank = np.full(len(distinct), -1)
-    while (left := np.flatnonzero(rank < 0)).size:
-        rank[left[metrics.pareto_indices(distinct[left])]] = rank.max() + 1
-    rank = rank[ids]
+    rank = front_ranks(pts, len(pts))
     by_front = np.argsort(rank, kind="stable")
     cuts = np.flatnonzero(np.diff(rank[by_front])) + 1
     return [front.tolist() for front in np.split(by_front, cuts)]
 
 
-def crowding_distance(objs) -> np.ndarray:
-    """NSGA-II crowding distances for one front.
+def crowding_distance(objs, rank=None) -> np.ndarray:
+    """NSGA-II crowding distances within each front of `rank` (default: one front).
 
     Boundary points get +inf per objective; interior points accumulate
-    (next - prev) / (max - min); a degenerate span contributes 0.
+    (next - prev) / (max - min) over their front; a degenerate span adds 0.
     """
     pts = np.atleast_2d(np.asarray(objs, dtype=float))
-    n = len(pts)
     if pts.size == 0:
         raise ValueError("front must be non-empty")
-    span = pts.max(axis=0) - pts.min(axis=0)
-    d = np.zeros(n)
+    rank = np.zeros(len(pts), dtype=np.int64) if rank is None else np.asarray(rank)
+    d = np.zeros(len(pts))
     for m in range(pts.shape[1]):
-        order = np.argsort(pts[:, m], kind="stable")
-        d[order[0]] = np.inf
-        d[order[-1]] = np.inf
-        if span[m] > 0 and n > 2:
-            d[order[1:-1]] += (pts[order[2:], m] - pts[order[:-2], m]) / span[m]
+        order = np.lexsort((pts[:, m], rank))
+        v = pts[order, m]
+        edge = np.ones(len(pts) + 1, dtype=bool)
+        edge[1:-1] = rank[order[1:]] != rank[order[:-1]]
+        first, last = edge[:-1], edge[1:]
+        span = (v[last] - v[first])[np.cumsum(first) - 1]
+        d[order[first | last]] = np.inf
+        inner = np.flatnonzero(~(first | last) & (span > 0))
+        d[order[inner]] += (v[inner + 1] - v[inner - 1]) / span[inner]
     return d
 
 
@@ -300,68 +334,33 @@ def _refresh_pop(inst: ProblemInstance, pop: Population, gamma: float, mu: float
     pop.violation = area_excess.sum(axis=1) + price_excess
 
 
-def _pop_fronts(pop: Population) -> list[np.ndarray]:
-    """Feasible-first fronts: NDS over feasible, then violation groups."""
-    fronts: list[np.ndarray] = []
-    feas_idx = np.flatnonzero(pop.feasible)
-    if feas_idx.size:
-        objs = pop.objectives()[feas_idx]
-        fronts.extend(feas_idx[fr] for fr in fast_non_dominated_sort(objs))
-    inf_idx = np.flatnonzero(~pop.feasible)
-    if inf_idx.size:
-        v = pop.violation[inf_idx]
-        order = np.argsort(v, kind="stable")
-        sorted_v = v[order]
-        breaks = np.flatnonzero(sorted_v[1:] != sorted_v[:-1]) + 1
-        fronts.extend(np.split(inf_idx[order], breaks))
-    for r, fr in enumerate(fronts):
-        pop.rank[fr] = r
-    return fronts
+def _rank_and_crowd(pop: Population, need: int) -> int:
+    """Feasible-first ranks, and crowding on the fronts up to the need-th member's.
 
-
-def _pop_crowding(pop: Population, fronts: list[np.ndarray]) -> None:
-    objs = pop.objectives()
-    for fr in fronts:
-        # One or two members are all boundary points.
-        pop.crowd[fr] = crowding_distance(objs[fr]) if len(fr) > 2 else np.inf
-
-
-def _pop_survival(pop: Population, fronts: list[np.ndarray], target: int) -> Population:
-    """Fill whole fronts, trimming the last admitted one by crowding.
-
-    Crowding is set only on the fronts up to the one the cut falls in;
-    the members of later fronts are dropped unread.
+    Feasible members take their `front_ranks(..., need)`; infeasible ones
+    follow, one rank per distinct violation in ascending order. Returns
+    the need-th member's rank; later fronts are left unread.
     """
-    cut = int(np.searchsorted(np.cumsum([len(fr) for fr in fronts]), target))
-    _pop_crowding(pop, fronts[: cut + 1])
-    chosen: list[np.ndarray] = []
-    total = 0
-    for fr in fronts:
-        if total + len(fr) <= target:
-            chosen.append(fr)
-            total += len(fr)
-            continue
-        need = target - total
-        if need > 0:
-            order = np.argsort(-pop.crowd[fr], kind="stable")
-            chosen.append(fr[order[:need]])
-        break
-    return pop.take(np.concatenate(chosen))
+    feas = pop.feasible
+    rank = np.empty(pop.n, dtype=np.int64)
+    objs = pop.objectives()
+    if feas.any():
+        rank[feas] = front_ranks(objs[feas], need)
+    _, groups = np.unique(pop.violation[~feas], return_inverse=True)
+    rank[~feas] = rank[feas].max(initial=-1) + 1 + groups
+    pop.rank = rank
+    cut = int(np.sort(rank)[need - 1])
+    head = np.flatnonzero(rank <= cut)
+    pop.crowd[head] = crowding_distance(objs[head], rank[head])
+    return cut
 
 
-def _dense_rank(*cols: np.ndarray) -> np.ndarray:
-    """Dense higher-is-better scores from higher-is-better key columns."""
-    arrs = [np.asarray(c, dtype=float) for c in cols]
-    order = np.lexsort(tuple(arrs[::-1]))
-    key = np.stack(arrs, axis=1)[order]
-    n = len(order)
-    change = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        change[1:] = np.any(key[1:] != key[:-1], axis=1)
-    dense = np.cumsum(change)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = dense
-    return out
+def _survivors(pop: Population, target: int) -> Population:
+    """Keep `target` members by (rank, index), cutting a front that does not fit by crowding."""
+    cut = _rank_and_crowd(pop, target)
+    trim = (pop.rank == cut) & (np.count_nonzero(pop.rank <= cut) > target)
+    order = np.lexsort((np.where(trim, -pop.crowd, 0.0), pop.rank))
+    return pop.take(order[:target])
 
 
 def _soa_scores(pop: Population, cfg: EngineConfig) -> np.ndarray:
@@ -584,7 +583,7 @@ def run_engine(
     gamma, mu = apply_relaxation_phase(1, cfg)
     _refresh_pop(inst, pop, gamma, mu)
     if not soa:
-        _pop_crowding(pop, _pop_fronts(pop))
+        _rank_and_crowd(pop, pop.n)
     archive = _FinalFeasibleArchive(inst, cfg.relax)
     archive.offer(pop)
     snapshots: list[np.ndarray] = []
@@ -604,7 +603,7 @@ def run_engine(
             pop.rank = np.arange(pop.n)
             pop.crowd = np.zeros(pop.n)
         else:
-            pop = _pop_survival(merged, _pop_fronts(merged), cfg.population_size)
+            pop = _survivors(merged, cfg.population_size)
         archive.offer(offspring)
         snapshots.append(archive.snapshot())
     _evaluate_in_full(inst, pop, gamma, mu)
@@ -633,9 +632,8 @@ def final_front_indices(
 ) -> np.ndarray:
     """Feasible-filtered front of the members inside the gamma band and price box.
 
-    Their first non-dominated front in ascending order (the members equal
-    to a point `metrics.pareto_indices` keeps, duplicates included), or
-    under SOA weights (a, b) the best a*price + b*compatibility member.
+    Their first non-dominated front in ascending order, duplicates included,
+    or under SOA weights (a, b) the best a*price + b*compatibility member.
     """
     ok = np.flatnonzero(pop.in_band_and_box(inst, gamma))
     if not ok.size:
@@ -643,6 +641,4 @@ def final_front_indices(
     if soa_weights is not None:
         a, b = soa_weights
         return ok[[int(np.argmax(a * pop.price[ok] + b * pop.compatibility[ok]))]]
-    objs = pop.objectives()[ok]
-    ids = _dense_rank(objs[:, 0], objs[:, 1])
-    return ok[np.isin(ids, ids[metrics.pareto_indices(objs)])]
+    return ok[front_ranks(pop.objectives()[ok], 1) == 0]

@@ -79,17 +79,19 @@ def hypervolume_2d(front: np.ndarray, ref: Sequence[float] = (0.0, 0.0)) -> floa
 def pareto_indices(points: np.ndarray) -> np.ndarray:
     """Indices of the unique non-dominated (n, 2) points (maximization), ascending x.
 
-    Sort-and-sweep: after ordering by descending (x, y), a point survives
-    iff its y strictly exceeds every earlier y; of equal points, the one
-    with the lowest index survives (the sort is stable).
+    The points are sorted once by descending (x, y) and swept; of equal
+    points, the one with the lowest index survives (the sort is stable).
     """
     pts = np.asarray(points, dtype=float)
     order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    ys = pts[order, 1]
-    keep = np.ones(len(order), dtype=bool)
-    if len(order) > 1:
-        keep[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
-    return order[keep][::-1]
+    return order[sweep_front(pts[order, 1])][::-1]
+
+
+def sweep_front(ys: np.ndarray) -> np.ndarray:
+    """Non-dominated mask of points in descending (x, y) order: y above every earlier y."""
+    keep = np.ones(len(ys), dtype=bool)
+    keep[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
+    return keep
 
 
 def pareto_filter(points: np.ndarray) -> np.ndarray:

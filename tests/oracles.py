@@ -120,6 +120,21 @@ def matrix_fronts_oracle(points) -> list[list[int]]:
     return fronts
 
 
+def naive_crowding(points) -> list[float]:
+    """NSGA-II crowding distances of one front by explicit loops (Deb et al. 2002)."""
+    pts = [tuple(float(v) for v in p) for p in points]
+    n = len(pts)
+    d = [0.0] * n
+    for m in range(len(pts[0])):
+        order = sorted(range(n), key=lambda i: pts[i][m])  # stable: ties in index order
+        span = pts[order[-1]][m] - pts[order[0]][m]
+        d[order[0]] = d[order[-1]] = math.inf
+        if span > 0:
+            for k in range(1, n - 1):
+                d[order[k]] += (pts[order[k + 1]][m] - pts[order[k - 1]][m]) / span
+    return d
+
+
 def naive_pareto_set(points) -> set[tuple]:
     pts = [tuple(p) for p in points]
     return {

@@ -10,13 +10,15 @@ from landalloc.engines import (
     Population,
     RelaxationSchedule,
     _init_values,
-    _pop_fronts,
+    _rank_and_crowd,
     _refresh_pop,
     _resolved,
+    _survivors,
     apply_relaxation_phase,
     crowding_distance,
     fast_non_dominated_sort,
     final_front_indices,
+    front_ranks,
     run_engine,
 )
 from landalloc.harness import record_to_json
@@ -31,6 +33,7 @@ from landalloc.operators import (
 from oracles import (
     brute_force_best_scalar,
     brute_force_pareto,
+    naive_crowding,
     naive_fronts,
     naive_msbx_mo_children,
 )
@@ -41,6 +44,31 @@ def small_cfg(alg, **kw):
     kw.setdefault("generations", 40)
     kw.setdefault("seed", 1)
     return EngineConfig(algorithm=alg, **kw)
+
+
+def random_clouds():
+    """(points, oracle fronts) over ties, infinities, duplicates, signed zeros and a chain."""
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        pts = rng.integers(0, 12, size=(60, 2)).astype(float)
+        yield pts, naive_fronts(pts)
+    rng = np.random.default_rng(5)
+    for _ in range(4):  # infinite coordinates
+        pts = rng.integers(0, 6, size=(40, 2)).astype(float)
+        pts[rng.random((40, 2)) < 0.1] = np.inf
+        pts[rng.random((40, 2)) < 0.1] = -np.inf
+        yield pts, naive_fronts(pts)
+    rng = np.random.default_rng(7)
+    for _ in range(10):  # criterion-1-like: a few distinct points, many copies
+        distinct = rng.integers(0, 10, size=(int(rng.integers(1, 9)), 2)).astype(float)
+        pts = distinct[rng.integers(0, len(distinct), size=int(rng.integers(100, 160)))]
+        yield pts, naive_fronts(pts)
+    for _ in range(4):  # signed zeros are equal coordinates
+        pts = rng.integers(-1, 2, size=(50, 2)).astype(float)
+        pts[rng.random((50, 2)) < 0.3] = -0.0
+        yield pts, naive_fronts(pts)
+    x = rng.permutation(200).astype(float)  # a chain: one front per point
+    yield np.column_stack([x, 2.0 * x]), [[int(i)] for i in np.argsort(-x)]
 
 
 class TestNonDominatedSort:
@@ -54,29 +82,27 @@ class TestNonDominatedSort:
         assert fronts == [sorted(range(5))]
 
     def test_matches_oracle_on_random_clouds(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            pts = rng.integers(0, 12, size=(60, 2)).astype(float)
-            fast = [sorted(f) for f in fast_non_dominated_sort(pts)]
-            assert fast == naive_fronts(pts)
-        rng = np.random.default_rng(5)
-        for _ in range(4):  # infinite coordinates
-            pts = rng.integers(0, 6, size=(40, 2)).astype(float)
-            pts[rng.random((40, 2)) < 0.1] = np.inf
-            pts[rng.random((40, 2)) < 0.1] = -np.inf
-            assert fast_non_dominated_sort(pts) == naive_fronts(pts)
-        rng = np.random.default_rng(7)
-        for _ in range(10):  # criterion-1-like: a few distinct points, many copies
-            distinct = rng.integers(0, 10, size=(int(rng.integers(1, 9)), 2)).astype(float)
-            pts = distinct[rng.integers(0, len(distinct), size=int(rng.integers(100, 160)))]
-            assert fast_non_dominated_sort(pts) == naive_fronts(pts)
-        for _ in range(4):  # signed zeros are equal coordinates
-            pts = rng.integers(-1, 2, size=(50, 2)).astype(float)
-            pts[rng.random((50, 2)) < 0.3] = -0.0
-            assert fast_non_dominated_sort(pts) == naive_fronts(pts)
-        x = rng.permutation(200).astype(float)  # a chain: one front per point
-        fronts = fast_non_dominated_sort(np.column_stack([x, 2.0 * x]))
-        assert fronts == [[int(i)] for i in np.argsort(-x)]
+        for pts, fronts in random_clouds():
+            assert fast_non_dominated_sort(pts) == fronts
+
+    def test_front_ranks_swept_only_as_far_as_needed(self):
+        rng = np.random.default_rng(3)
+        for pts, fronts in random_clouds():
+            n = len(pts)
+            oracle = np.empty(n, dtype=np.int64)
+            for r, fr in enumerate(fronts):
+                oracle[fr] = r
+            for need in (1, int(rng.integers(1, n + 1)), n):
+                rank = front_ranks(pts, need)
+                assert rank.dtype == np.int64
+                last = rank.max()
+                # Ranked points read their oracle rank, the rest one past the last front.
+                assert (rank == np.minimum(oracle, last)).all()
+                # No front is swept once `need` points are ranked ...
+                assert np.count_nonzero(oracle < last - 1) < need
+                # ... and if some points were not reached, fronts 0..last-1 hold `need`.
+                if (oracle > last).any():
+                    assert np.count_nonzero(oracle < last) >= need
 
     def test_nan_and_other_widths_rejected(self):
         with pytest.raises(ValueError):
@@ -91,35 +117,75 @@ class TestNonDominatedSort:
             fast_non_dominated_sort([])
 
 
+def mixed_population(rng):
+    """A population of tied feasible and infeasible members; values[:, 0] is the index."""
+    n = int(rng.integers(1, 25))
+    return Population(
+        values=np.arange(n)[:, None],
+        compatibility=rng.integers(0, 4, n).astype(float),
+        price=rng.integers(0, 4, n).astype(float),
+        areas=np.zeros((n, 1)),
+        changed=np.zeros(n, dtype=np.int64),
+        feasible=rng.random(n) < 0.4,
+        violation=rng.integers(0, 4, n) / 4.0,
+    )
+
+
+def feasible_first_fronts(pop):
+    """The feasible fronts, then the infeasible members grouped by equal violation."""
+    feas = np.flatnonzero(pop.feasible)
+    fronts = []
+    if feas.size:
+        fronts = [feas[fr].tolist() for fr in fast_non_dominated_sort(pop.objectives()[feas])]
+    groups = []  # equal violations, in index order: sorted() is stable
+    for i in sorted(np.flatnonzero(~pop.feasible).tolist(), key=lambda i: pop.violation[i]):
+        if groups and pop.violation[groups[-1][0]] == pop.violation[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return fronts + groups
+
+
 class TestPopulationFronts:
     def test_infeasible_members_grouped_by_equal_violation(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            n = int(rng.integers(1, 25))
-            pop = Population(
-                values=np.zeros((n, 1), dtype=np.int64),
-                compatibility=rng.integers(0, 4, n).astype(float),
-                price=rng.integers(0, 4, n).astype(float),
-                areas=np.zeros((n, 1)),
-                changed=np.zeros(n, dtype=np.int64),
-                feasible=rng.random(n) < 0.4,
-                violation=rng.integers(0, 4, n) / 4.0,
-            )
-            feas = np.flatnonzero(pop.feasible)
-            expected = []
-            if feas.size:
-                objs = pop.objectives()[feas]
-                expected = [feas[fr].tolist() for fr in fast_non_dominated_sort(objs)]
-            groups = []  # equal violations, in index order: sorted() is stable
-            for i in sorted(np.flatnonzero(~pop.feasible).tolist(), key=lambda i: pop.violation[i]):
-                if groups and pop.violation[groups[-1][0]] == pop.violation[i]:
-                    groups[-1].append(i)
-                else:
-                    groups.append([i])
-            fronts = _pop_fronts(pop)
-            assert [fr.tolist() for fr in fronts] == expected + groups
+            pop = mixed_population(rng)
+            fronts = feasible_first_fronts(pop)
+            _rank_and_crowd(pop, pop.n)
+            assert pop.rank.max() == len(fronts) - 1
             for r, fr in enumerate(fronts):
-                assert (pop.rank[fr] == r).all()
+                assert np.flatnonzero(pop.rank == r).tolist() == fr
+
+    def test_survival_takes_whole_fronts_then_trims_by_crowding(self):
+        rng = np.random.default_rng(9)
+        exact_fills = 0
+        with np.errstate(invalid="ignore"):  # crowding across infinite prices
+            for _ in range(300):
+                pop = mixed_population(rng)
+                pop.price[rng.random(pop.n) < 0.05] = np.inf
+                fronts = feasible_first_fronts(pop)
+                ends = np.cumsum([len(fr) for fr in fronts])
+                # Random targets, and every target that a whole front fills exactly.
+                targets = set(rng.integers(1, pop.n + 1, size=3).tolist()) | set(ends.tolist())
+                for target in sorted(targets):
+                    kept, rank, crowd = [], [], []
+                    for r, fr in enumerate(fronts):
+                        d = np.array(naive_crowding(pop.objectives()[fr]))
+                        order = np.arange(len(fr))
+                        if len(kept) + len(fr) > target:
+                            order = np.argsort(-d, kind="stable")[: target - len(kept)]
+                        kept += [fr[i] for i in order]
+                        rank += [r] * len(order)
+                        crowd += d[order].tolist()
+                        if len(kept) == target:
+                            exact_fills += target in ends and target < pop.n
+                            break
+                    got = _survivors(pop.take(np.arange(pop.n)), target)
+                    assert got.values[:, 0].tolist() == kept
+                    assert got.rank.tolist() == rank
+                    np.testing.assert_array_equal(got.crowd, crowd)
+        assert exact_fills > 100  # filled exactly, with a later front left out
 
     def test_final_front_is_the_first_sorted_front(self, tiny1):
         # An open price box, and every member at the as-built areas: all are
@@ -162,6 +228,17 @@ class TestCrowding:
         for objs in (np.zeros((0, 2)), []):
             with pytest.raises(ValueError, match="non-empty"):
                 crowding_distance(objs)
+
+    def test_each_labelled_front_crowded_on_its_own(self):
+        rng = np.random.default_rng(4)
+        with np.errstate(invalid="ignore"):  # spans across infinite coordinates
+            for pts, _ in random_clouds():
+                rank = rng.integers(0, 6, len(pts))
+                expected = np.empty(len(pts))
+                for r in np.unique(rank):
+                    fr = np.flatnonzero(rank == r)
+                    expected[fr] = naive_crowding(pts[fr])
+                np.testing.assert_array_equal(crowding_distance(pts, rank), expected)
 
     def test_degenerate_span_contributes_zero(self):
         objs = np.array([[0.0, 5.0], [0.5, 5.0], [1.0, 5.0]])
