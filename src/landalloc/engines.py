@@ -394,12 +394,26 @@ class _FinalFeasibleArchive:
         self.members: Population | None = None
 
     def offer(self, candidates: Population) -> None:
-        mask = candidates.in_band_and_box(self.inst, self.gamma_final)
-        if not mask.any():
+        """Merge the in-band candidates, keeping `pareto_indices` order.
+
+        Only joining candidates are copied. When none joins, no member is
+        beaten either (members are mutually non-dominated), so none is copied.
+        """
+        ok = np.flatnonzero(candidates.in_band_and_box(self.inst, self.gamma_final))
+        if not ok.size:
             return
-        ok = candidates.take(np.flatnonzero(mask))
-        merged = ok if self.members is None else self.members.concat(ok)
-        self.members = merged.take(metrics.pareto_indices(merged.objectives()))
+        old, m = self.members, 0
+        objs = candidates.objectives()[ok]
+        if old is not None:
+            m = old.n
+            objs = np.vstack([old.objectives(), objs])
+        keep = metrics.pareto_indices(objs)
+        joins = keep >= m
+        if not joins.any():
+            return
+        new = candidates.take(ok[keep[joins] - m])
+        keep[joins] = m + np.arange(new.n)
+        self.members = new if old is None else old.concat(new).take(keep)
 
     def snapshot(self) -> np.ndarray:
         if self.members is None:
@@ -604,6 +618,7 @@ def run_engine(
             pop.crowd = np.zeros(pop.n)
         else:
             pop = _survivors(merged, cfg.population_size)
+        del merged  # the last generation's also holds the archive
         archive.offer(offspring)
         snapshots.append(archive.snapshot())
     _evaluate_in_full(inst, pop, gamma, mu)

@@ -68,11 +68,7 @@ def hypervolume_2d(front: np.ndarray, ref: Sequence[float] = (0.0, 0.0)) -> floa
     pts = pareto_filter(pts)
     # Non-dominated + ascending x means strictly descending y, so the
     # dominated region splits into disjoint strips.
-    strips = []
-    prev_x = ref[0]
-    for x, y in pts:
-        strips.append((x - prev_x) * (y - ref[1]))
-        prev_x = x
+    strips = np.diff(pts[:, 0], prepend=ref[0]) * (pts[:, 1] - ref[1])
     return float(math.fsum(strips))
 
 

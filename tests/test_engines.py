@@ -9,6 +9,7 @@ from landalloc.engines import (
     EngineConfig,
     Population,
     RelaxationSchedule,
+    _FinalFeasibleArchive,
     _init_values,
     _rank_and_crowd,
     _refresh_pop,
@@ -22,6 +23,7 @@ from landalloc.engines import (
     run_engine,
 )
 from landalloc.harness import record_to_json
+from landalloc.metrics import pareto_indices
 from landalloc.model import area_band_mask, evaluate_batch, price_box_mask
 from landalloc.operators import (
     OperatorConfig,
@@ -553,6 +555,68 @@ class TestAnchoredOffspring:
         anchored = anchors >= 0
         assert np.array_equal(values[anchored], pop.values[anchors[anchored]])
         assert anchored.all() == (alg != "CR_DES")
+
+
+class TestFinalFeasibleArchive:
+    """`offer` copies only the joining candidates, yet keeps the members of
+    the naive rebuild: concatenate, `pareto_indices`, take."""
+
+    @staticmethod
+    def naive_offer(members, candidates):
+        ok = candidates.take(np.flatnonzero(candidates.feasible))
+        if not ok.n:
+            return members
+        merged = ok if members is None else members.concat(ok)
+        return merged.take(pareto_indices(merged.objectives()))
+
+    @staticmethod
+    def candidates(rng, first_id, n, kind):
+        """`n` tagged members (values[:, 0] is a unique id); `feasible` is the in-band mask."""
+        objs = rng.integers(0, 6, size=(n, 2)).astype(float)  # many duplicates
+        if kind == "dominated":
+            objs -= 10.0
+        feasible = rng.random(n) < 0.6
+        if kind == "empty":
+            feasible[:] = False
+        return Population(
+            values=np.arange(first_id, first_id + n)[:, None],
+            compatibility=objs[:, 0],
+            price=objs[:, 1],
+            areas=rng.random((n, 2)),
+            changed=rng.integers(0, 9, n),
+            rank=rng.integers(0, 3, n),
+            crowd=rng.random(n),
+            feasible=feasible,
+            violation=rng.random(n),
+        )
+
+    def test_matches_naive_rebuild(self, monkeypatch):
+        monkeypatch.setattr(
+            Population, "in_band_and_box", lambda pop, inst, gamma: pop.feasible.copy()
+        )
+        rng = np.random.default_rng(12)
+        kinds = ("mixed", "mixed", "dominated", "empty")
+        for _ in range(200):
+            archive = _FinalFeasibleArchive(None, RelaxationSchedule(0.5, 0.5, 1.0, 1.0))
+            want = None
+            next_id = 0
+            for kind in rng.choice(kinds, size=int(rng.integers(1, 12))):
+                n = int(rng.integers(0, 15))
+                offer = self.candidates(rng, next_id, n, kind)
+                next_id += n
+                before = archive.members
+                archive.offer(offer)
+                want = self.naive_offer(want, offer)
+                if want is None:
+                    assert archive.members is None
+                    continue
+                for got_col, want_col in zip(Population.columns(archive.members),
+                                             Population.columns(want)):
+                    assert np.array_equal(got_col, want_col)
+                if before is not None and before.n == want.n and np.array_equal(
+                    before.values, want.values
+                ):
+                    assert archive.members is before  # nothing joined: nothing copied
 
 
 class TestRecordValues:

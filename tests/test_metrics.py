@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,23 @@ class TestHypervolume:
 
     def test_empty_front_is_zero(self):
         assert hypervolume_2d(np.zeros((0, 2))) == 0.0
+
+    def test_equals_strip_loop_bit_for_bit(self):
+        def strip_loop(front, ref):
+            strips, prev_x = [], ref[0]
+            for x, y in pareto_filter(front):
+                strips.append((x - prev_x) * (y - ref[1]))
+                prev_x = x
+            return math.fsum(strips)
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            front = rng.random((n, 2))
+            if rng.random() < 0.5:  # duplicates and shared coordinates
+                front = np.round(front, 1)
+            ref = rng.random(2) * front.min(axis=0)
+            assert hypervolume_2d(front, ref) == strip_loop(front, ref)
 
 
 class TestParetoFilter:
