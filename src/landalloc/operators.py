@@ -12,6 +12,13 @@ plot's value uniformly from [0, K^f - 1], which redraws each of its
 floors uniformly. The random operators take an explicit numpy Generator
 and are deterministic given (inputs, config, seed). Locked plots always
 copy through.
+
+Draws are spent only on the entries an operator writes. The mutations
+pick min(budget, N_unlocked) distinct unlocked plots per row by Floyd's
+algorithm (`_pick_plots_batch`), then draw one value (random mutation)
+or one uniform (polynomial mutation) per picked entry, in pick order.
+SBX draws its per-plot participation uniforms, then one uniform per
+joining entry in flat (row, plot) order.
 """
 
 from __future__ import annotations
@@ -116,13 +123,12 @@ def sbx_batch(
     codec = inst.codec
     b, n = values1.shape[0], inst.n_plots
     select = (rng.random((b, n)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
-    u = rng.random((b, n))
     child1 = values1.copy()
     child2 = values2.copy()
     at = np.flatnonzero(select)  # flat (row, plot) indices; gathers beat boolean masks
     if not at.size:
         return child1, child2
-    u = u.take(at)
+    u = rng.random(at.size)
     plots = at % n
     eta = cfg.sbx_eta
     beta = np.where(
@@ -159,17 +165,25 @@ def uniform_batch(
 def _pick_plots_batch(
     b: int, budget: int, inst: ProblemInstance, rng: np.random.Generator
 ) -> np.ndarray:
-    """(B, N) bool mask selecting up to `budget` distinct unlocked plots per row."""
+    """Flat indices into (B, N) rows of min(budget, N_unlocked) distinct unlocked plots per row.
+
+    Floyd's algorithm over the M unlocked plots draws `take` rounds, one
+    rng.integers(0, j + 1, size=B) per round j = M - take, ..., M - 1; a
+    row whose draw is already taken picks j. Each row gets a uniform
+    `take`-subset. Row r's picks are entries r * take ... r * take + take - 1,
+    in round order.
+    """
     n_unlocked = len(inst.unlocked_ids)
     take = min(budget, n_unlocked)
-    mask = np.zeros((b, inst.n_plots), dtype=bool)
-    if take == 0:
-        return mask
-    u = rng.random((b, n_unlocked))
-    kth = np.partition(u, take - 1, axis=1)[:, take - 1 : take]
-    chosen = u <= kth
-    mask[:, inst.unlocked_ids] = chosen
-    return mask
+    rows = np.arange(b)
+    picks = np.empty((b, take), dtype=np.int64)
+    taken = np.zeros((b, n_unlocked), dtype=bool)
+    for i, j in enumerate(range(n_unlocked - take, n_unlocked)):
+        t = rng.integers(0, j + 1, size=b)
+        t = np.where(taken[rows, t], j, t)
+        taken[rows, t] = True
+        picks[:, i] = t
+    return (rows[:, None] * inst.n_plots + inst.unlocked_ids[picks]).ravel()
 
 
 def random_mutation_batch(
@@ -179,10 +193,10 @@ def random_mutation_batch(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Redraw the (B, N) plot values of up to mutation_plot_budget plots per row, uniformly."""
-    b = values.shape[0]
-    mask = _pick_plots_batch(b, cfg.mutation_plot_budget, inst, rng)
-    fresh = rng.integers(0, inst.codec.max_values + 1, size=(b, inst.n_plots))
-    return np.where(mask, fresh, values)
+    at = _pick_plots_batch(values.shape[0], cfg.mutation_plot_budget, inst, rng)
+    out = values.copy()
+    np.put(out, at, rng.integers(0, inst.codec.max_values[at % inst.n_plots] + 1))
+    return out
 
 
 def polynomial_values(
@@ -210,13 +224,16 @@ def polynomial_mutation_batch(
 ) -> np.ndarray:
     """Perturb the (B, N) plot values of up to mutation_plot_budget plots per row."""
     codec = inst.codec
-    b = values.shape[0]
-    mask = _pick_plots_batch(b, cfg.mutation_plot_budget, inst, rng)
-    u = rng.random((b, inst.n_plots))
-    if not mask.any():
-        return values.copy()
-    step = polynomial_values(values.astype(float), codec.max_values.astype(float), cfg.poly_eta, u)
-    return np.where(mask, codec.clamp(values, np.rint(step)), values)
+    at = _pick_plots_batch(values.shape[0], cfg.mutation_plot_budget, inst, rng)
+    out = values.copy()
+    if not at.size:
+        return out
+    plots = at % inst.n_plots
+    v = values.take(at)
+    high = codec.max_values[plots].astype(float)
+    step = polynomial_values(v.astype(float), high, cfg.poly_eta, rng.random(at.size))
+    np.put(out, at, codec.clamp(v, np.rint(step), plots))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,70 @@ def _naive_clamp(inst: ProblemInstance, values: np.ndarray) -> np.ndarray:
     return np.minimum(np.clip(values, 0, None), top).astype(np.int64)
 
 
+def naive_floyd_picks(inst: ProblemInstance, b: int, budget: int, rng: np.random.Generator):
+    """Per row, the plots Floyd's algorithm picks, in round order.
+
+    Over the M unlocked plots, round j = M - take, ..., M - 1 draws
+    rng.integers(0, j + 1, size=b); a row that already holds its draw t
+    takes j instead. take = min(budget, M).
+    """
+    ids = inst.unlocked_ids.tolist()
+    m = len(ids)
+    chosen = [[] for _ in range(b)]
+    for j in range(m - min(budget, m), m):
+        for row, t in zip(chosen, rng.integers(0, j + 1, size=b).tolist()):
+            row.append(j if t in row else t)
+    return [[ids[t] for t in row] for row in chosen]
+
+
+def naive_random_mutation(
+    inst: ProblemInstance, values: np.ndarray, budget: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The Floyd picks, then one uniform value in [0, K^f - 1] per picked entry, row by row."""
+    entries = [
+        (r, p) for r, row in enumerate(naive_floyd_picks(inst, len(values), budget, rng))
+        for p in row
+    ]
+    highs = np.array([inst.codec.max_values[p] for _, p in entries], dtype=np.int64)
+    out = values.copy()
+    for (r, p), v in zip(entries, rng.integers(0, highs + 1).tolist()):
+        out[r, p] = v
+    return out
+
+
+def naive_polynomial_mutation(
+    inst: ProblemInstance, values: np.ndarray, eta: float, budget: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The Floyd picks, then one uniform u per picked entry, row by row.
+
+    Deb's polynomial step delta * (K^f - 1) is computed over the whole
+    (B, N) array, in the engine's float formulas, and kept at the picks.
+    """
+    entries = [
+        (r, p) for r, row in enumerate(naive_floyd_picks(inst, len(values), budget, rng))
+        for p in row
+    ]
+    if not entries:
+        return values.copy()
+    u = np.zeros(values.shape)
+    picked = np.zeros(values.shape, dtype=bool)
+    for (r, p), x in zip(entries, rng.random(len(entries)).tolist()):
+        u[r, p] = x
+        picked[r, p] = True
+    x, high = values.astype(float), inst.codec.max_values.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1, d2 = x / high, (high - x) / high
+        exp = 1.0 / (eta + 1.0)
+        left = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
+        right = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)) ** exp
+    step = np.where(high > 0, np.where(u < 0.5, left, right) * high, 0.0)
+    # |step| <= K^f - 1 <= 2^62, so the sum and the clamp are exact in int64.
+    top = inst.n_uses ** inst.floor_counts.astype(np.int64) - 1
+    moved = np.clip(values + np.rint(step).astype(np.int64), 0, top)
+    return np.where(picked, moved, values)
+
+
 def naive_msbx_mo_children(
     inst: ProblemInstance, codes: np.ndarray, ops, rng: np.random.Generator
 ) -> np.ndarray:
@@ -306,9 +370,10 @@ def naive_msbx_mo_children(
     mutants = np.where(unlocked_floor[None, :], _naive_decode(inst, moved), codes)
 
     select = (rng.random((n, inst.n_plots)) < ops.crossover_plot_fraction) & ~inst.locked[None, :]
-    u = rng.random((n, inst.n_plots))
     if not select.any():
         return codes.copy()
+    u = np.zeros(select.shape)
+    u[select] = rng.random(np.count_nonzero(select))  # flat (row, plot) order
     v1 = _naive_encode(inst, mutants)
     v2 = _naive_encode(inst, codes)
     eta = ops.sbx_eta

@@ -18,7 +18,7 @@ from landalloc.operators import (
     uniform_batch,
 )
 
-from oracles import random_instance
+from oracles import naive_floyd_picks, naive_polynomial_mutation, naive_random_mutation, random_instance
 
 
 # The operators applied to code rows, encoded before and decoded after.
@@ -484,7 +484,8 @@ class TestValueOperators:
         values = rng.integers(0, inst.codec.max_values + 1, size=(300, inst.n_plots))
         values[:, inst.locked] = inst.actual_values[inst.locked]
         for seed in range(5):
-            selected = _pick_plots_batch(len(values), 2, inst, np.random.default_rng(seed))
+            selected = np.zeros(values.shape, dtype=bool)
+            selected.flat[_pick_plots_batch(len(values), 2, inst, np.random.default_rng(seed))] = True
             out = random_mutation_batch(values, cfg, inst, np.random.default_rng(seed))
             assert not (selected & inst.locked).any()
             assert np.array_equal(out[~selected], values[~selected])
@@ -517,6 +518,84 @@ class TestValueOperators:
             assert np.array_equal(c2[~swapped], p2[~swapped])
             assert np.array_equal(c1[:, case.locked], p1[:, case.locked])
             assert np.array_equal(c2[:, case.locked], p2[:, case.locked])
+
+
+class TestFloydPicks:
+    """`_pick_plots_batch` and the mutations that spend one draw per picked entry."""
+
+    @staticmethod
+    def four_unlocked():
+        from landalloc.model import LandUse, Plot, ProblemInstance
+
+        plots = [
+            Plot(i, 1 + i % 2, 10.0, (), i in (1, 4), (i % 2,) * (1 + i % 2)) for i in range(6)
+        ]
+        uses = [LandUse(0, "a"), LandUse(1, "b")]
+        return ProblemInstance(plots, uses, np.eye(2), np.ones((6, 2)), 0.5, 1.0, 0.0, 100.0)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 4, 9])
+    def test_exactly_take_distinct_unlocked_plots_per_row(self, inst, budget):
+        from landalloc.operators import _pick_plots_batch
+
+        take = min(budget, len(inst.unlocked_ids))
+        at = _pick_plots_batch(500, budget, inst, np.random.default_rng(budget))
+        assert at.shape == (500 * take,)
+        rows, plots = np.divmod(at.reshape(500, take), inst.n_plots)
+        assert (rows == np.arange(500)[:, None]).all()
+        assert not inst.locked[plots].any()
+        assert all(len(set(row)) == take for row in plots.tolist())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_subset_uniform_on_four_unlocked_plots(self, k):
+        from itertools import combinations
+
+        from landalloc.operators import _pick_plots_batch
+
+        inst = self.four_unlocked()
+        unlocked = inst.unlocked_ids.tolist()
+        b = 20000
+        plots = _pick_plots_batch(b, k, inst, np.random.default_rng(70 + k)).reshape(b, k) % 6
+        counts = {}
+        for row in plots.tolist():
+            key = tuple(sorted(row))
+            counts[key] = counts.get(key, 0) + 1
+        subsets = list(combinations(unlocked, k))
+        assert set(counts) == set(subsets)
+        p = 1 / len(subsets)
+        tol = 5 * np.sqrt(p * (1 - p) / b)
+        assert all(abs(c / b - p) <= tol for c in counts.values())
+        rate = np.array([np.count_nonzero(plots == i) for i in unlocked]) / b
+        p = k / 4
+        assert np.all(np.abs(rate - p) <= 5 * np.sqrt(p * (1 - p) / b) + 1e-12)
+
+    def test_picks_replay_floyd_rounds(self, inst):
+        from landalloc.operators import _pick_plots_batch
+
+        for budget in (0, 1, 2, 5):
+            rng, ref = np.random.default_rng(budget), np.random.default_rng(budget)
+            got = _pick_plots_batch(40, budget, inst, rng) % inst.n_plots
+            want = naive_floyd_picks(inst, 40, budget, ref)
+            assert got.tolist() == [p for row in want for p in row]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 9])
+    def test_mutations_replay_their_draw_order(self, budget):
+        draw = np.random.default_rng(80)
+        for case in (random_instance(draw, n_plots=6, k=3, max_floors=4, locked_fraction=0.3),
+                     tall_instance(2), self.four_unlocked()):
+            values = draw.integers(0, case.codec.max_values + 1, size=(60, case.n_plots))
+            values[:, case.locked] = case.actual_values[case.locked]
+            cfg = OperatorConfig(poly_eta=3.0, mutation_plot_budget=budget)
+            for op, naive in (
+                (random_mutation_batch, lambda v, r: naive_random_mutation(case, v, budget, r)),
+                (polynomial_mutation_batch,
+                 lambda v, r: naive_polynomial_mutation(case, v, 3.0, budget, r)),
+            ):
+                rng, ref = np.random.default_rng(budget), np.random.default_rng(budget)
+                got = op(values, cfg, case, rng)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, naive(values, ref))
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestConfigValidation:
