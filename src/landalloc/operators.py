@@ -226,8 +226,6 @@ def polynomial_mutation_batch(
     codec = inst.codec
     at = _pick_plots_batch(values.shape[0], cfg.mutation_plot_budget, inst, rng)
     out = values.copy()
-    if not at.size:
-        return out
     plots = at % inst.n_plots
     v = values.take(at)
     high = codec.max_values[plots].astype(float)

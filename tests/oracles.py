@@ -301,14 +301,16 @@ def naive_floyd_picks(inst: ProblemInstance, b: int, budget: int, rng: np.random
     return [[ids[t] for t in row] for row in chosen]
 
 
+def _picked_entries(inst: ProblemInstance, b: int, budget: int, rng: np.random.Generator):
+    """The Floyd picks as (row, plot) pairs, row by row."""
+    return [(r, p) for r, row in enumerate(naive_floyd_picks(inst, b, budget, rng)) for p in row]
+
+
 def naive_random_mutation(
     inst: ProblemInstance, values: np.ndarray, budget: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The Floyd picks, then one uniform value in [0, K^f - 1] per picked entry, row by row."""
-    entries = [
-        (r, p) for r, row in enumerate(naive_floyd_picks(inst, len(values), budget, rng))
-        for p in row
-    ]
+    entries = _picked_entries(inst, len(values), budget, rng)
     highs = np.array([inst.codec.max_values[p] for _, p in entries], dtype=np.int64)
     out = values.copy()
     for (r, p), v in zip(entries, rng.integers(0, highs + 1).tolist()):
@@ -325,12 +327,7 @@ def naive_polynomial_mutation(
     Deb's polynomial step delta * (K^f - 1) is computed over the whole
     (B, N) array, in the engine's float formulas, and kept at the picks.
     """
-    entries = [
-        (r, p) for r, row in enumerate(naive_floyd_picks(inst, len(values), budget, rng))
-        for p in row
-    ]
-    if not entries:
-        return values.copy()
+    entries = _picked_entries(inst, len(values), budget, rng)
     u = np.zeros(values.shape)
     picked = np.zeros(values.shape, dtype=bool)
     for (r, p), x in zip(entries, rng.random(len(entries)).tolist()):

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from landalloc.model import codes_in_range_mask, locked_kept_mask
 from landalloc.operators import (
     OperatorConfig,
+    _pick_plots_batch,
     decode_uses,
     encode_uses,
     polynomial_mutation_batch,
@@ -18,7 +20,12 @@ from landalloc.operators import (
     uniform_batch,
 )
 
-from oracles import naive_floyd_picks, naive_polynomial_mutation, naive_random_mutation, random_instance
+from oracles import (
+    naive_floyd_picks,
+    naive_polynomial_mutation,
+    naive_random_mutation,
+    random_instance,
+)
 
 
 # The operators applied to code rows, encoded before and decoded after.
@@ -477,8 +484,6 @@ class TestValueOperators:
     """Uniform crossover and random mutation on plot values."""
 
     def test_random_mutation_changes_selected_unlocked_plots_only(self, inst):
-        from landalloc.operators import _pick_plots_batch
-
         cfg = OperatorConfig(mutation_plot_budget=2)
         rng = np.random.default_rng(50)
         values = rng.integers(0, inst.codec.max_values + 1, size=(300, inst.n_plots))
@@ -535,8 +540,6 @@ class TestFloydPicks:
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 3, 4, 9])
     def test_exactly_take_distinct_unlocked_plots_per_row(self, inst, budget):
-        from landalloc.operators import _pick_plots_batch
-
         take = min(budget, len(inst.unlocked_ids))
         at = _pick_plots_batch(500, budget, inst, np.random.default_rng(budget))
         assert at.shape == (500 * take,)
@@ -547,10 +550,6 @@ class TestFloydPicks:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_subset_uniform_on_four_unlocked_plots(self, k):
-        from itertools import combinations
-
-        from landalloc.operators import _pick_plots_batch
-
         inst = self.four_unlocked()
         unlocked = inst.unlocked_ids.tolist()
         b = 20000
@@ -569,8 +568,6 @@ class TestFloydPicks:
         assert np.all(np.abs(rate - p) <= 5 * np.sqrt(p * (1 - p) / b) + 1e-12)
 
     def test_picks_replay_floyd_rounds(self, inst):
-        from landalloc.operators import _pick_plots_batch
-
         for budget in (0, 1, 2, 5):
             rng, ref = np.random.default_rng(budget), np.random.default_rng(budget)
             got = _pick_plots_batch(40, budget, inst, rng) % inst.n_plots
