@@ -8,8 +8,8 @@ Engines:
 * ``CR_DES``      NSGA-II skeleton with uniform crossover where, with some
                   probability, a child is the scaled difference vector of two
                   mating-pool members
-* ``MSBX_MO``     DE-flavored loop: every solution is shifted by a scaled
-                  random donor and crossed (SBX) with itself
+* ``MSBX_MO``     DE-flavored loop: every solution is SBX-crossed with itself
+                  shifted by a scaled random donor, at the joining plots only
 
 All engines share initialization (one random mutation of the actual map
 that redraws 25% of its unlocked plots), binary tournaments over a
@@ -57,10 +57,10 @@ from .model import (
 )
 from .operators import (
     OperatorConfig,
+    de_trial_batch,
     polynomial_mutation_batch,
     random_mutation_batch,
     sbx_batch,
-    scaled_add_batch,
     scaled_difference_batch,
     tournament_indices,
     uniform_batch,
@@ -537,18 +537,8 @@ def _offspring_msbx_mo(
     pop: Population,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each x is shifted by a scaled random donor and SBX-crossed with itself.
-
-    The emitted child is the x-anchored one: unselected plots keep x and
-    the participating plots are SBX-mixed toward the mutant, the DE
-    trial-vector construction.
-    """
-    n = pop.n
-    donors = rng.integers(0, n - 1, size=n)
-    donors += donors >= np.arange(n)
-    mutants = scaled_add_batch(pop.values, pop.values[donors], cfg.operator_cfg.de_scale, inst)
-    _, children = sbx_batch(mutants, pop.values, cfg.operator_cfg, inst, rng)
-    return children, np.arange(n)
+    """Each member's DE trial vector, anchored at it; its mutant is formed only where SBX joins."""
+    return de_trial_batch(pop.values, cfg.operator_cfg, inst, rng), np.arange(pop.n)
 
 
 # The one step in which the engines differ: (inst, cfg, pop, rng) -> offspring

@@ -13,12 +13,14 @@ floors uniformly. The random operators take an explicit numpy Generator
 and are deterministic given (inputs, config, seed). Locked plots always
 copy through.
 
-Draws are spent only on the entries an operator writes. The mutations
-pick min(budget, N_unlocked) distinct unlocked plots per row by Floyd's
-algorithm (`_pick_plots_batch`), then draw one value (random mutation)
-or one uniform (polynomial mutation) per picked entry, in pick order.
-SBX draws its per-plot participation uniforms, then one uniform per
-joining entry in flat (row, plot) order.
+Draws are spent only on the entries an operator writes. The mutations pick
+min(budget, N_unlocked) distinct unlocked plots per row by Floyd's
+algorithm (`_pick_plots_batch`), then draw one value (random mutation) or
+one uniform (polynomial mutation) per picked entry, in pick order. SBX
+(`_sbx_joins`) draws per-plot participation uniforms, then one uniform per
+joining entry in flat (row, plot) order. MSBX_MO's trial vector
+(`de_trial_batch`) forms its mutant there only; `scaled_add_batch` stays
+the public (B, N) scaled add.
 """
 
 from __future__ import annotations
@@ -108,6 +110,17 @@ def tournament_indices(
 # crossover
 
 
+def _sbx_joins(
+    b: int, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of (B, N) entries joining SBX, drawn per plot, and their 0.5 * (1 - beta)."""
+    select = (rng.random((b, inst.n_plots)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
+    at = np.flatnonzero(select)  # flat (row, plot) indices; gathers beat boolean masks
+    u = rng.random(at.size)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (cfg.sbx_eta + 1.0))
+    return at, 0.5 * (1.0 - beta)
+
+
 def sbx_batch(
     values1: np.ndarray,
     values2: np.ndarray,
@@ -120,29 +133,39 @@ def sbx_batch(
     Plots that do not join keep their parent's value; beta and the
     children are computed at the joining (row, plot) entries only.
     """
-    codec = inst.codec
-    b, n = values1.shape[0], inst.n_plots
-    select = (rng.random((b, n)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
-    child1 = values1.copy()
-    child2 = values2.copy()
-    at = np.flatnonzero(select)  # flat (row, plot) indices; gathers beat boolean masks
-    if not at.size:
-        return child1, child2
-    u = rng.random(at.size)
-    plots = at % n
-    eta = cfg.sbx_eta
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
-    )
+    at, weight = _sbx_joins(values1.shape[0], cfg, inst, rng)
+    plots = at % inst.n_plots
     v1, v2 = values1.take(at), values2.take(at)
-    # The children 0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) are v1 + step
-    # and v2 - step.
-    step = np.rint(0.5 * (1.0 - beta) * (v2 - v1).astype(float))
-    np.put(child1, at, codec.clamp(v1, step, plots))
-    np.put(child2, at, codec.clamp(v2, -step, plots))
+    # The children 0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) are v1 + step and v2 - step.
+    step = np.rint(weight * (v2 - v1).astype(float))
+    child1, child2 = values1.copy(), values2.copy()
+    np.put(child1, at, inst.codec.clamp(v1, step, plots))
+    np.put(child2, at, inst.codec.clamp(v2, -step, plots))
     return child1, child2
+
+
+def de_trial_batch(
+    values: np.ndarray,
+    cfg: OperatorConfig,
+    inst: ProblemInstance,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """DE trial vectors: each (B, N) row x SBX-crossed with x + round(F * donor), anchored at x.
+
+    Each row's donor is a uniform draw of the other rows. Equal to
+    `sbx_batch(scaled_add_batch(values, values[donors], F, inst), values)[1]`
+    with the same draws, but the mutant is formed at the joining entries only.
+    """
+    b, n = values.shape[0], inst.n_plots
+    donors = rng.integers(0, b - 1, size=b)
+    donors += donors >= np.arange(b)
+    at, weight = _sbx_joins(b, cfg, inst, rng)
+    rows, plots = np.divmod(at, n)
+    x = values.take(at)
+    mutant = scaled_add_batch(x, values.take(donors[rows] * n + plots), cfg.de_scale, inst, plots)
+    child = values.copy()
+    np.put(child, at, inst.codec.clamp(x, -np.rint(weight * (x - mutant).astype(float)), plots))
+    return child
 
 
 def uniform_batch(
@@ -239,14 +262,14 @@ def polynomial_mutation_batch(
 
 
 def scaled_add_batch(
-    target: np.ndarray, donor: np.ndarray, f: float, inst: ProblemInstance
+    target: np.ndarray, donor: np.ndarray, f: float, inst: ProblemInstance, plots=None
 ) -> np.ndarray:
     """Per unlocked plot of (B, N) values: target + round(f * donor), clamped.
 
-    Only the step is computed in float, so a zero donor is the identity.
+    Only the step is float, so a zero donor is the identity; 1-D entries take `plots`.
     """
-    moved = inst.codec.clamp(target, np.rint(f * donor.astype(float)))
-    return np.where(inst.locked, target, moved)
+    moved = inst.codec.clamp(target, np.rint(f * donor.astype(float)), plots)
+    return np.where(inst.locked if plots is None else inst.locked[plots], target, moved)
 
 
 def scaled_difference_batch(

@@ -472,6 +472,24 @@ class TestMsbxMoFixedPoint:
         assert np.array_equal(c2, vx)
 
 
+    @pytest.mark.parametrize("f", [0.5, 3.0])
+    def test_engine_step_with_zero_donors_is_identity(self, f, small_synthetic):
+        # Unlocked values all 0 make every joining plot's donor 0, so each
+        # mutant is its parent and SBX(x, x) = x; locked plots keep their
+        # as-built, non-zero values and never join.
+        from landalloc.engines import _offspring_msbx_mo
+
+        inst = small_synthetic
+        assert inst.locked.any() and (inst.actual_values[inst.locked] > 0).any()
+        values = np.repeat(np.where(inst.locked, inst.actual_values, 0)[None, :], 20, axis=0)
+        ops = OperatorConfig(sbx_eta=1.0, de_scale=f, crossover_plot_fraction=1.0)
+        cfg = small_cfg("MSBX_MO", population_size=20, operator_cfg=ops)
+        pop = Population.evaluate(inst, values)
+        children, anchors = _offspring_msbx_mo(inst, cfg, pop, np.random.default_rng(6))
+        assert np.array_equal(children, values)
+        assert np.array_equal(anchors, np.arange(20))
+
+
 class TestMsbxMoFusedVariation:
     """`_offspring_msbx_mo` on plot values must give the children of the
     operator-by-operator composition on code rows, and leave the generator

@@ -319,6 +319,18 @@ class TestScaledOperators:
         out = scaled_add_codes(target, donor, 0.5, inst1)  # 3 + round(2.0) = 5
         assert out.tolist() == [[1, 0, 1]]
 
+    def test_scaled_add_entry_form_matches_rows(self, inst):
+        # The 1-D form with each entry's plot gives the (B, N) result at those entries.
+        rng = np.random.default_rng(25)
+        codec = inst.codec
+        t = codec.encode_rows(rng.integers(0, inst.n_uses, size=(8, inst.total_floors)))
+        d = codec.encode_rows(rng.integers(0, inst.n_uses, size=(8, inst.total_floors)))
+        at = rng.permutation(t.size)[:20]
+        plots = at % inst.n_plots
+        assert inst.locked[plots].any() and not inst.locked[plots].all()
+        out = scaled_add_batch(t.take(at), d.take(at), 0.7, inst, plots)
+        assert np.array_equal(out, scaled_add_batch(t, d, 0.7, inst).take(at))
+
     def test_scaled_difference_hand_case(self):
         from landalloc.model import LandUse, Plot, ProblemInstance
 
@@ -424,6 +436,32 @@ class TestTallPlots:
             c1, c2 = sbx_codes(x, x.copy(), cfg, inst, np.random.default_rng(5))
             assert np.array_equal(c1, x)
             assert np.array_equal(c2, x)
+
+    @pytest.mark.parametrize("frac", [0.2, 1.0])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_msbx_mo_step_matches_int64_composition(self, k, frac):
+        # The code-row oracle `naive_msbx_mo_children` covers plots below
+        # 2^53 only; here the fused engine step meets the two int64
+        # operators composed, on plots up to the tallest allowed.
+        from landalloc.engines import EngineConfig, Population, _offspring_msbx_mo
+
+        inst = tall_instance(k)
+        codec = inst.codec
+        rng = np.random.default_rng(40 + k)
+        x = codec.encode_rows(rng.integers(0, k, size=(30, inst.total_floors)))
+        x[0] = codec.max_values
+        pop = Population.evaluate(inst, x)
+        for seed, f in enumerate((0.5, 1.0, 2.5)):
+            ops = OperatorConfig(de_scale=f, crossover_plot_fraction=frac)
+            cfg = EngineConfig("MSBX_MO", population_size=30, operator_cfg=ops)
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, _ = _offspring_msbx_mo(inst, cfg, pop, got_rng)
+            donors = ref_rng.integers(0, 29, size=30)
+            donors += donors >= np.arange(30)
+            want = sbx_batch(scaled_add_batch(x, x[donors], f, inst), x, ops, inst, ref_rng)[1]
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_sbx_keeps_unselected_plots(self, k):
