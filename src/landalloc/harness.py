@@ -11,7 +11,12 @@ A bundle directory is self-contained and regenerable:
       report/...                  written by the report step
 
 RunRecord files are canonical JSON (sorted keys, no timestamps), so
-rerunning the same config produces byte-identical files.
+rerunning the same config produces byte-identical files. The floor-use
+codes, nearly all of a file's bytes, are written from and read into int
+arrays: `record_to_json` and `combined_json` render them in a few numpy
+passes, and `load_bundle` and `verify_bundle` parse a run file's code
+lists straight into an array when it has the form `run` writes. Any
+other text takes `json.loads` and the member-by-member checks.
 """
 
 from __future__ import annotations
@@ -174,11 +179,11 @@ _MEMBER_FIELDS = (
 )
 
 
-def record_to_dict(label: str, rec: RunRecord) -> dict:
+def record_to_json(label: str, rec: RunRecord) -> str:
     pop = rec.population
-    keys = ["floor_uses"] + [key for key, _, _ in _MEMBER_FIELDS]
-    columns = [rec.codes.tolist()] + [getattr(pop, name).tolist() for _, name, _ in _MEMBER_FIELDS]
-    return {
+    keys = [key for key, _, _ in _MEMBER_FIELDS]
+    columns = [getattr(pop, name).tolist() for _, name, _ in _MEMBER_FIELDS]
+    doc = {
         "schema": RECORD_SCHEMA,
         "label": label,
         "algorithm": rec.algorithm,
@@ -186,21 +191,121 @@ def record_to_dict(label: str, rec: RunRecord) -> dict:
         "config": rec.config,
         "hv_trace": [float(v) for v in rec.hv_trace],
         "front": rec.front_indices.tolist(),
-        "population": [dict(zip(keys, member)) for member in zip(*columns)],
+        "population": [dict(zip(keys, member), floor_uses=[]) for member in zip(*columns)],
     }
+    return _with_codes(canonical_dumps(doc, compact=True), "population", rec.codes)
 
 
-def record_to_json(label: str, rec: RunRecord) -> str:
-    return canonical_dumps(record_to_dict(label, rec), compact=True)
+# An entry's floor uses while its file is dumped, before `_with_codes` writes
+# them in; and a member's floor uses as `run` writes them, which `_read_run` parses.
+_CODES_SLOT = '"floor_uses":[]'
+_CODE_LIST = re.compile(r',"floor_uses":\[([0-9,]*)\]')
 
 
-def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
+def _with_codes(text: str, key: str, codes) -> str:
+    """`text` with row r of `codes` as the floor uses of its `key` list's entry r.
+
+    `text` is the compact dump of a document whose `key` entries hold
+    `_CODES_SLOT` and numbers only, and after whose `key` list only numbers
+    follow. So every slot after the key's last occurrence is an entry's.
+    """
+    head, key_mark, tail = text.rpartition(f'"{key}":[')
+    pieces = tail.split(_CODES_SLOT)
+    lists = _code_lists(codes)
+    return head + key_mark + "".join(p + c for p, c in zip(pieces, lists)) + pieces[-1]
+
+
+def _code_lists(codes) -> list[str]:
+    """Each row of non-negative int `codes` as `"floor_uses":` and its compact JSON list.
+
+    A code takes `width` digit slots and a separator; the slots before its
+    first digit hold NUL, which each row's text then drops.
+    """
+    if len(codes) == 0:
+        return []
+    codes = np.asarray(codes)
+    n, f = codes.shape
+    width = len(str(codes.max()))
+    chars = np.zeros((n, f, width + 1), np.uint8)
+    chars[..., width] = ord(",")
+    chars[:, -1, width] = ord("]")
+    rest = codes
+    for place in range(width):
+        digit = rest % 10 + ord("0")
+        chars[..., width - 1 - place] = np.where(rest > 0, digit, 0) if place else digit
+        rest = rest // 10
+    text = chars.tobytes().decode("ascii")
+    m = f * (width + 1)
+    return ['"floor_uses":[' + text[r * m : (r + 1) * m].replace("\0", "") for r in range(n)]
+
+
+def _read_run(path: Path, n_floors: int) -> tuple[dict, np.ndarray | None]:
+    """A run file's document and, if it has the form `run` writes, its (P, n_floors) codes.
+
+    That form is one `_CODE_LIST` match per population member, each a list
+    of `n_floors` integers of at most 9 digits. The matches are then cut
+    out before `json.loads`, and member r's "floor_uses" reads r. Any other
+    text is read by `json.loads` alone, with None for the codes, so that
+    `_record_and_stats` checks it member by member.
+    """
+    text = path.read_text(encoding="utf-8")
+    pieces = _CODE_LIST.split(text)
+    lists = pieces[1::2]
+    keys = 0
+
+    def count_keys(pairs: list) -> dict:
+        nonlocal keys
+        keys += sum(key == "floor_uses" for key, _ in pairs)
+        return dict(pairs)
+
+    rest = "".join(f'{p},"floor_uses":{r}' for r, p in enumerate(pieces[:-2:2])) + pieces[-1]
+    try:
+        doc = json.loads(rest, object_pairs_hook=count_keys)
+        in_order = [m["floor_uses"] for m in doc["population"]] == list(range(len(lists)))
+    except (ValueError, KeyError, TypeError):
+        in_order = False
+    # every floor_uses key is a match, and each member holds one, in order
+    codes = _parse_code_lists(lists, n_floors) if in_order and keys == len(lists) else None
+    if codes is not None:
+        return doc, codes
+    return json.loads(text), None
+
+
+def _parse_code_lists(lists: list[str], n_floors: int) -> np.ndarray | None:
+    """The (len(lists), n_floors) int codes of comma-separated digit texts.
+
+    None unless each text is `n_floors` JSON integers of at most 9 digits:
+    no empty token and no leading zero.
+    """
+    if not lists or any(s.count(",") != n_floors - 1 for s in lists):
+        return None
+    buf = np.frombuffer((",".join(lists) + ",").encode("ascii"), np.uint8)
+    shape = (len(lists), n_floors)
+    if buf.size == 2 * len(lists) * n_floors and (buf[1::2] == ord(",")).all():
+        return (buf[::2] - ord("0")).reshape(shape)  # every code one digit
+    ends = np.flatnonzero(buf == ord(","))
+    lengths = np.diff(ends, prepend=-1) - 1
+    leading_zero = buf[(ends - lengths)[lengths > 1]] == ord("0")
+    if lengths.min() < 1 or lengths.max() > 9 or leading_zero.any():
+        return None
+    digits = buf.astype(np.int64) - ord("0")
+    codes = np.zeros(ends.size, np.int64)
+    for j in range(lengths.max()):  # the digits j places before each code's end
+        codes += np.where(lengths > j, digits[ends - 1 - j], 0) * 10**j
+    return codes.reshape(shape)
+
+
+def record_from_dict(
+    doc: dict, inst: ProblemInstance, codes: np.ndarray | None = None
+) -> tuple[str, RunRecord]:
     """Rebuild a RunRecord; per-use areas are recomputed from the codes.
 
-    Raises InstanceError as `_record_and_stats` does, and if a member's
-    stored compatibility or price is not finite.
+    `codes`, if given, are the members' floor-use codes as `_read_run`
+    parsed them, in place of the lists in `doc`. Raises InstanceError as
+    `_record_and_stats` does, and if a member's stored compatibility or
+    price is not finite.
     """
-    label, rec, _ = _record_and_stats(doc, inst)
+    label, rec, _ = _record_and_stats(doc, inst, codes)
     pop = rec.population
     for key, values in (("compatibility", pop.compatibility), ("price", pop.price)):
         bad = np.flatnonzero(~np.isfinite(values))
@@ -209,39 +314,19 @@ def record_from_dict(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord]:
     return label, rec
 
 
-def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord, BatchStats]:
+def _record_and_stats(
+    doc: dict, inst: ProblemInstance, codes: np.ndarray | None = None
+) -> tuple[str, RunRecord, BatchStats]:
     """record_from_dict plus the evaluation of the stored codes' plot values.
 
     Raises InstanceError if a member is not an object, its floor uses are
-    not a list of one integer code per floor of the instance, a code lies
-    outside [0, K), or a stored number (a member field, the seed, the HV
-    trace or the front) is null or does not convert. A stored NaN or
-    infinity converts: `verify` reports it as stale.
+    not a list of one integer code per floor of the instance (a boolean is
+    no code), a code lies outside [0, K), or a stored number (a member
+    field, the seed, the HV trace or the front) is null or does not
+    convert. A stored NaN or infinity converts: `verify` reports it as stale.
     """
     pop_docs = doc["population"]
-    for r, d in enumerate(pop_docs):
-        if not isinstance(d, dict):
-            raise InstanceError(f"member {r} is not an object")
-        if not isinstance(d["floor_uses"], list):
-            raise InstanceError(f"member {r} has no list of floor-use codes")
-        if len(d["floor_uses"]) != inst.total_floors:
-            raise InstanceError(
-                f"member {r} has {len(d['floor_uses'])} floor-use codes, "
-                f"the instance has {inst.total_floors} floors"
-            )
-    try:
-        raw = np.array([d["floor_uses"] for d in pop_docs])
-        raw = raw.reshape(len(pop_docs), inst.total_floors)
-    except ValueError:  # a code that is itself a list
-        raw = None
-    if raw is None or raw.dtype.kind not in "biuf":
-        bad = next(r for r, d in enumerate(pop_docs)
-                   if not all(isinstance(u, (int, float)) for u in d["floor_uses"]))
-        raise InstanceError(f"member {bad} has a floor-use code that is not a number")
-    if raw.dtype.kind == "f":
-        fractional = np.flatnonzero(~(np.isfinite(raw) & (raw == np.rint(raw))).all(axis=1))
-        if fractional.size:
-            raise InstanceError(f"member {fractional[0]} has a floor-use code that is not an integer")
+    raw = _listed_codes(pop_docs, inst) if codes is None else codes
     outside = np.flatnonzero(~codes_in_range_mask(inst, raw))
     if outside.size:  # evaluate_batch would count such a floor against another plot or use
         raise InstanceError(
@@ -279,6 +364,34 @@ def _record_and_stats(doc: dict, inst: ProblemInstance) -> tuple[str, RunRecord,
     return doc["label"], rec, stats
 
 
+def _listed_codes(pop_docs: list[dict], inst: ProblemInstance) -> np.ndarray:
+    """The members' floor-use lists as one (P, total_floors) numeric array.
+
+    Raises InstanceError unless each member is an object whose floor uses
+    are a list of one integer per floor. A code too large for int64 stays
+    a Python int in an object array, for the range check to refuse.
+    """
+    for r, d in enumerate(pop_docs):
+        if not isinstance(d, dict):
+            raise InstanceError(f"member {r} is not an object")
+        if not isinstance(d["floor_uses"], list):
+            raise InstanceError(f"member {r} has no list of floor-use codes")
+        if len(d["floor_uses"]) != inst.total_floors:
+            raise InstanceError(
+                f"member {r} has {len(d['floor_uses'])} floor-use codes, "
+                f"the instance has {inst.total_floors} floors"
+            )
+    for r, d in enumerate(pop_docs):
+        if not set(map(type, d["floor_uses"])) <= {int, float}:  # a bool is an int to numpy
+            raise InstanceError(f"member {r} has a floor-use code that is not a number")
+    raw = np.array([d["floor_uses"] for d in pop_docs]).reshape(len(pop_docs), inst.total_floors)
+    if raw.dtype.kind == "f":
+        fractional = np.flatnonzero(~(np.isfinite(raw) & (raw == np.rint(raw))).all(axis=1))
+        if fractional.size:
+            raise InstanceError(f"member {fractional[0]} has a floor-use code that is not an integer")
+    return raw
+
+
 def _vector(values, dtype, what: str) -> np.ndarray:
     """`values` as a 1-D array of `dtype`, or an InstanceError saying `what` is not numeric.
 
@@ -312,6 +425,7 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
     """Non-dominated union of the records' fronts, with allocations attached.
 
     Entries keep the records' order and, within a record, its front order.
+    An entry's "floor_uses" is its member's row of its record's codes.
     """
     members = [(rec, i) for rec in records for i in rec.front_indices.tolist()]
     if not members:
@@ -325,7 +439,7 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
                 "compatibility": float(rec.population.compatibility[i]),
                 "price": float(rec.population.price[i]),
                 "seed": rec.seed,
-                "floor_uses": rec.codes[i].tolist(),
+                "floor_uses": rec.codes[i],
             }
         )
     return entries
@@ -333,7 +447,10 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
 
 def combined_json(label: str, records: list[RunRecord]) -> str:
     """The text of a label's combined file: the union of its ok runs' fronts."""
-    return canonical_dumps({"label": label, "points": combined_front_entries(records)}, compact=True)
+    entries = combined_front_entries(records)
+    points = [dict(e, floor_uses=[]) for e in entries]
+    text = canonical_dumps({"label": label, "points": points}, compact=True)
+    return _with_codes(text, "points", [e["floor_uses"] for e in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +642,8 @@ def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
         if not path.exists():
             gaps.append(f"{tag}: file missing")
             continue
-        label, rec = record_from_dict(json.loads(path.read_text(encoding="utf-8")), inst)
+        doc, codes = _read_run(path, inst.total_floors)
+        label, rec = record_from_dict(doc, inst, codes)
         if foreign := _foreign_run(entry, label, rec):
             raise InstanceError(f"{tag}: {foreign}")
         _, gamma_final, _, soa_weights = _final_settings(configs.get(label, {}), tag)
@@ -589,8 +707,8 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             incomplete = True
             continue
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            label, rec, stats = _record_and_stats(doc, inst)
+            doc, codes = _read_run(path, inst.total_floors)
+            label, rec, stats = _record_and_stats(doc, inst, codes)
         except Exception as exc:
             issues.append(f"{tag}: unreadable run file ({exc})")
             continue

@@ -8,6 +8,7 @@ the data types.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -384,3 +385,44 @@ def naive_msbx_mo_children(
     c2 = _naive_clamp(inst, np.rint(0.5 * ((1.0 - beta) * f1 + (1.0 + beta) * f2)))
     child = _naive_decode(inst, np.where(select, c2, v2))
     return np.where(np.repeat(select, inst.floor_counts, axis=1), child, codes)
+
+
+# Run and combined file texts, built from Python lists: the member fields in
+# `Population` attribute order, each under its file key.
+_RECORD_MEMBER_FIELDS = (
+    ("compatibility", "compatibility"), ("price", "price"), ("changed", "changed"),
+    ("rank", "rank"), ("crowding", "crowd"), ("feasible", "feasible"),
+    ("violation", "violation"),
+)
+
+
+def _compact_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def record_text(label: str, rec) -> str:
+    """The run-file text of RunRecord `rec`, every floor-use list a list of ints."""
+    pop = rec.population
+    members = []
+    for r in range(pop.n):
+        member = {key: getattr(pop, name)[r].item() for key, name in _RECORD_MEMBER_FIELDS}
+        member["floor_uses"] = [int(u) for u in rec.codes[r]]
+        members.append(member)
+    return _compact_json(
+        {
+            "schema": 1,
+            "label": label,
+            "algorithm": rec.algorithm,
+            "seed": rec.seed,
+            "config": rec.config,
+            "hv_trace": [float(v) for v in rec.hv_trace],
+            "front": [int(i) for i in rec.front_indices],
+            "population": members,
+        }
+    )
+
+
+def combined_text(label: str, entries: list[dict]) -> str:
+    """The combined-file text of `entries`, every floor-use list a list of ints."""
+    points = [dict(e, floor_uses=[int(u) for u in e["floor_uses"]]) for e in entries]
+    return _compact_json({"label": label, "points": points})

@@ -779,6 +779,24 @@ class TestStoredCodesChecked:
             "member 0 has a floor-use code that is not a number",
         )
 
+    def test_boolean_code_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(doc):  # numpy would read true as 1
+            doc["population"][0]["floor_uses"][0] = True
+
+        self._check_refused(
+            clean_bundle, tmp_path, capsys, edit,
+            "member 0 has a floor-use code that is not a number",
+        )
+
+    def test_code_too_large_for_int64_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(doc):
+            doc["population"][0]["floor_uses"][0] = 10**25
+
+        self._check_refused(
+            clean_bundle, tmp_path, capsys, edit,
+            "floor-use codes outside [0, 3) in 1 member(s) (first: member 0)",
+        )
+
     def test_floor_uses_not_a_list_fails(self, clean_bundle, tmp_path, capsys):
         def edit(doc):
             doc["population"][0]["floor_uses"] = 5
