@@ -28,6 +28,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -244,30 +245,24 @@ def _read_run(path: Path, n_floors: int) -> tuple[dict, np.ndarray | None]:
 
     That form is one `_CODE_LIST` match per population member, each a list
     of `n_floors` integers of at most 9 digits. The matches are then cut
-    out before `json.loads`, and member r's "floor_uses" reads r. Any other
-    text is read by `json.loads` alone, with None for the codes, so that
-    `_record_and_stats` checks it member by member.
+    out before `json.loads`, and each member's "floor_uses" reads 0. Any
+    other text is read by `json.loads` alone, with None for the codes, so
+    that `_record_and_stats` checks it member by member.
     """
     text = path.read_text(encoding="utf-8")
     pieces = _CODE_LIST.split(text)
     lists = pieces[1::2]
-    keys = 0
-
-    def count_keys(pairs: list) -> dict:
-        nonlocal keys
-        keys += sum(key == "floor_uses" for key, _ in pairs)
-        return dict(pairs)
-
-    rest = "".join(f'{p},"floor_uses":{r}' for r, p in enumerate(pieces[:-2:2])) + pieces[-1]
-    try:
-        doc = json.loads(rest, object_pairs_hook=count_keys)
-        in_order = [m["floor_uses"] for m in doc["population"]] == list(range(len(lists)))
-    except (ValueError, KeyError, TypeError):
-        in_order = False
-    # every floor_uses key is a match, and each member holds one, in order
-    codes = _parse_code_lists(lists, n_floors) if in_order and keys == len(lists) else None
-    if codes is not None:
-        return doc, codes
+    rest = ',"floor_uses":0'.join(pieces[::2])
+    # Without a \u escape, every floor_uses key is spelled out; if each is a
+    # match and each member holds one, member r holds list r.
+    if rest.count("floor_uses") == len(lists) and "\\u" not in rest:
+        try:
+            doc = json.loads(rest)
+            one_each = [m["floor_uses"] for m in doc["population"]] == [0] * len(lists)
+        except (ValueError, KeyError, TypeError):
+            one_each = False
+        if one_each and (codes := _parse_code_lists(lists, n_floors)) is not None:
+            return doc, codes
     return json.loads(text), None
 
 
@@ -381,10 +376,11 @@ def _listed_codes(pop_docs: list[dict], inst: ProblemInstance) -> np.ndarray:
                 f"member {r} has {len(d['floor_uses'])} floor-use codes, "
                 f"the instance has {inst.total_floors} floors"
             )
-    for r, d in enumerate(pop_docs):
-        if not set(map(type, d["floor_uses"])) <= {int, float}:  # a bool is an int to numpy
-            raise InstanceError(f"member {r} has a floor-use code that is not a number")
-    raw = np.array([d["floor_uses"] for d in pop_docs]).reshape(len(pop_docs), inst.total_floors)
+    lists = [d["floor_uses"] for d in pop_docs]
+    if not set(map(type, chain.from_iterable(lists))) <= {int, float}:  # numpy reads true as 1
+        bad = next(r for r, codes in enumerate(lists) if not set(map(type, codes)) <= {int, float})
+        raise InstanceError(f"member {bad} has a floor-use code that is not a number")
+    raw = np.array(lists).reshape(len(pop_docs), inst.total_floors)
     if raw.dtype.kind == "f":
         fractional = np.flatnonzero(~(np.isfinite(raw) & (raw == np.rint(raw))).all(axis=1))
         if fractional.size:

@@ -134,6 +134,8 @@ TAMPERS = {
     "escaped-key": lambda t: _member_0_list(
         t, ',"floor\\u005fuses":[' + _member_list(t).group(1) + "]"
     ),
+    "escape-in-label": lambda t: t.replace('"label":"SOA"', '"label":"S\\u00d6A"', 1),
+    "key-name-as-label": lambda t: t.replace('"label":"SOA"', '"label":"floor_uses"', 1),
     "missing": lambda t: _member_0_list(t, ""),
     "one-too-many": lambda t: _member_0_list(t, ',"floor_uses":[' + _member_list(t).group(1) + ",0]"),
     "truncated": lambda t: t[: len(t) // 2],
