@@ -275,9 +275,6 @@ def _parse_code_lists(lists: list[str], n_floors: int) -> np.ndarray | None:
     if not lists or any(s.count(",") != n_floors - 1 for s in lists):
         return None
     buf = np.frombuffer((",".join(lists) + ",").encode("ascii"), np.uint8)
-    shape = (len(lists), n_floors)
-    if buf.size == 2 * len(lists) * n_floors and (buf[1::2] == ord(",")).all():
-        return (buf[::2] - ord("0")).reshape(shape)  # every code one digit
     ends = np.flatnonzero(buf == ord(","))
     lengths = np.diff(ends, prepend=-1) - 1
     leading_zero = buf[(ends - lengths)[lengths > 1]] == ord("0")
@@ -287,7 +284,7 @@ def _parse_code_lists(lists: list[str], n_floors: int) -> np.ndarray | None:
     codes = np.zeros(ends.size, np.int64)
     for j in range(lengths.max()):  # the digits j places before each code's end
         codes += np.where(lengths > j, digits[ends - 1 - j], 0) * 10**j
-    return codes.reshape(shape)
+    return codes.reshape(len(lists), n_floors)
 
 
 def record_from_dict(
