@@ -270,21 +270,27 @@ def _parse_code_lists(lists: list[str], n_floors: int) -> np.ndarray | None:
     """The (len(lists), n_floors) int codes of comma-separated digit texts.
 
     None unless each text is `n_floors` JSON integers of at most 9 digits:
-    no empty token and no leading zero.
+    no empty token and no leading zero. The digits are read one place at
+    a time, back from each code's end, so that no array holds an int per
+    byte of text.
     """
     if not lists or any(s.count(",") != n_floors - 1 for s in lists):
         return None
-    buf = np.frombuffer((",".join(lists) + ",").encode("ascii"), np.uint8)
-    ends = np.flatnonzero(buf == ord(","))
-    lengths = np.diff(ends, prepend=-1) - 1
-    leading_zero = buf[(ends - lengths)[lengths > 1]] == ord("0")
-    if lengths.min() < 1 or lengths.max() > 9 or leading_zero.any():
-        return None
-    digits = buf.astype(np.int64) - ord("0")
-    codes = np.zeros(ends.size, np.int64)
-    for j in range(lengths.max()):  # the digits j places before each code's end
-        codes += np.where(lengths > j, digits[ends - 1 - j], 0) * 10**j
-    return codes.reshape(len(lists), n_floors)
+    # ten commas ahead of the first code, so that the ten bytes before every code's end lie in `buf`
+    buf = np.frombuffer(("," * 10 + ",".join(lists) + ",").encode("ascii"), np.uint8)
+    comma = buf == ord(",")
+    if (comma[9:-1] & comma[10:]).any() or (comma[9:-2] & (buf[10:-1] == ord("0")) & ~comma[11:]).any():
+        return None  # an empty token or a leading zero
+    ends = np.flatnonzero(comma[10:])
+    codes = np.zeros(ends.size, np.int32)
+    more = np.ones(ends.size, bool)  # the codes with more than `place` digits
+    for place in range(10):
+        digit = buf[9 - place :].take(ends)  # the byte `place` places before each code's end
+        more &= digit != ord(",")
+        if not more.any():
+            return codes.reshape(len(lists), n_floors)
+        codes += np.where(more, digit - ord("0"), 0) * np.int32(10**place)
+    return None  # a code of more than 9 digits
 
 
 def record_from_dict(

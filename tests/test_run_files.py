@@ -118,6 +118,7 @@ def _spaced(text: str) -> str:
 TAMPERS = {
     "spaces": _spaced,
     "leading-zero": lambda t: _first_code(t, "01"),
+    "empty-code": lambda t: _first_code(t, ""),
     "float": lambda t: _first_code(t, "1.0"),
     "negative": lambda t: _first_code(t, "-1"),
     "20-digit": lambda t: _first_code(t, "12345678901234567890"),
