@@ -9,14 +9,13 @@ Subcommands:
     landalloc verify    --bundle results/
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 run failure / incomplete
-bundle. LANDALLOC_WORKERS sets the default worker count for `run`.
+bundle.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -34,8 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUN_FAILURE = 3
-
-WORKERS_ENV = "LANDALLOC_WORKERS"
 
 
 class _UsageError(Exception):
@@ -106,7 +103,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--instance", help="override the config's instance path")
     run.add_argument("--out", help="override the config's output directory")
     run.add_argument("--seeds", help="override seeds, e.g. 1,2,3,4,5")
-    run.add_argument("--workers", type=int, help=f"parallel runs (default ${WORKERS_ENV} or 1)")
+    run.add_argument("--workers", type=int, help="parallel runs (default: the config's workers, or 1)")
     run.add_argument("--alpha", type=float, help="significance level for reports")
 
     rep = sub.add_parser("report", help="write indicator/stats/figure reports")
@@ -158,13 +155,6 @@ def _cmd_run(args) -> int:
         doc["alpha"] = args.alpha
     if args.workers is not None:
         doc["workers"] = args.workers
-    elif "workers" not in doc and os.environ.get(WORKERS_ENV):
-        try:
-            doc["workers"] = int(os.environ[WORKERS_ENV])
-        except ValueError:
-            raise _UsageError(
-                f"{WORKERS_ENV} expects an integer, got {os.environ[WORKERS_ENV]!r}"
-            )
     try:
         cfg = ExperimentConfig.from_dict(doc, base_dir=config_path.resolve().parent)
         result = run_experiment(cfg)

@@ -22,8 +22,8 @@ bit-identical RunRecords.
 A population is one bundle of parallel arrays, both inside the engines and
 in the RunRecord: a `Population` is an evaluation (`model.BatchStats`)
 extended by its (P, N) plot values and search state. Every operator and
-the evaluator work on plot values; the RunRecord adds the final
-population's floor codes, decoded once, for the files.
+the evaluator work on plot values; floor codes exist only in the run
+files, which the harness writes and reads.
 
 Each variation step names, for every child, the parent it keeps its
 unselected plots from (its anchor), and offspring are scored from their
@@ -57,6 +57,7 @@ from .model import (
 )
 from .operators import (
     OperatorConfig,
+    _require_integers,
     de_trial_batch,
     polynomial_mutation_batch,
     random_mutation_batch,
@@ -107,6 +108,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _require_integers(self, ("population_size", "generations", "seed"))
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
@@ -185,10 +187,8 @@ class RunRecord:
     solutions feasible under the final (unrelaxed) constraints, normalized
     over the archive's own objective range plus the actual land-use point.
     `front_indices` (int64) point into `population` and select the
-    reported, feasible-filtered Pareto front. `codes` holds the
-    population's floor codes, one (total_floors,) row per member, as the
-    files store them. Wall time is informational only and is excluded
-    from canonical serialization.
+    reported, feasible-filtered Pareto front. Wall time is informational
+    only and is excluded from canonical serialization.
     """
 
     algorithm: str
@@ -196,7 +196,6 @@ class RunRecord:
     seed: int
     hv_trace: list[float]
     population: Population
-    codes: np.ndarray
     front_indices: np.ndarray
     wall_time_s: float
 
@@ -620,7 +619,6 @@ def run_engine(
         seed=cfg.seed,
         hv_trace=_hv_trace(inst, snapshots),
         population=pop,
-        codes=inst.codec.decode_rows(pop.values),
         front_indices=front_indices,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -11,12 +11,13 @@ A bundle directory is self-contained and regenerable:
       report/...                  written by the report step
 
 RunRecord files are canonical JSON (sorted keys, no timestamps), so
-rerunning the same config produces byte-identical files. The floor-use
-codes, nearly all of a file's bytes, are written from and read into int
-arrays: `record_to_json` and `combined_json` render them in a few numpy
-passes, and `load_bundle` and `verify_bundle` parse a run file's code
-lists straight into an array when it has the form `run` writes. Any
-other text takes `json.loads` and the member-by-member checks.
+rerunning the same config produces byte-identical files. Floor-use codes,
+nearly all of a file's bytes, exist only in these files: `record_to_json`
+and `combined_json` decode the plot values they write and render the codes
+in a few numpy passes, and `load_bundle` and `verify_bundle` parse a run
+file's code lists straight into an array when it has the form `run`
+writes, check them and encode them to plot values. Any other text takes
+`json.loads` and the member-by-member checks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .instance_io import (
     load_instance,
 )
 from .model import (
-    CODE_DTYPE,
     BatchStats,
     ProblemInstance,
     codes_in_range_mask,
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ExperimentConfigError("seeds must be non-empty and distinct")
         if negative := [s for s in self.seeds if s < 0]:
             raise ExperimentConfigError(f"seeds must be non-negative, got {negative[0]}")
+        if huge := [s for s in self.seeds if s >= 2**63]:  # a run file's seed is read as int64
+            raise ExperimentConfigError(f"seeds must be below 2**63, got {huge[0]}")
         if not 0.0 < self.alpha < 1.0:
             raise ExperimentConfigError("alpha must be in (0, 1)")
         if self.workers < 1:
@@ -167,8 +169,8 @@ def slug(index: int, label: str) -> str:
 # RunRecord (de)serialization
 
 
-# A run file member: its floor uses (`RunRecord.codes`, read by their own
-# checks), then (JSON key, `Population` field, dtype its values are read as).
+# A run file member: its floor uses (its plot values' codes, read by their
+# own checks), then (JSON key, `Population` field, dtype its values are read as).
 _MEMBER_FIELDS = (
     ("compatibility", "compatibility", float),
     ("price", "price", float),
@@ -180,7 +182,7 @@ _MEMBER_FIELDS = (
 )
 
 
-def record_to_json(label: str, rec: RunRecord) -> str:
+def record_to_json(label: str, rec: RunRecord, inst: ProblemInstance) -> str:
     pop = rec.population
     keys = [key for key, _, _ in _MEMBER_FIELDS]
     columns = [getattr(pop, name).tolist() for _, name, _ in _MEMBER_FIELDS]
@@ -194,7 +196,8 @@ def record_to_json(label: str, rec: RunRecord) -> str:
         "front": rec.front_indices.tolist(),
         "population": [dict(zip(keys, member), floor_uses=[]) for member in zip(*columns)],
     }
-    return _with_codes(canonical_dumps(doc, compact=True), "population", rec.codes)
+    codes = inst.codec.decode_rows(pop.values)
+    return _with_codes(canonical_dumps(doc, compact=True), "population", codes)
 
 
 # An entry's floor uses while its file is dumped, before `_with_codes` writes
@@ -224,7 +227,6 @@ def _code_lists(codes) -> list[str]:
     """
     if len(codes) == 0:
         return []
-    codes = np.asarray(codes)
     n, f = codes.shape
     width = len(str(codes.max()))
     chars = np.zeros((n, f, width + 1), np.uint8)
@@ -296,7 +298,7 @@ def _parse_code_lists(lists: list[str], n_floors: int) -> np.ndarray | None:
 def record_from_dict(
     doc: dict, inst: ProblemInstance, codes: np.ndarray | None = None
 ) -> tuple[str, RunRecord]:
-    """Rebuild a RunRecord; per-use areas are recomputed from the codes.
+    """Rebuild a RunRecord; plot values and per-use areas are recomputed from the codes.
 
     `codes`, if given, are the members' floor-use codes as `_read_run`
     parsed them, in place of the lists in `doc`. Raises InstanceError as
@@ -324,14 +326,13 @@ def _record_and_stats(
     convert. A stored NaN or infinity converts: `verify` reports it as stale.
     """
     pop_docs = doc["population"]
-    raw = _listed_codes(pop_docs, inst) if codes is None else codes
-    outside = np.flatnonzero(~codes_in_range_mask(inst, raw))
+    codes = _listed_codes(pop_docs, inst) if codes is None else codes
+    outside = np.flatnonzero(~codes_in_range_mask(inst, codes))
     if outside.size:  # evaluate_batch would count such a floor against another plot or use
         raise InstanceError(
             f"floor-use codes outside [0, {inst.n_uses}) in {outside.size} member(s) "
             f"(first: member {outside[0]})"
         )
-    codes = raw.astype(CODE_DTYPE)
     values = inst.codec.encode_rows(codes)
     stats = evaluate_batch(inst, values)
 
@@ -355,7 +356,6 @@ def _record_and_stats(
         seed=int(_vector([doc["seed"]], np.int64, "seed")[0]),
         hv_trace=_vector(doc["hv_trace"], float, "hv_trace").tolist(),
         population=population,
-        codes=codes,
         front_indices=_vector(doc["front"], np.int64, "front"),
         wall_time_s=float("nan"),
     )
@@ -424,7 +424,8 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
     """Non-dominated union of the records' fronts, with allocations attached.
 
     Entries keep the records' order and, within a record, its front order.
-    An entry's "floor_uses" is its member's row of its record's codes.
+    An entry's "values" and "areas" are its member's rows of its record's
+    population.
     """
     members = [(rec, i) for rec in records for i in rec.front_indices.tolist()]
     if not members:
@@ -433,23 +434,27 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
     entries = []
     for k in np.sort(metrics.pareto_indices(pts)).tolist():
         rec, i = members[k]
+        pop = rec.population
         entries.append(
             {
-                "compatibility": float(rec.population.compatibility[i]),
-                "price": float(rec.population.price[i]),
+                "compatibility": float(pop.compatibility[i]),
+                "price": float(pop.price[i]),
                 "seed": rec.seed,
-                "floor_uses": rec.codes[i],
+                "values": pop.values[i],
+                "areas": pop.areas[i],
             }
         )
     return entries
 
 
-def combined_json(label: str, records: list[RunRecord]) -> str:
+def combined_json(label: str, records: list[RunRecord], inst: ProblemInstance) -> str:
     """The text of a label's combined file: the union of its ok runs' fronts."""
     entries = combined_front_entries(records)
-    points = [dict(e, floor_uses=[]) for e in entries]
+    keys = ("compatibility", "price", "seed")
+    points = [{k: e[k] for k in keys} | {"floor_uses": []} for e in entries]
     text = canonical_dumps({"label": label, "points": points}, compact=True)
-    return _with_codes(text, "points", [e["floor_uses"] for e in entries])
+    codes = inst.codec.decode_rows(np.stack([e["values"] for e in entries])) if entries else []
+    return _with_codes(text, "points", codes)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +515,7 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
         fname = f"runs/{slug(idx, label)}__s{ecfg.seed}.json"
         entry = {"label": label, "seed": ecfg.seed, "file": fname, "status": "ok"}
         if error is None:
-            (bundle / fname).write_text(record_to_json(label, rec), encoding="utf-8")
+            (bundle / fname).write_text(record_to_json(label, rec, inst), encoding="utf-8")
             timings[fname] = rec.wall_time_s
             label_records[label].append(rec)
         else:
@@ -520,7 +525,7 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
 
     for idx, (label, ecfg) in enumerate(engines):
         (bundle / "combined" / f"{slug(idx, label)}.json").write_text(
-            combined_json(label, label_records[label]), encoding="utf-8"
+            combined_json(label, label_records[label], inst), encoding="utf-8"
         )
 
     manifest = {
@@ -655,12 +660,12 @@ def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
 def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
     """Check bundle completeness and invariants.
 
-    Each run's codes must lie in [0, K) and keep every locked plot as
-    built. Its stored member objectives and changed counts are checked
-    against the evaluation of its codes that loading the record already
-    makes, its front members must lie inside the final gamma band (areas
-    from that evaluation) and the price box, and its HV trace must never
-    decrease. Unless a member is stale, its members' feasible flags and
+    Each run's codes must lie in [0, K), and its plot values must keep
+    every locked plot as built. Its stored member objectives and changed
+    counts are checked against the evaluation of its codes that loading
+    the record already makes, its front members must lie inside the final
+    gamma band (areas from that evaluation) and the price box, and its HV
+    trace must never decrease. Unless a member is stale, its members' feasible flags and
     violations must be exactly `_refresh_pop`'s under the final (gamma,
     mu), as the engine stores them, and its front must be the stored
     population's `final_front_indices` (a repeated index is no difference).
@@ -740,7 +745,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
                     f"{tag}: stored feasible flags or violations of {differ.size} member(s) "
                     f"differ from the final constraints (first: member {differ[0]})"
                 )
-        altered = np.flatnonzero(~locked_kept_mask(inst, rec.codes))
+        altered = np.flatnonzero(~locked_kept_mask(inst, rec.population.values))
         if altered.size:
             issues.append(
                 f"{tag}: {altered.size} member(s) alter a locked plot (first: member {altered[0]})"
@@ -768,7 +773,7 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             continue
         name = f"combined/{slug(idx, label)}.json"
         try:
-            same = (bundle / name).read_text(encoding="utf-8") == combined_json(label, recs)
+            same = (bundle / name).read_text(encoding="utf-8") == combined_json(label, recs, inst)
         except OSError:
             same = False
         if not same:

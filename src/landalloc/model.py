@@ -11,8 +11,8 @@ rows from each plot's per-use floor counts, which `PlotCodec` reads
 straight off the values; the induced per-plot use proportions drive both
 objectives. Floor codes, one flat row of `total_floors` use codes with
 plot i's floors at `row[floor_offsets[i]:floor_offsets[i+1]]`, are the
-form maps take in files: `PlotCodec` converts between the two, and the
-code masks check code rows read from outside the program.
+form maps take in files: `PlotCodec` converts between the two, and
+`codes_in_range_mask` checks code rows read from outside the program.
 
 `evaluate_near` scores rows that were copied from rows already scored
 (a child and its anchor parent): a row that differs from its anchor in a
@@ -640,10 +640,9 @@ def codes_in_range_mask(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:
     return ((codes >= 0) & (codes < inst.n_uses)).all(axis=1)
 
 
-def locked_kept_mask(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:
-    """Per row of (B, total_floors) `codes`: every locked plot keeps its as-built floors."""
-    floors = np.repeat(inst.locked, inst.floor_counts)
-    return (codes[:, floors] == inst.actual_codes[floors]).all(axis=1)
+def locked_kept_mask(inst: ProblemInstance, values: np.ndarray) -> np.ndarray:
+    """Per row of (B, N) plot `values`: every locked plot keeps its as-built value."""
+    return (values[:, inst.locked] == inst.actual_values[inst.locked]).all(axis=1)
 
 
 def plot_budget_mask(inst: ProblemInstance, changed: np.ndarray, mu: float) -> np.ndarray:

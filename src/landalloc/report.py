@@ -29,7 +29,7 @@ from . import metrics, stats
 from .engines import crowding_distance
 from .harness import LoadedBundle, combined_front_entries, load_bundle
 from .instance_io import canonical_dumps
-from .model import CODE_DTYPE, ProblemInstance, evaluate_batch
+from .model import ProblemInstance
 
 # runs_metrics.csv columns; each from best_compatibility on can be a stats metric
 RUN_COLUMNS = (
@@ -219,15 +219,10 @@ def _types_and_landuse(
                 ]
             )
             if type_name in ("I", "II"):
-                codes = np.asarray(e["floor_uses"], dtype=CODE_DTYPE)
-                areas = evaluate_batch(inst, inst.codec.encode_rows(codes)).areas[0]
                 for m, use in enumerate(inst.uses):
-                    a0 = float(inst.actual_areas[m])
+                    a0, a = float(inst.actual_areas[m]), float(e["areas"][m])
                     landuse_rows.append(
-                        [
-                            label, type_name, use.name, a0, float(areas[m]),
-                            100.0 * (float(areas[m]) - a0) / a0 if a0 else None,
-                        ]
+                        [label, type_name, use.name, a0, a, 100.0 * (a - a0) / a0 if a0 else None]
                     )
     return types_rows, landuse_rows
 

@@ -400,13 +400,14 @@ def _compact_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def record_text(label: str, rec) -> str:
-    """The run-file text of RunRecord `rec`, every floor-use list a list of ints."""
+def record_text(label: str, rec, inst: ProblemInstance) -> str:
+    """The run-file text of RunRecord `rec`, each floor-use list decoded plot by plot."""
     pop = rec.population
+    codes = _naive_decode(inst, pop.values)
     members = []
     for r in range(pop.n):
         member = {key: getattr(pop, name)[r].item() for key, name in _RECORD_MEMBER_FIELDS}
-        member["floor_uses"] = [int(u) for u in rec.codes[r]]
+        member["floor_uses"] = codes[r].tolist()
         members.append(member)
     return _compact_json(
         {
@@ -422,7 +423,13 @@ def record_text(label: str, rec) -> str:
     )
 
 
-def combined_text(label: str, entries: list[dict]) -> str:
-    """The combined-file text of `entries`, every floor-use list a list of ints."""
-    points = [dict(e, floor_uses=[int(u) for u in e["floor_uses"]]) for e in entries]
+def combined_text(label: str, entries: list[dict], inst: ProblemInstance) -> str:
+    """The combined-file text of `entries`, each entry's plot values decoded plot by plot."""
+    points = [
+        {
+            "compatibility": e["compatibility"], "price": e["price"], "seed": e["seed"],
+            "floor_uses": _naive_decode(inst, e["values"][None, :])[0].tolist(),
+        }
+        for e in entries
+    ]
     return _compact_json({"label": label, "points": points})

@@ -368,8 +368,8 @@ class TestCriterion8DeterminismPersistence:
 
         # in-memory determinism of a single engine run
         cfg = la.EngineConfig(algorithm="MSBX_NSGA2", population_size=15, generations=12, seed=9)
-        same = record_to_json("x", la.run_engine(inst, cfg)) == record_to_json(
-            "x", la.run_engine(inst, cfg)
+        same = record_to_json("x", la.run_engine(inst, cfg), inst) == record_to_json(
+            "x", la.run_engine(inst, cfg), inst
         )
         ok = records_ok and bool(report_ok) and same
         _record(
@@ -387,8 +387,8 @@ class TestCriterion9UnrelaxationFilter:
         violations = 0
         for rec in relaxation_runs["relaxed"]:
             survivor_counts.append(len(rec.front_indices))
-            for row in rec.codes[rec.front_indices]:
-                stats = evaluate_batch(inst, inst.codec.encode_rows(row))
+            for row in rec.population.values[rec.front_indices]:
+                stats = evaluate_batch(inst, row[None, :])
                 if not (area_band_mask(inst, stats.areas[0], 0.3)
                         and price_box_mask(inst, stats.price[0])):
                     violations += 1

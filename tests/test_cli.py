@@ -204,11 +204,21 @@ class TestRunCommand:
             ("workers", 1.5, "workers must be an integer"),
             ("instance", 5, "instance must be a path"),
             ("output", ["x"], "output must be a path"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "population_size": 10.5}],
+             "engine 'X': population_size must be an integer, got 10.5"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "generations": 5.5}],
+             "engine 'X': generations must be an integer, got 5.5"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "generations": True}],
+             "engine 'X': generations must be an integer, got True"),
+            ("engines", [{"label": "X", "algorithm": "SOA",
+                          "operators": {"mutation_plot_budget": 2.5}}],
+             "engine 'X': mutation_plot_budget must be an integer, got 2.5"),
         ],
         ids=[
             "engine-entry", "stats-metrics", "fractional-seed", "seed-string",
             "alpha-string", "workers-string", "fractional-workers",
-            "numeric-instance", "list-output",
+            "numeric-instance", "list-output", "fractional-population-size",
+            "fractional-generations", "boolean-generations", "fractional-mutation-budget",
         ],
     )
     def test_malformed_config_value_rejected(
@@ -221,15 +231,25 @@ class TestRunCommand:
         assert f"invalid experiment: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
-    @pytest.mark.parametrize("via_flag", [True, False], ids=["flag", "config"])
-    def test_negative_seed_rejected(self, experiment_doc, tmp_path, capsys, via_flag):
+    @pytest.mark.parametrize(
+        "via_flag, seed, message",
+        [
+            (True, -3, "seeds must be non-negative, got -3"),
+            (False, -3, "seeds must be non-negative, got -3"),
+            (True, 2**64, f"seeds must be below 2**63, got {2**64}"),
+            (False, 2**64, f"seeds must be below 2**63, got {2**64}"),
+            (False, 2**63, f"seeds must be below 2**63, got {2**63}"),
+        ],
+        ids=["flag", "config", "flag-2^64", "config-2^64", "config-2^63"],
+    )
+    def test_negative_seed_rejected(self, experiment_doc, tmp_path, capsys, via_flag, seed, message):
         if not via_flag:
-            experiment_doc["seeds"] = [1, -3]
+            experiment_doc["seeds"] = [1, seed]
         path = tmp_path / "negative.json"
         path.write_text(json.dumps(experiment_doc))
-        extra = ["--seeds=2,-3"] if via_flag else []
+        extra = [f"--seeds=2,{seed}"] if via_flag else []
         assert main(["run", "--config", str(path), *extra]) == 2
-        assert "invalid experiment: seeds must be non-negative, got -3" in capsys.readouterr().err
+        assert f"invalid experiment: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
     @pytest.mark.parametrize(
@@ -260,12 +280,9 @@ class TestRunCommand:
         assert "invalid experiment" in err and "floorwise" in err
         assert not (tmp_path / "bundle").exists()
 
-    def test_non_integer_workers_is_usage_error(self, config_path, tmp_path, monkeypatch, capsys):
+    def test_non_integer_workers_is_usage_error(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path), "--workers", "abc"]) == 1
         assert "usage error" in capsys.readouterr().err
-        monkeypatch.setenv("LANDALLOC_WORKERS", "abc")
-        assert main(["run", "--config", str(config_path)]) == 1
-        assert "usage error: LANDALLOC_WORKERS" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
 
@@ -864,10 +881,10 @@ class TestHarnessInternals:
         inst = load_instance(instance_path)
         cfg = la.EngineConfig(algorithm="CR_DES", population_size=10, generations=8, seed=3)
         rec = la.run_engine(inst, cfg)
-        text = record_to_json("L", rec)
+        text = record_to_json("L", rec, inst)
         label, back = record_from_dict(json.loads(text), inst)
         assert label == "L"
-        assert record_to_json("L", back) == text
+        assert record_to_json("L", back, inst) == text
 
     def test_combined_front_is_nondominated_union(self, instance_path):
         import landalloc as la

@@ -91,10 +91,10 @@ def compute_digests() -> dict[str, dict[str, str]]:
             label, cfg = build_engine_config(dict(entry, generations=generations), inst)
             for seed in seeds:
                 rec = run_engine(inst, replace(cfg, seed=seed))
-                codes = rec.codes
+                codes = inst.codec.decode_rows(rec.population.values)
                 h = hashlib.sha256(codes.astype("<i2").tobytes())
                 h.update(np.asarray(rec.front_indices, dtype="<i8").tobytes())
-                text = record_to_json(label, rec)
+                text = record_to_json(label, rec, inst)
                 out[f"{name}/{label}/s{seed}"] = {
                     "codes": h.hexdigest(),
                     "record": hashlib.sha256(text.encode("utf-8")).hexdigest(),

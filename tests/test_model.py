@@ -473,7 +473,7 @@ class TestValidation:
             codes[0, inst.floor_offsets[locked]] + 1
         ) % inst.n_uses
         assert codes_in_range_mask(inst, codes)[0]
-        assert not locked_kept_mask(inst, codes)[0]
+        assert not locked_kept_mask(inst, inst.codec.encode_rows(codes))[0]
 
     def test_self_neighbor_rejected(self):
         plots = [Plot(0, 1, 10.0, (0,), False, (0,))]

@@ -76,7 +76,7 @@ def assert_valid(codes, inst):
     """Each row has one code per floor, every code in [0, K), locked plots as built."""
     assert codes.shape[1] == inst.total_floors
     assert codes_in_range_mask(inst, codes).all()
-    assert locked_kept_mask(inst, codes).all()
+    assert locked_kept_mask(inst, inst.codec.encode_rows(codes)).all()
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Run and combined files: the array writer and reader against the list path.
 
-`record_to_json` and `combined_json` render floor codes from arrays; their
-text must equal the list-based reference in `oracles`. `load_bundle` and
+`record_to_json` and `combined_json` decode plot values and render floor
+codes from arrays; their text must equal the reference in `oracles`, which
+decodes plot by plot into lists. `load_bundle` and
 `verify_bundle` parse the codes of a run file in the form `run` writes
 straight into an array; any other text must load to the same record, or
 fail with the same message, as `json.loads` and the member-by-member path.
@@ -50,42 +51,44 @@ def _records(use_count: int, floor_range: tuple[int, int], seeds=(1, 2)):
 class TestWriterMatchesListPath:
     @pytest.mark.parametrize(
         "use_count, floor_range",
-        [(2, (1, 3)), (3, (1, 4)), (12, (1, 3)), (3, (1, 1)), (3, (39, 39)), (2, (62, 62))],
-        ids=["K2", "K3", "K12", "one-floor", "K3-tallest", "K2-tallest"],
+        [(2, (1, 3)), (3, (1, 4)), (12, (1, 3)), (3, (1, 1)), (3, (39, 39)), (2, (62, 62)),
+         (12, (17, 17))],
+        ids=["K2", "K3", "K12", "one-floor", "K3-tallest", "K2-tallest", "K12-tallest"],
     )
     def test_record_and_combined_text(self, use_count, floor_range):
         inst, recs = _records(use_count, floor_range)
-        if use_count > 10:
-            assert (recs[0].codes >= 10).any()  # two-digit codes are written
+        if use_count > 10:  # two-digit codes are written
+            assert (inst.codec.decode_rows(recs[0].population.values) >= 10).any()
         for rec in recs:
-            assert record_to_json("L", rec) == record_text("L", rec)
+            assert record_to_json("L", rec, inst) == record_text("L", rec, inst)
         entries = combined_front_entries(recs)
-        assert entries and combined_json("L", recs) == combined_text("L", entries)
+        assert entries and combined_json("L", recs, inst) == combined_text("L", entries, inst)
 
     def test_empty_front_and_empty_combined_file(self):
-        _, recs = _records(3, (1, 2), seeds=(1,))
+        inst, recs = _records(3, (1, 2), seeds=(1,))
         rec = replace(recs[0], front_indices=np.zeros(0, dtype=np.int64))
-        assert record_to_json("L", rec) == record_text("L", rec)
+        assert record_to_json("L", rec, inst) == record_text("L", rec, inst)
         empty = '{"label":"L","points":[]}\n'
-        assert combined_json("L", [rec]) == combined_text("L", []) == empty
-        assert combined_json("L", []) == empty
+        assert combined_json("L", [rec], inst) == combined_text("L", [], inst) == empty
+        assert combined_json("L", [], inst) == empty
 
     def test_non_finite_objectives(self):
-        _, recs = _records(3, (1, 2), seeds=(1,))
+        inst, recs = _records(3, (1, 2), seeds=(1,))
         rec = copy.deepcopy(recs[0])
         pop = rec.population
         pop.compatibility[0], pop.price[1], pop.price[2] = np.nan, np.inf, -np.inf
         pop.crowd[3] = np.inf
-        assert record_to_json("L", rec) == record_text("L", rec)
+        assert record_to_json("L", rec, inst) == record_text("L", rec, inst)
         entries = combined_front_entries([rec])
-        assert combined_json("L", [rec]) == combined_text("L", entries)
+        assert combined_json("L", [rec], inst) == combined_text("L", entries, inst)
 
     def test_label_holding_the_slot_text(self):
-        _, recs = _records(3, (1, 2))
+        inst, recs = _records(3, (1, 2))
         label = 'x"floor_uses":[]'
         for rec in recs:
-            assert record_to_json(label, rec) == record_text(label, rec)
-        assert combined_json(label, recs) == combined_text(label, combined_front_entries(recs))
+            assert record_to_json(label, rec, inst) == record_text(label, rec, inst)
+        entries = combined_front_entries(recs)
+        assert combined_json(label, recs, inst) == combined_text(label, entries, inst)
 
 
 # A member's floor-use list as `run` writes it, in the tests' own words.
@@ -159,30 +162,30 @@ class TestReaderMatchesListPath:
         return root / "bundle"
 
     @staticmethod
-    def _outcome(load) -> tuple[str, str]:
+    def _outcome(load, inst) -> tuple[str, str]:
         """("record", the text of the record `load()` gives), or (error type, message)."""
         try:
             label, rec = load()
         except Exception as exc:
             return type(exc).__name__, str(exc)
-        return "record", record_to_json(label, rec) + repr(rec.codes.tolist())
+        return "record", record_to_json(label, rec, inst)
 
     def test_clean_file_takes_the_array_path(self, clean_bundle):
         inst = load_instance(clean_bundle / "instance.landalloc.json")
         run = next((clean_bundle / "runs").glob("*.json"))
         doc, codes = _read_run(run, inst.total_floors)
         assert codes is not None and codes.shape == (len(doc["population"]), inst.total_floors)
-        assert self._outcome(lambda: record_from_dict(doc, inst, codes)) == self._outcome(
-            lambda: record_from_dict(json.loads(run.read_text()), inst)
+        assert self._outcome(lambda: record_from_dict(doc, inst, codes), inst) == self._outcome(
+            lambda: record_from_dict(json.loads(run.read_text()), inst), inst
         )
 
     def test_two_digit_codes_take_the_array_path(self, tmp_path):
         inst, recs = _records(12, (1, 3), seeds=(1,))
         run = tmp_path / "run.json"
-        run.write_text(record_to_json("L", recs[0]))
+        run.write_text(record_to_json("L", recs[0], inst))
         doc, codes = _read_run(run, inst.total_floors)
         assert codes is not None and codes.max() >= 10
-        assert np.array_equal(codes, recs[0].codes)
+        assert np.array_equal(inst.codec.encode_rows(codes), recs[0].population.values)
 
     @pytest.mark.parametrize("name", list(TAMPERS))
     def test_tampered_file_reads_as_the_list_path(self, clean_bundle, tmp_path, capsys, name):
@@ -198,8 +201,8 @@ class TestReaderMatchesListPath:
             assert codes is None  # only the form `run` writes is read as an array
             return record_from_dict(doc, inst, codes)
 
-        kind, message = self._outcome(lambda: record_from_dict(json.loads(text), inst))
-        assert self._outcome(array_path) == (kind, message)
+        kind, message = self._outcome(lambda: record_from_dict(json.loads(text), inst), inst)
+        assert self._outcome(array_path, inst) == (kind, message)
         if kind != "record":  # the list path refuses the file
             capsys.readouterr()
             assert main(["report", "--bundle", str(bundle)]) == 2
