@@ -57,7 +57,6 @@ from .model import (
 )
 from .operators import (
     OperatorConfig,
-    _require_integers,
     de_trial_batch,
     polynomial_mutation_batch,
     random_mutation_batch,
@@ -108,7 +107,10 @@ class EngineConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        _require_integers(self, ("population_size", "generations", "seed"))
+        for name in ("population_size", "generations", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:

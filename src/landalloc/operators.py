@@ -52,7 +52,9 @@ class OperatorConfig:
     mutation_plot_budget: int = 1
 
     def __post_init__(self):
-        _require_integers(self, ("mutation_plot_budget",))
+        budget = self.mutation_plot_budget
+        if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+            raise ValueError(f"mutation_plot_budget must be an integer, got {budget!r}")
         if not 0.0 <= self.crossover_plot_fraction <= 1.0:
             raise ValueError("crossover_plot_fraction must be in [0, 1]")
         if self.sbx_eta <= 0 or self.poly_eta <= 0:
@@ -61,14 +63,6 @@ class OperatorConfig:
             raise ValueError("de_scale must be > 0")
         if self.mutation_plot_budget < 0:
             raise ValueError("mutation_plot_budget must be >= 0")
-
-
-def _require_integers(config, names: Sequence[str]) -> None:
-    """ValueError unless each named field of `config` is an integer (a boolean is none)."""
-    for name in names:
-        v = getattr(config, name)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def encode_uses(uses: Sequence[int], base: int) -> int:

@@ -295,6 +295,23 @@ class TestRelaxationPhase:
         with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
             EngineConfig(algorithm="SOA", seed=-3)
 
+    @pytest.mark.parametrize("name", ["population_size", "generations", "seed"])
+    @pytest.mark.parametrize("bad", [True, 5.0, 5.5, "5"])
+    def test_non_integer_field_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EngineConfig(algorithm="SOA", **{name: bad})
+
+    def test_numpy_integers_accepted(self, tiny1):
+        ops = OperatorConfig(mutation_plot_budget=np.int64(2))
+        cfg = EngineConfig(
+            algorithm="CR_DES", population_size=np.int64(6), generations=np.int32(2),
+            seed=np.int64(3), operator_cfg=ops,
+        )
+        assert run_engine(tiny1, cfg).population.n == 6
+        for bad in (True, 2.0, np.float64(2.0)):
+            with pytest.raises(ValueError, match="mutation_plot_budget must be an integer"):
+                OperatorConfig(mutation_plot_budget=bad)
+
 
 def initial_population(inst, cfg, rng) -> Population:
     return Population.evaluate(inst, _init_values(inst, _resolved(inst, cfg), rng))
