@@ -14,7 +14,7 @@ holds one row.
 
 import numpy as np
 
-from landalloc import GeneratorSpec, OperatorConfig, decode_uses, encode_uses, generate_synthetic
+from landalloc import GeneratorSpec, OperatorConfig, generate_synthetic
 from landalloc.operators import (
     random_mutation_batch,
     sbx_batch,
@@ -24,13 +24,21 @@ from landalloc.operators import (
     uniform_batch,
 )
 
-print("encoding: floor uses [1, 2, 2] in base 3 ->", encode_uses([1, 2, 2], 3))
-print("decoding 17 back:", decode_uses(17, 3, 3))
-
 inst = generate_synthetic(
     GeneratorSpec(grid_width=3, grid_height=2, use_count=3, floor_range=(2, 3),
                   locked_fraction=0.2, rng_seed=5)
 )
+codec = inst.codec
+
+# The paper's example through the instance's codec: a 3-floor plot's floors set to 1, 2, 2.
+plot = int(np.flatnonzero(inst.floor_counts == 3)[0])
+floors = slice(inst.floor_offsets[plot], inst.floor_offsets[plot + 1])
+row = inst.actual_codes[None, :].copy()
+row[0, floors] = [1, 2, 2]
+values = codec.encode_rows(row)
+print(f"encoding: plot {plot}'s floor uses [1, 2, 2] in base 3 ->", values[0, plot])
+print(f"decoding {values[0, plot]} back:", codec.decode_rows(values)[0, floors])
+
 rng = np.random.default_rng(0)
 cfg = OperatorConfig(crossover_plot_fraction=0.6, mutation_plot_budget=2)
 
@@ -43,7 +51,6 @@ p2[:, locked_floor] = inst.actual_codes[locked_floor]
 print("\nparent 1 codes:", p1[0].tolist())
 print("parent 2 codes:", p2[0].tolist())
 
-codec = inst.codec
 v1, v2 = codec.encode_rows(p1), codec.encode_rows(p2)
 print("parent plot values:", v1[0].tolist(), v2[0].tolist())
 c1, c2 = (codec.decode_rows(v) for v in sbx_batch(v1, v2, cfg, inst, rng))

@@ -37,11 +37,7 @@ from .model import (
     Plot,
     ProblemInstance,
 )
-from .operators import (
-    OperatorConfig,
-    decode_uses,
-    encode_uses,
-)
+from .operators import OperatorConfig
 from .stats import (
     CldAssignment,
     PairwiseResult,

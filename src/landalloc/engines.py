@@ -32,6 +32,10 @@ search values steer selection, survival, the archive and the HV trace;
 they agree with a full evaluation to rounding. The final population is
 evaluated in full before its feasibility and front are taken, so every
 objective a RunRecord stores is an `evaluate_batch` value.
+
+The archive of final-feasible solutions keeps its members' objectives as
+`points`, a new array only when a candidate joins, so the per-generation
+HV trace holds one array per archive state and measures each state once.
 """
 
 from __future__ import annotations
@@ -228,11 +232,13 @@ def front_ranks(objs, need: int) -> np.ndarray:
     are ranked; the points not reached read one past the last front swept.
     """
     pts = np.asarray(objs, dtype=float)
-    ids = _dense_rank(pts[:, 0], pts[:, 1])
-    ids = ids.max() - ids  # distinct ids by descending (x, y)
+    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
+    xs, ys = pts[order, 0], pts[order, 1]
+    new = np.ones(len(order), dtype=bool)  # first of its distinct point, in sorted order
+    new[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    ids = np.cumsum(new) - 1
     size = np.bincount(ids)
-    ys = np.empty(len(size))
-    ys[ids] = pts[:, 1]
+    ys = ys[new]
     rank = np.empty(len(size), dtype=np.int64)
     left = np.arange(len(size))
     front = 0
@@ -243,7 +249,9 @@ def front_ranks(objs, need: int) -> np.ndarray:
         left = left[~top]
         front += 1
     rank[left] = front
-    return rank[ids]
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = rank[ids]
+    return out
 
 
 def fast_non_dominated_sort(objs) -> list[list[int]]:
@@ -276,16 +284,21 @@ def crowding_distance(objs, rank=None) -> np.ndarray:
     if pts.size == 0:
         raise ValueError("front must be non-empty")
     rank = np.zeros(len(pts), dtype=np.int64) if rank is None else np.asarray(rank)
+    # Each objective's order sorts by rank first, so the fronts sit at the
+    # same positions in every order: take their boundaries once.
+    by_rank = np.sort(rank)
+    edge = np.ones(len(pts) + 1, dtype=bool)
+    edge[1:-1] = by_rank[1:] != by_rank[:-1]
+    first, last = edge[:-1], edge[1:]
+    bound = first | last
+    front_of = np.cumsum(first) - 1
     d = np.zeros(len(pts))
     for m in range(pts.shape[1]):
         order = np.lexsort((pts[:, m], rank))
         v = pts[order, m]
-        edge = np.ones(len(pts) + 1, dtype=bool)
-        edge[1:-1] = rank[order[1:]] != rank[order[:-1]]
-        first, last = edge[:-1], edge[1:]
-        span = (v[last] - v[first])[np.cumsum(first) - 1]
-        d[order[first | last]] = np.inf
-        inner = np.flatnonzero(~(first | last) & (span > 0))
+        span = (v[last] - v[first])[front_of]
+        d[order[bound]] = np.inf
+        inner = np.flatnonzero(~bound & (span > 0))
         d[order[inner]] += (v[inner + 1] - v[inner - 1]) / span[inner]
     return d
 
@@ -321,17 +334,19 @@ def _refresh_pop(inst: ProblemInstance, pop: Population, gamma: float, mu: float
 
     Violation is the area excess over `inst.area_scale` plus the price
     excess over `inst.price_scale`; the plot budget participates in the
-    flag only.
+    flag only. The band and box flags read the same differences: for
+    finite floats, lo - a <= 0 iff a >= lo, and NaN passes neither.
     """
-    pop.feasible = pop.in_band_and_box(inst, gamma) & plot_budget_mask(inst, pop.changed, mu)
     lo, hi = area_band(inst, gamma)
-    area_excess = (
-        np.maximum(pop.areas - hi, 0.0) + np.maximum(lo - pop.areas, 0.0)
-    ) / inst.area_scale
-    price_excess = (
-        np.maximum(pop.price - inst.price_max, 0.0)
-        + np.maximum(inst.price_min - pop.price, 0.0)
-    ) / inst.price_scale
+    over, under = pop.areas - hi, lo - pop.areas
+    price_over, price_under = pop.price - inst.price_max, inst.price_min - pop.price
+    pop.feasible = (
+        (np.maximum(over, under) <= 0).all(axis=1)
+        & (np.maximum(price_over, price_under) <= 0)
+        & plot_budget_mask(inst, pop.changed, mu)
+    )
+    area_excess = (np.maximum(over, 0.0) + np.maximum(under, 0.0)) / inst.area_scale
+    price_excess = (np.maximum(price_over, 0.0) + np.maximum(price_under, 0.0)) / inst.price_scale
     pop.violation = area_excess.sum(axis=1) + price_excess
 
 
@@ -343,12 +358,15 @@ def _rank_and_crowd(pop: Population, need: int) -> int:
     the need-th member's rank; later fronts are left unread.
     """
     feas = pop.feasible
-    rank = np.empty(pop.n, dtype=np.int64)
     objs = pop.objectives()
-    if feas.any():
-        rank[feas] = front_ranks(objs[feas], need)
-    _, groups = np.unique(pop.violation[~feas], return_inverse=True)
-    rank[~feas] = rank[feas].max(initial=-1) + 1 + groups
+    if feas.all():
+        rank = front_ranks(objs, need)
+    else:
+        rank = np.empty(pop.n, dtype=np.int64)
+        if feas.any():
+            rank[feas] = front_ranks(objs[feas], need)
+        _, groups = np.unique(pop.violation[~feas], return_inverse=True)
+        rank[~feas] = rank[feas].max(initial=-1) + 1 + groups
     pop.rank = rank
     cut = int(np.sort(rank)[need - 1])
     head = np.flatnonzero(rank <= cut)
@@ -364,9 +382,18 @@ def _survivors(pop: Population, target: int) -> Population:
     return pop.take(order[:target])
 
 
+def _soa_fitness(pop: Population, cfg: EngineConfig) -> np.ndarray:
+    return cfg.soa_a * pop.price + cfg.soa_b * pop.compatibility
+
+
 def _soa_scores(pop: Population, cfg: EngineConfig) -> np.ndarray:
-    fitness = cfg.soa_a * pop.price + cfg.soa_b * pop.compatibility
-    return _dense_rank(pop.feasible.astype(float), -pop.violation, fitness)
+    """Dense higher-is-better scores: feasible first, then less violation, then fitness."""
+    return _dense_rank(pop.feasible.astype(float), -pop.violation, _soa_fitness(pop, cfg))
+
+
+def _soa_order(pop: Population, cfg: EngineConfig) -> np.ndarray:
+    """Members by descending `_soa_scores`, equal scores in index order."""
+    return np.lexsort((-_soa_fitness(pop, cfg), pop.violation, ~pop.feasible))
 
 
 # ---------------------------------------------------------------------------
@@ -393,43 +420,52 @@ class _FinalFeasibleArchive:
         self.inst = inst
         self.gamma_final = relax.gamma_final
         self.members: Population | None = None
+        # The members' objectives, (n, 2); a new array whenever one joins.
+        self.points = np.zeros((0, 2))
 
     def offer(self, candidates: Population) -> None:
         """Merge the in-band candidates, keeping `pareto_indices` order.
 
         Only joining candidates are copied. When none joins, no member is
-        beaten either (members are mutually non-dominated), so none is copied.
+        beaten either (members are mutually non-dominated), so nothing is
+        copied and `members` and `points` stay the same objects.
         """
         ok = np.flatnonzero(candidates.in_band_and_box(self.inst, self.gamma_final))
         if not ok.size:
             return
-        old, m = self.members, 0
+        old, m = self.points, len(self.points)
         objs = candidates.objectives()[ok]
-        if old is not None:
-            m = old.n
-            objs = np.vstack([old.objectives(), objs])
+        if m:
+            # Members ascend in x and descend in y, so the first member whose
+            # x is at least a candidate's has the largest y of all such
+            # members: if it is at least the candidate's y, the candidate is
+            # dominated or equal to a member, and cannot join.
+            at = np.searchsorted(old[:, 0], objs[:, 0])
+            if at.max() < m and (old[at, 1] >= objs[:, 1]).all():
+                return
+            objs = np.vstack([old, objs])
         keep = metrics.pareto_indices(objs)
         joins = keep >= m
         if not joins.any():
             return
+        self.points = objs[keep]
         new = candidates.take(ok[keep[joins] - m])
         keep[joins] = m + np.arange(new.n)
-        self.members = new if old is None else old.concat(new).take(keep)
-
-    def snapshot(self) -> np.ndarray:
-        if self.members is None:
-            return np.zeros((0, 2))
-        return self.members.objectives()
+        self.members = new if self.members is None else self.members.concat(new).take(keep)
 
 
 def _hv_trace(inst: ProblemInstance, snapshots: list[np.ndarray]) -> list[float]:
-    pts = [s for s in snapshots if s.size]
+    """Per snapshot, the HV of its points normalized over every snapshot and the actual point.
+
+    Consecutive archive states often repeat one array, so each distinct
+    array (by identity) is normalized and measured once.
+    """
+    distinct = {id(s): s for s in snapshots}
+    pts = [s for s in distinct.values() if s.size]
     universe = np.vstack(pts + [inst.actual_objectives.as_array()[None, :]])
     bounds = metrics.NormalizationBounds.from_points(universe)
-    return [
-        metrics.hypervolume_2d(metrics.normalize(s, bounds)) if s.size else 0.0
-        for s in snapshots
-    ]
+    hv = {id(s): metrics.hypervolume_2d(metrics.normalize(s, bounds)) for s in pts}
+    return [hv.get(id(s), 0.0) for s in snapshots]
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +627,7 @@ def run_engine(
         _rank_and_crowd(pop, pop.n)
     archive = _FinalFeasibleArchive(inst, cfg.relax)
     archive.offer(pop)
-    snapshots: list[np.ndarray] = []
+    snapshots: list[np.ndarray] = []  # archive.points per generation, repeated while unchanged
     for gen in range(1, cfg.generations + 1):
         gamma, mu = apply_relaxation_phase(gen, cfg)
         # Selection reuses the rank/crowding assigned by the previous
@@ -603,15 +639,14 @@ def run_engine(
             merged = merged.concat(archive.members)
         _refresh_pop(inst, merged, gamma, mu)
         if soa:
-            order = np.argsort(-_soa_scores(merged, cfg), kind="stable")
-            pop = merged.take(order[: cfg.population_size])
+            pop = merged.take(_soa_order(merged, cfg)[: cfg.population_size])
             pop.rank = np.arange(pop.n)
             pop.crowd = np.zeros(pop.n)
         else:
             pop = _survivors(merged, cfg.population_size)
         del merged  # the last generation's also holds the archive
         archive.offer(offspring)
-        snapshots.append(archive.snapshot())
+        snapshots.append(archive.points)
     _evaluate_in_full(inst, pop, gamma, mu)
     soa_weights = (cfg.soa_a, cfg.soa_b) if soa else None
     front_indices = final_front_indices(inst, pop, cfg.relax.gamma_final, soa_weights)

@@ -453,8 +453,8 @@ def combined_json(label: str, records: list[RunRecord], inst: ProblemInstance) -
     keys = ("compatibility", "price", "seed")
     points = [{k: e[k] for k in keys} | {"floor_uses": []} for e in entries]
     text = canonical_dumps({"label": label, "points": points}, compact=True)
-    codes = inst.codec.decode_rows(np.stack([e["values"] for e in entries])) if entries else []
-    return _with_codes(text, "points", codes)
+    values = np.array([e["values"] for e in entries], dtype=np.int64).reshape(-1, inst.n_plots)
+    return _with_codes(text, "points", inst.codec.decode_rows(values))
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,9 @@ class PlotCodec:
     def decode_rows(self, values: np.ndarray) -> np.ndarray:
         """(B, N) per-plot integers -> (B, total_floors) code rows."""
         values = np.atleast_2d(values)
-        digits = self._table.take(self._chunk_rows(values), axis=0).reshape(values.shape[0], -1)
-        return digits.take(self._columns, axis=1)
+        digits = self._table.take(self._chunk_rows(values), axis=0)  # (B, N, chunks, w)
+        flat = digits.reshape(len(values), values.shape[1] * self._chunks * self._width)
+        return flat.take(self._columns, axis=1)
 
     def use_counts(self, values: np.ndarray) -> np.ndarray:
         """(..., N, K) floors per use of each plot value in (..., N) `values`."""
@@ -510,7 +511,11 @@ def evaluate_near(
     depend on floor counts). A batch whose full evaluation costs less than
     a delta call's fixed work (tiny instances) is evaluated in full.
     """
-    values, anchors = np.atleast_2d(values), np.asarray(anchors)
+    values = np.atleast_2d(values)
+    # Checked first on every row, anchored or not, so a small batch costs no index work.
+    if len(values) * inst.full_row_work <= _DELTA_CALL_WORK:
+        return evaluate_batch(inst, values)
+    anchors = np.asarray(anchors)
     anchored = np.flatnonzero(anchors >= 0)
     if anchored.size * inst.full_row_work <= _DELTA_CALL_WORK:
         return evaluate_batch(inst, values)

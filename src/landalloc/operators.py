@@ -26,12 +26,11 @@ the public (B, N) scaled add.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # PlotCodec stays importable from here, beside the operators that step its values.
-from .model import CODE_DTYPE, PlotCodec, ProblemInstance
+from .model import PlotCodec, ProblemInstance
 
 
 @dataclass(frozen=True)
@@ -65,24 +64,6 @@ class OperatorConfig:
             raise ValueError("mutation_plot_budget must be >= 0")
 
 
-def encode_uses(uses: Sequence[int], base: int) -> int:
-    """Base-`base` integer for a floor-use vector, MSB first."""
-    value = 0
-    for u in uses:
-        value = value * base + int(u)
-    return value
-
-
-def decode_uses(value: int, base: int, digits: int) -> np.ndarray:
-    """Inverse of encode_uses; returns a length-`digits` code array."""
-    if not 0 <= value < base**digits:
-        raise ValueError(f"value {value} outside [0, {base}^{digits})")
-    out = np.zeros(digits, dtype=CODE_DTYPE)
-    for t in range(digits - 1, -1, -1):
-        value, out[t] = divmod(value, base)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # selection
 
@@ -104,9 +85,8 @@ def tournament_indices(
     a = rng.integers(0, n, size=pool_size)
     b = rng.integers(0, n, size=pool_size)
     coin = rng.random(pool_size) < 0.5
-    take_a = rank[a] > rank[b]
-    tie = rank[a] == rank[b]
-    return np.where(take_a | (tie & coin), a, b)
+    rank_a, rank_b = rank[a], rank[b]
+    return np.where((rank_a > rank_b) | ((rank_a == rank_b) & coin), a, b)
 
 
 # ---------------------------------------------------------------------------

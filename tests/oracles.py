@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from landalloc.model import ProblemInstance
+from landalloc.model import CODE_DTYPE, ProblemInstance
 
 
 def _plot_floors(inst: ProblemInstance, row, i: int) -> list[int]:
@@ -260,6 +260,24 @@ def random_instance(
         price_min=0.0,
         price_max=float(price.sum()),
     )
+
+
+def encode_uses(uses, base: int) -> int:
+    """Base-`base` integer for one plot's floor-use vector, MSB first."""
+    value = 0
+    for u in uses:
+        value = value * base + int(u)
+    return value
+
+
+def decode_uses(value: int, base: int, digits: int) -> np.ndarray:
+    """Inverse of encode_uses; returns a length-`digits` code array."""
+    if not 0 <= value < base**digits:
+        raise ValueError(f"value {value} outside [0, {base}^{digits})")
+    out = np.zeros(digits, dtype=CODE_DTYPE)
+    for t in range(digits - 1, -1, -1):
+        value, out[t] = divmod(value, base)
+    return out
 
 
 def _naive_encode(inst: ProblemInstance, codes: np.ndarray) -> np.ndarray:

@@ -69,6 +69,11 @@ def random_clouds():
         pts = rng.integers(-1, 2, size=(50, 2)).astype(float)
         pts[rng.random((50, 2)) < 0.3] = -0.0
         yield pts, naive_fronts(pts)
+    coords = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
+    for _ in range(25):  # micro-shaped: 64-256 copies of at most 16 pairs, signed zeros, infinities
+        distinct = rng.choice(coords, size=(int(rng.integers(1, 17)), 2))
+        pts = distinct[rng.integers(0, len(distinct), size=int(rng.integers(64, 257)))]
+        yield pts, naive_fronts(pts)
     x = rng.permutation(200).astype(float)  # a chain: one front per point
     yield np.column_stack([x, 2.0 * x]), [[int(i)] for i in np.argsort(-x)]
 
@@ -450,6 +455,16 @@ class TestSoa:
         for alg in ALGORITHMS:
             assert run_engine(tiny1, small_cfg(alg, generations=2)).algorithm == alg
 
+    def test_survival_order_is_descending_score_then_index(self):
+        from landalloc.engines import _soa_order, _soa_scores
+
+        rng = np.random.default_rng(8)
+        cfg = small_cfg("SOA", soa_a=0.25, soa_b=0.75)
+        for _ in range(200):
+            pop = mixed_population(rng)  # ties in every key
+            want = np.argsort(-_soa_scores(pop, cfg), kind="stable")
+            assert np.array_equal(_soa_order(pop, cfg), want)
+
     def test_degenerate_price_weight_finds_best_price(self, tiny1):
         best_price = brute_force_best_scalar(tiny1, a_price=1.0, b_compat=0.0)
         cfg = small_cfg("SOA", soa_a=1.0, soa_b=0.0, population_size=20, generations=80)
@@ -603,8 +618,8 @@ class TestFinalFeasibleArchive:
         merged = ok if members is None else members.concat(ok)
         return merged.take(pareto_indices(merged.objectives()))
 
-    @staticmethod
-    def candidates(rng, first_id, n, kind):
+    @classmethod
+    def candidates(cls, rng, first_id, n, kind):
         """`n` tagged members (values[:, 0] is a unique id); `feasible` is the in-band mask."""
         objs = rng.integers(0, 6, size=(n, 2)).astype(float)  # many duplicates
         if kind == "dominated":
@@ -612,6 +627,11 @@ class TestFinalFeasibleArchive:
         feasible = rng.random(n) < 0.6
         if kind == "empty":
             feasible[:] = False
+        return cls.tagged(rng, first_id, objs, feasible)
+
+    @staticmethod
+    def tagged(rng, first_id, objs, feasible):
+        n = len(objs)
         return Population(
             values=np.arange(first_id, first_id + n)[:, None],
             compatibility=objs[:, 0],
@@ -638,19 +658,75 @@ class TestFinalFeasibleArchive:
                 n = int(rng.integers(0, 15))
                 offer = self.candidates(rng, next_id, n, kind)
                 next_id += n
-                before = archive.members
+                before, before_points = archive.members, archive.points
                 archive.offer(offer)
                 want = self.naive_offer(want, offer)
                 if want is None:
                     assert archive.members is None
+                    assert archive.points.shape == (0, 2)
                     continue
                 for got_col, want_col in zip(Population.columns(archive.members),
                                              Population.columns(want)):
                     assert np.array_equal(got_col, want_col)
+                assert archive.points.tobytes() == want.objectives().tobytes()
                 if before is not None and before.n == want.n and np.array_equal(
                     before.values, want.values
                 ):
-                    assert archive.members is before  # nothing joined: nothing copied
+                    # nothing joined: nothing copied
+                    assert archive.members is before and archive.points is before_points
+
+    def test_no_join_keeps_members_and_points(self, monkeypatch):
+        """In-band candidates equal to or dominated by members, and out-of-band
+        ones that would dominate them all: none joins, and nothing is rebuilt."""
+        monkeypatch.setattr(
+            Population, "in_band_and_box", lambda pop, inst, gamma: pop.feasible.copy()
+        )
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            archive = _FinalFeasibleArchive(None, RelaxationSchedule(0.5, 0.5, 1.0, 1.0))
+            first = self.candidates(rng, 0, 12, "mixed")
+            first.feasible[0] = True
+            archive.offer(first)
+            want = self.naive_offer(None, first)
+            members, points = archive.members, archive.points
+            n = int(rng.integers(1, 15))
+            objs = points[rng.integers(0, len(points), size=n)] - rng.integers(0, 3, size=(n, 2))
+            feasible = rng.random(n) < 0.7
+            feasible[0] = True
+            objs[~feasible] += 20.0
+            offer = self.tagged(rng, 12, objs, feasible)
+            archive.offer(offer)
+            assert archive.members is members and archive.points is points
+            want = self.naive_offer(want, offer)
+            for got_col, want_col in zip(Population.columns(members), Population.columns(want)):
+                assert np.array_equal(got_col, want_col)
+            assert points.tobytes() == want.objectives().tobytes()
+
+
+class TestHvTrace:
+    def test_repeated_archive_states_measured_once(self, tiny1, monkeypatch):
+        """Equal to each snapshot's own `hypervolume_2d(normalize(s))`, bit for
+        bit, with one HV call per distinct non-empty array."""
+        import landalloc.metrics as metrics
+        from landalloc.engines import _hv_trace
+
+        rng = np.random.default_rng(17)
+        actual = tiny1.actual_objectives.as_array()
+        a, b, c = (metrics.pareto_filter(actual + rng.normal(0, 5, size=(k, 2))) for k in (2, 6, 9))
+        empty = np.zeros((0, 2))
+        snapshots = [empty, empty, a, a, a, b, np.zeros((0, 2)), b, b, c, c, a]
+        universe = np.vstack([s for s in snapshots if s.size] + [actual[None, :]])
+        bounds = metrics.NormalizationBounds.from_points(universe)
+        want = [
+            metrics.hypervolume_2d(metrics.normalize(s, bounds)) if s.size else 0.0
+            for s in snapshots
+        ]
+        calls = []
+        hv = metrics.hypervolume_2d
+        monkeypatch.setattr(metrics, "hypervolume_2d", lambda pts: calls.append(1) or hv(pts))
+        got = _hv_trace(tiny1, snapshots)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert len(calls) == 3
 
 
 class TestRecordValues:

@@ -8,8 +8,6 @@ from landalloc.model import codes_in_range_mask, locked_kept_mask
 from landalloc.operators import (
     OperatorConfig,
     _pick_plots_batch,
-    decode_uses,
-    encode_uses,
     polynomial_mutation_batch,
     polynomial_values,
     random_mutation_batch,
@@ -21,6 +19,8 @@ from landalloc.operators import (
 )
 
 from oracles import (
+    decode_uses,
+    encode_uses,
     naive_floyd_picks,
     naive_polynomial_mutation,
     naive_random_mutation,
@@ -153,6 +153,17 @@ class TestCodecDigitTable:
                 lo = inst.floor_offsets[i]
                 assert np.array_equal(decoded[r, lo : lo + f], decode_uses(int(values[r, i]), k, f))
         assert np.array_equal(codec.decode_rows(values[2]), codes[2:3])
+
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_empty_batch_both_ways(self, k):
+        # One table lookup (the fixture's short plots) and several chunks (tall plots).
+        for inst in (random_instance(np.random.default_rng(k), 6, k, 4, 0.3), tall_instance(k)):
+            codes = inst.codec.decode_rows(np.zeros((0, inst.n_plots), dtype=np.int64))
+            assert codes.shape == (0, inst.total_floors)
+            assert codes.dtype == inst.actual_codes.dtype
+            values = inst.codec.encode_rows(codes)
+            assert values.shape == (0, inst.n_plots) and values.dtype == np.int64
 
 
 class TestTournament:
