@@ -21,7 +21,7 @@ shares = inst.actual_areas / inst.actual_areas.sum()
 for use, share in zip(inst.uses, shares):
     print(f"  {use.name:12s} {share:6.1%} of floor area")
 
-actual_price = inst.actual_objectives.price
+actual_price = inst.actual_objectives[1]
 print(f"\nactual total price: {actual_price:,.0f}")
 print(f"price box: [{inst.price_min:,.0f}, {inst.price_max:,.0f}] "
       f"(x{inst.price_min / actual_price:.4f} .. x{inst.price_max / actual_price:.4f})")

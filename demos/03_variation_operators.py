@@ -75,5 +75,5 @@ print("scaled difference (a DE candidate in its own right): ", diff[0].tolist())
 print("\nlocked plots copy through every operator:")
 print("  locked mask:", inst.locked.tolist())
 
-pool = tournament_indices(np.arange(10), 12, rng)  # member v has score v
+pool = tournament_indices((np.arange(10),), 12, rng)  # member v has score v
 print("\nbinary tournaments over values 0..9 favor the fit:", sorted(pool.tolist(), reverse=True))

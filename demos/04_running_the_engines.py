@@ -22,8 +22,8 @@ inst = generate_synthetic(
     GeneratorSpec(grid_width=8, grid_height=8, use_count=3, floor_range=(1, 4), rng_seed=3)
 )
 print(f"instance: {inst.n_plots} plots, gamma={inst.gamma}, mu={inst.mu}")
-print(f"actual: compatibility={inst.actual_objectives.compatibility:,.0f}, "
-      f"price={inst.actual_objectives.price:,.0f}\n")
+actual_compat, actual_price = inst.actual_objectives
+print(f"actual: compatibility={actual_compat:,.0f}, price={actual_price:,.0f}\n")
 
 op = OperatorConfig(crossover_plot_fraction=0.3, mutation_plot_budget=2)
 for alg in ALGORITHMS:

@@ -33,7 +33,6 @@ from .metrics import (
 )
 from .model import (
     LandUse,
-    ObjectiveVector,
     Plot,
     ProblemInstance,
 )

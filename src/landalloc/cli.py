@@ -52,10 +52,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
         raise _UsageError(f"--grid expects WxH, got {text!r}")
-    w, h = int(m.group(1)), int(m.group(2))
-    if w < 1 or h < 1:
-        raise _UsageError(f"--grid dimensions must be positive, got {text!r}")
-    return w, h
+    return int(m.group(1)), int(m.group(2))
 
 
 def _parse_floor_range(text: str) -> tuple[int, int]:

@@ -210,18 +210,6 @@ class RunRecord:
 # non-dominated sorting and crowding
 
 
-def _dense_rank(*cols: np.ndarray) -> np.ndarray:
-    """Dense higher-is-better scores from higher-is-better key columns."""
-    arrs = [np.asarray(c, dtype=float) for c in cols]
-    order = np.lexsort(tuple(arrs[::-1]))
-    key = np.stack(arrs, axis=1)[order]
-    change = np.zeros(len(order), dtype=np.int64)
-    change[1:] = np.any(key[1:] != key[:-1], axis=1)
-    out = np.empty_like(change)
-    out[order] = np.cumsum(change)
-    return out
-
-
 def front_ranks(objs, need: int) -> np.ndarray:
     """Pareto front rank (int64) of each of the non-empty (n, 2) points (maximization).
 
@@ -386,13 +374,8 @@ def _soa_fitness(pop: Population, cfg: EngineConfig) -> np.ndarray:
     return cfg.soa_a * pop.price + cfg.soa_b * pop.compatibility
 
 
-def _soa_scores(pop: Population, cfg: EngineConfig) -> np.ndarray:
-    """Dense higher-is-better scores: feasible first, then less violation, then fitness."""
-    return _dense_rank(pop.feasible.astype(float), -pop.violation, _soa_fitness(pop, cfg))
-
-
 def _soa_order(pop: Population, cfg: EngineConfig) -> np.ndarray:
-    """Members by descending `_soa_scores`, equal scores in index order."""
+    """Members by (feasible, less violation, more fitness), full ties in index order."""
     return np.lexsort((-_soa_fitness(pop, cfg), pop.violation, ~pop.feasible))
 
 
@@ -462,7 +445,7 @@ def _hv_trace(inst: ProblemInstance, snapshots: list[np.ndarray]) -> list[float]
     """
     distinct = {id(s): s for s in snapshots}
     pts = [s for s in distinct.values() if s.size]
-    universe = np.vstack(pts + [inst.actual_objectives.as_array()[None, :]])
+    universe = np.vstack(pts + [inst.actual_objectives[None, :]])
     bounds = metrics.NormalizationBounds.from_points(universe)
     hv = {id(s): metrics.hypervolume_2d(metrics.normalize(s, bounds)) for s in pts}
     return [hv.get(id(s), 0.0) for s in snapshots]
@@ -473,8 +456,7 @@ def _hv_trace(inst: ProblemInstance, snapshots: list[np.ndarray]) -> list[float]
 
 
 def _nsga_pool(pop: Population, rng: np.random.Generator, size: int) -> np.ndarray:
-    scores = _dense_rank(-pop.rank.astype(float), pop.crowd)
-    return tournament_indices(scores, size, rng)
+    return tournament_indices((-pop.rank, pop.crowd), size, rng)
 
 
 def _interleave(c1: np.ndarray, c2: np.ndarray, lam: int) -> np.ndarray:
@@ -584,7 +566,9 @@ _VARIATIONS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
     # Single-objective GA on the weighted raw objectives.
     "SOA": lambda inst, cfg, pop, rng: _offspring_mutate_sbx(
         inst, cfg, pop,
-        tournament_indices(_soa_scores(pop, cfg), cfg.population_size // 2, rng),
+        tournament_indices(
+            (pop.feasible, -pop.violation, _soa_fitness(pop, cfg)), cfg.population_size // 2, rng
+        ),
         rng, "random",
     ),
     # NSGA-II with random mutation before SBX, polynomial as the solo branch.

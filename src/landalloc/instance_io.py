@@ -13,10 +13,11 @@ The JSON schema is versioned and hand-editable:
       "price_min": ..., "price_max": ...
     }
 
-There is at least one plot, and each plot's K^floors is at most 2^62 (62
-floors at K = 2, 39 at K = 3, 31 at K = 4, 23 at K = 6), so its base-K
-value fits int64; `load_instance` refuses other files with
-InstanceRangeError.
+The reader checks JSON types (InstanceSchemaError) and that neighbor ids
+name plots (DanglingNeighborError). Every other range, such as K^floors <=
+2^62 per plot (62 floors at K = 2, 39 at K = 3, 23 at K = 6), is checked
+by `ProblemInstance`; its ValueError, which names the field's path, is
+raised as InstanceRangeError (`plots[0].actual_uses[1]: code outside 0..1`).
 
 Serialization is canonical (sorted keys, two-space indent, repr floats), so
 save(load(x)) round-trips byte-stably and generated files are reproducible
@@ -107,84 +108,70 @@ def save_instance(inst: ProblemInstance, path: str | Path) -> Path:
     return path
 
 
-def _require(doc: dict, key: str, kind, path: str):
+# Each plot's fields in Plot's constructor order, with their JSON types.
+_PLOT_FIELDS = (
+    ("id", int), ("floors", int), ("floor_space", float),
+    ("neighbors", list), ("locked", bool), ("actual_uses", list),
+)
+
+
+# Python types a JSON value of each kind may have, and the kind's name in errors.
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer")}
+
+
+def _require(doc: dict, key: str, kind, path: str = ""):
+    field = f"{path}.{key}" if path else key
     if key not in doc:
-        raise InstanceSchemaError(f"{path}: missing field {key!r}")
+        raise InstanceSchemaError(f"missing field {field!r}")
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InstanceSchemaError(f"{path}.{key}: expected a number")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InstanceSchemaError(f"{path}.{key}: expected an integer")
-        return value
-    if not isinstance(value, kind):
-        raise InstanceSchemaError(f"{path}.{key}: expected {kind.__name__}")
-    return value
+    types, name = _JSON_TYPES.get(kind, (kind, kind.__name__))
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        raise InstanceSchemaError(f"{field}: expected {name}")
+    return float(value) if kind is float else value
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
+    """The instance `doc` describes. Only JSON types are checked here; ranges are
+    `ProblemInstance`'s, but for the neighbor-id bound (DanglingNeighborError),
+    tested in the loop that the neighbor ids' integer test needs anyway."""
     if not isinstance(doc, dict):
         raise InstanceSchemaError("document root must be an object")
-    version = _require(doc, "version", int, "$")
+    version = _require(doc, "version", int)
     if version != SCHEMA_VERSION:
-        raise InstanceSchemaError(f"$.version: unsupported version {version}")
-    uses_doc = _require(doc, "uses", list, "$")
-    plots_doc = _require(doc, "plots", list, "$")
+        raise InstanceSchemaError(f"version: unsupported version {version}")
     uses = []
-    for k, u in enumerate(uses_doc):
+    for k, u in enumerate(_require(doc, "uses", list)):
         if not isinstance(u, dict):
-            raise InstanceSchemaError(f"$.uses[{k}]: expected an object")
-        uses.append(LandUse(_require(u, "id", int, f"$.uses[{k}]"), _require(u, "name", str, f"$.uses[{k}]")))
-    if len(uses) < 2:
-        raise InstanceRangeError("$.uses: need at least two land-use types")
-    if [u.id for u in uses] != list(range(len(uses))):
-        raise InstanceRangeError("$.uses: ids must be dense 0..K-1 in order")
-    n, k = len(plots_doc), len(uses)
+            raise InstanceSchemaError(f"uses[{k}]: expected an object")
+        uses.append(LandUse(_require(u, "id", int, f"uses[{k}]"), _require(u, "name", str, f"uses[{k}]")))
+    plots_doc = _require(doc, "plots", list)
     plots = []
     for idx, p in enumerate(plots_doc):
-        path = f"$.plots[{idx}]"
+        path = f"plots[{idx}]"
         if not isinstance(p, dict):
             raise InstanceSchemaError(f"{path}: expected an object")
-        pid = _require(p, "id", int, path)
-        floors = _require(p, "floors", int, path)
-        space = _require(p, "floor_space", float, path)
-        neighbors = _require(p, "neighbors", list, path)
-        locked = _require(p, "locked", bool, path)
-        actual = _require(p, "actual_uses", list, path)
-        if pid != idx:
-            raise InstanceRangeError(f"{path}.id: must equal position {idx}")
-        if floors < 1:
-            raise InstanceRangeError(f"{path}.floors: must be >= 1")
-        if space <= 0:
-            raise InstanceRangeError(f"{path}.floor_space: must be > 0")
-        if len(actual) != floors:
-            raise InstanceRangeError(f"{path}.actual_uses: length must equal floors")
+        pid, floors, space, neighbors, locked, actual = (
+            _require(p, key, kind, path) for key, kind in _PLOT_FIELDS
+        )
         for t, code in enumerate(actual):
-            if isinstance(code, bool) or not isinstance(code, int) or not 0 <= code < k:
-                raise InstanceRangeError(f"{path}.actual_uses[{t}]: code outside 0..{k - 1}")
+            if isinstance(code, bool) or not isinstance(code, int):
+                raise InstanceSchemaError(f"{path}.actual_uses[{t}]: expected an integer")
         for t, j in enumerate(neighbors):
             if isinstance(j, bool) or not isinstance(j, int):
                 raise InstanceSchemaError(f"{path}.neighbors[{t}]: expected an integer")
-            if not 0 <= j < n:
+            if not 0 <= j < len(plots_doc):
                 raise DanglingNeighborError(f"{path}.neighbors[{t}]: no plot with id {j}")
-            if j == idx:
-                raise InstanceRangeError(f"{path}.neighbors[{t}]: self-neighborhood")
-        plots.append(
-            Plot(pid, floors, space, tuple(neighbors), locked, tuple(actual))
-        )
-    compat = _require(doc, "compat", list, "$")
-    price = _require(doc, "price", list, "$")
+        plots.append(Plot(pid, floors, space, tuple(neighbors), locked, tuple(actual)))
+    compat = _require(doc, "compat", list)
+    price = _require(doc, "price", list)
     try:
         compat_arr = np.array(compat, dtype=float)
         price_arr = np.array(price, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InstanceSchemaError(f"$.compat/$.price: not numeric matrices ({exc})")
-    gamma = _require(doc, "gamma", float, "$")
-    mu = _require(doc, "mu", float, "$")
-    price_min = _require(doc, "price_min", float, "$")
-    price_max = _require(doc, "price_max", float, "$")
+        raise InstanceSchemaError(f"compat/price: not numeric matrices ({exc})")
+    gamma, mu, price_min, price_max = (
+        _require(doc, key, float) for key in ("gamma", "mu", "price_min", "price_max")
+    )
     try:
         return ProblemInstance(plots, uses, compat_arr, price_arr, gamma, mu, price_min, price_max)
     except ValueError as exc:
@@ -334,6 +321,6 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
     uses = [LandUse(m, _use_name(m)) for m in range(k)]
     # Price box brackets the actual total price, so the as-built map is feasible.
     probe = ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, 0.0, math.inf)
-    actual_price = probe.actual_objectives.price
+    actual_price = probe.actual_objectives[1]
     lo, hi = actual_price * spec.price_low_factor, actual_price * spec.price_high_factor
     return ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, lo, hi)

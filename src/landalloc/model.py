@@ -95,15 +95,14 @@ class ProblemInstance:
         self._precompute()
 
     def _validate(self) -> None:
+        """Check every range invariant, naming the field's path in the file format."""
         n, k = len(self.plots), len(self.uses)
         if n == 0:
             raise ValueError("need at least one plot")
         if k < 2:
-            raise ValueError("need at least two land-use types")
+            raise ValueError("uses: need at least two land-use types")
         if [u.id for u in self.uses] != list(range(k)):
-            raise ValueError("land-use ids must be dense 0..K-1 in order")
-        if [p.id for p in self.plots] != list(range(n)):
-            raise ValueError("plot ids must be dense 0..N-1 in order")
+            raise ValueError("uses: ids must be dense 0..K-1 in order")
         if self.compat.shape != (k, k):
             raise ValueError(f"compat must be {k}x{k}, got {self.compat.shape}")
         if not np.all(np.isfinite(self.compat)):
@@ -118,22 +117,26 @@ class ProblemInstance:
             raise ValueError("mu must be in [0, 1]")
         if self.price_min > self.price_max:
             raise ValueError("price_min must be <= price_max")
-        for p in self.plots:
+        for i, p in enumerate(self.plots):
+            path = f"plots[{i}]"
+            if p.id != i:
+                raise ValueError(f"{path}.id: must equal position {i}")
             if p.floor_count < 1:
-                raise ValueError(f"plot {p.id}: floor_count must be >= 1")
+                raise ValueError(f"{path}.floors: must be >= 1")
             if p.floor_count > 62 or k**p.floor_count > 2**62:
-                raise ValueError(f"plot {p.id}: {p.floor_count} floors at K = {k} give K^f > 2^62")
+                raise ValueError(f"plot {i}: {p.floor_count} floors at K = {k} give K^f > 2^62")
             if p.total_floor_space <= 0:
-                raise ValueError(f"plot {p.id}: total_floor_space must be > 0")
+                raise ValueError(f"{path}.floor_space: must be > 0")
             if len(p.actual_uses) != p.floor_count:
-                raise ValueError(f"plot {p.id}: actual_uses length != floor_count")
-            if any(not 0 <= u < k for u in p.actual_uses):
-                raise ValueError(f"plot {p.id}: actual use code out of range")
-            for j in p.neighbors:
-                if j == p.id:
-                    raise ValueError(f"plot {p.id}: self-neighborhood not allowed")
+                raise ValueError(f"{path}.actual_uses: length must equal floors")
+            for t, code in enumerate(p.actual_uses):
+                if not 0 <= code < k:
+                    raise ValueError(f"{path}.actual_uses[{t}]: code outside 0..{k - 1}")
+            for t, j in enumerate(p.neighbors):
                 if not 0 <= j < n:
-                    raise ValueError(f"plot {p.id}: neighbor id {j} out of range")
+                    raise ValueError(f"{path}.neighbors[{t}]: no plot with id {j}")
+                if j == i:
+                    raise ValueError(f"{path}.neighbors[{t}]: self-neighborhood")
 
     def _precompute(self) -> None:
         n = len(self.plots)
@@ -169,9 +172,8 @@ class ProblemInstance:
         self.actual_values = self.codec.encode_rows(self.actual_codes)[0]
         stats = evaluate_batch(self, self.actual_values[None, :])
         self.actual_areas = stats.areas[0]
-        self.actual_objectives = ObjectiveVector(
-            compatibility=float(stats.compatibility[0]), price=float(stats.price[0])
-        )
+        # The as-built map's (compatibility, price), the row layout of `Population.objectives()`.
+        self.actual_objectives = np.array([stats.compatibility[0], stats.price[0]])
         # Normalizers of the constraint violation: as-built areas (a zero
         # area falls back to the mean positive one) and the price box width.
         positive = self.actual_areas[self.actual_areas > 0]
@@ -316,20 +318,6 @@ class PlotCodec:
         limits = self.max_values if plots is None else self.max_values[plots]
         steps = np.clip(steps, -(2.0**62), 2.0**62).astype(np.int64)
         return values + np.clip(steps, -values, limits - values)
-
-
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """A (compatibility, price) pair; both objectives are maximized.
-
-    Held as `ProblemInstance.actual_objectives`, the as-built map's point.
-    """
-
-    compatibility: float
-    price: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.compatibility, self.price], dtype=float)
 
 
 @dataclass(eq=False)

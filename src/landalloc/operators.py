@@ -69,24 +69,27 @@ class OperatorConfig:
 
 
 def tournament_indices(
-    rank: np.ndarray, pool_size: int, rng: np.random.Generator
+    keys: tuple[np.ndarray, ...], pool_size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Winners of `pool_size` binary tournaments, as indices into `rank`.
+    """Winners of `pool_size` binary tournaments, as member indices.
 
-    `rank` is a higher-is-better score per member. Each tournament draws
-    two members uniformly and independently (a member can meet itself);
-    the higher score wins and ties are broken by a fair coin.
+    `keys` holds higher-is-better arrays with one entry per member,
+    compared in order: a later key decides only where the earlier ones tie.
+    Each tournament draws two members uniformly and independently (a member
+    can meet itself); a tie in every key is broken by a fair coin.
     """
-    n = len(rank)
+    n = len(keys[0])
     if n == 0:
         raise ValueError("population must be non-empty")
     if pool_size == 0:
         return np.zeros(0, dtype=np.int64)
     a = rng.integers(0, n, size=pool_size)
     b = rng.integers(0, n, size=pool_size)
-    coin = rng.random(pool_size) < 0.5
-    rank_a, rank_b = rank[a], rank[b]
-    return np.where((rank_a > rank_b) | ((rank_a == rank_b) & coin), a, b)
+    a_wins = rng.random(pool_size) < 0.5
+    for key in reversed(keys):
+        key_a, key_b = key[a], key[b]
+        a_wins = np.where(key_a == key_b, a_wins, key_a > key_b)
+    return np.where(a_wins, a, b)
 
 
 # ---------------------------------------------------------------------------

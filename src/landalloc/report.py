@@ -70,7 +70,7 @@ def generate_report(bundle_dir: str | Path, out_dir: str | Path | None = None) -
     out.mkdir(parents=True, exist_ok=True)
 
     labels = [e["label"] for e in lb.manifest["engines"]]
-    actual = lb.instance.actual_objectives.as_array()
+    actual = lb.instance.actual_objectives
 
     # Reference set: non-dominated union over every compared front (declared
     # in the summary); normalization universe adds the actual point.
@@ -199,7 +199,7 @@ def _stats_report(lb: LoadedBundle, labels: list[str], metric_rows) -> dict:
 def _types_and_landuse(
     inst: ProblemInstance, labels: list[str], combined: dict[str, list[dict]]
 ) -> tuple[list[list], list[list]]:
-    actual_c, actual_p = inst.actual_objectives.compatibility, inst.actual_objectives.price
+    actual_c, actual_p = inst.actual_objectives.tolist()
     types_rows: list[list] = []
     landuse_rows: list[list] = []
     for label in labels:
@@ -300,7 +300,8 @@ def _fronts_svg(labels, combined, inst) -> str:
     pts_all = [
         (e["price"], e["compatibility"]) for label in labels for e in combined[label]
     ]
-    pts_all.append((inst.actual_objectives.price, inst.actual_objectives.compatibility))
+    actual_c, actual_p = inst.actual_objectives.tolist()
+    pts_all.append((actual_p, actual_c))
     xs = [p[0] for p in pts_all]
     ys = [p[1] for p in pts_all]
     pad_x = (max(xs) - min(xs)) * 0.05 or abs(max(xs)) * 0.05 or 1.0
@@ -318,7 +319,7 @@ def _fronts_svg(labels, combined, inst) -> str:
         ly = margin + 14 * (k + 1)
         parts.append(f'<circle cx="{width - margin - 150}" cy="{ly - 4}" r="4" fill="{color}"/>')
         parts.append(f'<text x="{width - margin - 140}" y="{ly}" font-size="11">{label}</text>')
-    ax, ay = sx(inst.actual_objectives.price), height - sy(inst.actual_objectives.compatibility)
+    ax, ay = sx(actual_p), height - sy(actual_c)
     parts.append(
         f'<path d="M {ax - 5:.2f} {ay - 5:.2f} L {ax + 5:.2f} {ay + 5:.2f} '
         f'M {ax - 5:.2f} {ay + 5:.2f} L {ax + 5:.2f} {ay - 5:.2f}" stroke="black" stroke-width="2"/>'
@@ -372,8 +373,7 @@ def _summary(lb, labels, combined, metric_rows, reference, gaps) -> str:
         f"instance: {inst.n_plots} plots, {inst.n_uses} uses, "
         f"gamma={inst.gamma}, mu={inst.mu}",
         f"price box: [{inst.price_min!r}, {inst.price_max!r}]",
-        f"actual: compatibility={inst.actual_objectives.compatibility!r}, "
-        f"price={inst.actual_objectives.price!r}",
+        "actual: compatibility={!r}, price={!r}".format(*inst.actual_objectives.tolist()),
         "reference set policy: combined "
         f"(non-dominated union of all reported fronts, {len(reference)} points)",
         "",

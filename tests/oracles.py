@@ -262,6 +262,29 @@ def random_instance(
     )
 
 
+def dense_rank(*cols) -> np.ndarray:
+    """Per member, the position of its key tuple among the distinct tuples in
+    ascending order: higher-is-better key columns compared in order, full ties
+    sharing a score."""
+    rows = [tuple(float(c[i]) for c in cols) for i in range(len(cols[0]))]
+    distinct = sorted(set(rows))
+    return np.array([distinct.index(r) for r in rows], dtype=np.int64)
+
+
+def score_tournament(scores, pool_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Binary tournaments on one higher-is-better score per member, one at a
+    time; draws all first members, then all second members, then every coin."""
+    n = len(scores)
+    a = rng.integers(0, n, size=pool_size)
+    b = rng.integers(0, n, size=pool_size)
+    coin = rng.random(pool_size) < 0.5
+    winners = []
+    for t in range(pool_size):
+        a_wins = scores[a[t]] > scores[b[t]] or (scores[a[t]] == scores[b[t]] and coin[t])
+        winners.append(a[t] if a_wins else b[t])
+    return np.array(winners, dtype=np.int64)
+
+
 def encode_uses(uses, base: int) -> int:
     """Base-`base` integer for one plot's floor-use vector, MSB first."""
     value = 0

@@ -272,7 +272,7 @@ class TestCriterion6RelaxationEffect:
             if _front_points(r).size
         ]
         bounds = metrics.NormalizationBounds.from_points(
-            np.vstack(stacks + [inst.actual_objectives.as_array()[None, :]])
+            np.vstack(stacks + [inst.actual_objectives[None, :]])
         )
         hv = {
             key: [

@@ -35,6 +35,7 @@ from landalloc.operators import (
 from oracles import (
     brute_force_best_scalar,
     brute_force_pareto,
+    dense_rank,
     naive_crowding,
     naive_fronts,
     naive_msbx_mo_children,
@@ -456,13 +457,14 @@ class TestSoa:
             assert run_engine(tiny1, small_cfg(alg, generations=2)).algorithm == alg
 
     def test_survival_order_is_descending_score_then_index(self):
-        from landalloc.engines import _soa_order, _soa_scores
+        from landalloc.engines import _soa_fitness, _soa_order
 
         rng = np.random.default_rng(8)
         cfg = small_cfg("SOA", soa_a=0.25, soa_b=0.75)
         for _ in range(200):
             pop = mixed_population(rng)  # ties in every key
-            want = np.argsort(-_soa_scores(pop, cfg), kind="stable")
+            scores = dense_rank(pop.feasible, -pop.violation, _soa_fitness(pop, cfg))
+            want = np.argsort(-scores, kind="stable")
             assert np.array_equal(_soa_order(pop, cfg), want)
 
     def test_degenerate_price_weight_finds_best_price(self, tiny1):
@@ -711,7 +713,7 @@ class TestHvTrace:
         from landalloc.engines import _hv_trace
 
         rng = np.random.default_rng(17)
-        actual = tiny1.actual_objectives.as_array()
+        actual = tiny1.actual_objectives
         a, b, c = (metrics.pareto_filter(actual + rng.normal(0, 5, size=(k, 2))) for k in (2, 6, 9))
         empty = np.zeros((0, 2))
         snapshots = [empty, empty, a, a, a, b, np.zeros((0, 2)), b, b, c, c, a]

@@ -18,6 +18,8 @@ from landalloc.instance_io import (
     save_instance,
 )
 from landalloc.model import (
+    LandUse,
+    Plot,
     ProblemInstance,
     area_band_mask,
     evaluate_batch,
@@ -91,6 +93,12 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="^need at least one plot$"):
             ProblemInstance([], tiny1.uses, tiny1.compat, np.zeros((0, 2)), 0.3, 0.2, 0.0, 1.0)
 
+    def test_non_integer_use_code_is_schema_error(self, tiny1):
+        doc = self.base_doc(tiny1)
+        doc["plots"][0]["actual_uses"] = [0, 1.0]
+        with pytest.raises(InstanceSchemaError, match=r"^plots\[0\].actual_uses\[1\]: expected an integer$"):
+            instance_from_dict(doc)
+
     def test_bad_json_is_schema_error(self):
         with pytest.raises(InstanceSchemaError, match="JSON"):
             parse_instance(b"{not json")
@@ -100,6 +108,54 @@ class TestValidationErrors:
         doc["version"] = 99
         with pytest.raises(InstanceSchemaError, match="version"):
             instance_from_dict(doc)
+
+
+def _set_plot(i, **fields):
+    def edit(doc):
+        doc["plots"][i].update(fields)
+    return edit
+
+
+def _set_use_id(doc):
+    doc["uses"][1]["id"] = 2
+
+
+def _drop_second_use(doc):
+    del doc["uses"][1]
+
+
+# Each range invariant `ProblemInstance` checks, broken in tiny1's document.
+RANGE_CASES = [
+    (_drop_second_use, InstanceRangeError, "uses: need at least two land-use types"),
+    (_set_use_id, InstanceRangeError, "uses: ids must be dense 0..K-1 in order"),
+    (_set_plot(1, id=0), InstanceRangeError, "plots[1].id: must equal position 1"),
+    (_set_plot(0, floors=0, actual_uses=[]), InstanceRangeError, "plots[0].floors: must be >= 1"),
+    (_set_plot(1, floor_space=0.0), InstanceRangeError, "plots[1].floor_space: must be > 0"),
+    (_set_plot(0, actual_uses=[0]), InstanceRangeError, "plots[0].actual_uses: length must equal floors"),
+    (_set_plot(0, actual_uses=[0, 2]), InstanceRangeError, "plots[0].actual_uses[1]: code outside 0..1"),
+    (_set_plot(1, neighbors=[0, -1]), DanglingNeighborError, "plots[1].neighbors[1]: no plot with id -1"),
+    (_set_plot(0, neighbors=[0]), InstanceRangeError, "plots[0].neighbors[0]: self-neighborhood"),
+]
+
+
+@pytest.mark.parametrize("edit, error, message", RANGE_CASES)
+def test_range_check_reads_the_same_from_a_file_and_a_direct_build(tmp_path, tiny1, edit, error, message):
+    doc = instance_to_dict(tiny1)
+    edit(doc)
+    path = tmp_path / "broken.landalloc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as from_file:
+        load_instance(path)
+    assert type(from_file.value) is error and str(from_file.value) == message
+    uses = [LandUse(u["id"], u["name"]) for u in doc["uses"]]
+    plots = [
+        Plot(p["id"], p["floors"], p["floor_space"], tuple(p["neighbors"]), p["locked"], tuple(p["actual_uses"]))
+        for p in doc["plots"]
+    ]
+    args = [doc[key] for key in ("compat", "price", "gamma", "mu", "price_min", "price_max")]
+    with pytest.raises(ValueError) as direct:
+        ProblemInstance(plots, uses, *args)
+    assert type(direct.value) is ValueError and str(direct.value) == message
 
 
 class TestGenerator:

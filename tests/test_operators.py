@@ -20,11 +20,13 @@ from landalloc.operators import (
 
 from oracles import (
     decode_uses,
+    dense_rank,
     encode_uses,
     naive_floyd_picks,
     naive_polynomial_mutation,
     naive_random_mutation,
     random_instance,
+    score_tournament,
 )
 
 
@@ -169,25 +171,48 @@ class TestCodecDigitTable:
 class TestTournament:
     def test_seeded_reproducibility(self):
         rank = np.array([1, 0])  # member 0 is the fitter
-        pools = [tournament_indices(rank, 10, np.random.default_rng(99)) for _ in range(2)]
+        pools = [tournament_indices((rank,), 10, np.random.default_rng(99)) for _ in range(2)]
         assert np.array_equal(pools[0], pools[1])
         assert np.count_nonzero(pools[0] == 0) >= np.count_nonzero(pools[0] == 1)
 
     def test_equal_fitness_is_uniform(self):
         rng = np.random.default_rng(1)
-        pool = tournament_indices(np.zeros(2), 20000, rng)
+        pool = tournament_indices((np.zeros(2),), 20000, rng)
         freq = np.count_nonzero(pool == 0) / len(pool)
         assert freq == pytest.approx(0.5, abs=0.02)
 
     def test_binary_tournament_probability(self):
         # best of three is drawn in a pair with prob 5/9
         rng = np.random.default_rng(2)
-        pool = tournament_indices(np.array([2, 1, 0]), 10000, rng)
+        pool = tournament_indices((np.array([2, 1, 0]),), 10000, rng)
         assert np.count_nonzero(pool == 0) / len(pool) == pytest.approx(5 / 9, abs=0.02)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_indices(np.zeros(0), 1, np.random.default_rng(0))
+            tournament_indices((np.zeros(0),), 1, np.random.default_rng(0))
+
+    def test_key_tuples_match_a_dense_rank_tournament(self):
+        """With ties in every key, the pools and the generator's end state equal
+        those of tournaments on each member's dense rank of its key tuple."""
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(1, 20))
+            nsga_keys = (  # (-rank, crowd), boundary members at +inf
+                -rng.integers(0, 3, n),
+                np.where(rng.random(n) < 0.3, np.inf, rng.integers(0, 3, n) / 2.0),
+            )
+            soa_keys = (  # (feasible, -violation, fitness)
+                rng.random(n) < 0.5,
+                -rng.integers(0, 3, n) / 4.0,
+                rng.integers(-2, 2, n).astype(float),
+            )
+            for keys in (nsga_keys, soa_keys):
+                size, seed = int(rng.integers(1, 30)), int(rng.integers(2**32))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = tournament_indices(keys, size, got_rng)
+                want = score_tournament(dense_rank(*keys), size, want_rng)
+                assert np.array_equal(got, want)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestSbx:
