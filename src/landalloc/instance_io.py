@@ -108,7 +108,7 @@ def save_instance(inst: ProblemInstance, path: str | Path) -> Path:
     return path
 
 
-# Each plot's fields in Plot's constructor order, with their JSON types.
+# A plot's fields and their JSON types.
 _PLOT_FIELDS = (
     ("id", int), ("floors", int), ("floor_space", float),
     ("neighbors", list), ("locked", bool), ("actual_uses", list),

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,18 @@ def _drop_second_use(doc):
     del doc["uses"][1]
 
 
-# Each range invariant `ProblemInstance` checks, broken in tiny1's document.
+def _set(**fields):
+    def edit(doc):
+        doc.update(fields)
+    return edit
+
+
+def _nan_price(doc):
+    doc["price"][1][0] = math.nan
+
+
+# Each range invariant `ProblemInstance` checks, broken in tiny1's document,
+# then NaN where a range compares a number (JSON as Python writes it allows NaN).
 RANGE_CASES = [
     (_drop_second_use, InstanceRangeError, "uses: need at least two land-use types"),
     (_set_use_id, InstanceRangeError, "uses: ids must be dense 0..K-1 in order"),
@@ -135,6 +147,10 @@ RANGE_CASES = [
     (_set_plot(0, actual_uses=[0, 2]), InstanceRangeError, "plots[0].actual_uses[1]: code outside 0..1"),
     (_set_plot(1, neighbors=[0, -1]), DanglingNeighborError, "plots[1].neighbors[1]: no plot with id -1"),
     (_set_plot(0, neighbors=[0]), InstanceRangeError, "plots[0].neighbors[0]: self-neighborhood"),
+    (_set_plot(1, floor_space=math.nan), InstanceRangeError, "plots[1].floor_space: must be > 0"),
+    (_nan_price, InstanceRangeError, "price entries must be non-negative"),
+    (_set(gamma=math.nan), InstanceRangeError, "gamma must be >= 0"),
+    (_set(price_min=math.nan), InstanceRangeError, "price_min must be <= price_max"),
 ]
 
 
