@@ -48,17 +48,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)x(\d+)", text)
+def _parse_pair(text: str, flag: str, form: str, sep: str) -> tuple[int, int]:
+    """Two non-negative integers joined by `sep`; `form` shows the flag's syntax in errors."""
+    m = re.fullmatch(rf"(\d+){sep}(\d+)", text)
     if not m:
-        raise _UsageError(f"--grid expects WxH, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
-
-
-def _parse_floor_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+):(\d+)", text)
-    if not m:
-        raise _UsageError(f"--floors expects MIN:MAX, got {text!r}")
+        raise _UsageError(f"{flag} expects {form}, got {text!r}")
     return int(m.group(1)), int(m.group(2))
 
 
@@ -115,11 +109,11 @@ def _build_parser() -> _Parser:
 def _cmd_generate(args) -> int:
     doc = _read_object(args.spec, "generator spec") if args.spec else {}
     if args.grid:
-        doc["grid_width"], doc["grid_height"] = _parse_grid(args.grid)
+        doc["grid_width"], doc["grid_height"] = _parse_pair(args.grid, "--grid", "WxH", "x")
     if args.uses is not None:
         doc["use_count"] = args.uses
     if args.floors:
-        doc["floor_range"] = list(_parse_floor_range(args.floors))
+        doc["floor_range"] = list(_parse_pair(args.floors, "--floors", "MIN:MAX", ":"))
     if args.locked_fraction is not None:
         doc["locked_fraction"] = args.locked_fraction
     if args.seed is not None:

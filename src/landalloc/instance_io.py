@@ -115,19 +115,22 @@ _PLOT_FIELDS = (
 )
 
 
-# Python types a JSON value of each kind may have, and the kind's name in errors.
-_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer")}
-
-
 def _require(doc: dict, key: str, kind, path: str = ""):
-    field = f"{path}.{key}" if path else key
+    """doc[key] if it is a JSON value of `kind`; `path`, "" or ending in a dot, locates `doc`."""
     if key not in doc:
-        raise InstanceSchemaError(f"missing field {field!r}")
+        raise InstanceSchemaError(f"missing field {path}{key}")
     value = doc[key]
-    types, name = _JSON_TYPES.get(kind, (kind, kind.__name__))
-    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
-        raise InstanceSchemaError(f"{field}: expected {name}")
-    return float(value) if kind is float else value
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InstanceSchemaError(f"{path}{key}: expected a number")
+        return float(value)
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InstanceSchemaError(f"{path}{key}: expected an integer")
+        return value
+    if not isinstance(value, kind):
+        raise InstanceSchemaError(f"{path}{key}: expected {kind.__name__}")
+    return value
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
@@ -143,24 +146,24 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     for k, u in enumerate(_require(doc, "uses", list)):
         if not isinstance(u, dict):
             raise InstanceSchemaError(f"uses[{k}]: expected an object")
-        uses.append(LandUse(_require(u, "id", int, f"uses[{k}]"), _require(u, "name", str, f"uses[{k}]")))
+        uses.append(LandUse(_require(u, "id", int, f"uses[{k}]."), _require(u, "name", str, f"uses[{k}].")))
     plots_doc = _require(doc, "plots", list)
     plots = []
     for idx, p in enumerate(plots_doc):
-        path = f"plots[{idx}]"
+        path = f"plots[{idx}]."
         if not isinstance(p, dict):
-            raise InstanceSchemaError(f"{path}: expected an object")
-        pid, floors, space, neighbors, locked, actual = (
+            raise InstanceSchemaError(f"plots[{idx}]: expected an object")
+        pid, floors, space, neighbors, locked, actual = [
             _require(p, key, kind, path) for key, kind in _PLOT_FIELDS
-        )
+        ]
         for t, code in enumerate(actual):
-            if isinstance(code, bool) or not isinstance(code, int):
-                raise InstanceSchemaError(f"{path}.actual_uses[{t}]: expected an integer")
+            if type(code) is not int:  # a JSON integer; bool is refused too
+                raise InstanceSchemaError(f"{path}actual_uses[{t}]: expected an integer")
         for t, j in enumerate(neighbors):
-            if isinstance(j, bool) or not isinstance(j, int):
-                raise InstanceSchemaError(f"{path}.neighbors[{t}]: expected an integer")
+            if type(j) is not int:
+                raise InstanceSchemaError(f"{path}neighbors[{t}]: expected an integer")
             if not 0 <= j < len(plots_doc):
-                raise DanglingNeighborError(f"{path}.neighbors[{t}]: no plot with id {j}")
+                raise DanglingNeighborError(f"{path}neighbors[{t}]: no plot with id {j}")
         plots.append(Plot(pid, floors, space, tuple(neighbors), locked, tuple(actual)))
     compat = _require(doc, "compat", list)
     price = _require(doc, "price", list)
@@ -169,9 +172,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         price_arr = np.array(price, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InstanceSchemaError(f"compat/price: not numeric matrices ({exc})")
-    gamma, mu, price_min, price_max = (
+    gamma, mu, price_min, price_max = [
         _require(doc, key, float) for key in ("gamma", "mu", "price_min", "price_max")
-    )
+    ]
     try:
         return ProblemInstance(plots, uses, compat_arr, price_arr, gamma, mu, price_min, price_max)
     except ValueError as exc:
