@@ -109,9 +109,9 @@ class ProblemInstance:
             raise ValueError("compat entries must be finite")
         if self.price.shape != (n, k):
             raise ValueError(f"price must be {n}x{k}, got {self.price.shape}")
-        if not np.all(self.price >= 0):  # negated so that NaN fails, as below
-            raise ValueError("price entries must be non-negative")
-        if not self.gamma >= 0:
+        if not np.all(np.isfinite(self.price) & (self.price >= 0)):
+            raise ValueError("price entries must be finite and non-negative")
+        if not self.gamma >= 0:  # negated so that NaN fails, as below
             raise ValueError("gamma must be >= 0")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must be in [0, 1]")
@@ -125,8 +125,8 @@ class ProblemInstance:
                 raise ValueError(f"{path}.floors: must be >= 1")
             if p.floor_count > 62 or k**p.floor_count > 2**62:
                 raise ValueError(f"plot {i}: {p.floor_count} floors at K = {k} give K^f > 2^62")
-            if not p.total_floor_space > 0:
-                raise ValueError(f"{path}.floor_space: must be > 0")
+            if not 0 < p.total_floor_space < np.inf:
+                raise ValueError(f"{path}.floor_space: must be finite and > 0")
             if len(p.actual_uses) != p.floor_count:
                 raise ValueError(f"{path}.actual_uses: length must equal floors")
             for t, code in enumerate(p.actual_uses):

@@ -131,24 +131,28 @@ def _set(**fields):
     return edit
 
 
-def _nan_price(doc):
-    doc["price"][1][0] = math.nan
+def _set_price(value):
+    def edit(doc):
+        doc["price"][1][0] = value
+    return edit
 
 
 # Each range invariant `ProblemInstance` checks, broken in tiny1's document,
-# then NaN where a range compares a number (JSON as Python writes it allows NaN).
+# then NaN and infinity where a range compares a number (Python's json reads both).
 RANGE_CASES = [
     (_drop_second_use, InstanceRangeError, "uses: need at least two land-use types"),
     (_set_use_id, InstanceRangeError, "uses: ids must be dense 0..K-1 in order"),
     (_set_plot(1, id=0), InstanceRangeError, "plots[1].id: must equal position 1"),
     (_set_plot(0, floors=0, actual_uses=[]), InstanceRangeError, "plots[0].floors: must be >= 1"),
-    (_set_plot(1, floor_space=0.0), InstanceRangeError, "plots[1].floor_space: must be > 0"),
+    (_set_plot(1, floor_space=0.0), InstanceRangeError, "plots[1].floor_space: must be finite and > 0"),
     (_set_plot(0, actual_uses=[0]), InstanceRangeError, "plots[0].actual_uses: length must equal floors"),
     (_set_plot(0, actual_uses=[0, 2]), InstanceRangeError, "plots[0].actual_uses[1]: code outside 0..1"),
     (_set_plot(1, neighbors=[0, -1]), DanglingNeighborError, "plots[1].neighbors[1]: no plot with id -1"),
     (_set_plot(0, neighbors=[0]), InstanceRangeError, "plots[0].neighbors[0]: self-neighborhood"),
-    (_set_plot(1, floor_space=math.nan), InstanceRangeError, "plots[1].floor_space: must be > 0"),
-    (_nan_price, InstanceRangeError, "price entries must be non-negative"),
+    (_set_plot(1, floor_space=math.nan), InstanceRangeError, "plots[1].floor_space: must be finite and > 0"),
+    (_set_plot(1, floor_space=math.inf), InstanceRangeError, "plots[1].floor_space: must be finite and > 0"),
+    (_set_price(math.nan), InstanceRangeError, "price entries must be finite and non-negative"),
+    (_set_price(math.inf), InstanceRangeError, "price entries must be finite and non-negative"),
     (_set(gamma=math.nan), InstanceRangeError, "gamma must be >= 0"),
     (_set(price_min=math.nan), InstanceRangeError, "price_min must be <= price_max"),
 ]
