@@ -61,10 +61,11 @@ from .model import (
 )
 from .operators import (
     OperatorConfig,
+    _polynomial_mutation_into,
+    _random_mutation_into,
+    _sbx_into,
     de_trial_batch,
-    polynomial_mutation_batch,
     random_mutation_batch,
-    sbx_batch,
     scaled_difference_batch,
     tournament_indices,
     uniform_batch,
@@ -459,54 +460,38 @@ def _nsga_pool(pop: Population, rng: np.random.Generator, size: int) -> np.ndarr
     return tournament_indices((-pop.rank, pop.crowd), size, rng)
 
 
-def _interleave(c1: np.ndarray, c2: np.ndarray, lam: int) -> np.ndarray:
-    out = np.empty((2 * len(c1),) + c1.shape[1:], dtype=c1.dtype)
-    out[0::2] = c1
-    out[1::2] = c2
-    return out[:lam]
-
-
 def _offspring_mutate_sbx(
-    inst: ProblemInstance,
-    cfg: EngineConfig,
-    pop: Population,
-    pool: np.ndarray,
-    rng: np.random.Generator,
-    replacement_mutation: str,
+    inst: ProblemInstance, cfg: EngineConfig, pop: Population, pool: np.ndarray,
+    rng: np.random.Generator, solo_mutation: Callable[..., None],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random mutation before SBX; sometimes mutation replaces crossover.
+    """Random mutation before SBX; sometimes `solo_mutation` replaces both.
 
-    Each child is anchored at the parent it was mutated or crossed from.
+    Pair k's children are rows 2k and 2k + 1 of one buffer, each gathered
+    once from the parent it is anchored at and then varied in place; an odd
+    population drops the last child.
     """
     lam = cfg.population_size
     n_pairs = (lam + 1) // 2
     i = rng.integers(0, len(pool), size=n_pairs)
     j = rng.integers(0, len(pool), size=n_pairs)
     mutate_only = rng.random(n_pairs) < cfg.mutation_probability
-    p1 = pop.values[pool[i]]
-    p2 = pop.values[pool[j]]
-    out1 = np.empty_like(p1)
-    out2 = np.empty_like(p2)
-    cross = np.flatnonzero(~mutate_only)
-    if cross.size:
-        m1 = random_mutation_batch(p1[cross], cfg.operator_cfg, inst, rng)
-        m2 = random_mutation_batch(p2[cross], cfg.operator_cfg, inst, rng)
-        out1[cross], out2[cross] = sbx_batch(m1, m2, cfg.operator_cfg, inst, rng)
-    solo = np.flatnonzero(mutate_only)
-    if solo.size:
-        mutation = (
-            random_mutation_batch if replacement_mutation == "random" else polynomial_mutation_batch
-        )
-        out1[solo] = mutation(p1[solo], cfg.operator_cfg, inst, rng)
-        out2[solo] = mutation(p2[solo], cfg.operator_cfg, inst, rng)
-    return _interleave(out1, out2, lam), _interleave(pool[i], pool[j], lam)
+    anchors = np.empty(2 * n_pairs, dtype=np.int64)
+    anchors[0::2], anchors[1::2] = pool[i], pool[j]
+    out = pop.values[anchors]
+    first = 2 * np.flatnonzero(~mutate_only)
+    if first.size:
+        _random_mutation_into(out, first, cfg.operator_cfg, inst, rng)
+        _random_mutation_into(out, first + 1, cfg.operator_cfg, inst, rng)
+        _sbx_into(out, first, 1, cfg.operator_cfg, inst, rng)
+    first = 2 * np.flatnonzero(mutate_only)
+    if first.size:
+        solo_mutation(out, first, cfg.operator_cfg, inst, rng)
+        solo_mutation(out, first + 1, cfg.operator_cfg, inst, rng)
+    return out[:lam], anchors[:lam]
 
 
 def _offspring_cr_des(
-    inst: ProblemInstance,
-    cfg: EngineConfig,
-    pop: Population,
-    pool: np.ndarray,
+    inst: ProblemInstance, cfg: EngineConfig, pop: Population, pool: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform crossover; a DE difference child replaces a pair sometimes.
@@ -551,10 +536,7 @@ def _offspring_cr_des(
 
 
 def _offspring_msbx_mo(
-    inst: ProblemInstance,
-    cfg: EngineConfig,
-    pop: Population,
-    rng: np.random.Generator,
+    inst: ProblemInstance, cfg: EngineConfig, pop: Population, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each member's DE trial vector, anchored at it; its mutant is formed only where SBX joins."""
     return de_trial_batch(pop.values, cfg.operator_cfg, inst, rng), np.arange(pop.n)
@@ -569,11 +551,12 @@ _VARIATIONS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
         tournament_indices(
             (pop.feasible, -pop.violation, _soa_fitness(pop, cfg)), cfg.population_size // 2, rng
         ),
-        rng, "random",
+        rng, _random_mutation_into,
     ),
     # NSGA-II with random mutation before SBX, polynomial as the solo branch.
     "MSBX_NSGA2": lambda inst, cfg, pop, rng: _offspring_mutate_sbx(
-        inst, cfg, pop, _nsga_pool(pop, rng, cfg.population_size // 2), rng, "polynomial"
+        inst, cfg, pop, _nsga_pool(pop, rng, cfg.population_size // 2), rng,
+        _polynomial_mutation_into,
     ),
     # NSGA-II skeleton; uniform crossover plus DE difference children.
     "CR_DES": lambda inst, cfg, pop, rng: _offspring_cr_des(

@@ -198,6 +198,10 @@ def load_instance(path: str | Path) -> ProblemInstance:
 # synthetic generator
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Knobs for the synthetic grid generator; deterministic per rng_seed."""
@@ -220,6 +224,16 @@ class GeneratorSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # booleans are neither integers nor numbers here
+            v = getattr(self, f.name)
+            if f.type == "float" and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise ValueError(f"{f.name} must be a number, got {v!r}")
+            if f.type == "int" and not _is_integer(v):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        if len(self.floor_range) != 2 or not all(map(_is_integer, self.floor_range)):
+            raise ValueError(f"floor_range must be two integers, got {self.floor_range!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.grid_width < 1 or self.grid_height < 1:
             raise ValueError("grid dimensions must be positive")
         if self.use_count < 2:
@@ -246,16 +260,12 @@ def generator_spec_from_dict(doc: dict) -> GeneratorSpec:
     if unknown:
         raise InstanceSchemaError(f"unknown generator spec fields: {sorted(unknown)}")
     doc = dict(doc)
-    if "floor_range" in doc:
-        doc["floor_range"] = tuple(doc["floor_range"])
     try:
+        if "floor_range" in doc:
+            doc["floor_range"] = tuple(doc["floor_range"])
         return GeneratorSpec(**doc)
     except (TypeError, ValueError) as exc:
         raise InstanceRangeError(str(exc))
-
-
-def _use_name(k: int) -> str:
-    return _DEFAULT_USE_NAMES[k] if k < len(_DEFAULT_USE_NAMES) else f"use{k}"
 
 
 def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
@@ -267,9 +277,7 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
     ys = np.repeat(np.arange(h, dtype=float), w)
 
     floors = rng.integers(spec.floor_range[0], spec.floor_range[1] + 1, size=n)
-    footprint = spec.base_footprint * (
-        1.0 + spec.footprint_jitter * (2.0 * rng.random(n) - 1.0)
-    )
+    footprint = spec.base_footprint * (1.0 + spec.footprint_jitter * (2.0 * rng.random(n) - 1.0))
     floor_space = floors * footprint
 
     # Clustered actual uses: anchors pull plots toward a use, noise breaks ties.
@@ -308,22 +316,16 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
 
     plots = []
     for i in range(n):
-        x, y = int(xs[i]), int(ys[i])
+        x, y = i % w, i // w
         sides = ((i - 1, x > 0), (i + 1, x < w - 1), (i - w, y > 0), (i + w, y < h - 1))
-        nb = [j for j, inside in sides if inside]
-        plots.append(
-            Plot(
-                id=i,
-                floor_count=int(floors[i]),
-                total_floor_space=float(floor_space[i]),
-                neighbors=tuple(nb),
-                locked=bool(locked[i]),
-                actual_uses=actual[i],
-            )
-        )
-    uses = [LandUse(m, _use_name(m)) for m in range(k)]
-    # Price box brackets the actual total price, so the as-built map is feasible.
-    probe = ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, 0.0, math.inf)
-    actual_price = probe.actual_objectives[1]
-    lo, hi = actual_price * spec.price_low_factor, actual_price * spec.price_high_factor
-    return ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, lo, hi)
+        nb = tuple(j for j, inside in sides if inside)
+        plots.append(Plot(i, int(floors[i]), float(floor_space[i]), nb, bool(locked[i]), actual[i]))
+    names = _DEFAULT_USE_NAMES + tuple(f"use{m}" for m in range(len(_DEFAULT_USE_NAMES), k))
+    uses = [LandUse(m, names[m]) for m in range(k)]
+    # Built once, with an open price box; then the box is set to bracket the
+    # as-built price, so the as-built map is feasible. Nothing else reads it.
+    inst = ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, 0.0, math.inf)
+    actual_price = inst.actual_objectives[1]
+    inst.price_min = float(actual_price * spec.price_low_factor)
+    inst.price_max = float(actual_price * spec.price_high_factor)
+    return inst

@@ -174,15 +174,11 @@ class ProblemInstance:
         self.actual_areas = stats.areas[0]
         # The as-built map's (compatibility, price), the row layout of `Population.objectives()`.
         self.actual_objectives = np.array([stats.compatibility[0], stats.price[0]])
-        # Normalizers of the constraint violation: as-built areas (a zero
-        # area falls back to the mean positive one) and the price box width.
+        # Normalizer of the area violation: the as-built areas (a zero area
+        # falls back to the mean positive one); `price_scale` is the price's.
         positive = self.actual_areas[self.actual_areas > 0]
         fallback = positive.mean() if positive.size else 1.0
         self.area_scale = np.where(self.actual_areas > 0, self.actual_areas, fallback)
-        span = self.price_max - self.price_min
-        if span <= 0 or not np.isfinite(span):
-            span = max(abs(self.price_max), 1.0) if np.isfinite(self.price_max) else 1.0
-        self.price_scale = span
         # Work estimates for evaluate_near, in values read; both paths read
         # plot values and count-table rows, never floors. A full pass per
         # row: per plot its value and four K-wide arrays (counts, shares,
@@ -199,6 +195,14 @@ class ProblemInstance:
     @property
     def n_plots(self) -> int:
         return len(self.plots)
+
+    @property
+    def price_scale(self) -> float:
+        """Normalizer of the price violation: the price box width, read when it is needed."""
+        span = self.price_max - self.price_min
+        if span <= 0 or not np.isfinite(span):
+            span = max(abs(self.price_max), 1.0) if np.isfinite(self.price_max) else 1.0
+        return span
 
     @property
     def n_uses(self) -> int:

@@ -99,42 +99,56 @@ def tournament_indices(
 def _sbx_joins(
     b: int, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of (B, N) entries joining SBX, drawn per plot, and their 0.5 * (1 - beta)."""
+    """Flat indices of (B, N) entries joining SBX, drawn per plot, and one uniform per join."""
     select = (rng.random((b, inst.n_plots)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
     at = np.flatnonzero(select)  # flat (row, plot) indices; gathers beat boolean masks
-    u = rng.random(at.size)
-    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (cfg.sbx_eta + 1.0))
-    return at, 0.5 * (1.0 - beta)
+    return at, rng.random(at.size)
+
+
+def _sbx_weight(u: np.ndarray, eta: float) -> np.ndarray:
+    """0.5 * (1 - beta), SBX's spread factor beta drawn from the uniforms `u`."""
+    return 0.5 * (1.0 - np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
+
+
+def _sbx_into(
+    out: np.ndarray, rows: np.ndarray, gap: int, cfg: OperatorConfig, inst: ProblemInstance,
+    rng: np.random.Generator,
+) -> None:
+    """SBX, in place, of each row in `rows` of `out` with the row `gap` below it.
+
+    Joins are drawn as for len(rows) row pairs. Beta and the children
+    0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) = v1 + step, v2 - step are
+    computed only where the parents differ: elsewhere the step is zero.
+    """
+    n = inst.n_plots
+    at, u = _sbx_joins(len(rows), cfg, inst, rng)
+    r, plots = np.divmod(at, n)
+    at = rows[r] * n + plots
+    v1 = out.take(at)
+    diff = out.take(at + gap * n) - v1
+    nz = np.flatnonzero(diff)
+    at, plots, v1, diff = at[nz], plots[nz], v1[nz], diff[nz]
+    step = np.rint(_sbx_weight(u[nz], cfg.sbx_eta) * diff.astype(float))
+    out.put(at, inst.codec.clamp(v1, step, plots))
+    out.put(at + gap * n, inst.codec.clamp(v1 + diff, -step, plots))
 
 
 def sbx_batch(
-    values1: np.ndarray,
-    values2: np.ndarray,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
+    values1: np.ndarray, values2: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """SBX over paired (B, N) plot-value rows; each unlocked plot joins independently.
 
-    Plots that do not join keep their parent's value; beta and the
-    children are computed at the joining (row, plot) entries only.
+    Plots that do not join keep their parent's value (`_sbx_into`).
     """
-    at, weight = _sbx_joins(values1.shape[0], cfg, inst, rng)
-    plots = at % inst.n_plots
-    v1, v2 = values1.take(at), values2.take(at)
-    # The children 0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) are v1 + step and v2 - step.
-    step = np.rint(weight * (v2 - v1).astype(float))
-    child1, child2 = values1.copy(), values2.copy()
-    np.put(child1, at, inst.codec.clamp(v1, step, plots))
-    np.put(child2, at, inst.codec.clamp(v2, -step, plots))
-    return child1, child2
+    b = len(values1)
+    out = np.concatenate((values1, values2))
+    _sbx_into(out, np.arange(b), b, cfg, inst, rng)
+    return out[:b], out[b:]
 
 
 def de_trial_batch(
-    values: np.ndarray,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
-    rng: np.random.Generator,
+    values: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
 ) -> np.ndarray:
     """DE trial vectors: each (B, N) row x SBX-crossed with x + round(F * donor), anchored at x.
 
@@ -145,7 +159,8 @@ def de_trial_batch(
     b, n = values.shape[0], inst.n_plots
     donors = rng.integers(0, b - 1, size=b)
     donors += donors >= np.arange(b)
-    at, weight = _sbx_joins(b, cfg, inst, rng)
+    at, u = _sbx_joins(b, cfg, inst, rng)
+    weight = _sbx_weight(u, cfg.sbx_eta)
     rows, plots = np.divmod(at, n)
     x = values.take(at)
     mutant = scaled_add_batch(x, values.take(donors[rows] * n + plots), cfg.de_scale, inst, plots)
@@ -155,10 +170,7 @@ def de_trial_batch(
 
 
 def uniform_batch(
-    values1: np.ndarray,
-    values2: np.ndarray,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
+    values1: np.ndarray, values2: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform crossover over paired (B, N) value rows: each unlocked plot swaps whole."""
@@ -172,47 +184,49 @@ def uniform_batch(
 
 
 def _pick_plots_batch(
-    b: int, budget: int, inst: ProblemInstance, rng: np.random.Generator
+    rows: np.ndarray, budget: int, inst: ProblemInstance, rng: np.random.Generator
 ) -> np.ndarray:
-    """Flat indices into (B, N) rows of min(budget, N_unlocked) distinct unlocked plots per row.
+    """Flat indices into (., N) rows of min(budget, N_unlocked) distinct unlocked plots per row.
 
     Floyd's algorithm over the M unlocked plots draws `take` rounds, one
-    rng.integers(0, j + 1, size=B) per round j = M - take, ..., M - 1; a
-    row whose draw is already taken picks j. Each row gets a uniform
-    `take`-subset. Row r's picks are entries r * take ... r * take + take - 1,
-    in round order.
+    rng.integers(0, j + 1, size=B) per round j = M - take, ..., M - 1, for
+    the B = len(rows) rows; a row whose draw is already taken picks j. Each
+    row gets a uniform `take`-subset. The picks of rows[r] are entries
+    r * take ... r * take + take - 1, in round order.
     """
     n_unlocked = len(inst.unlocked_ids)
     take = min(budget, n_unlocked)
-    rows = np.arange(b)
+    b, idx = len(rows), np.arange(len(rows))
     picks = np.empty((b, take), dtype=np.int64)
     taken = np.zeros((b, n_unlocked), dtype=bool)
     for i, j in enumerate(range(n_unlocked - take, n_unlocked)):
         t = rng.integers(0, j + 1, size=b)
-        t = np.where(taken[rows, t], j, t)
-        taken[rows, t] = True
+        t = np.where(taken[idx, t], j, t)
+        taken[idx, t] = True
         picks[:, i] = t
     return (rows[:, None] * inst.n_plots + inst.unlocked_ids[picks]).ravel()
 
 
-def random_mutation_batch(
-    values: np.ndarray,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
+def _random_mutation_into(
+    out: np.ndarray, rows: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
+) -> None:
+    """Redraw, in place and uniformly, up to mutation_plot_budget plot values per row in `rows`."""
+    at = _pick_plots_batch(rows, cfg.mutation_plot_budget, inst, rng)
+    out.put(at, rng.integers(0, inst.codec.max_values[at % inst.n_plots] + 1))
+
+
+def random_mutation_batch(
+    values: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
 ) -> np.ndarray:
     """Redraw the (B, N) plot values of up to mutation_plot_budget plots per row, uniformly."""
-    at = _pick_plots_batch(values.shape[0], cfg.mutation_plot_budget, inst, rng)
     out = values.copy()
-    np.put(out, at, rng.integers(0, inst.codec.max_values[at % inst.n_plots] + 1))
+    _random_mutation_into(out, np.arange(len(out)), cfg, inst, rng)
     return out
 
 
 def polynomial_values(
-    values: np.ndarray,
-    high: np.ndarray,
-    eta: float,
-    u: np.ndarray,
+    values: np.ndarray, high: np.ndarray, eta: float, u: np.ndarray
 ) -> np.ndarray:
     """Polynomial-mutation step delta * high of `values` in [0, high]; zero where high is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -225,21 +239,26 @@ def polynomial_values(
     return np.where(high > 0, delta * high, 0.0)
 
 
-def polynomial_mutation_batch(
-    values: np.ndarray,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
+def _polynomial_mutation_into(
+    out: np.ndarray, rows: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Perturb the (B, N) plot values of up to mutation_plot_budget plots per row."""
+) -> None:
+    """Perturb, in place, up to mutation_plot_budget plot values per row in `rows`."""
     codec = inst.codec
-    at = _pick_plots_batch(values.shape[0], cfg.mutation_plot_budget, inst, rng)
-    out = values.copy()
+    at = _pick_plots_batch(rows, cfg.mutation_plot_budget, inst, rng)
     plots = at % inst.n_plots
-    v = values.take(at)
+    v = out.take(at)
     high = codec.max_values[plots].astype(float)
     step = polynomial_values(v.astype(float), high, cfg.poly_eta, rng.random(at.size))
-    np.put(out, at, codec.clamp(v, np.rint(step), plots))
+    out.put(at, codec.clamp(v, np.rint(step), plots))
+
+
+def polynomial_mutation_batch(
+    values: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
+) -> np.ndarray:
+    """Perturb the (B, N) plot values of up to mutation_plot_budget plots per row."""
+    out = values.copy()
+    _polynomial_mutation_into(out, np.arange(len(out)), cfg, inst, rng)
     return out
 
 

@@ -116,6 +116,34 @@ class TestGenerateCommand:
         assert main(["generate", "--grid", "2x2", "--floors", "39:39", "--uses", "3",
                      "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"rng_seed": 1.5}, "rng_seed must be an integer"),
+        ({"use_count": 2.5}, "use_count must be an integer"),
+        ({"use_count": True}, "use_count must be an integer"),
+        ({"grid_width": 3.5}, "grid_width must be an integer"),
+        ({"gamma": "x"}, "gamma must be a number"),
+        ({"gamma": True}, "gamma must be a number"),
+        ({"floor_range": [1.5, 2]}, "floor_range must be two integers"),
+        ({"floor_range": 5}, "not iterable"),
+        ({"gamma": -1}, "gamma must be >= 0"),
+        ({"mu": 2}, "mu must be in [0, 1]"),
+        ({"base_footprint": -5}, "price entries must be finite and non-negative"),
+        ({"rng_seed": -1}, "rng_seed must be non-negative"),
+    ])
+    def test_bad_spec_values_are_usage_errors(self, tmp_path, capsys, fields, message):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "x.json"
+        spec_path.write_text(json.dumps({"grid_width": 2, "grid_height": 2, **fields}))
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--grid", "2x2", "--seed", "-1", "--out", str(out)]) == 1
+        assert "usage error: rng_seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_required_without_spec(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x.json")]) == 1
 

@@ -39,6 +39,8 @@ from oracles import (
     naive_crowding,
     naive_fronts,
     naive_msbx_mo_children,
+    naive_mutate_sbx_offspring,
+    random_instance,
 )
 
 
@@ -562,6 +564,61 @@ class TestMsbxMoFusedVariation:
             assert np.array_equal(inst.codec.decode_rows(got), want)
             assert np.array_equal(anchors, np.arange(40))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def tall_locked_instance(k):
+    """Plots of 1 .. f_max floors at K = k, the tallest with K^f <= 2^62; every third is locked."""
+    from landalloc.model import LandUse, Plot, ProblemInstance
+
+    f_max = max(f for f in range(1, 63) if k**f <= 2**62)
+    plots = [
+        Plot(i, f, 100.0, (), i % 3 == 2, tuple(m % k for m in range(f)))
+        for i, f in enumerate(range(1, f_max + 1))
+    ]
+    uses = [LandUse(m, str(m)) for m in range(k)]
+    n = len(plots)
+    return ProblemInstance(plots, uses, np.eye(k), np.ones((n, k)), 0.5, 1.0, 0.0, 1e9)
+
+
+class TestMutateSbxOffspring:
+    """SOA's and MSBX_NSGA2's in-place step against its whole-row composition."""
+
+    @pytest.mark.parametrize("replacement", ["random", "polynomial"])
+    @pytest.mark.parametrize("mutation_probability", [0.0, 0.3, 1.0])
+    def test_matches_whole_row_composition(self, replacement, mutation_probability):
+        from landalloc import operators
+        from landalloc.engines import _offspring_mutate_sbx
+
+        solo = getattr(operators, f"_{replacement}_mutation_into")
+        draw = np.random.default_rng(90)
+        cases = [tall_locked_instance(k) for k in (2, 3, 6)]
+        cases += [random_instance(draw, n_plots=7, k=k, max_floors=4, locked_fraction=0.3)
+                  for k in (2, 3, 6)]
+        for case in cases:
+            # Few distinct rows, so that many SBX joins meet equal parents.
+            distinct = draw.integers(0, case.codec.max_values + 1, size=(4, case.n_plots))
+            distinct[:, case.locked] = case.actual_values[case.locked]
+            values = distinct[draw.integers(0, 4, size=12)]
+            pop = Population.evaluate(case, values)
+            before = values.copy()
+            for lam, eta, budget in ((2, 20.0, 1), (7, 1.0, 2), (31, 20.0, 9), (30, 1.0, 0)):
+                ops = OperatorConfig(sbx_eta=eta, crossover_plot_fraction=0.5,
+                                     mutation_plot_budget=budget)
+                cfg = small_cfg("SOA", population_size=lam, operator_cfg=ops,
+                                mutation_probability=mutation_probability)
+                pool = draw.integers(0, pop.n, size=lam // 2)
+                seed = int(draw.integers(1 << 30))
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, anchors = _offspring_mutate_sbx(case, cfg, pop, pool, rng, solo)
+                want, want_anchors = naive_mutate_sbx_offspring(
+                    case, values, pool, lam, mutation_probability, ops, replacement, ref
+                )
+                assert got.shape == (lam, case.n_plots) and got.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert np.array_equal(anchors, want_anchors)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(got[:, case.locked], values[anchors][:, case.locked])
+            assert np.array_equal(pop.values, before)
 
 
 class TestOffspringShapes:

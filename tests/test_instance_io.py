@@ -219,6 +219,26 @@ class TestGenerator:
         assert inst.price_max / actual_price == pytest.approx(1.097, abs=1e-9)
         assert inst.price_min / actual_price == pytest.approx(0.9835, abs=1e-9)
 
+    def test_builds_one_instance_with_the_scale_of_its_price_box(self, monkeypatch):
+        from landalloc import instance_io
+
+        built = []
+        real = instance_io.ProblemInstance
+        monkeypatch.setattr(instance_io, "ProblemInstance", lambda *a: built.append(a) or real(*a))
+        inst = generate_synthetic(GeneratorSpec(grid_width=5, grid_height=4, rng_seed=3))
+        assert len(built) == 1
+        again = instance_from_dict(instance_to_dict(inst))
+        assert (again.price_min, again.price_max) == (inst.price_min, inst.price_max)
+        assert again.price_scale == inst.price_scale == inst.price_max - inst.price_min
+
+    def test_spec_refuses_booleans_and_non_integers(self):
+        for bad in ({"use_count": True}, {"rng_seed": 1.5}, {"cluster_count": "6"},
+                    {"floor_range": (1, 2.0)}, {"floor_range": (1,)}, {"gamma": False},
+                    {"mu": "0.2"}, {"rng_seed": -1}):
+            with pytest.raises(ValueError):
+                GeneratorSpec(grid_width=2, grid_height=2, **bad)
+        GeneratorSpec(grid_width=np.int64(2), grid_height=2, gamma=1, mu=np.float64(0.5))
+
     def test_compat_symmetric_unit_diagonal(self, small_synthetic):
         c = small_synthetic.compat
         assert np.allclose(c, c.T)

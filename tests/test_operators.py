@@ -8,6 +8,7 @@ from landalloc.model import codes_in_range_mask, locked_kept_mask
 from landalloc.operators import (
     OperatorConfig,
     _pick_plots_batch,
+    de_trial_batch,
     polynomial_mutation_batch,
     polynomial_values,
     random_mutation_batch,
@@ -25,6 +26,7 @@ from oracles import (
     naive_floyd_picks,
     naive_polynomial_mutation,
     naive_random_mutation,
+    naive_sbx,
     random_instance,
     score_tournament,
 )
@@ -564,7 +566,7 @@ class TestValueOperators:
         values[:, inst.locked] = inst.actual_values[inst.locked]
         for seed in range(5):
             selected = np.zeros(values.shape, dtype=bool)
-            selected.flat[_pick_plots_batch(len(values), 2, inst, np.random.default_rng(seed))] = True
+            selected.flat[_pick_plots_batch(np.arange(len(values)), 2, inst, np.random.default_rng(seed))] = True
             out = random_mutation_batch(values, cfg, inst, np.random.default_rng(seed))
             assert not (selected & inst.locked).any()
             assert np.array_equal(out[~selected], values[~selected])
@@ -599,6 +601,48 @@ class TestValueOperators:
             assert np.array_equal(c2[:, case.locked], p2[:, case.locked])
 
 
+class TestPublicOperators:
+    """The public operators copy, then vary the copy in place."""
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_sbx_matches_children_formed_at_every_entry(self, k):
+        # Beta and the step are computed only where the parents differ; the
+        # oracle computes them everywhere, with the same draws.
+        draw = np.random.default_rng(100 + k)
+        for case in (tall_instance(k), random_instance(draw, n_plots=7, k=k, locked_fraction=0.3)):
+            v1 = draw.integers(0, case.codec.max_values + 1, size=(50, case.n_plots))
+            v2 = np.where(draw.random(v1.shape) < 0.5, v1,
+                          draw.integers(0, case.codec.max_values + 1, size=v1.shape))
+            for eta in (1.0, 20.0):
+                cfg = OperatorConfig(sbx_eta=eta, crossover_plot_fraction=0.6)
+                rng, ref = np.random.default_rng(int(eta)), np.random.default_rng(int(eta))
+                got = sbx_batch(v1, v2, cfg, case, rng)
+                want = naive_sbx(case, v1, v2, cfg, ref)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_inputs_are_not_modified(self, inst):
+        rng = np.random.default_rng(110)
+        cfg = OperatorConfig(crossover_plot_fraction=0.8, mutation_plot_budget=3)
+        v1, v2 = (rng.integers(0, inst.codec.max_values + 1, size=(30, inst.n_plots))
+                  for _ in range(2))
+        calls = [
+            lambda: sbx_batch(v1, v2, cfg, inst, rng),
+            lambda: uniform_batch(v1, v2, cfg, inst, rng),
+            lambda: random_mutation_batch(v1, cfg, inst, rng),
+            lambda: polynomial_mutation_batch(v1, cfg, inst, rng),
+            lambda: de_trial_batch(v1, cfg, inst, rng),
+            lambda: scaled_add_batch(v1, v2, 0.5, inst),
+            lambda: scaled_difference_batch(v1, v2, 0.5, inst),
+        ]
+        for call in calls:
+            before1, before2 = v1.copy(), v2.copy()
+            out = call()
+            assert np.array_equal(v1, before1) and np.array_equal(v2, before2)
+            for child in out if isinstance(out, tuple) else (out,):
+                assert not np.shares_memory(child, v1) and not np.shares_memory(child, v2)
+
+
 class TestFloydPicks:
     """`_pick_plots_batch` and the mutations that spend one draw per picked entry."""
 
@@ -615,7 +659,7 @@ class TestFloydPicks:
     @pytest.mark.parametrize("budget", [0, 1, 2, 3, 4, 9])
     def test_exactly_take_distinct_unlocked_plots_per_row(self, inst, budget):
         take = min(budget, len(inst.unlocked_ids))
-        at = _pick_plots_batch(500, budget, inst, np.random.default_rng(budget))
+        at = _pick_plots_batch(np.arange(500), budget, inst, np.random.default_rng(budget))
         assert at.shape == (500 * take,)
         rows, plots = np.divmod(at.reshape(500, take), inst.n_plots)
         assert (rows == np.arange(500)[:, None]).all()
@@ -627,7 +671,7 @@ class TestFloydPicks:
         inst = self.four_unlocked()
         unlocked = inst.unlocked_ids.tolist()
         b = 20000
-        plots = _pick_plots_batch(b, k, inst, np.random.default_rng(70 + k)).reshape(b, k) % 6
+        plots = _pick_plots_batch(np.arange(b), k, inst, np.random.default_rng(70 + k)).reshape(b, k) % 6
         counts = {}
         for row in plots.tolist():
             key = tuple(sorted(row))
@@ -644,7 +688,7 @@ class TestFloydPicks:
     def test_picks_replay_floyd_rounds(self, inst):
         for budget in (0, 1, 2, 5):
             rng, ref = np.random.default_rng(budget), np.random.default_rng(budget)
-            got = _pick_plots_batch(40, budget, inst, rng) % inst.n_plots
+            got = _pick_plots_batch(np.arange(40), budget, inst, rng) % inst.n_plots
             want = naive_floyd_picks(inst, 40, budget, ref)
             assert got.tolist() == [p for row in want for p in row]
             assert rng.bit_generator.state == ref.bit_generator.state
