@@ -31,7 +31,11 @@ from .metrics import (
     normalize,
     pareto_filter,
 )
-from .model import LandUse, Plot, ProblemInstance
+from .model import (
+    LandUse,
+    Plot,
+    ProblemInstance,
+)
 from .operators import OperatorConfig
 from .stats import (
     CldAssignment,

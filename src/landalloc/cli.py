@@ -110,10 +110,14 @@ def _cmd_generate(args) -> int:
     doc = _read_object(args.spec, "generator spec") if args.spec else {}
     if args.grid:
         doc["grid_width"], doc["grid_height"] = _parse_pair(args.grid, "--grid", "WxH", "x")
+    if args.uses is not None:
+        doc["use_count"] = args.uses
     if args.floors:
         doc["floor_range"] = list(_parse_pair(args.floors, "--floors", "MIN:MAX", ":"))
-    flags = {"use_count": args.uses, "locked_fraction": args.locked_fraction, "rng_seed": args.seed}
-    doc.update((key, v) for key, v in flags.items() if v is not None)
+    if args.locked_fraction is not None:
+        doc["locked_fraction"] = args.locked_fraction
+    if args.seed is not None:
+        doc["rng_seed"] = args.seed
     if "grid_width" not in doc or "grid_height" not in doc:
         raise _UsageError("a grid is required (--grid WxH or spec fields)")
     try:  # InstanceError is a ValueError; so are ProblemInstance's range errors

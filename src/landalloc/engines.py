@@ -491,7 +491,10 @@ def _offspring_mutate_sbx(
 
 
 def _offspring_cr_des(
-    inst: ProblemInstance, cfg: EngineConfig, pop: Population, pool: np.ndarray,
+    inst: ProblemInstance,
+    cfg: EngineConfig,
+    pop: Population,
+    pool: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform crossover; a DE difference child replaces a pair sometimes.
@@ -536,7 +539,10 @@ def _offspring_cr_des(
 
 
 def _offspring_msbx_mo(
-    inst: ProblemInstance, cfg: EngineConfig, pop: Population, rng: np.random.Generator
+    inst: ProblemInstance,
+    cfg: EngineConfig,
+    pop: Population,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each member's DE trial vector, anchored at it; its mutant is formed only where SBX joins."""
     return de_trial_batch(pop.values, cfg.operator_cfg, inst, rng), np.arange(pop.n)

@@ -268,6 +268,10 @@ def generator_spec_from_dict(doc: dict) -> GeneratorSpec:
         raise InstanceRangeError(str(exc))
 
 
+def _use_name(k: int) -> str:
+    return _DEFAULT_USE_NAMES[k] if k < len(_DEFAULT_USE_NAMES) else f"use{k}"
+
+
 def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
     """Grid instance with rook adjacency and clustered actual uses."""
     rng = np.random.default_rng(spec.rng_seed)
@@ -277,7 +281,9 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
     ys = np.repeat(np.arange(h, dtype=float), w)
 
     floors = rng.integers(spec.floor_range[0], spec.floor_range[1] + 1, size=n)
-    footprint = spec.base_footprint * (1.0 + spec.footprint_jitter * (2.0 * rng.random(n) - 1.0))
+    footprint = spec.base_footprint * (
+        1.0 + spec.footprint_jitter * (2.0 * rng.random(n) - 1.0)
+    )
     floor_space = floors * footprint
 
     # Clustered actual uses: anchors pull plots toward a use, noise breaks ties.
@@ -316,14 +322,23 @@ def generate_synthetic(spec: GeneratorSpec) -> ProblemInstance:
 
     plots = []
     for i in range(n):
-        x, y = i % w, i // w
+        x, y = int(xs[i]), int(ys[i])
         sides = ((i - 1, x > 0), (i + 1, x < w - 1), (i - w, y > 0), (i + w, y < h - 1))
-        nb = tuple(j for j, inside in sides if inside)
-        plots.append(Plot(i, int(floors[i]), float(floor_space[i]), nb, bool(locked[i]), actual[i]))
-    names = _DEFAULT_USE_NAMES + tuple(f"use{m}" for m in range(len(_DEFAULT_USE_NAMES), k))
-    uses = [LandUse(m, names[m]) for m in range(k)]
-    # Built once, with an open price box; then the box is set to bracket the
-    # as-built price, so the as-built map is feasible. Nothing else reads it.
+        nb = [j for j, inside in sides if inside]
+        plots.append(
+            Plot(
+                id=i,
+                floor_count=int(floors[i]),
+                total_floor_space=float(floor_space[i]),
+                neighbors=tuple(nb),
+                locked=bool(locked[i]),
+                actual_uses=actual[i],
+            )
+        )
+    uses = [LandUse(m, _use_name(m)) for m in range(k)]
+    # Built once, with an open price box: nothing the constructor computes
+    # depends on the box. The box then brackets the as-built price, so the
+    # as-built map is feasible.
     inst = ProblemInstance(plots, uses, compat, price, spec.gamma, spec.mu, 0.0, math.inf)
     actual_price = inst.actual_objectives[1]
     inst.price_min = float(actual_price * spec.price_low_factor)

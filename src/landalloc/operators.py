@@ -18,9 +18,16 @@ min(budget, N_unlocked) distinct unlocked plots per row by Floyd's
 algorithm (`_pick_plots_batch`), then draw one value (random mutation) or
 one uniform (polynomial mutation) per picked entry, in pick order. SBX
 (`_sbx_joins`) draws per-plot participation uniforms, then one uniform per
-joining entry in flat (row, plot) order. MSBX_MO's trial vector
-(`de_trial_batch`) forms its mutant there only; `scaled_add_batch` stays
-the public (B, N) scaled add.
+joining entry in flat (row, plot) order, and computes beta and the step
+only where the two parents differ. MSBX_MO's trial vector
+(`de_trial_batch`) forms its mutant at the joining entries only;
+`scaled_add_batch` stays the public (B, N) scaled add.
+
+Random mutation, polynomial mutation and SBX each write through one
+in-place primitive (`_random_mutation_into`, `_polynomial_mutation_into`,
+`_sbx_into`) into given rows of a child buffer, so an engine gathers each
+child once and varies it where it lies. Their public `*_batch` forms copy
+the input, then call the primitive: no operator modifies its inputs.
 """
 
 from __future__ import annotations
@@ -148,7 +155,10 @@ def sbx_batch(
 
 
 def de_trial_batch(
-    values: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
+    values: np.ndarray,
+    cfg: OperatorConfig,
+    inst: ProblemInstance,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """DE trial vectors: each (B, N) row x SBX-crossed with x + round(F * donor), anchored at x.
 
@@ -170,7 +180,10 @@ def de_trial_batch(
 
 
 def uniform_batch(
-    values1: np.ndarray, values2: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
+    values1: np.ndarray,
+    values2: np.ndarray,
+    cfg: OperatorConfig,
+    inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform crossover over paired (B, N) value rows: each unlocked plot swaps whole."""
@@ -226,7 +239,10 @@ def random_mutation_batch(
 
 
 def polynomial_values(
-    values: np.ndarray, high: np.ndarray, eta: float, u: np.ndarray
+    values: np.ndarray,
+    high: np.ndarray,
+    eta: float,
+    u: np.ndarray,
 ) -> np.ndarray:
     """Polynomial-mutation step delta * high of `values` in [0, high]; zero where high is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
