@@ -127,14 +127,14 @@ def _sbx_into(
     0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) = v1 + step, v2 - step are
     computed only where the parents differ: elsewhere the step is zero.
     """
-    n = inst.n_plots
-    at, u = _sbx_joins(len(rows), cfg, inst, rng)
-    r, plots = np.divmod(at, n)
-    at = rows[r] * n + plots
+    b, n = len(rows), inst.n_plots
+    at, u = _sbx_joins(b, cfg, inst, rng)
+    at += ((rows - np.arange(b)) * n)[at // n]  # pair r's entries to row rows[r]'s
     v1 = out.take(at)
     diff = out.take(at + gap * n) - v1
     nz = np.flatnonzero(diff)
-    at, plots, v1, diff = at[nz], plots[nz], v1[nz], diff[nz]
+    at, v1, diff = at[nz], v1[nz], diff[nz]
+    plots = at % n
     step = np.rint(_sbx_weight(u[nz], cfg.sbx_eta) * diff.astype(float))
     out.put(at, inst.codec.clamp(v1, step, plots))
     out.put(at + gap * n, inst.codec.clamp(v1 + diff, -step, plots))
@@ -209,7 +209,8 @@ def _pick_plots_batch(
     """
     n_unlocked = len(inst.unlocked_ids)
     take = min(budget, n_unlocked)
-    b, idx = len(rows), np.arange(len(rows))
+    b = len(rows)
+    idx = np.arange(b)
     picks = np.empty((b, take), dtype=np.int64)
     taken = np.zeros((b, n_unlocked), dtype=bool)
     for i, j in enumerate(range(n_unlocked - take, n_unlocked)):
