@@ -129,7 +129,7 @@ def _sbx_into(
     """
     b, n = len(rows), inst.n_plots
     at, u = _sbx_joins(b, cfg, inst, rng)
-    at += ((rows - np.arange(b)) * n)[at // n]  # pair r's entries to row rows[r]'s
+    at += ((rows - np.arange(b)) * n)[at // n]  # pair r's entries, moved to row rows[r]
     v1 = out.take(at)
     diff = out.take(at + gap * n) - v1
     nz = np.flatnonzero(diff)
@@ -199,7 +199,7 @@ def uniform_batch(
 def _pick_plots_batch(
     rows: np.ndarray, budget: int, inst: ProblemInstance, rng: np.random.Generator
 ) -> np.ndarray:
-    """Flat indices into (., N) rows of min(budget, N_unlocked) distinct unlocked plots per row.
+    """Flat (., N) indices of min(budget, N_unlocked) distinct unlocked plots in each of `rows`.
 
     Floyd's algorithm over the M unlocked plots draws `take` rounds, one
     rng.integers(0, j + 1, size=B) per round j = M - take, ..., M - 1, for
