@@ -26,7 +26,8 @@ the evaluator work on plot values; floor codes exist only in the run
 files, which the harness writes and reads.
 
 Each variation step names, for every child, the parent it keeps its
-unselected plots from (its anchor), and offspring are scored from their
+unselected plots from (its anchor), gathers each child once from it into
+one buffer and varies it there in place; offspring are scored from their
 anchors' values where that is cheaper (`model.evaluate_near`). These
 search values steer selection, survival, the archive and the HV trace;
 they agree with a full evaluation to rounding. The final population is
@@ -54,6 +55,7 @@ from .model import (
     ProblemInstance,
     area_band,
     area_band_mask,
+    check_field_kinds,
     evaluate_batch,
     evaluate_near,
     plot_budget_mask,
@@ -64,11 +66,11 @@ from .operators import (
     _polynomial_mutation_into,
     _random_mutation_into,
     _sbx_into,
+    _uniform_into,
     de_trial_batch,
     random_mutation_batch,
     scaled_difference_batch,
     tournament_indices,
-    uniform_batch,
 )
 
 ALGORITHMS = ("SOA", "MSBX_NSGA2", "CR_DES", "MSBX_MO")
@@ -83,8 +85,11 @@ class RelaxationSchedule:
     mu_final: float
 
     def __post_init__(self):
+        check_field_kinds(self)
+        for f in fields(self):  # stored as floats, so a record does not depend on 1 vs 1.0
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         for name in ("gamma_final", "gamma_search"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("mu_final", "mu_search"):
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -112,10 +117,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("population_size", "generations", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        check_field_kinds(self)
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
@@ -124,7 +126,7 @@ class EngineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.algorithm == "SOA" and abs(self.soa_a + self.soa_b - 1.0) > 1e-9:
+        if self.algorithm == "SOA" and not abs(self.soa_a + self.soa_b - 1.0) <= 1e-9:
             raise ValueError("soa_a + soa_b must equal 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -491,51 +493,33 @@ def _offspring_mutate_sbx(
 
 
 def _offspring_cr_des(
-    inst: ProblemInstance,
-    cfg: EngineConfig,
-    pop: Population,
-    pool: np.ndarray,
+    inst: ProblemInstance, cfg: EngineConfig, pop: Population, pool: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform crossover; a DE difference child replaces a pair sometimes.
 
-    A crossover child is anchored at the parent whose unswapped plots it
-    keeps; a difference child has no anchor (-1).
+    Unit k's children, in unit order in one buffer, are a crossover pair
+    anchored at its parents a[k] and b[k], or one difference child of them
+    with no anchor (-1). Each child is gathered once from a[k] or b[k] and
+    varied in place; the buffer holds the one child past the cut at lam.
     """
     lam = cfg.population_size
-    de_flag = rng.random(lam) < cfg.de_child_probability
-    ai = rng.integers(0, len(pool), size=lam)
-    bi = rng.integers(0, len(pool), size=lam)
-    counts = np.where(de_flag, 1, 2)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    used = np.flatnonzero(starts < lam)
-    out = np.empty((lam, inst.n_plots), dtype=np.int64)
-    anchors = np.full(lam, -1, dtype=np.int64)
-    de_units = used[de_flag[used]]
-    cr_units = used[~de_flag[used]]
-    if de_units.size:
-        out[starts[de_units]] = scaled_difference_batch(
-            pop.values[pool[ai[de_units]]],
-            pop.values[pool[bi[de_units]]],
-            cfg.operator_cfg.de_scale,
-            inst,
-        )
-    if cr_units.size:
-        c1, c2 = uniform_batch(
-            pop.values[pool[ai[cr_units]]],
-            pop.values[pool[bi[cr_units]]],
-            cfg.operator_cfg,
-            inst,
-            rng,
-        )
-        out[starts[cr_units]] = c1
-        anchors[starts[cr_units]] = pool[ai[cr_units]]
-        second = starts[cr_units] + 1
-        fits = second < lam
-        out[second[fits]] = c2[fits]
-        anchors[second[fits]] = pool[bi[cr_units]][fits]
-    return out, anchors
+    de = rng.random(lam) < cfg.de_child_probability
+    a = pool[rng.integers(0, len(pool), size=lam)]
+    b = pool[rng.integers(0, len(pool), size=lam)]
+    unit = np.repeat(np.arange(lam), 2 - de)[: lam + 1]  # each child's unit
+    second = np.diff(unit, prepend=-1) == 0
+    anchors = np.where(second, b[unit], a[unit])
+    out = pop.values[anchors]
+    first = np.flatnonzero(~second[:lam])  # the used units' first children
+    de = de[: len(first)]
+    _uniform_into(out, first[~de], 1, cfg.operator_cfg, inst, rng)
+    diffs = first[de]
+    out[diffs] = scaled_difference_batch(
+        out[diffs], pop.values[b[unit[diffs]]], cfg.operator_cfg.de_scale, inst
+    )
+    anchors[diffs] = -1
+    return out[:lam], anchors[:lam]
 
 
 def _offspring_msbx_mo(
@@ -577,9 +561,7 @@ _VARIATIONS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
 # the engine loop
 
 
-def run_engine(
-    inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Generator | None = None
-) -> RunRecord:
+def run_engine(inst: ProblemInstance, cfg: EngineConfig) -> RunRecord:
     """Run the configured algorithm.
 
     SOA survives by its scalar score; the three others by feasible-first
@@ -591,7 +573,7 @@ def run_engine(
     cfg = _resolved(inst, cfg)
     variation = _VARIATIONS[cfg.algorithm]
     soa = cfg.algorithm == "SOA"
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     pop = Population.evaluate(inst, _init_values(inst, cfg, rng))
     gamma, mu = apply_relaxation_phase(1, cfg)

@@ -144,11 +144,11 @@ def build_engine_config(entry: dict, inst: ProblemInstance) -> tuple[str, Engine
     if not isinstance(op, dict):
         raise ExperimentConfigError(f"engine {label!r}: 'operators' must be an object")
     try:
-        gamma_final = float(entry.pop("gamma_final", inst.gamma))
-        mu_final = float(entry.pop("mu_final", inst.mu))
+        gamma_final = entry.pop("gamma_final", inst.gamma)
+        mu_final = entry.pop("mu_final", inst.mu)
         relax = RelaxationSchedule(
-            gamma_search=float(entry.pop("gamma_search", gamma_final)),
-            mu_search=float(entry.pop("mu_search", mu_final)),
+            gamma_search=entry.pop("gamma_search", gamma_final),
+            mu_search=entry.pop("mu_search", mu_final),
             gamma_final=gamma_final,
             mu_final=mu_final,
         )

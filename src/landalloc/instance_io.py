@@ -40,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import LandUse, Plot, ProblemInstance
+from .model import LandUse, Plot, ProblemInstance, check_field_kinds, is_integer
 
 SCHEMA_VERSION = 1
 
@@ -198,10 +198,6 @@ def load_instance(path: str | Path) -> ProblemInstance:
 # synthetic generator
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Knobs for the synthetic grid generator; deterministic per rng_seed."""
@@ -224,13 +220,8 @@ class GeneratorSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # booleans are neither integers nor numbers here
-            v = getattr(self, f.name)
-            if f.type == "float" and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                raise ValueError(f"{f.name} must be a number, got {v!r}")
-            if f.type == "int" and not _is_integer(v):
-                raise ValueError(f"{f.name} must be an integer, got {v!r}")
-        if len(self.floor_range) != 2 or not all(map(_is_integer, self.floor_range)):
+        check_field_kinds(self)
+        if len(self.floor_range) != 2 or not all(map(is_integer, self.floor_range)):
             raise ValueError(f"floor_range must be two integers, got {self.floor_range!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")

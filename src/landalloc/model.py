@@ -37,6 +37,23 @@ import numpy as np
 CODE_DTYPE = np.int16
 
 
+def is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_field_kinds(obj) -> None:
+    """Refuse a dataclass's `int` field that is no integer, or `float` field no number.
+
+    Booleans are neither and NaN is no number; each class checks its own ranges.
+    """
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int" and not is_integer(v):
+            raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        if f.type == "float" and not (isinstance(v, (float, np.floating)) and v == v or is_integer(v)):
+            raise ValueError(f"{f.name} must be a number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LandUse:
     """One land-use category; codes must be dense 0..K-1."""

@@ -16,18 +16,18 @@ copy through.
 Draws are spent only on the entries an operator writes. The mutations pick
 min(budget, N_unlocked) distinct unlocked plots per row by Floyd's
 algorithm (`_pick_plots_batch`), then draw one value (random mutation) or
-one uniform (polynomial mutation) per picked entry, in pick order. SBX
-(`_sbx_joins`) draws per-plot participation uniforms, then one uniform per
-joining entry in flat (row, plot) order, and computes beta and the step
-only where the two parents differ. MSBX_MO's trial vector
-(`de_trial_batch`) forms its mutant at the joining entries only;
-`scaled_add_batch` stays the public (B, N) scaled add.
+one uniform (polynomial mutation) per picked entry, in pick order. The
+three pairwise crossovers (SBX, uniform and MSBX_MO's `de_trial_batch`)
+share one join sampler, `_joins`: one participation uniform per plot and
+row. SBX then draws one uniform per join in flat (row, plot) order and
+computes beta and the step only where the two parents differ;
+`de_trial_batch` forms its mutant at the joins only.
 
-Random mutation, polynomial mutation and SBX each write through one
-in-place primitive (`_random_mutation_into`, `_polynomial_mutation_into`,
-`_sbx_into`) into given rows of a child buffer, so an engine gathers each
-child once and varies it where it lies. Their public `*_batch` forms copy
-the input, then call the primitive: no operator modifies its inputs.
+Each variation writes through one in-place primitive (`_random_mutation_into`,
+`_polynomial_mutation_into`, `_sbx_into`, `_uniform_into`) into given rows
+of a child buffer, so an engine gathers each child once and varies it where
+it lies. Their public `*_batch` forms copy the input, then call the
+primitive: no operator modifies its inputs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # PlotCodec stays importable from here, beside the operators that step its values.
-from .model import PlotCodec, ProblemInstance
+from .model import PlotCodec, ProblemInstance, check_field_kinds
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,13 @@ class OperatorConfig:
     mutation_plot_budget: int = 1
 
     def __post_init__(self):
-        budget = self.mutation_plot_budget
-        if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-            raise ValueError(f"mutation_plot_budget must be an integer, got {budget!r}")
+        check_field_kinds(self)
         if not 0.0 <= self.crossover_plot_fraction <= 1.0:
             raise ValueError("crossover_plot_fraction must be in [0, 1]")
-        if self.sbx_eta <= 0 or self.poly_eta <= 0:
+        if not (self.sbx_eta > 0 and self.poly_eta > 0):
             raise ValueError("distribution indices must be > 0")
-        if self.de_scale <= 0:
-            raise ValueError("de_scale must be > 0")
+        if not 0 < self.de_scale < np.inf:
+            raise ValueError(f"de_scale must be finite and > 0, got {self.de_scale!r}")
         if self.mutation_plot_budget < 0:
             raise ValueError("mutation_plot_budget must be >= 0")
 
@@ -103,13 +101,14 @@ def tournament_indices(
 # crossover
 
 
-def _sbx_joins(
-    b: int, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of (B, N) entries joining SBX, drawn per plot, and one uniform per join."""
-    select = (rng.random((b, inst.n_plots)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
+def _joins(
+    rows: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
+) -> np.ndarray:
+    """Flat (., N) indices of the unlocked entries of `rows` that join, one uniform per plot."""
+    b, n = len(rows), inst.n_plots
+    select = (rng.random((b, n)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
     at = np.flatnonzero(select)  # flat (row, plot) indices; gathers beat boolean masks
-    return at, rng.random(at.size)
+    return at + ((rows - np.arange(b)) * n)[at // n]  # row r's entries, moved to row rows[r]
 
 
 def _sbx_weight(u: np.ndarray, eta: float) -> np.ndarray:
@@ -123,13 +122,13 @@ def _sbx_into(
 ) -> None:
     """SBX, in place, of each row in `rows` of `out` with the row `gap` below it.
 
-    Joins are drawn as for len(rows) row pairs. Beta and the children
+    One uniform per join follows the joins. Beta and the children
     0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) = v1 + step, v2 - step are
     computed only where the parents differ: elsewhere the step is zero.
     """
-    b, n = len(rows), inst.n_plots
-    at, u = _sbx_joins(b, cfg, inst, rng)
-    at += ((rows - np.arange(b)) * n)[at // n]  # pair r's entries, moved to row rows[r]
+    n = inst.n_plots
+    at = _joins(rows, cfg, inst, rng)
+    u = rng.random(at.size)
     v1 = out.take(at)
     diff = out.take(at + gap * n) - v1
     nz = np.flatnonzero(diff)
@@ -169,8 +168,8 @@ def de_trial_batch(
     b, n = values.shape[0], inst.n_plots
     donors = rng.integers(0, b - 1, size=b)
     donors += donors >= np.arange(b)
-    at, u = _sbx_joins(b, cfg, inst, rng)
-    weight = _sbx_weight(u, cfg.sbx_eta)
+    at = _joins(np.arange(b), cfg, inst, rng)
+    weight = _sbx_weight(rng.random(at.size), cfg.sbx_eta)
     rows, plots = np.divmod(at, n)
     x = values.take(at)
     mutant = scaled_add_batch(x, values.take(donors[rows] * n + plots), cfg.de_scale, inst, plots)
@@ -179,17 +178,26 @@ def de_trial_batch(
     return child
 
 
+def _uniform_into(
+    out: np.ndarray, rows: np.ndarray, gap: int, cfg: OperatorConfig, inst: ProblemInstance,
+    rng: np.random.Generator,
+) -> None:
+    """Uniform crossover, in place, of each row in `rows` of `out` with the row `gap` below it."""
+    at = _joins(rows, cfg, inst, rng)
+    v1 = out.take(at)
+    out.put(at, out.take(at + gap * inst.n_plots))
+    out.put(at + gap * inst.n_plots, v1)
+
+
 def uniform_batch(
-    values1: np.ndarray,
-    values2: np.ndarray,
-    cfg: OperatorConfig,
-    inst: ProblemInstance,
+    values1: np.ndarray, values2: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform crossover over paired (B, N) value rows: each unlocked plot swaps whole."""
-    swap = rng.random(values1.shape) < cfg.crossover_plot_fraction
-    swap &= ~inst.locked
-    return np.where(swap, values2, values1), np.where(swap, values1, values2)
+    """Uniform crossover over paired (B, N) value rows: each joining plot swaps whole."""
+    b = len(values1)
+    out = np.concatenate((values1, values2))
+    _uniform_into(out, np.arange(b), b, cfg, inst, rng)
+    return out[:b], out[b:]
 
 
 # ---------------------------------------------------------------------------

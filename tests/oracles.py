@@ -447,6 +447,41 @@ def naive_mutate_sbx_offspring(
     return children[:lam], anchors[:lam]
 
 
+def naive_cr_des_offspring(
+    inst: ProblemInstance, values: np.ndarray, pool: np.ndarray, lam: int,
+    de_child_probability: float, ops, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """CR_DES's children and anchors, built one unit at a time.
+
+    Each of the lam units draws a difference flag, then its two pool
+    members a and b. In unit order, a pair appends its two uniform-crossover
+    children, anchored at a and b: one participation uniform per plot, and
+    an unlocked plot whose uniform is below crossover_plot_fraction swaps.
+    A difference unit appends round(F * (a - b)) per unlocked plot, clamped
+    into [0, K^f - 1], locked plots from a, with anchor -1. Units stop once
+    lam children exist; a pair cut at lam drops its second child.
+    """
+    de = rng.random(lam) < de_child_probability
+    i = rng.integers(0, len(pool), size=lam)
+    j = rng.integers(0, len(pool), size=lam)
+    top = inst.n_uses ** inst.floor_counts.astype(np.int64) - 1
+    children, anchors = [], []
+    for k in range(lam):
+        if len(children) >= lam:
+            break
+        a, b = values[pool[i[k]]], values[pool[j[k]]]
+        if de[k]:
+            step = np.rint(ops.de_scale * (a - b).astype(float))
+            moved = np.minimum(np.clip(step, 0.0, 2.0**62).astype(np.int64), top)
+            children.append(np.where(inst.locked, a, moved))
+            anchors.append(-1)
+        else:
+            swap = (rng.random(inst.n_plots) < ops.crossover_plot_fraction) & ~inst.locked
+            children += [np.where(swap, b, a), np.where(swap, a, b)]
+            anchors += [pool[i[k]], pool[j[k]]]
+    return np.array(children[:lam], dtype=np.int64), np.array(anchors[:lam], dtype=np.int64)
+
+
 def naive_msbx_mo_children(
     inst: ProblemInstance, codes: np.ndarray, ops, rng: np.random.Generator
 ) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 
 import numpy as np
@@ -241,12 +242,34 @@ class TestRunCommand:
             ("engines", [{"label": "X", "algorithm": "SOA",
                           "operators": {"mutation_plot_budget": 2.5}}],
              "engine 'X': mutation_plot_budget must be an integer, got 2.5"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "mutation_probability": True}],
+             "engine 'X': mutation_probability must be a number, got True"),
+            ("engines", [{"label": "X", "algorithm": "CR_DES", "de_child_probability": "0.5"}],
+             "engine 'X': de_child_probability must be a number, got '0.5'"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "soa_a": math.nan}],
+             "engine 'X': soa_a must be a number, got nan"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "operators": {"de_scale": math.nan}}],
+             "engine 'X': de_scale must be a number, got nan"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "operators": {"de_scale": math.inf}}],
+             "engine 'X': de_scale must be finite and > 0, got inf"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "operators": {"sbx_eta": False}}],
+             "engine 'X': sbx_eta must be a number, got False"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "gamma_search": 0.8,
+                          "gamma_final": math.nan}],
+             "engine 'X': gamma_final must be a number, got nan"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "gamma_search": "0.8"}],
+             "engine 'X': gamma_search must be a number, got '0.8'"),
+            ("engines", [{"label": "X", "algorithm": "SOA", "mu_search": True}],
+             "engine 'X': mu_search must be a number, got True"),
         ],
         ids=[
             "engine-entry", "stats-metrics", "fractional-seed", "seed-string",
             "alpha-string", "workers-string", "fractional-workers",
             "numeric-instance", "list-output", "fractional-population-size",
             "fractional-generations", "boolean-generations", "fractional-mutation-budget",
+            "boolean-mutation-probability", "string-de-child-probability", "nan-soa-weight",
+            "nan-de-scale", "infinite-de-scale", "boolean-sbx-eta", "nan-gamma-final",
+            "string-gamma-search", "boolean-mu-search",
         ],
     )
     def test_malformed_config_value_rejected(

@@ -36,6 +36,7 @@ from oracles import (
     brute_force_best_scalar,
     brute_force_pareto,
     dense_rank,
+    naive_cr_des_offspring,
     naive_crowding,
     naive_fronts,
     naive_msbx_mo_children,
@@ -618,6 +619,43 @@ class TestMutateSbxOffspring:
                 assert np.array_equal(anchors, want_anchors)
                 assert rng.bit_generator.state == ref.bit_generator.state
                 assert np.array_equal(got[:, case.locked], values[anchors][:, case.locked])
+            assert np.array_equal(pop.values, before)
+
+
+class TestCrDesOffspring:
+    """CR_DES's buffered step against its unit-by-unit construction."""
+
+    @pytest.mark.parametrize("de_child_probability", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_matches_unit_by_unit_construction(self, de_child_probability, fraction):
+        from landalloc.engines import _offspring_cr_des
+
+        draw = np.random.default_rng(91)
+        cases = [tall_locked_instance(k) for k in (2, 3, 6)]
+        cases += [random_instance(draw, n_plots=7, k=k, max_floors=4, locked_fraction=0.3)
+                  for k in (2, 3, 6)]
+        ops = OperatorConfig(crossover_plot_fraction=fraction)
+        for case in cases:
+            values = draw.integers(0, case.codec.max_values + 1, size=(12, case.n_plots))
+            values[:, case.locked] = case.actual_values[case.locked]
+            pop = Population.evaluate(case, values)
+            before = values.copy()
+            for lam in (2, 7, 17, 30):
+                cfg = small_cfg("CR_DES", population_size=lam, operator_cfg=ops,
+                                de_child_probability=de_child_probability)
+                pool = draw.integers(0, pop.n, size=lam // 2)
+                seed = int(draw.integers(1 << 30))
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, anchors = _offspring_cr_des(case, cfg, pop, pool, rng)
+                want, want_anchors = naive_cr_des_offspring(
+                    case, values, pool, lam, de_child_probability, ops, ref
+                )
+                assert got.shape == (lam, case.n_plots) and got.dtype == np.int64
+                assert anchors.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert np.array_equal(anchors, want_anchors)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert (got[:, case.locked] == case.actual_values[case.locked]).all()
             assert np.array_equal(pop.values, before)
 
 
