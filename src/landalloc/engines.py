@@ -474,8 +474,7 @@ def _offspring_mutate_sbx(
     """
     lam = cfg.population_size
     n_pairs = (lam + 1) // 2
-    i = rng.integers(0, len(pool), size=n_pairs)
-    j = rng.integers(0, len(pool), size=n_pairs)
+    i, j = rng.integers(0, len(pool), size=(2, n_pairs))
     mutate_only = rng.random(n_pairs) < cfg.mutation_probability
     anchors = np.empty(2 * n_pairs, dtype=np.int64)
     anchors[0::2], anchors[1::2] = pool[i], pool[j]

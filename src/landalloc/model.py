@@ -164,7 +164,8 @@ class ProblemInstance:
         self.floor_plot_index = np.repeat(np.arange(n, dtype=np.int64), self.floor_counts)
         self.floor_space = np.array([p.total_floor_space for p in self.plots], dtype=float)
         self.locked = np.array([p.locked for p in self.plots], dtype=bool)
-        self.unlocked_ids = np.flatnonzero(~self.locked)
+        self.unlocked = ~self.locked
+        self.unlocked_ids = np.flatnonzero(self.unlocked)
         # Ordered neighbor pairs exactly as stored; J(i) is never symmetrized.
         ei, ej = [], []
         for p in self.plots:
@@ -337,8 +338,8 @@ class PlotCodec:
         from overflowing.
         """
         limits = self.max_values if plots is None else self.max_values[plots]
-        steps = np.clip(steps, -(2.0**62), 2.0**62).astype(np.int64)
-        return values + np.clip(steps, -values, limits - values)
+        steps = np.minimum(np.maximum(steps, -(2.0**62)), 2.0**62).astype(np.int64)
+        return values + np.minimum(np.maximum(steps, -values), limits - values)
 
 
 @dataclass(eq=False)

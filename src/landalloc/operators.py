@@ -88,8 +88,7 @@ def tournament_indices(
         raise ValueError("population must be non-empty")
     if pool_size == 0:
         return np.zeros(0, dtype=np.int64)
-    a = rng.integers(0, n, size=pool_size)
-    b = rng.integers(0, n, size=pool_size)
+    a, b = rng.integers(0, n, size=(2, pool_size))
     a_wins = rng.random(pool_size) < 0.5
     for key in reversed(keys):
         key_a, key_b = key[a], key[b]
@@ -106,7 +105,7 @@ def _joins(
 ) -> np.ndarray:
     """Flat (., N) indices of the unlocked entries of `rows` that join, one uniform per plot."""
     b, n = len(rows), inst.n_plots
-    select = (rng.random((b, n)) < cfg.crossover_plot_fraction) & ~inst.locked[None, :]
+    select = (rng.random((b, n)) < cfg.crossover_plot_fraction) & inst.unlocked
     at = np.flatnonzero(select)  # flat (row, plot) indices; gathers beat boolean masks
     return at + ((rows - np.arange(b)) * n)[at // n]  # row r's entries, moved to row rows[r]
 
@@ -218,14 +217,17 @@ def _pick_plots_batch(
     n_unlocked = len(inst.unlocked_ids)
     take = min(budget, n_unlocked)
     b = len(rows)
-    idx = np.arange(b)
-    picks = np.empty((b, take), dtype=np.int64)
-    taken = np.zeros((b, n_unlocked), dtype=bool)
-    for i, j in enumerate(range(n_unlocked - take, n_unlocked)):
-        t = rng.integers(0, j + 1, size=b)
-        t = np.where(taken[idx, t], j, t)
-        taken[idx, t] = True
-        picks[:, i] = t
+    if take == 1:  # the one round, which nothing can collide with
+        picks = rng.integers(0, n_unlocked, size=(b, 1))
+    else:
+        idx = np.arange(b)
+        picks = np.empty((b, take), dtype=np.int64)
+        taken = np.zeros((b, n_unlocked), dtype=bool)
+        for i, j in enumerate(range(n_unlocked - take, n_unlocked)):
+            t = rng.integers(0, j + 1, size=b)
+            t = np.where(taken[idx, t], j, t)
+            taken[idx, t] = True
+            picks[:, i] = t
     return (rows[:, None] * inst.n_plots + inst.unlocked_ids[picks]).ravel()
 
 
@@ -254,14 +256,13 @@ def polynomial_values(
     u: np.ndarray,
 ) -> np.ndarray:
     """Polynomial-mutation step delta * high of `values` in [0, high]; zero where high is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = values / high
-        d2 = (high - values) / high
-        exp = 1.0 / (eta + 1.0)
-        left = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
-        right = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)) ** exp
-    delta = np.where(u < 0.5, left, right)
-    return np.where(high > 0, delta * high, 0.0)
+    ok = high > 0
+    d1 = np.divide(values, high, out=np.zeros_like(high), where=ok)
+    d2 = np.divide(high - values, high, out=np.zeros_like(high), where=ok)
+    exp = 1.0 / (eta + 1.0)
+    left = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
+    right = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)) ** exp
+    return np.where(ok, np.where(u < 0.5, left, right) * high, 0.0)
 
 
 def _polynomial_mutation_into(
