@@ -469,25 +469,22 @@ def _offspring_mutate_sbx(
     """Random mutation before SBX; sometimes `solo_mutation` replaces both.
 
     Pair k's children are rows 2k and 2k + 1 of one buffer, each gathered
-    once from the parent it is anchored at and then varied in place; an odd
-    population drops the last child.
+    once from its anchor parent; each branch mutates all its rows in one
+    call, in child order. An odd population drops the last child.
     """
     lam = cfg.population_size
     n_pairs = (lam + 1) // 2
-    i, j = rng.integers(0, len(pool), size=(2, n_pairs))
+    anchors = pool[rng.integers(0, len(pool), size=(2, n_pairs)).T.ravel()]
     mutate_only = rng.random(n_pairs) < cfg.mutation_probability
-    anchors = np.empty(2 * n_pairs, dtype=np.int64)
-    anchors[0::2], anchors[1::2] = pool[i], pool[j]
     out = pop.values[anchors]
-    first = 2 * np.flatnonzero(~mutate_only)
-    if first.size:
-        _random_mutation_into(out, first, cfg.operator_cfg, inst, rng)
-        _random_mutation_into(out, first + 1, cfg.operator_cfg, inst, rng)
-        _sbx_into(out, first, 1, cfg.operator_cfg, inst, rng)
-    first = 2 * np.flatnonzero(mutate_only)
-    if first.size:
-        solo_mutation(out, first, cfg.operator_cfg, inst, rng)
-        solo_mutation(out, first + 1, cfg.operator_cfg, inst, rng)
+    crossing = np.repeat(~mutate_only, 2)
+    rows = np.flatnonzero(crossing)
+    if rows.size:
+        _random_mutation_into(out, rows, cfg.operator_cfg, inst, rng)
+        _sbx_into(out, rows[::2], 1, cfg.operator_cfg, inst, rng)
+    rows = np.flatnonzero(~crossing)
+    if rows.size:
+        solo_mutation(out, rows, cfg.operator_cfg, inst, rng)
     return out[:lam], anchors[:lam]
 
 

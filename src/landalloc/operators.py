@@ -13,15 +13,15 @@ floors uniformly. The random operators take an explicit numpy Generator
 and are deterministic given (inputs, config, seed). Locked plots always
 copy through.
 
-Draws are spent only on the entries an operator writes. The mutations pick
-min(budget, N_unlocked) distinct unlocked plots per row by Floyd's
+Draws are spent only on the entries an operator may write. The mutations
+pick min(budget, N_unlocked) distinct unlocked plots per row by Floyd's
 algorithm (`_pick_plots_batch`), then draw one value (random mutation) or
-one uniform (polynomial mutation) per picked entry, in pick order. The
-three pairwise crossovers (SBX, uniform and MSBX_MO's `de_trial_batch`)
-share one join sampler, `_joins`: one participation uniform per plot and
-row. SBX then draws one uniform per join in flat (row, plot) order and
-computes beta and the step only where the two parents differ;
-`de_trial_batch` forms its mutant at the joins only.
+one uniform (polynomial mutation) per picked entry, in pick order. SBX
+draws only at the unlocked entries where its parents differ (a join at an
+equal entry is the identity): one participation uniform each, then one
+uniform per join, in flat (row, plot) order. Uniform crossover and MSBX_MO's
+`de_trial_batch` share `_joins`, one participation uniform per plot and
+row; `de_trial_batch` forms its mutant at the joins only.
 
 Each variation writes through one in-place primitive (`_random_mutation_into`,
 `_polynomial_mutation_into`, `_sbx_into`, `_uniform_into`) into given rows
@@ -121,19 +121,19 @@ def _sbx_into(
 ) -> None:
     """SBX, in place, of each row in `rows` of `out` with the row `gap` below it.
 
-    One uniform per join follows the joins. Beta and the children
-    0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2) = v1 + step, v2 - step are
-    computed only where the parents differ: elsewhere the step is zero.
+    Only the unlocked entries where the parents differ draw, a join at an
+    equal entry being the identity: one participation uniform each, then one
+    per join, in flat (row, plot) order. The children v1 + step, v2 - step
+    (0.5 * ((1 +- beta) * v1 + (1 -+ beta) * v2)) are formed at the joins only.
     """
     n = inst.n_plots
-    at = _joins(rows, cfg, inst, rng)
-    u = rng.random(at.size)
-    v1 = out.take(at)
-    diff = out.take(at + gap * n) - v1
-    nz = np.flatnonzero(diff)
-    at, v1, diff = at[nz], v1[nz], diff[nz]
-    plots = at % n
-    step = np.rint(_sbx_weight(u[nz], cfg.sbx_eta) * diff.astype(float))
+    v1 = out[rows]
+    diff = out[rows + gap] - v1
+    at = np.flatnonzero((diff != 0) & inst.unlocked)
+    at = at[rng.random(at.size) < cfg.crossover_plot_fraction]
+    v1, diff, plots = v1.take(at), diff.take(at), at % n
+    step = np.rint(_sbx_weight(rng.random(at.size), cfg.sbx_eta) * diff.astype(float))
+    at += ((rows - np.arange(len(rows))) * n)[at // n]  # row r's entries, moved to row rows[r]
     out.put(at, inst.codec.clamp(v1, step, plots))
     out.put(at + gap * n, inst.codec.clamp(v1 + diff, -step, plots))
 
@@ -144,7 +144,8 @@ def sbx_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """SBX over paired (B, N) plot-value rows; each unlocked plot joins independently.
 
-    Plots that do not join keep their parent's value (`_sbx_into`).
+    Plots that do not join keep their parent's value; only the unlocked
+    entries where the parents differ draw (`_sbx_into`).
     """
     b = len(values1)
     out = np.concatenate((values1, values2))
@@ -160,9 +161,10 @@ def de_trial_batch(
 ) -> np.ndarray:
     """DE trial vectors: each (B, N) row x SBX-crossed with x + round(F * donor), anchored at x.
 
-    Each row's donor is a uniform draw of the other rows. Equal to
-    `sbx_batch(scaled_add_batch(values, values[donors], F, inst), values)[1]`
-    with the same draws, but the mutant is formed at the joining entries only.
+    Each row's donor is a uniform draw of the other rows. Follows the law of
+    `sbx_batch(scaled_add_batch(values, values[donors], F, inst), values)[1]`,
+    but every unlocked plot draws its participation (`_joins`) and the mutant
+    is formed at the joining entries only.
     """
     b, n = values.shape[0], inst.n_plots
     donors = rng.integers(0, b - 1, size=b)
@@ -217,17 +219,16 @@ def _pick_plots_batch(
     n_unlocked = len(inst.unlocked_ids)
     take = min(budget, n_unlocked)
     b = len(rows)
-    if take == 1:  # the one round, which nothing can collide with
-        picks = rng.integers(0, n_unlocked, size=(b, 1))
-    else:
-        idx = np.arange(b)
-        picks = np.empty((b, take), dtype=np.int64)
-        taken = np.zeros((b, n_unlocked), dtype=bool)
-        for i, j in enumerate(range(n_unlocked - take, n_unlocked)):
-            t = rng.integers(0, j + 1, size=b)
-            t = np.where(taken[idx, t], j, t)
-            taken[idx, t] = True
-            picks[:, i] = t
+    if take == 1:  # one round, which nothing can collide with
+        return rows * inst.n_plots + inst.unlocked_ids[rng.integers(0, n_unlocked, size=b)]
+    idx = np.arange(b)
+    picks = np.empty((b, take), dtype=np.int64)
+    taken = np.zeros((b, n_unlocked), dtype=bool)
+    for i, j in enumerate(range(n_unlocked - take, n_unlocked)):
+        t = rng.integers(0, j + 1, size=b)
+        t = np.where(taken[idx, t], j, t)
+        taken[idx, t] = True
+        picks[:, i] = t
     return (rows[:, None] * inst.n_plots + inst.unlocked_ids[picks]).ravel()
 
 

@@ -388,26 +388,51 @@ def naive_polynomial_mutation(
     return np.where(picked, moved, values)
 
 
-def naive_sbx(
-    inst: ProblemInstance, values1: np.ndarray, values2: np.ndarray, ops, rng: np.random.Generator
+def _naive_sbx_children(
+    inst: ProblemInstance, values1: np.ndarray, values2: np.ndarray, select: np.ndarray, eta: float,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SBX of paired value rows with beta and both children formed at every entry.
+    """SBX's children where `select` holds, beta and both children formed at every entry.
 
-    One (B, N) participation uniform per entry, then one uniform u per
-    joining unlocked entry in flat (row, plot) order. Same float formulas
-    and rounding as the engine; the step is cut at +-2^62 so that the int64
-    sum cannot overflow before the clip.
+    One uniform u per selected entry in flat (row, plot) order. Same float
+    formulas and rounding as the engine; the step is cut at +-2^62 so that
+    the int64 sum cannot overflow before the clip.
     """
-    select = (rng.random(values1.shape) < ops.crossover_plot_fraction) & ~inst.locked[None, :]
     u = np.zeros(select.shape)
     u[select] = rng.random(np.count_nonzero(select))
-    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (ops.sbx_eta + 1.0))
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
     step = np.rint(0.5 * (1.0 - beta) * (values2 - values1).astype(float))
     step = np.clip(step, -(2.0**62), 2.0**62).astype(np.int64)
     top = inst.n_uses ** inst.floor_counts.astype(np.int64) - 1
     c1 = np.clip(values1 + step, 0, top)
     c2 = np.clip(values2 - step, 0, top)
     return np.where(select, c1, values1), np.where(select, c2, values2)
+
+
+def naive_sbx(
+    inst: ProblemInstance, values1: np.ndarray, values2: np.ndarray, ops, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """SBX of paired value rows, drawing only where the parents differ.
+
+    One participation uniform per unlocked entry whose two values differ,
+    in flat (row, plot) order, then one uniform u per join in that order.
+    """
+    differ = (values1 != values2) & ~inst.locked[None, :]
+    select = np.zeros(differ.shape, dtype=bool)
+    select[differ] = rng.random(np.count_nonzero(differ)) < ops.crossover_plot_fraction
+    return _naive_sbx_children(inst, values1, values2, select, ops.sbx_eta, rng)
+
+
+def naive_per_plot_sbx(
+    inst: ProblemInstance, values1: np.ndarray, values2: np.ndarray, ops, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """SBX with `de_trial_batch`'s joins: one (B, N) participation uniform per entry.
+
+    An unlocked entry joins where its uniform is below crossover_plot_fraction,
+    then draws one uniform u, in flat (row, plot) order, equal parents or not.
+    """
+    select = (rng.random(values1.shape) < ops.crossover_plot_fraction) & ~inst.locked[None, :]
+    return _naive_sbx_children(inst, values1, values2, select, ops.sbx_eta, rng)
 
 
 def naive_mutate_sbx_offspring(
@@ -417,11 +442,12 @@ def naive_mutate_sbx_offspring(
     """SOA's and MSBX_NSGA2's children and anchors, composed from whole-row copies.
 
     Each of the ceil(lam / 2) pairs draws its two pool members, then one
-    flag per pair says whether mutation replaces crossover. Crossing pairs
-    get a random mutation of each side, then SBX; the others a solo
-    mutation of each side ("random" or "polynomial"). The children of pair
-    k are rows 2k and 2k + 1, anchored at their parents; an odd `lam` drops
-    the last one.
+    flag per pair says whether mutation replaces crossover. The crossing
+    pairs' rows, both sides interleaved pair by pair, get one random
+    mutation, then SBX; the other pairs' rows, interleaved alike, one solo
+    mutation ("random" or "polynomial"). The children of pair k are rows
+    2k and 2k + 1, anchored at their parents; an odd `lam` drops the last
+    one.
     """
     n_pairs = (lam + 1) // 2
     i = rng.integers(0, len(pool), size=n_pairs)
@@ -430,18 +456,21 @@ def naive_mutate_sbx_offspring(
     p1, p2 = values[pool[i]], values[pool[j]]
     out1, out2 = p1.copy(), p2.copy()
     budget = ops.mutation_plot_budget
+
+    def interleaved(mask):
+        return np.stack([p1[mask], p2[mask]], axis=1).reshape(-1, values.shape[1])
+
     cross = ~mutate_only
     if cross.any():
-        m1 = naive_random_mutation(inst, p1[cross], budget, rng)
-        m2 = naive_random_mutation(inst, p2[cross], budget, rng)
-        out1[cross], out2[cross] = naive_sbx(inst, m1, m2, ops, rng)
+        m = naive_random_mutation(inst, interleaved(cross), budget, rng)
+        out1[cross], out2[cross] = naive_sbx(inst, m[0::2], m[1::2], ops, rng)
     if mutate_only.any():
-        for parents, out in ((p1, out1), (p2, out2)):
-            solo = parents[mutate_only]
-            if replacement_mutation == "random":
-                out[mutate_only] = naive_random_mutation(inst, solo, budget, rng)
-            else:
-                out[mutate_only] = naive_polynomial_mutation(inst, solo, ops.poly_eta, budget, rng)
+        solo = interleaved(mutate_only)
+        if replacement_mutation == "random":
+            m = naive_random_mutation(inst, solo, budget, rng)
+        else:
+            m = naive_polynomial_mutation(inst, solo, ops.poly_eta, budget, rng)
+        out1[mutate_only], out2[mutate_only] = m[0::2], m[1::2]
     children = np.stack([out1, out2], axis=1).reshape(2 * n_pairs, -1)
     anchors = np.stack([pool[i], pool[j]], axis=1).ravel()
     return children[:lam], anchors[:lam]

@@ -621,6 +621,43 @@ class TestMutateSbxOffspring:
                 assert np.array_equal(got[:, case.locked], values[anchors][:, case.locked])
             assert np.array_equal(pop.values, before)
 
+    @pytest.mark.parametrize("replacement", ["random", "polynomial"])
+    def test_one_mutation_call_per_branch_picks_per_row(self, replacement, monkeypatch):
+        # Each branch mutates all its rows in one call, in child order, and
+        # each row still gets min(budget, N_unlocked) distinct unlocked picks.
+        from landalloc import operators
+        from landalloc.engines import _offspring_mutate_sbx
+
+        calls = []
+        real = operators._pick_plots_batch
+
+        def spy(rows, budget, inst, rng):
+            at = real(rows, budget, inst, rng)
+            calls.append((rows.copy(), at))
+            return at
+
+        monkeypatch.setattr(operators, "_pick_plots_batch", spy)
+        solo = getattr(operators, f"_{replacement}_mutation_into")
+        case = tall_locked_instance(3)
+        n_unlocked = len(case.unlocked_ids)
+        values = np.repeat(case.actual_values[None, :], 10, axis=0)
+        pop = Population.evaluate(case, values)
+        for lam, budget in ((31, 1), (30, 3), (17, n_unlocked + 4)):
+            ops = OperatorConfig(mutation_plot_budget=budget)
+            cfg = small_cfg("SOA", population_size=lam, operator_cfg=ops, mutation_probability=0.5)
+            calls.clear()
+            _offspring_mutate_sbx(case, cfg, pop, np.arange(5), np.random.default_rng(lam), solo)
+            assert len(calls) == 2  # seeds with both branches taken
+            rows = np.concatenate([r for r, _ in calls])
+            assert np.array_equal(np.sort(rows), np.arange(2 * ((lam + 1) // 2)))
+            take = min(budget, n_unlocked)
+            for r, at in calls:
+                assert (np.diff(r) > 0).all() and np.array_equal(r[0::2] + 1, r[1::2])
+                picked_rows, plots = np.divmod(at.reshape(len(r), take), case.n_plots)
+                assert (picked_rows == r[:, None]).all()
+                assert not case.locked[plots].any()
+                assert all(len(set(row)) == take for row in plots.tolist())
+
 
 class TestCrDesOffspring:
     """CR_DES's buffered step against its unit-by-unit construction."""

@@ -26,6 +26,7 @@ from oracles import (
     naive_floyd_picks,
     naive_polynomial_mutation,
     naive_random_mutation,
+    naive_per_plot_sbx,
     naive_sbx,
     random_instance,
     score_tournament,
@@ -479,8 +480,9 @@ class TestTallPlots:
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_msbx_mo_step_matches_int64_composition(self, k, frac):
         # The code-row oracle `naive_msbx_mo_children` covers plots below
-        # 2^53 only; here the fused engine step meets the two int64
-        # operators composed, on plots up to the tallest allowed.
+        # 2^53 only; here the fused engine step meets the int64 scaled add
+        # composed with SBX on `de_trial_batch`'s per-plot joins, on plots
+        # up to the tallest allowed.
         from landalloc.engines import EngineConfig, Population, _offspring_msbx_mo
 
         inst = tall_instance(k)
@@ -496,7 +498,8 @@ class TestTallPlots:
             got, _ = _offspring_msbx_mo(inst, cfg, pop, got_rng)
             donors = ref_rng.integers(0, 29, size=30)
             donors += donors >= np.arange(30)
-            want = sbx_batch(scaled_add_batch(x, x[donors], f, inst), x, ops, inst, ref_rng)[1]
+            mutant = scaled_add_batch(x, x[donors], f, inst)
+            want = naive_per_plot_sbx(inst, mutant, x, ops, ref_rng)[1]
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -509,8 +512,11 @@ class TestTallPlots:
         p1 = rng.integers(0, k, size=(40, inst.total_floors)).astype(np.int16)
         p2 = rng.integers(0, k, size=(40, inst.total_floors)).astype(np.int16)
         cfg = OperatorConfig(crossover_plot_fraction=0.5)
-        # The operator's first draw decides which plots join.
-        joined = np.random.default_rng(5).random((40, inst.n_plots)) < 0.5
+        # The operator's first draw, one uniform per plot where the parents
+        # differ in flat (row, plot) order, decides which plots join.
+        differ = codec.encode_rows(p1) != codec.encode_rows(p2)
+        joined = np.zeros(differ.shape, dtype=bool)
+        joined[differ] = np.random.default_rng(5).random(np.count_nonzero(differ)) < 0.5
         assert joined.any() and not joined.all()
         c1, c2 = sbx_codes(p1, p2, cfg, inst, np.random.default_rng(5))
         kept = np.repeat(~joined, inst.floor_counts, axis=1)
@@ -641,6 +647,57 @@ class TestPublicOperators:
             assert np.array_equal(v1, before1) and np.array_equal(v2, before2)
             for child in out if isinstance(out, tuple) else (out,):
                 assert not np.shares_memory(child, v1) and not np.shares_memory(child, v2)
+
+
+class TestSbxDrawsAtDifferingEntries:
+    """SBX draws only at the unlocked entries where the parents differ; a
+    join at an equal entry is the identity, so the per-entry law is kept."""
+
+    def test_equal_parents_draw_nothing(self, inst):
+        for case in (inst, tall_instance(3)):
+            rng = np.random.default_rng(120)
+            x = rng.integers(0, case.codec.max_values + 1, size=(40, case.n_plots))
+            before = rng.bit_generator.state
+            c1, c2 = sbx_batch(x, x.copy(), OperatorConfig(crossover_plot_fraction=1.0), case, rng)
+            assert np.array_equal(c1, x) and np.array_equal(c2, x)
+            assert rng.bit_generator.state == before
+
+    def test_writes_only_differing_unlocked_entries(self):
+        draw = np.random.default_rng(121)
+        case = random_instance(draw, n_plots=9, k=6, max_floors=4, locked_fraction=0.4)
+        assert case.locked.any()
+        v1 = draw.integers(0, case.codec.max_values + 1, size=(60, case.n_plots))
+        v2 = np.where(draw.random(v1.shape) < 0.4, v1,
+                      draw.integers(0, case.codec.max_values + 1, size=v1.shape))
+        differ = v1 != v2
+        assert (differ & case.locked).any()  # the public operator may meet differing locked plots
+        cfg = OperatorConfig(sbx_eta=1.0, crossover_plot_fraction=1.0)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        c1, c2 = sbx_batch(v1, v2, cfg, case, rng)
+        kept = ~differ | case.locked
+        assert np.array_equal(c1[kept], v1[kept]) and np.array_equal(c2[kept], v2[kept])
+        assert (c1[~kept] != v1[~kept]).any()
+        # Every differing unlocked entry joins at fraction 1: two uniforms each.
+        ref.random(2 * np.count_nonzero(~kept))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_join_share_matches_the_plot_fraction(self):
+        # Parents a quarter and three quarters up plots of 2^30 or more values
+        # make every join move both children; shorter plots are equal.
+        case = tall_instance(2)
+        tall = case.codec.max_values >= 2**30
+        quarter = np.where(tall, case.codec.max_values // 4, 0)
+        v1 = np.repeat(quarter[None, :], 700, axis=0)
+        v2 = 3 * v1
+        n = np.count_nonzero(v1 != v2)
+        assert n >= 20000
+        for frac in (0.2, 0.5):
+            cfg = OperatorConfig(sbx_eta=1.0, crossover_plot_fraction=frac)
+            c1, c2 = sbx_batch(v1, v2, cfg, case, np.random.default_rng(122))
+            moved = c1 != v1
+            assert np.array_equal(moved, c2 != v2)
+            assert not moved[:, ~tall].any()
+            assert abs(np.count_nonzero(moved) / n - frac) <= 4 * np.sqrt(frac * (1 - frac) / n)
 
 
 class TestFloydPicks:
