@@ -24,9 +24,9 @@ from oracles import (
     dense_rank,
     encode_uses,
     naive_floyd_picks,
+    naive_per_plot_sbx,
     naive_polynomial_mutation,
     naive_random_mutation,
-    naive_per_plot_sbx,
     naive_sbx,
     random_instance,
     score_tournament,
