@@ -6,10 +6,12 @@ DE-style operators do real-valued arithmetic on those integers, then
 round half-to-even and clamp back into [0, K^floors - 1].
 
 Uniform crossover swaps whole plot values and random mutation redraws a
-plot's value uniformly from [0, K^floors - 1]. Every operator takes and
-returns a batch of value rows, one row per allocation; the codes are
-encoded once before them and decoded only to print them. Here each batch
-holds one row.
+plot's value uniformly from [0, K^floors - 1]. Every operator works on a
+batch of value rows, one row per allocation; the codes are encoded once
+before them and decoded only to print them. The crossovers and mutations
+vary the given rows of a buffer in place (a crossover pairs each given row
+with the row `gap` below it); the DE-style operators return new rows.
+Here each batch holds one row or one pair.
 """
 
 import numpy as np
@@ -53,19 +55,25 @@ print("parent 2 codes:", p2[0].tolist())
 
 v1, v2 = codec.encode_rows(p1), codec.encode_rows(p2)
 print("parent plot values:", v1[0].tolist(), v2[0].tolist())
-c1, c2 = (codec.decode_rows(v) for v in sbx_batch(v1, v2, cfg, inst, rng))
+first = np.arange(1)  # the rows to vary: row 0, paired with the row 1 below it
+pair = np.concatenate((v1, v2))
+sbx_batch(pair, first, 1, cfg, inst, rng)
+c1, c2 = codec.decode_rows(pair)
 print("\nSBX children (per-plot arithmetic on the encodings):")
-print("  child 1:", c1[0].tolist())
-print("  child 2:", c2[0].tolist())
+print("  child 1:", c1.tolist())
+print("  child 2:", c2.tolist())
 
-u1, u2 = (codec.decode_rows(v) for v in uniform_batch(v1, v2, cfg, inst, rng))
+pair = np.concatenate((v1, v2))
+uniform_batch(pair, first, 1, cfg, inst, rng)
+u1, u2 = codec.decode_rows(pair)
 print("uniform crossover children (whole plots swapped):")
-print("  child 1:", u1[0].tolist())
-print("  child 2:", u2[0].tolist())
+print("  child 1:", u1.tolist())
+print("  child 2:", u2.tolist())
 
-m = codec.decode_rows(random_mutation_batch(v1, cfg, inst, rng))
+mutant = v1.copy()
+random_mutation_batch(mutant, first, cfg, inst, rng)
 print("\nrandom mutation re-draws the value, so every floor, of up to "
-      f"{cfg.mutation_plot_budget} plots: {m[0].tolist()}")
+      f"{cfg.mutation_plot_budget} plots: {codec.decode_rows(mutant)[0].tolist()}")
 
 added = codec.decode_rows(scaled_add_batch(v1, v2, 0.5, inst))
 print("scaled add (DE mutant, target + round(0.5 * donor)):", added[0].tolist())

@@ -63,14 +63,13 @@ from .model import (
 )
 from .operators import (
     OperatorConfig,
-    _polynomial_mutation_into,
-    _random_mutation_into,
-    _sbx_into,
-    _uniform_into,
     de_trial_batch,
+    polynomial_mutation_batch,
     random_mutation_batch,
+    sbx_batch,
     scaled_difference_batch,
     tournament_indices,
+    uniform_batch,
 )
 
 ALGORITHMS = ("SOA", "MSBX_NSGA2", "CR_DES", "MSBX_MO")
@@ -395,8 +394,9 @@ def _init_values(inst: ProblemInstance, cfg: EngineConfig, rng: np.random.Genera
     """
     budget = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
     op_cfg = replace(cfg.operator_cfg, mutation_plot_budget=budget)
-    actual = np.repeat(inst.actual_values[None, :], cfg.population_size, axis=0)
-    return random_mutation_batch(actual, op_cfg, inst, rng)
+    values = np.repeat(inst.actual_values[None, :], cfg.population_size, axis=0)
+    random_mutation_batch(values, np.arange(cfg.population_size), op_cfg, inst, rng)
+    return values
 
 
 class _FinalFeasibleArchive:
@@ -480,8 +480,8 @@ def _offspring_mutate_sbx(
     crossing = np.repeat(~mutate_only, 2)
     rows = np.flatnonzero(crossing)
     if rows.size:
-        _random_mutation_into(out, rows, cfg.operator_cfg, inst, rng)
-        _sbx_into(out, rows[::2], 1, cfg.operator_cfg, inst, rng)
+        random_mutation_batch(out, rows, cfg.operator_cfg, inst, rng)
+        sbx_batch(out, rows[::2], 1, cfg.operator_cfg, inst, rng)
     rows = np.flatnonzero(~crossing)
     if rows.size:
         solo_mutation(out, rows, cfg.operator_cfg, inst, rng)
@@ -509,7 +509,7 @@ def _offspring_cr_des(
     out = pop.values[anchors]
     first = np.flatnonzero(~second[:lam])  # the used units' first children
     de = de[: len(first)]
-    _uniform_into(out, first[~de], 1, cfg.operator_cfg, inst, rng)
+    uniform_batch(out, first[~de], 1, cfg.operator_cfg, inst, rng)
     diffs = first[de]
     out[diffs] = scaled_difference_batch(
         out[diffs], pop.values[b[unit[diffs]]], cfg.operator_cfg.de_scale, inst
@@ -537,12 +537,12 @@ _VARIATIONS: dict[str, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
         tournament_indices(
             (pop.feasible, -pop.violation, _soa_fitness(pop, cfg)), cfg.population_size // 2, rng
         ),
-        rng, _random_mutation_into,
+        rng, random_mutation_batch,
     ),
     # NSGA-II with random mutation before SBX, polynomial as the solo branch.
     "MSBX_NSGA2": lambda inst, cfg, pop, rng: _offspring_mutate_sbx(
         inst, cfg, pop, _nsga_pool(pop, rng, cfg.population_size // 2), rng,
-        _polynomial_mutation_into,
+        polynomial_mutation_batch,
     ),
     # NSGA-II skeleton; uniform crossover plus DE difference children.
     "CR_DES": lambda inst, cfg, pop, rng: _offspring_cr_des(

@@ -204,6 +204,9 @@ def record_to_json(label: str, rec: RunRecord, inst: ProblemInstance) -> str:
 # them in; and a member's floor uses as `run` writes them, which `_read_run` parses.
 _CODES_SLOT = '"floor_uses":[]'
 _CODE_LIST = re.compile(r',"floor_uses":\[([0-9,]*)\]')
+# What a member's floor uses read as while `_read_run` parses their list, in place of a NaN.
+_CUT = object()
+_RUN_DECODER = json.JSONDecoder(parse_constant=lambda c: _CUT if c == "NaN" else float(c))
 
 
 def _with_codes(text: str, key: str, codes) -> str:
@@ -246,21 +249,22 @@ def _read_run(path: Path, n_floors: int) -> tuple[dict, np.ndarray | None]:
     """A run file's document and, if it has the form `run` writes, its (P, n_floors) codes.
 
     That form is one `_CODE_LIST` match per population member, each a list
-    of `n_floors` integers of at most 9 digits. The matches are then cut
-    out before `json.loads`, and each member's "floor_uses" reads 0. Any
-    other text is read by `json.loads` alone, with None for the codes, so
-    that `_record_and_stats` checks it member by member.
+    of `n_floors` integers of at most 9 digits. The matches are cut out
+    before `json.loads`, each as a NaN that parses to `_CUT`. If each
+    member's "floor_uses" then reads `_CUT`, member r held list r, whatever
+    keys, labels or escapes the rest of the text holds. Any other text, or
+    one that spells NaN itself, is read by `json.loads` alone, with None for
+    the codes, so that `_record_and_stats` checks it member by member.
     """
     text = path.read_text(encoding="utf-8")
     pieces = _CODE_LIST.split(text)
     lists = pieces[1::2]
-    rest = ',"floor_uses":0'.join(pieces[::2])
-    # Without a \u escape, every floor_uses key is spelled out; if each is a
-    # match and each member holds one, member r holds list r.
-    if rest.count("floor_uses") == len(lists) and "\\u" not in rest:
+    rest = ',"floor_uses":NaN'.join(pieces[::2])
+    if rest.count("NaN") == len(lists):  # the text spells no NaN of its own
         try:
-            doc = json.loads(rest)
-            one_each = [m["floor_uses"] for m in doc["population"]] == [0] * len(lists)
+            doc = _RUN_DECODER.decode(rest)
+            pop = doc["population"]
+            one_each = len(pop) == len(lists) and all(m["floor_uses"] is _CUT for m in pop)
         except (ValueError, KeyError, TypeError):
             one_each = False
         if one_each and (codes := _parse_code_lists(lists, n_floors)) is not None:

@@ -1,7 +1,7 @@
 """Variation and selection operators shared by all engines.
 
-Every operator takes and returns (B, N) rows of plot values, a plot's
-floor uses as one base-K integer (`model.PlotCodec`). Real-coded SBX,
+Every operator works on (B, N) rows of plot values, a plot's floor uses
+as one base-K integer (`model.PlotCodec`). Real-coded SBX,
 polynomial mutation and the DE-style scaled operators each compute a
 real step per plot, round it half-to-even and add it with
 `PlotCodec.clamp`, which clamps into [0, K^f - 1] in integers. The clamp
@@ -23,11 +23,11 @@ uniform per join, in flat (row, plot) order. Uniform crossover and MSBX_MO's
 `de_trial_batch` share `_joins`, one participation uniform per plot and
 row; `de_trial_batch` forms its mutant at the joins only.
 
-Each variation writes through one in-place primitive (`_random_mutation_into`,
-`_polynomial_mutation_into`, `_sbx_into`, `_uniform_into`) into given rows
-of a child buffer, so an engine gathers each child once and varies it where
-it lies. Their public `*_batch` forms copy the input, then call the
-primitive: no operator modifies its inputs.
+Each variation kernel has one form, in place: `sbx_batch`, `uniform_batch`,
+`random_mutation_batch` and `polynomial_mutation_batch` vary given rows of
+a child buffer and return None, so an engine gathers each child once and
+varies it where it lies. `de_trial_batch`, the scaled operators and
+`tournament_indices` return new arrays and leave their inputs as they are.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _sbx_weight(u: np.ndarray, eta: float) -> np.ndarray:
     return 0.5 * (1.0 - np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
 
 
-def _sbx_into(
+def sbx_batch(
     out: np.ndarray, rows: np.ndarray, gap: int, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> None:
@@ -138,21 +138,6 @@ def _sbx_into(
     out.put(at + gap * n, inst.codec.clamp(v1 + diff, -step, plots))
 
 
-def sbx_batch(
-    values1: np.ndarray, values2: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """SBX over paired (B, N) plot-value rows; each unlocked plot joins independently.
-
-    Plots that do not join keep their parent's value; only the unlocked
-    entries where the parents differ draw (`_sbx_into`).
-    """
-    b = len(values1)
-    out = np.concatenate((values1, values2))
-    _sbx_into(out, np.arange(b), b, cfg, inst, rng)
-    return out[:b], out[b:]
-
-
 def de_trial_batch(
     values: np.ndarray,
     cfg: OperatorConfig,
@@ -161,10 +146,11 @@ def de_trial_batch(
 ) -> np.ndarray:
     """DE trial vectors: each (B, N) row x SBX-crossed with x + round(F * donor), anchored at x.
 
-    Each row's donor is a uniform draw of the other rows. Follows the law of
-    `sbx_batch(scaled_add_batch(values, values[donors], F, inst), values)[1]`,
-    but every unlocked plot draws its participation (`_joins`) and the mutant
-    is formed at the joining entries only.
+    Each row's donor is a uniform draw of the other rows. At each joining
+    entry x becomes x - round(0.5 * (1 - beta) * (x - mutant)), clamped: SBX's
+    child of (mutant, x) anchored at x, with mutant = x + round(F * donor) as
+    `scaled_add_batch` forms it. Unlike `sbx_batch`, every unlocked plot draws
+    its participation (`_joins`), and the mutant is formed at the joins only.
     """
     b, n = values.shape[0], inst.n_plots
     donors = rng.integers(0, b - 1, size=b)
@@ -179,7 +165,7 @@ def de_trial_batch(
     return child
 
 
-def _uniform_into(
+def uniform_batch(
     out: np.ndarray, rows: np.ndarray, gap: int, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> None:
@@ -188,17 +174,6 @@ def _uniform_into(
     v1 = out.take(at)
     out.put(at, out.take(at + gap * inst.n_plots))
     out.put(at + gap * inst.n_plots, v1)
-
-
-def uniform_batch(
-    values1: np.ndarray, values2: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform crossover over paired (B, N) value rows: each joining plot swaps whole."""
-    b = len(values1)
-    out = np.concatenate((values1, values2))
-    _uniform_into(out, np.arange(b), b, cfg, inst, rng)
-    return out[:b], out[b:]
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +207,13 @@ def _pick_plots_batch(
     return (rows[:, None] * inst.n_plots + inst.unlocked_ids[picks]).ravel()
 
 
-def _random_mutation_into(
+def random_mutation_batch(
     out: np.ndarray, rows: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> None:
     """Redraw, in place and uniformly, up to mutation_plot_budget plot values per row in `rows`."""
     at = _pick_plots_batch(rows, cfg.mutation_plot_budget, inst, rng)
     out.put(at, rng.integers(0, inst.codec.max_values[at % inst.n_plots] + 1))
-
-
-def random_mutation_batch(
-    values: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
-) -> np.ndarray:
-    """Redraw the (B, N) plot values of up to mutation_plot_budget plots per row, uniformly."""
-    out = values.copy()
-    _random_mutation_into(out, np.arange(len(out)), cfg, inst, rng)
-    return out
 
 
 def polynomial_values(
@@ -266,7 +232,7 @@ def polynomial_values(
     return np.where(ok, np.where(u < 0.5, left, right) * high, 0.0)
 
 
-def _polynomial_mutation_into(
+def polynomial_mutation_batch(
     out: np.ndarray, rows: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance,
     rng: np.random.Generator,
 ) -> None:
@@ -278,15 +244,6 @@ def _polynomial_mutation_into(
     high = codec.max_values[plots].astype(float)
     step = polynomial_values(v.astype(float), high, cfg.poly_eta, rng.random(at.size))
     out.put(at, codec.clamp(v, np.rint(step), plots))
-
-
-def polynomial_mutation_batch(
-    values: np.ndarray, cfg: OperatorConfig, inst: ProblemInstance, rng: np.random.Generator
-) -> np.ndarray:
-    """Perturb the (B, N) plot values of up to mutation_plot_budget plots per row."""
-    out = values.copy()
-    _polynomial_mutation_into(out, np.arange(len(out)), cfg, inst, rng)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -359,10 +359,11 @@ class TestInitialization:
         monkeypatch.setattr(engines, "evaluate_batch", lambda *a: calls.append(a) or real(*a))
         budget = math.ceil(cfg.init_change_fraction * len(inst.unlocked_ids))
         op_cfg = OperatorConfig(mutation_plot_budget=budget)
-        actual = np.tile(inst.actual_values, (cfg.population_size, 1))
+        rows = np.arange(cfg.population_size)
         for seed in (1, 2, 3):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = random_mutation_batch(actual, op_cfg, inst, slow)
+            want = np.tile(inst.actual_values, (cfg.population_size, 1))
+            random_mutation_batch(want, rows, op_cfg, inst, slow)
             assert np.array_equal(_init_values(inst, cfg, fast), want)
             assert fast.bit_generator.state == slow.bit_generator.state
         assert calls == []
@@ -503,9 +504,9 @@ class TestMsbxMoFixedPoint:
         mutant = scaled_add_batch(vx, vx.copy(), 0.0, tiny1)
         assert np.array_equal(mutant, vx)
         cfg = OperatorConfig(crossover_plot_fraction=1.0)
-        c1, c2 = sbx_batch(mutant, vx, cfg, tiny1, np.random.default_rng(0))
-        assert np.array_equal(c1, vx)
-        assert np.array_equal(c2, vx)
+        pair = np.concatenate((mutant, vx))
+        sbx_batch(pair, np.arange(1), 1, cfg, tiny1, np.random.default_rng(0))
+        assert np.array_equal(pair, np.concatenate((vx, vx)))
 
 
     @pytest.mark.parametrize("f", [0.5, 3.0])
@@ -590,7 +591,7 @@ class TestMutateSbxOffspring:
         from landalloc import operators
         from landalloc.engines import _offspring_mutate_sbx
 
-        solo = getattr(operators, f"_{replacement}_mutation_into")
+        solo = getattr(operators, f"{replacement}_mutation_batch")
         draw = np.random.default_rng(90)
         cases = [tall_locked_instance(k) for k in (2, 3, 6)]
         cases += [random_instance(draw, n_plots=7, k=k, max_floors=4, locked_fraction=0.3)
@@ -637,7 +638,7 @@ class TestMutateSbxOffspring:
             return at
 
         monkeypatch.setattr(operators, "_pick_plots_batch", spy)
-        solo = getattr(operators, f"_{replacement}_mutation_into")
+        solo = getattr(operators, f"{replacement}_mutation_batch")
         case = tall_locked_instance(3)
         n_unlocked = len(case.unlocked_ids)
         values = np.repeat(case.actual_values[None, :], 10, axis=0)
@@ -718,6 +719,34 @@ class TestOffspringShapes:
         out, anchors = _offspring_msbx_mo(inst, cfg, pop, rng)
         assert out.shape == (12, inst.n_plots)
         assert anchors.shape == (12,)
+
+
+class TestOperatorRouting:
+    """The engines vary through the public in-place operators by name, where a
+    wrapper in `landalloc.engines`' namespace, such as a tracer's, sees them."""
+
+    def test_each_engine_reaches_its_operators(self, small_synthetic, monkeypatch):
+        from landalloc import engines
+
+        names = ("sbx_batch", "uniform_batch", "random_mutation_batch", "polynomial_mutation_batch")
+        reached = set()
+        for name in names:
+            real = getattr(engines, name)
+            monkeypatch.setattr(
+                engines, name, lambda *a, _name=name, _real=real: reached.add(_name) or _real(*a)
+            )
+        want = {
+            "SOA": {"sbx_batch", "random_mutation_batch"},
+            "MSBX_NSGA2": {"sbx_batch", "random_mutation_batch", "polynomial_mutation_batch"},
+            "CR_DES": {"uniform_batch", "random_mutation_batch"},
+            "MSBX_MO": {"random_mutation_batch"},  # the init only; its trials are DE's
+        }
+        for alg in ALGORITHMS:
+            reached.clear()
+            # Half the pairs take the solo-mutation branch of SOA and MSBX_NSGA2.
+            run_engine(small_synthetic, small_cfg(alg, population_size=8, generations=2,
+                                                  mutation_probability=0.5))
+            assert reached == want[alg], alg
 
 
 class TestAnchoredOffspring:

@@ -33,29 +33,55 @@ from oracles import (
 )
 
 
+# The in-place crossovers and mutations applied to whole batches.
+
+
+def crossed(op, values1, values2, cfg, inst, rng):
+    """`op`'s children of the paired (B, N) rows, crossed in place on a stack of both."""
+    b = len(values1)
+    out = np.concatenate((values1, values2))
+    op(out, np.arange(b), b, cfg, inst, rng)
+    return out[:b], out[b:]
+
+
+def mutated(op, values, cfg, inst, rng):
+    """`op`'s mutants of the (B, N) rows, mutated in place on a copy."""
+    out = values.copy()
+    op(out, np.arange(len(out)), cfg, inst, rng)
+    return out
+
+
 # The operators applied to code rows, encoded before and decoded after.
 
 
 def sbx_codes(codes1, codes2, cfg, inst, rng):
     codec = inst.codec
-    c1, c2 = sbx_batch(codec.encode_rows(codes1), codec.encode_rows(codes2), cfg, inst, rng)
+    c1, c2 = crossed(
+        sbx_batch, codec.encode_rows(codes1), codec.encode_rows(codes2), cfg, inst, rng
+    )
     return codec.decode_rows(c1), codec.decode_rows(c2)
 
 
 def uniform_codes(codes1, codes2, cfg, inst, rng):
     codec = inst.codec
-    c1, c2 = uniform_batch(codec.encode_rows(codes1), codec.encode_rows(codes2), cfg, inst, rng)
+    c1, c2 = crossed(
+        uniform_batch, codec.encode_rows(codes1), codec.encode_rows(codes2), cfg, inst, rng
+    )
     return codec.decode_rows(c1), codec.decode_rows(c2)
 
 
 def random_mutation_codes(codes, cfg, inst, rng):
     codec = inst.codec
-    return codec.decode_rows(random_mutation_batch(codec.encode_rows(codes), cfg, inst, rng))
+    return codec.decode_rows(
+        mutated(random_mutation_batch, codec.encode_rows(codes), cfg, inst, rng)
+    )
 
 
 def polynomial_codes(codes, cfg, inst, rng):
     codec = inst.codec
-    return codec.decode_rows(polynomial_mutation_batch(codec.encode_rows(codes), cfg, inst, rng))
+    return codec.decode_rows(
+        mutated(polynomial_mutation_batch, codec.encode_rows(codes), cfg, inst, rng)
+    )
 
 
 def scaled_add_codes(target, donor, f, inst):
@@ -573,7 +599,7 @@ class TestValueOperators:
         for seed in range(5):
             selected = np.zeros(values.shape, dtype=bool)
             selected.flat[_pick_plots_batch(np.arange(len(values)), 2, inst, np.random.default_rng(seed))] = True
-            out = random_mutation_batch(values, cfg, inst, np.random.default_rng(seed))
+            out = mutated(random_mutation_batch, values, cfg, inst, np.random.default_rng(seed))
             assert not (selected & inst.locked).any()
             assert np.array_equal(out[~selected], values[~selected])
             assert (out != values).any()
@@ -587,7 +613,7 @@ class TestValueOperators:
         inst2 = ProblemInstance(plots, uses, np.eye(2), np.ones((2, 2)), 0.5, 1.0, 0.0, 100.0)
         cfg = OperatorConfig(mutation_plot_budget=1)
         parents = np.tile(inst2.actual_values, (2000, 1))
-        out = random_mutation_batch(parents, cfg, inst2, np.random.default_rng(31))
+        out = mutated(random_mutation_batch, parents, cfg, inst2, np.random.default_rng(31))
         assert set(out[:, 0].tolist()) == set(range(8))
         assert (out[:, 1] == inst2.actual_values[1]).all()
 
@@ -597,7 +623,7 @@ class TestValueOperators:
             rng = np.random.default_rng(60)
             p1, p2 = (rng.integers(0, case.codec.max_values + 1, size=(200, case.n_plots))
                       for _ in range(2))
-            c1, c2 = uniform_batch(p1, p2, cfg, case, rng)
+            c1, c2 = crossed(uniform_batch, p1, p2, cfg, case, rng)
             swapped = c1 != p1
             assert swapped.any() and not swapped.all()
             assert np.array_equal(c1[swapped], p2[swapped])
@@ -608,7 +634,34 @@ class TestValueOperators:
 
 
 class TestPublicOperators:
-    """The public operators copy, then vary the copy in place."""
+    """The crossovers and mutations vary given rows of a buffer in place; the
+    other operators return new arrays."""
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_in_place_operators_write_only_their_rows(self, k):
+        draw = np.random.default_rng(105 + k)
+        locked_case = random_instance(draw, n_plots=9, k=k, max_floors=4, locked_fraction=0.4)
+        assert locked_case.locked.any()
+        cfg = OperatorConfig(sbx_eta=1.0, poly_eta=1.0, crossover_plot_fraction=1.0,
+                             mutation_plot_budget=9)
+        crossing, gap = np.array([0, 3, 7]), 2  # rows 0, 3, 7 cross with rows 2, 5, 9
+        mutating = np.array([1, 4, 6, 10])
+        for case in (tall_instance(k), locked_case):
+            # Random values everywhere, locked plots too, so that a write there would show.
+            values = draw.integers(0, case.codec.max_values + 1, size=(12, case.n_plots))
+            for op, args, written in (
+                (sbx_batch, (crossing, gap), np.r_[crossing, crossing + gap]),
+                (uniform_batch, (crossing, gap), np.r_[crossing, crossing + gap]),
+                (random_mutation_batch, (mutating,), mutating),
+                (polynomial_mutation_batch, (mutating,), mutating),
+            ):
+                out = values.copy()
+                assert op(out, *args, cfg, case, np.random.default_rng(k)) is None
+                kept = np.ones(len(out), dtype=bool)
+                kept[written] = False
+                assert out[kept].tobytes() == values[kept].tobytes()
+                assert out[:, case.locked].tobytes() == values[:, case.locked].tobytes()
+                assert (out[written] != values[written]).any()
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_sbx_matches_children_formed_at_every_entry(self, k):
@@ -622,7 +675,7 @@ class TestPublicOperators:
             for eta in (1.0, 20.0):
                 cfg = OperatorConfig(sbx_eta=eta, crossover_plot_fraction=0.6)
                 rng, ref = np.random.default_rng(int(eta)), np.random.default_rng(int(eta))
-                got = sbx_batch(v1, v2, cfg, case, rng)
+                got = crossed(sbx_batch, v1, v2, cfg, case, rng)
                 want = naive_sbx(case, v1, v2, cfg, ref)
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
                 assert rng.bit_generator.state == ref.bit_generator.state
@@ -633,10 +686,6 @@ class TestPublicOperators:
         v1, v2 = (rng.integers(0, inst.codec.max_values + 1, size=(30, inst.n_plots))
                   for _ in range(2))
         calls = [
-            lambda: sbx_batch(v1, v2, cfg, inst, rng),
-            lambda: uniform_batch(v1, v2, cfg, inst, rng),
-            lambda: random_mutation_batch(v1, cfg, inst, rng),
-            lambda: polynomial_mutation_batch(v1, cfg, inst, rng),
             lambda: de_trial_batch(v1, cfg, inst, rng),
             lambda: scaled_add_batch(v1, v2, 0.5, inst),
             lambda: scaled_difference_batch(v1, v2, 0.5, inst),
@@ -658,7 +707,7 @@ class TestSbxDrawsAtDifferingEntries:
             rng = np.random.default_rng(120)
             x = rng.integers(0, case.codec.max_values + 1, size=(40, case.n_plots))
             before = rng.bit_generator.state
-            c1, c2 = sbx_batch(x, x.copy(), OperatorConfig(crossover_plot_fraction=1.0), case, rng)
+            c1, c2 = crossed(sbx_batch, x, x, OperatorConfig(crossover_plot_fraction=1.0), case, rng)
             assert np.array_equal(c1, x) and np.array_equal(c2, x)
             assert rng.bit_generator.state == before
 
@@ -673,7 +722,7 @@ class TestSbxDrawsAtDifferingEntries:
         assert (differ & case.locked).any()  # the public operator may meet differing locked plots
         cfg = OperatorConfig(sbx_eta=1.0, crossover_plot_fraction=1.0)
         rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-        c1, c2 = sbx_batch(v1, v2, cfg, case, rng)
+        c1, c2 = crossed(sbx_batch, v1, v2, cfg, case, rng)
         kept = ~differ | case.locked
         assert np.array_equal(c1[kept], v1[kept]) and np.array_equal(c2[kept], v2[kept])
         assert (c1[~kept] != v1[~kept]).any()
@@ -693,7 +742,7 @@ class TestSbxDrawsAtDifferingEntries:
         assert n >= 20000
         for frac in (0.2, 0.5):
             cfg = OperatorConfig(sbx_eta=1.0, crossover_plot_fraction=frac)
-            c1, c2 = sbx_batch(v1, v2, cfg, case, np.random.default_rng(122))
+            c1, c2 = crossed(sbx_batch, v1, v2, cfg, case, np.random.default_rng(122))
             moved = c1 != v1
             assert np.array_equal(moved, c2 != v2)
             assert not moved[:, ~tall].any()
@@ -764,7 +813,7 @@ class TestFloydPicks:
                  lambda v, r: naive_polynomial_mutation(case, v, 3.0, budget, r)),
             ):
                 rng, ref = np.random.default_rng(budget), np.random.default_rng(budget)
-                got = op(values, cfg, case, rng)
+                got = mutated(op, values, cfg, case, rng)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, naive(values, ref))
                 assert rng.bit_generator.state == ref.bit_generator.state

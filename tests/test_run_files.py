@@ -117,6 +117,15 @@ def _spaced(text: str) -> str:
     return _member_0_list(text, ',"floor_uses":[' + ", ".join(codes) + "]")
 
 
+def _lists_in_a_later_object(text: str) -> str:
+    """`text` with each member's floor uses a literal 0, and their lists in a
+    "population" key of an object after the members."""
+    lists = _MEMBER_LIST.findall(text)
+    body = _MEMBER_LIST.sub(',"floor_uses":0', text).rstrip().removesuffix("}")
+    decoys = ",".join('{"a":0,"floor_uses":[' + codes + "]}" for codes in lists)
+    return body + ',"z":{"population":[' + decoys + "]}}\n"
+
+
 # name -> edit of the run-file text
 TAMPERS = {
     "spaces": _spaced,
@@ -143,7 +152,13 @@ TAMPERS = {
     "missing": lambda t: _member_0_list(t, ""),
     "one-too-many": lambda t: _member_0_list(t, ',"floor_uses":[' + _member_list(t).group(1) + ",0]"),
     "truncated": lambda t: t[: len(t) // 2],
+    "lists-in-a-later-object": _lists_in_a_later_object,
+    "lists-in-a-later-object-escaped-key": lambda t: _lists_in_a_later_object(t).replace(
+        '"population":[', '"popul\\u0061tion":[', 1
+    ),
 }
+# Edits outside the members, which keep the form `run` writes and so still take the array path.
+ARRAY_PATH_TAMPERS = {"config-key-first", "escape-in-label", "key-name-as-label"}
 
 
 class TestReaderMatchesListPath:
@@ -187,6 +202,25 @@ class TestReaderMatchesListPath:
         assert codes is not None and codes.max() >= 10
         assert np.array_equal(codes, inst.codec.decode_rows(recs[0].population.values))
 
+    def test_labels_with_escapes_or_the_key_name_take_the_array_path(self, tmp_path):
+        main(["generate", "--grid", "6x5", "--seed", "11", "--out", str(tmp_path / "inst.landalloc.json")])
+        doc = {
+            "instance": "inst.landalloc.json", "output": "bundle", "seeds": [1],
+            "engines": [{"label": label, "algorithm": "SOA", "generations": 3}
+                        for label in ("CR+DÉS", "floor_uses")],
+        }
+        (tmp_path / "exp.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "exp.json")]) == 0
+        inst = load_instance(tmp_path / "bundle" / "instance.landalloc.json")
+        runs = sorted((tmp_path / "bundle" / "runs").glob("*.json"))
+        assert len(runs) == 2 and "\\u00c9" in runs[0].read_text()
+        for run in runs:
+            doc, codes = _read_run(run, inst.total_floors)
+            assert codes is not None
+            assert self._outcome(lambda: record_from_dict(doc, inst, codes), inst) == self._outcome(
+                lambda: record_from_dict(json.loads(run.read_text()), inst), inst
+            )
+
     @pytest.mark.parametrize("name", list(TAMPERS))
     def test_tampered_file_reads_as_the_list_path(self, clean_bundle, tmp_path, capsys, name):
         bundle = tmp_path / "bundle"
@@ -198,7 +232,8 @@ class TestReaderMatchesListPath:
 
         def array_path():
             doc, codes = _read_run(run, inst.total_floors)
-            assert codes is None  # only the form `run` writes is read as an array
+            # only the form `run` writes is read as an array
+            assert (codes is None) == (name not in ARRAY_PATH_TAMPERS)
             return record_from_dict(doc, inst, codes)
 
         kind, message = self._outcome(lambda: record_from_dict(json.loads(text), inst), inst)
