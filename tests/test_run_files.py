@@ -152,12 +152,13 @@ TAMPERS = {
     "missing": lambda t: _member_0_list(t, ""),
     "one-too-many": lambda t: _member_0_list(t, ',"floor_uses":[' + _member_list(t).group(1) + ",0]"),
     "truncated": lambda t: t[: len(t) // 2],
+    "nan-in-trace": lambda t: t.replace('"hv_trace":[', '"hv_trace":[NaN,', 1),
     "lists-in-a-later-object": _lists_in_a_later_object,
     "lists-in-a-later-object-escaped-key": lambda t: _lists_in_a_later_object(t).replace(
         '"population":[', '"popul\\u0061tion":[', 1
     ),
 }
-# Edits outside the members, which keep the form `run` writes and so still take the array path.
+# Edits outside the members that the array path reads, to the same record.
 ARRAY_PATH_TAMPERS = {"config-key-first", "escape-in-label", "key-name-as-label"}
 
 
