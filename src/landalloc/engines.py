@@ -432,8 +432,6 @@ class _FinalFeasibleArchive:
             objs = np.vstack([old, objs])
         keep = metrics.pareto_indices(objs)
         joins = keep >= m
-        if not joins.any():
-            return
         self.points = objs[keep]
         new = candidates.take(ok[keep[joins] - m])
         keep[joins] = m + np.arange(new.n)

@@ -37,11 +37,7 @@ import numpy as np
 from . import metrics
 from .engines import EngineConfig, Population, RelaxationSchedule, RunRecord
 from .engines import _refresh_pop, final_front_indices, run_engine
-from .instance_io import (
-    InstanceError,
-    canonical_dumps,
-    load_instance,
-)
+from .instance_io import JSON_KINDS, InstanceError, canonical_dumps, load_instance, of_kind
 from .model import (
     BatchStats,
     ProblemInstance,
@@ -114,12 +110,10 @@ class ExperimentConfig:
             (doc["engines"], dict, "every engine entry must be an object"),
             (seeds, int, "seeds must be a list of integers"),
             (stats_metrics, str, "stats_metrics must be a list of metric names"),
-            ([alpha], (int, float), "alpha must be a number"),
+            ([alpha], float, "alpha must be a number"),
             ([workers], int, "workers must be an integer"),
         ):
-            if not isinstance(values, (list, tuple)) or any(
-                isinstance(v, bool) or not isinstance(v, kind) for v in values
-            ):
+            if not isinstance(values, (list, tuple)) or not of_kind(values, kind):
                 raise ExperimentConfigError(message)
         base = base_dir or Path(".")
         return cls(
@@ -170,12 +164,12 @@ def slug(index: int, label: str) -> str:
 
 
 # A run file member: its floor uses (its plot values' codes, read by their
-# own checks), then (JSON key, `Population` field, dtype its values are read as).
+# own checks), then (JSON key, `Population` field, JSON kind of its values).
 _MEMBER_FIELDS = (
     ("compatibility", "compatibility", float),
     ("price", "price", float),
-    ("changed", "changed", np.int64),
-    ("rank", "rank", np.int64),
+    ("changed", "changed", int),
+    ("rank", "rank", int),
     ("crowding", "crowd", float),
     ("feasible", "feasible", bool),
     ("violation", "violation", float),
@@ -340,38 +334,39 @@ def _record_and_stats(
     values = inst.codec.encode_rows(codes)
     stats = evaluate_batch(inst, values)
 
-    def column(key: str, dtype) -> np.ndarray:
+    def column(key: str, kind) -> np.ndarray:
         entries = [d[key] for d in pop_docs]
         try:
-            return _vector(entries, dtype, key)
+            return _vector(entries, kind, key)
         except InstanceError:  # name the first member whose value fails alone
             for r, v in enumerate(entries):
-                _vector([v], dtype, f"member {r}'s {key}")
+                _vector([v], kind, f"member {r}'s {key}")
             raise
 
     population = Population(
         values=values,
         areas=stats.areas,
-        **{name: column(key, dtype) for key, name, dtype in _MEMBER_FIELDS},
+        **{name: column(key, kind) for key, name, kind in _MEMBER_FIELDS},
     )
     rec = RunRecord(
         algorithm=doc["algorithm"],
         config=doc["config"],
-        seed=int(_vector([doc["seed"]], np.int64, "seed")[0]),
+        seed=int(_vector([doc["seed"]], int, "seed")[0]),
         hv_trace=_vector(doc["hv_trace"], float, "hv_trace").tolist(),
         population=population,
-        front_indices=_vector(doc["front"], np.int64, "front"),
+        front_indices=_vector(doc["front"], int, "front"),
         wall_time_s=float("nan"),
     )
     return doc["label"], rec, stats
 
 
 def _listed_codes(pop_docs: list[dict], inst: ProblemInstance) -> np.ndarray:
-    """The members' floor-use lists as one (P, total_floors) numeric array.
+    """The members' floor-use lists as one (P, total_floors) integer array.
 
     Raises InstanceError unless each member is an object whose floor uses
-    are a list of one integer per floor. A code too large for int64 stays
-    a Python int in an object array, for the range check to refuse.
+    are a list of one JSON integer per floor: a boolean, or a float even
+    if integral (1.0), is no code. A code too large for int64 stays a
+    Python int in an object array, for the range check to refuse.
     """
     for r, d in enumerate(pop_docs):
         if not isinstance(d, dict):
@@ -384,28 +379,25 @@ def _listed_codes(pop_docs: list[dict], inst: ProblemInstance) -> np.ndarray:
                 f"the instance has {inst.total_floors} floors"
             )
     lists = [d["floor_uses"] for d in pop_docs]
-    if not set(map(type, chain.from_iterable(lists))) <= {int, float}:  # numpy reads true as 1
-        bad = next(r for r, codes in enumerate(lists) if not set(map(type, codes)) <= {int, float})
-        raise InstanceError(f"member {bad} has a floor-use code that is not a number")
-    raw = np.array(lists).reshape(len(pop_docs), inst.total_floors)
-    if raw.dtype.kind == "f":
-        fractional = np.flatnonzero(~(np.isfinite(raw) & (raw == np.rint(raw))).all(axis=1))
-        if fractional.size:
-            raise InstanceError(f"member {fractional[0]} has a floor-use code that is not an integer")
-    return raw
+    if not of_kind(chain.from_iterable(lists), int):
+        r = next(r for r, codes in enumerate(lists) if not of_kind(codes, int))
+        what = "an integer" if of_kind(lists[r], float) else "a number"
+        raise InstanceError(f"member {r} has a floor-use code that is not {what}")
+    return np.array(lists).reshape(len(pop_docs), inst.total_floors)
 
 
-def _vector(values, dtype, what: str) -> np.ndarray:
-    """`values` as a 1-D array of `dtype`, or an InstanceError saying `what` is not numeric.
+def _vector(values, kind, what: str) -> np.ndarray:
+    """`values` as a 1-D array, or an InstanceError saying `what` is not numeric.
 
-    A null converts to NaN (or False) in numpy, so it is refused first.
+    `values` must be a list of JSON values of `kind`: integers (never a
+    boolean or a float, even 1.0) read as int64, numbers as float and
+    booleans as bool. A null, a string or a nested list is none of these.
     """
-    try:
-        out = np.array(values, dtype=dtype)
-        if out.ndim == 1 and not any(v is None for v in values):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if type(values) is list and of_kind(values, kind):
+        try:
+            return np.array(values, dtype=np.int64 if kind is int else kind)
+        except OverflowError:  # an integer outside int64
+            pass
     raise InstanceError(f"{what} is not numeric")
 
 
@@ -585,10 +577,10 @@ def _read_manifest(path: Path) -> dict:
     if not isinstance(manifest.get("instance", ""), str):
         raise InstanceError("manifest instance is not a file name")
     alpha = manifest.get("alpha", 0.05)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+    if type(alpha) not in JSON_KINDS[float] or not 0.0 < alpha < 1.0:
         raise InstanceError("manifest alpha is not a number in (0, 1)")
     names = manifest.get("stats_metrics", [])
-    if not isinstance(names, list) or any(not isinstance(name, str) for name in names):
+    if not isinstance(names, list) or not of_kind(names, str):
         raise InstanceError("manifest stats_metrics is not a list of metric names")
     for key, fields in _MANIFEST_ENTRIES.items():
         entries = manifest.get(key, [])
@@ -596,7 +588,7 @@ def _read_manifest(path: Path) -> dict:
             raise InstanceError(f"manifest {key} is not a list")
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or any(
-                not isinstance(entry.get(name), kind) for name, kind in fields.items()
+                type(entry.get(name)) not in JSON_KINDS[kind] for name, kind in fields.items()
             ):
                 raise InstanceError(f"manifest {key} entry {i} lacks one of {', '.join(fields)}")
     return manifest
@@ -609,16 +601,21 @@ def _foreign_run(entry: dict, label: str, rec: RunRecord) -> str | None:
 
 
 def _final_settings(config: dict, tag: str) -> tuple[int, float, float, tuple[float, float] | None]:
-    """(generations, relax.gamma_final, relax.mu_final, SOA weights or None) of a manifest engine config."""
+    """(generations, relax.gamma_final, relax.mu_final, SOA weights or None) of a manifest engine config.
+
+    The generations must be a JSON integer, and the others JSON numbers.
+    """
     try:
-        soa = config["algorithm"] == "SOA"
-        soa_weights = (float(config["soa_a"]), float(config["soa_b"])) if soa else None
         relax = config["relax"]
-        gamma, mu = float(relax["gamma_final"]), float(relax["mu_final"])
-        return config["generations"], gamma, mu, soa_weights
-    except (KeyError, TypeError, ValueError):
-        lacks = "generations or relax.gamma_final/mu_final (or its algorithm and SOA weights)"
-        raise InstanceError(f"{tag}: manifest lacks the engine's {lacks}")
+        soa = ("soa_a", "soa_b") if config["algorithm"] == "SOA" else ()
+        numbers = [relax["gamma_final"], relax["mu_final"], *(config[key] for key in soa)]
+        if type(config["generations"]) in JSON_KINDS[int] and of_kind(numbers, float):
+            gamma, mu, *weights = map(float, numbers)
+            return config["generations"], gamma, mu, tuple(weights) if soa else None
+    except (KeyError, TypeError):
+        pass
+    lacks = "generations or relax.gamma_final/mu_final (or its algorithm and SOA weights)"
+    raise InstanceError(f"{tag}: manifest lacks the engine's {lacks}")
 
 
 def _not_final_front(inst: ProblemInstance, rec: RunRecord, gamma: float, soa_weights) -> str | None:

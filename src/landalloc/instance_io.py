@@ -108,7 +108,19 @@ def save_instance(inst: ProblemInstance, path: str | Path) -> Path:
     return path
 
 
-# A plot's fields and their JSON types.
+# The Python types `json` gives each kind of value this program reads. JSON
+# has one number type, so an integer is an int and never a bool, and a
+# number is an int or a float.
+JSON_KINDS = {int: {int}, float: {int, float}, bool: {bool}, str: {str}, list: {list}, dict: {dict}}
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def of_kind(values, kind) -> bool:
+    """Whether each of `values` is a JSON value of `kind`, as `type(v) in JSON_KINDS[kind]` is for one."""
+    return set(map(type, values)) <= JSON_KINDS[kind]
+
+
+# A plot's fields and their JSON kinds.
 _PLOT_FIELDS = (
     ("id", int), ("floors", int), ("floor_space", float),
     ("neighbors", list), ("locked", bool), ("actual_uses", list),
@@ -120,23 +132,14 @@ def _require(doc: dict, key: str, kind, path: str = ""):
     if key not in doc:
         raise InstanceSchemaError(f"missing field {path}{key}")
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InstanceSchemaError(f"{path}{key}: expected a number")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InstanceSchemaError(f"{path}{key}: expected an integer")
-        return value
-    if not isinstance(value, kind):
-        raise InstanceSchemaError(f"{path}{key}: expected {kind.__name__}")
-    return value
+    if type(value) not in JSON_KINDS[kind]:
+        raise InstanceSchemaError(f"{path}{key}: expected {_KIND_NAMES.get(kind, kind.__name__)}")
+    return float(value) if kind is float else value
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """The instance `doc` describes. Only JSON types are checked here; ranges are
-    `ProblemInstance`'s, but for the neighbor-id bound (DanglingNeighborError),
-    tested in the loop that the neighbor ids' integer test needs anyway."""
+    `ProblemInstance`'s, but for the neighbor-id bound (DanglingNeighborError)."""
     if not isinstance(doc, dict):
         raise InstanceSchemaError("document root must be an object")
     version = _require(doc, "version", int)
@@ -156,12 +159,11 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         pid, floors, space, neighbors, locked, actual = [
             _require(p, key, kind, path) for key, kind in _PLOT_FIELDS
         ]
-        for t, code in enumerate(actual):
-            if type(code) is not int:  # a JSON integer; bool is refused too
-                raise InstanceSchemaError(f"{path}actual_uses[{t}]: expected an integer")
+        for key, ids in (("actual_uses", actual), ("neighbors", neighbors)):
+            if not of_kind(ids, int):
+                t = next(t for t, v in enumerate(ids) if type(v) not in JSON_KINDS[int])
+                raise InstanceSchemaError(f"{path}{key}[{t}]: expected an integer")
         for t, j in enumerate(neighbors):
-            if type(j) is not int:
-                raise InstanceSchemaError(f"{path}neighbors[{t}]: expected an integer")
             if not 0 <= j < len(plots_doc):
                 raise DanglingNeighborError(f"{path}neighbors[{t}]: no plot with id {j}")
         plots.append(Plot(pid, floors, space, tuple(neighbors), locked, tuple(actual)))

@@ -22,8 +22,9 @@ evaluation to rounding (about 1e-15 relative per step); every other row
 goes through `evaluate_batch`, whose values do not depend on the batch a
 row is evaluated in.
 
-Everything here is pure and deterministic; instances are immutable after
-construction.
+Everything here is deterministic. An instance is not changed after
+construction, except that `_edge_buffers` keeps `evaluate_batch`'s scratch
+arrays on it and `generate_synthetic` sets its price box after building it.
 """
 
 from __future__ import annotations
@@ -527,8 +528,6 @@ def evaluate_near(
         return evaluate_batch(inst, values)
     anchors = np.asarray(anchors)
     anchored = np.flatnonzero(anchors >= 0)
-    if anchored.size * inst.full_row_work <= _DELTA_CALL_WORK:
-        return evaluate_batch(inst, values)
     mine = values if anchored.size == len(values) else values[anchored]
     changed = np.flatnonzero(mine != base_values.take(anchors[anchored], axis=0))
     pr, pp = np.divmod(changed, inst.n_plots)

@@ -86,8 +86,6 @@ def tournament_indices(
     n = len(keys[0])
     if n == 0:
         raise ValueError("population must be non-empty")
-    if pool_size == 0:
-        return np.zeros(0, dtype=np.int64)
     a, b = rng.integers(0, n, size=(2, pool_size))
     a_wins = rng.random(pool_size) < 0.5
     for key in reversed(keys):

@@ -400,6 +400,65 @@ class TestVerifyCommand:
         (bundle / "manifest.json").write_text(json.dumps(manifest))
         assert main(["verify", "--bundle", str(bundle)]) == 3
 
+    @pytest.mark.parametrize(
+        "missing, message",
+        [
+            ("manifest.json", "manifest.json missing"),
+            ("instance.landalloc.json", "instance file missing: instance.landalloc.json"),
+        ],
+        ids=["manifest", "instance"],
+    )
+    def test_missing_bundle_file_is_incomplete(self, config_path, tmp_path, capsys, missing, message):
+        main(["run", "--config", str(config_path)])
+        bundle = tmp_path / "bundle"
+        (bundle / missing).unlink()
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(bundle)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_instance_out_of_range_is_invalid(self, config_path, tmp_path, capsys):
+        main(["run", "--config", str(config_path)])
+        inst_file = tmp_path / "bundle" / "instance.landalloc.json"
+        doc = json.loads(inst_file.read_text())
+        doc["gamma"] = -1.0
+        inst_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(tmp_path / "bundle")]) == 2
+        assert "issue: instance invalid: " in capsys.readouterr().err
+
+    def test_short_hv_trace_reported(self, config_path, tmp_path, capsys):
+        main(["run", "--config", str(config_path)])
+        run = sorted((tmp_path / "bundle" / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        del doc["hv_trace"][-1]
+        run.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(tmp_path / "bundle")]) == 2
+        assert "CR+DES seed 1: hv trace length 9 != generations 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["-1", "P"])
+    def test_front_index_out_of_range_reported(self, config_path, tmp_path, capsys, index):
+        main(["run", "--config", str(config_path)])
+        run = sorted((tmp_path / "bundle" / "runs").glob("*.json"))[0]
+        doc = json.loads(run.read_text())
+        doc["front"].append(-1 if index == "-1" else len(doc["population"]))
+        run.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--bundle", str(tmp_path / "bundle")]) == 2
+        assert "CR+DES seed 1: front indices out of range" in capsys.readouterr().err
+
+    def test_report_lists_failed_and_missing_runs(self, config_path, tmp_path):
+        main(["run", "--config", str(config_path)])
+        bundle = tmp_path / "bundle"
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["runs"][0].update(status="failed", error="boom")
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        (bundle / manifest["runs"][2]["file"]).unlink()
+        assert main(["report", "--bundle", str(bundle)]) == 0
+        summary = (bundle / "report" / "summary.txt").read_text()
+        assert "  - CR+DES seed 1: boom\n" in summary
+        assert "  - SOA seed 1: file missing\n" in summary
+
 
     @pytest.mark.parametrize("key", ["generations", "relax", "algorithm"])
     def test_manifest_without_engine_settings_reported(self, config_path, tmp_path, capsys, key):
@@ -504,6 +563,7 @@ class TestManifestChecked:
         [
             ("list", "manifest is not an object"),
             ("seedless run", "manifest runs entry 0 lacks one of label, seed, status, file"),
+            ("boolean run seed", "manifest runs entry 0 lacks one of label, seed, status, file"),
             ("numeric instance", "manifest instance is not a file name"),
             ("string alpha", "manifest alpha is not a number in (0, 1)"),
             ("alpha of one", "manifest alpha is not a number in (0, 1)"),
@@ -511,7 +571,7 @@ class TestManifestChecked:
             ("numeric metric name", "manifest stats_metrics is not a list of metric names"),
         ],
         ids=[
-            "list", "seedless-run", "numeric-instance", "string-alpha", "alpha-of-one",
+            "list", "seedless-run", "boolean-run-seed", "numeric-instance", "string-alpha", "alpha-of-one",
             "numeric-stats-metrics", "numeric-metric-name",
         ],
     )
@@ -524,6 +584,8 @@ class TestManifestChecked:
             manifest = []
         elif malformed == "seedless run":
             del manifest["runs"][0]["seed"]
+        elif malformed == "boolean run seed":
+            manifest["runs"][0]["seed"] = True
         elif malformed == "numeric instance":
             manifest["instance"] = 5
         else:
@@ -536,6 +598,21 @@ class TestManifestChecked:
         path.write_text(json.dumps(manifest))
         self._check_refused(bundle, capsys, f"manifest.json unreadable: {message}")
 
+    @pytest.mark.parametrize(
+        "engine, key, value",
+        [(1, "generations", 5.0), (1, "gamma_final", "0.3"), (0, "soa_a", True)],
+        ids=["float-generations", "string-gamma-final", "boolean-soa-weight"],
+    )
+    def test_engine_setting_of_wrong_kind_fails(self, clean_bundle, tmp_path, capsys, engine, key, value):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        config = manifest["engines"][engine]["config"]
+        (config["relax"] if key == "gamma_final" else config)[key] = value
+        path.write_text(json.dumps(manifest))
+        label = manifest["engines"][engine]["label"]
+        self._check_refused(bundle, capsys, f"{label} seed 1: manifest lacks the engine's generations")
 
     def test_unknown_metric_name_is_reported_not_refused(self, clean_bundle, tmp_path):
         bundle = tmp_path / "bundle"
@@ -838,6 +915,15 @@ class TestStoredCodesChecked:
             "member 0 has a floor-use code that is not an integer",
         )
 
+    def test_integral_float_code_fails(self, clean_bundle, tmp_path, capsys):
+        def edit(doc):  # the instance reader refuses 1.0 as a floor use too
+            doc["population"][0]["floor_uses"][0] = float(doc["population"][0]["floor_uses"][0])
+
+        self._check_refused(
+            clean_bundle, tmp_path, capsys, edit,
+            "member 0 has a floor-use code that is not an integer",
+        )
+
     def test_non_numeric_code_fails(self, clean_bundle, tmp_path, capsys):
         def edit(doc):
             doc["population"][0]["floor_uses"][0] = "a"
@@ -909,15 +995,22 @@ class TestStoredCodesChecked:
             ("seed", "one", "seed is not numeric"),
             ("hv_trace", 5, "hv_trace is not numeric"),
             ("front", ["a"], "front is not numeric"),
+            ("front", [0.5], "front is not numeric"),
+            ("changed", 0.25, "member 0's changed is not numeric"),
+            ("seed", 1.0, "seed is not numeric"),
+            ("seed", True, "seed is not numeric"),
+            ("feasible", 1, "member 0's feasible is not numeric"),
+            ("rank", True, "member 0's rank is not numeric"),
         ],
         ids=["price-null", "compatibility-null", "feasible-null", "price", "changed", "seed",
-             "hv_trace", "front"],
+             "hv_trace", "front", "fractional-front", "fractional-changed", "float-seed",
+             "boolean-seed", "integer-feasible", "boolean-rank"],
     )
     def test_stored_number_that_does_not_convert_fails(
         self, clean_bundle, tmp_path, capsys, field, value, message
     ):
         def edit(doc):
-            if field in ("price", "compatibility", "feasible", "changed"):
+            if field in ("price", "compatibility", "feasible", "changed", "rank"):
                 doc["population"][0][field] = value
             else:
                 doc[field] = value

@@ -432,6 +432,17 @@ class TestDeltaEvaluation:
         children = self.moved(grid43x30, parents, [70, 600, 70, 900], np.random.default_rng(6))
         assert self.delta_rows(monkeypatch, grid43x30, parents, children, np.arange(4)) == [0, 2]
 
+    def test_one_anchored_row_goes_in_full(self, monkeypatch, grid43x30):
+        # At paper scale a full row's work is below a delta call's fixed
+        # work, so one anchored row, however few plots it changes, cannot
+        # save enough to pay for the call.
+        import landalloc.model as model
+
+        parents = values_of(grid43x30, perturbed_rows(grid43x30, 4, seed=6))
+        children = self.moved(grid43x30, parents, [3, 600, 600, 600], np.random.default_rng(7))
+        assert grid43x30.full_row_work <= model._DELTA_CALL_WORK
+        assert self.delta_rows(monkeypatch, grid43x30, parents, children, np.array([0, -1, -1, -1])) == []
+
     def test_floor_counts_do_not_move_the_routing(self, monkeypatch, grid43x30):
         from dataclasses import replace
 

@@ -216,6 +216,13 @@ class TestTournament:
         pool = tournament_indices((np.array([2, 1, 0]),), 10000, rng)
         assert np.count_nonzero(pool == 0) / len(pool) == pytest.approx(5 / 9, abs=0.02)
 
+    def test_zero_pool_is_empty_and_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        pool = tournament_indices((np.array([1, 0, 2]),), 0, rng)
+        assert pool.shape == (0,) and pool.dtype == np.int64
+        assert rng.bit_generator.state == state
+
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             tournament_indices((np.zeros(0),), 1, np.random.default_rng(0))
