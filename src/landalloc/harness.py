@@ -100,13 +100,12 @@ class ExperimentConfig:
             raise ExperimentConfigError("config is missing 'instance'")
         if "engines" not in doc or not isinstance(doc["engines"], list):
             raise ExperimentConfigError("config is missing an 'engines' list")
-        for key in ("instance", "output"):
-            if not isinstance(doc.get(key, ""), str):
-                raise ExperimentConfigError(f"{key} must be a path")
         seeds = doc.get("seeds", DEFAULT_SEEDS)
         stats_metrics = doc.get("stats_metrics", DEFAULT_STATS_METRICS)
         alpha, workers = doc.get("alpha", 0.05), doc.get("workers", 1)
         for values, kind, message in (
+            ([doc["instance"]], str, "instance must be a path"),
+            ([doc.get("output", "")], str, "output must be a path"),
             (doc["engines"], dict, "every engine entry must be an object"),
             (seeds, int, "seeds must be a list of integers"),
             (stats_metrics, str, "stats_metrics must be a list of metric names"),
@@ -389,9 +388,8 @@ def _listed_codes(pop_docs: list[dict], inst: ProblemInstance) -> np.ndarray:
 def _vector(values, kind, what: str) -> np.ndarray:
     """`values` as a 1-D array, or an InstanceError saying `what` is not numeric.
 
-    `values` must be a list of JSON values of `kind`: integers (never a
-    boolean or a float, even 1.0) read as int64, numbers as float and
-    booleans as bool. A null, a string or a nested list is none of these.
+    `values` must be a list of JSON values of `kind`: integers (never a boolean
+    or a float, even 1.0) read as int64, numbers as float and booleans as bool.
     """
     if type(values) is list and of_kind(values, kind):
         try:
@@ -601,10 +599,8 @@ def _foreign_run(entry: dict, label: str, rec: RunRecord) -> str | None:
 
 
 def _final_settings(config: dict, tag: str) -> tuple[int, float, float, tuple[float, float] | None]:
-    """(generations, relax.gamma_final, relax.mu_final, SOA weights or None) of a manifest engine config.
-
-    The generations must be a JSON integer, and the others JSON numbers.
-    """
+    """(generations, relax.gamma_final, relax.mu_final, SOA weights or None) of a manifest
+    engine config; the first must be a JSON integer and the others JSON numbers."""
     try:
         relax = config["relax"]
         soa = ("soa_a", "soa_b") if config["algorithm"] == "SOA" else ()

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -159,14 +160,18 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         pid, floors, space, neighbors, locked, actual = [
             _require(p, key, kind, path) for key, kind in _PLOT_FIELDS
         ]
-        for key, ids in (("actual_uses", actual), ("neighbors", neighbors)):
-            if not of_kind(ids, int):
-                t = next(t for t, v in enumerate(ids) if type(v) not in JSON_KINDS[int])
-                raise InstanceSchemaError(f"{path}{key}[{t}]: expected an integer")
-        for t, j in enumerate(neighbors):
-            if not 0 <= j < len(plots_doc):
-                raise DanglingNeighborError(f"{path}neighbors[{t}]: no plot with id {j}")
         plots.append(Plot(pid, floors, space, tuple(neighbors), locked, tuple(actual)))
+    lists = {key: [p[key] for p in plots_doc] for key in ("actual_uses", "neighbors")}
+    for key, rows in lists.items():  # one type-set test per key, over every plot
+        if not of_kind(chain.from_iterable(rows), int):
+            idx, t = next((idx, t) for idx, row in enumerate(rows) for t, v in enumerate(row)
+                          if type(v) not in JSON_KINDS[int])
+            raise InstanceSchemaError(f"plots[{idx}].{key}[{t}]: expected an integer")
+    ids = list(chain.from_iterable(lists["neighbors"]))
+    if ids and not 0 <= min(ids) <= max(ids) < len(plots):
+        idx, t, j = next((idx, t, j) for idx, row in enumerate(lists["neighbors"]) for t, j in enumerate(row)
+                         if not 0 <= j < len(plots))
+        raise DanglingNeighborError(f"plots[{idx}].neighbors[{t}]: no plot with id {j}")
     compat = _require(doc, "compat", list)
     price = _require(doc, "price", list)
     try:
