@@ -14,10 +14,13 @@ RunRecord files are canonical JSON (sorted keys, no timestamps), so
 rerunning the same config produces byte-identical files. Floor-use codes,
 nearly all of a file's bytes, exist only in these files: `record_to_json`
 and `combined_json` decode the plot values they write and render the codes
-in a few numpy passes, and `load_bundle` and `verify_bundle` parse a run
-file's code lists straight into an array when it has the form `run`
-writes, check them and encode them to plot values. Any other text takes
-`json.loads` and the member-by-member checks.
+in a few numpy passes. One walk over the manifest's runs serves both
+`verify_bundle` and `load_bundle` (behind `report`), so `report` refuses
+every bundle `verify` refuses, except for failed or missing runs, which
+it lists as gaps. The walk parses a run file's code lists straight into
+an array when it has the form `run` writes, checks them and encodes them
+to plot values. Any other text takes `json.loads` and the
+member-by-member checks.
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def _read_run(path: Path, n_floors: int) -> tuple[dict, np.ndarray | None]:
     member's "floor_uses" then reads `_CUT`, member r held list r, whatever
     keys, labels or escapes the rest of the text holds. Any other text, or
     one that spells NaN itself, is read by `json.loads` alone, with None for
-    the codes, so that `_record_and_stats` checks it member by member.
+    the codes, so that `record_from_dict` checks it member by member.
     """
     text = path.read_text(encoding="utf-8")
     pieces = _CODE_LIST.split(text)
@@ -294,33 +297,17 @@ def _parse_code_lists(lists: list[str], n_floors: int) -> np.ndarray | None:
 
 def record_from_dict(
     doc: dict, inst: ProblemInstance, codes: np.ndarray | None = None
-) -> tuple[str, RunRecord]:
-    """Rebuild a RunRecord; plot values and per-use areas are recomputed from the codes.
-
-    `codes`, if given, are the members' floor-use codes as `_read_run`
-    parsed them, in place of the lists in `doc`. Raises InstanceError as
-    `_record_and_stats` does, and if a member's stored compatibility or
-    price is not finite.
-    """
-    label, rec, _ = _record_and_stats(doc, inst, codes)
-    pop = rec.population
-    for key, values in (("compatibility", pop.compatibility), ("price", pop.price)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise InstanceError(f"member {bad[0]}'s {key} is not finite")
-    return label, rec
-
-
-def _record_and_stats(
-    doc: dict, inst: ProblemInstance, codes: np.ndarray | None = None
 ) -> tuple[str, RunRecord, BatchStats]:
-    """record_from_dict plus the evaluation of the stored codes' plot values.
+    """A run file's label, its RunRecord, and the evaluation of its members' floor uses.
 
+    Plot values and per-use areas are recomputed from the codes: `codes`,
+    if given, as `_read_run` parsed them, in place of the lists in `doc`.
     Raises InstanceError if a member is not an object, its floor uses are
     not a list of one integer code per floor of the instance (a boolean is
     no code), a code lies outside [0, K), or a stored number (a member
     field, the seed, the HV trace or the front) is null or does not
-    convert. A stored NaN or infinity converts: `verify` reports it as stale.
+    convert. A stored NaN or infinity converts: the bundle walk reports it
+    as a stale member.
     """
     pop_docs = doc["population"]
     codes = _listed_codes(pop_docs, inst) if codes is None else codes
@@ -592,10 +579,13 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _foreign_run(entry: dict, label: str, rec: RunRecord) -> str | None:
-    """What is wrong if the run file of manifest `entry` holds another run."""
-    same = (label, rec.seed) == (entry["label"], entry["seed"])
-    return None if same else f"run file {entry['file']} holds {label} seed {rec.seed}"
+def _foreign_run(entry: dict, config: dict, label: str, rec: RunRecord) -> str | None:
+    """What is wrong if the run file of manifest `entry` holds another run than `config`'s."""
+    if (label, rec.seed) != (entry["label"], entry["seed"]):
+        return f"run file {entry['file']} holds {label} seed {rec.seed}"
+    if rec.algorithm != config["algorithm"] or rec.config != {**config, "seed": rec.seed}:
+        return f"run file {entry['file']} holds another algorithm or config than its engine's"
+    return None
 
 
 def _final_settings(config: dict, tag: str) -> tuple[int, float, float, tuple[float, float] | None]:
@@ -625,107 +615,101 @@ def _not_final_front(inst: ProblemInstance, rec: RunRecord, gamma: float, soa_we
 
 
 def load_bundle(bundle_dir: str | Path) -> LoadedBundle:
-    bundle = Path(bundle_dir)
-    manifest_path = bundle / "manifest.json"
-    if not manifest_path.exists():
-        raise InstanceError(f"no manifest.json in {bundle}")
-    manifest = _read_manifest(manifest_path)
-    inst = load_instance(bundle / manifest["instance"])
-    records: dict[str, list[RunRecord]] = {e["label"]: [] for e in manifest["engines"]}
-    configs = {e["label"]: e["config"] for e in manifest["engines"]}
-    gaps = []
-    for entry in manifest["runs"]:
-        tag = f"{entry['label']} seed {entry['seed']}"
-        if entry["status"] != "ok":
-            gaps.append(f"{tag}: {entry.get('error', 'failed')}")
-            continue
-        path = bundle / entry["file"]
-        if not path.exists():
-            gaps.append(f"{tag}: file missing")
-            continue
-        doc, codes = _read_run(path, inst.total_floors)
-        label, rec = record_from_dict(doc, inst, codes)
-        if foreign := _foreign_run(entry, label, rec):
-            raise InstanceError(f"{tag}: {foreign}")
-        _, gamma_final, _, soa_weights = _final_settings(configs.get(label, {}), tag)
-        if wrong := _not_final_front(inst, rec, gamma_final, soa_weights):
-            raise InstanceError(f"{tag}: {wrong}")
-        records[label].append(rec)
-    return LoadedBundle(bundle, manifest, inst, records, gaps)
+    """The bundle's instance and ok runs; InstanceError with the first issue `verify_bundle` finds.
+
+    Failed runs and missing run files are no issue here: they are the
+    LoadedBundle's gaps.
+    """
+    issues, gaps, loaded = _walk_bundle(Path(bundle_dir))
+    if issues or loaded is None:
+        raise InstanceError((issues + gaps)[0])
+    return loaded
 
 
 def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
-    """Check bundle completeness and invariants.
+    """Check bundle completeness and invariants: `_walk_bundle`'s gaps, then its issues.
 
-    Each run's codes must lie in [0, K), and its plot values must keep
-    every locked plot as built. Its stored member objectives and changed
-    counts are checked against the evaluation of its codes that loading
-    the record already makes, its front members must lie inside the final
-    gamma band (areas from that evaluation) and the price box, and its HV
-    trace must never decrease. Unless a member is stale, its members' feasible flags and
-    violations must be exactly `_refresh_pop`'s under the final (gamma,
-    mu), as the engine stores them, and its front must be the stored
-    population's `final_front_indices` (a repeated index is no difference).
-    Each label's combined file must be the text `run` writes from the
-    label's ok runs, unless one of them is missing or unreadable.
-
-    A run file must hold the label and seed of its manifest entry, and
-    the manifest's engine and run entries the fields `run` writes.
-
-    Returns (issues, incomplete): `incomplete` marks missing or failed
-    runs; other issues are integrity problems.
+    Returns (gaps + issues, incomplete): `incomplete` marks a missing
+    manifest, instance or run file, or a failed run.
     """
-    bundle = Path(bundle_dir)
-    issues: list[str] = []
-    incomplete = False
+    issues, gaps, _ = _walk_bundle(Path(bundle_dir))
+    return gaps + issues, bool(gaps)
+
+
+def _walk_bundle(bundle: Path) -> tuple[list[str], list[str], LoadedBundle | None]:
+    """(issues, gaps, the loaded bundle or None if its manifest or instance is unusable).
+
+    Gaps are a missing manifest, instance or run file, and failed runs;
+    issues are integrity problems. Each run's codes must lie in [0, K),
+    and its plot values must keep every locked plot as built. Its stored
+    member objectives and changed counts are checked against the
+    evaluation of its codes that `record_from_dict` makes, its front
+    members must lie inside the final gamma band (areas from that
+    evaluation) and the price box, and its HV trace must be finite, hold
+    one value per generation and never decrease. Unless a member is
+    stale, its members' feasible flags and violations must be exactly
+    `_refresh_pop`'s under the final (gamma, mu), as the engine stores
+    them, and its front must be the stored population's
+    `final_front_indices` (a repeated index is no difference). Each
+    label's combined file must be the text `run` writes from the label's
+    ok runs, unless one of them is missing or unreadable.
+
+    A run file must hold the label, seed, algorithm and config (plus the
+    seed) of its manifest run and engine entries, and these entries the
+    fields `run` writes.
+    """
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
-        return ([f"{bundle}: manifest.json missing"], True)
+        return [], [f"{bundle}: manifest.json missing"], None
     try:
         manifest = _read_manifest(manifest_path)
     except (json.JSONDecodeError, InstanceError) as exc:
-        return ([f"manifest.json unreadable: {exc}"], False)
+        return [f"manifest.json unreadable: {exc}"], [], None
     inst_path = bundle / manifest.get("instance", "instance.landalloc.json")
     if not inst_path.exists():
-        return ([f"instance file missing: {inst_path.name}"], True)
+        return [], [f"instance file missing: {inst_path.name}"], None
+    issues: list[str] = []
+    gaps: list[str] = []
     if _sha256(inst_path) != manifest.get("instance_sha256"):
         issues.append("instance file hash does not match the manifest")
     try:
         inst = load_instance(inst_path)
     except InstanceError as exc:
-        return (issues + [f"instance invalid: {exc}"], False)
+        return issues + [f"instance invalid: {exc}"], gaps, None
     configs = {e["label"]: e["config"] for e in manifest.get("engines", [])}
     records: dict[str, list[RunRecord]] = {label: [] for label in configs}
+    ok_runs = Counter()
     for entry in manifest.get("runs", []):
         tag = f"{entry['label']} seed {entry['seed']}"
         if entry["status"] != "ok":
-            issues.append(f"{tag}: marked failed ({entry.get('error', '?')})")
-            incomplete = True
+            gaps.append(f"{tag}: marked failed ({entry.get('error', '?')})")
             continue
+        ok_runs[entry["label"]] += 1
         path = bundle / entry["file"]
         if not path.exists():
-            issues.append(f"{tag}: run file missing")
-            incomplete = True
+            gaps.append(f"{tag}: run file missing")
             continue
         try:
             doc, codes = _read_run(path, inst.total_floors)
-            label, rec, stats = _record_and_stats(doc, inst, codes)
+            label, rec, stats = record_from_dict(doc, inst, codes)
         except Exception as exc:
             issues.append(f"{tag}: unreadable run file ({exc})")
             continue
-        if foreign := _foreign_run(entry, label, rec):
-            issues.append(f"{tag}: {foreign}")
-            continue
+        config = configs.get(entry["label"], {})
         try:
-            generations, gamma_final, mu_final, soa_weights = _final_settings(
-                configs.get(label, {}), tag
-            )
+            generations, gamma_final, mu_final, soa_weights = _final_settings(config, tag)
         except InstanceError as exc:
             issues.append(str(exc))
             continue
-        if len(rec.hv_trace) != generations:
-            issues.append(f"{tag}: hv trace length {len(rec.hv_trace)} != generations {generations}")
-        if np.any(np.diff(rec.hv_trace) < 0):
+        if foreign := _foreign_run(entry, config, label, rec):
+            issues.append(f"{tag}: {foreign}")
+            continue
+        trace = np.array(rec.hv_trace)
+        if len(trace) != generations:
+            issues.append(f"{tag}: hv trace length {len(trace)} != generations {generations}")
+        if not np.isfinite(trace).all():
+            issues.append(f"{tag}: hv trace is not finite")
+        elif (np.diff(trace) < 0).any():
             issues.append(f"{tag}: hv trace decreases")
         if stale := _stale_members(rec, stats):
             issues.append(
@@ -764,7 +748,6 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             issues.append(f"{tag}: reported front contains dominated points")
         if not stale and (wrong := _not_final_front(inst, rec, gamma_final, soa_weights)):
             issues.append(f"{tag}: {wrong}")
-    ok_runs = Counter(e["label"] for e in manifest.get("runs", []) if e["status"] == "ok")
     for idx, (label, recs) in enumerate(records.items()):
         if len(recs) != ok_runs[label]:  # a run file that is missing or unreadable
             continue
@@ -775,4 +758,4 @@ def verify_bundle(bundle_dir: str | Path) -> tuple[list[str], bool]:
             same = False
         if not same:
             issues.append(f"{label}: {name} is missing or not the union of its runs' fronts")
-    return issues, incomplete
+    return issues, gaps, LoadedBundle(bundle, manifest, inst, records, gaps)

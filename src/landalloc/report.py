@@ -334,13 +334,9 @@ def _hv_svg(labels, records) -> str:
     width, height, margin = 640, 400, 60
     traces = {}
     for label in labels:
-        recs = records[label]
-        if not recs:
-            continue
-        length = min(len(r.hv_trace) for r in recs)
-        if length == 0:
-            continue
-        traces[label] = np.mean([r.hv_trace[:length] for r in recs], axis=0)
+        recs = records[label]  # every trace holds one value per generation
+        if recs and recs[0].hv_trace:  # a manifest may say `generations: 0`
+            traces[label] = np.mean([r.hv_trace for r in recs], axis=0)
     max_gen = max((len(t) for t in traces.values()), default=1)
     hv_hi = max((float(t.max()) for t in traces.values()), default=1.0) or 1.0
     sx = _scale(1, max_gen, width - 2 * margin, margin)

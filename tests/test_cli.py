@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -447,17 +448,26 @@ class TestVerifyCommand:
         assert main(["verify", "--bundle", str(tmp_path / "bundle")]) == 2
         assert "CR+DES seed 1: front indices out of range" in capsys.readouterr().err
 
-    def test_report_lists_failed_and_missing_runs(self, config_path, tmp_path):
-        main(["run", "--config", str(config_path)])
+    def test_report_lists_failed_and_missing_runs(self, config_path, tmp_path, monkeypatch):
+        # a run that raises leaves a combined file of the label's other runs, which verify accepts
+        import landalloc.harness as harness
+
+        real = harness.run_engine
+
+        def flaky(inst, cfg):
+            if cfg.algorithm == "CR_DES" and cfg.seed == 1:
+                raise RuntimeError("boom")
+            return real(inst, cfg)
+
+        monkeypatch.setattr(harness, "run_engine", flaky)
+        assert main(["run", "--config", str(config_path)]) == 3
         bundle = tmp_path / "bundle"
         manifest = json.loads((bundle / "manifest.json").read_text())
-        manifest["runs"][0].update(status="failed", error="boom")
-        (bundle / "manifest.json").write_text(json.dumps(manifest))
         (bundle / manifest["runs"][2]["file"]).unlink()
         assert main(["report", "--bundle", str(bundle)]) == 0
         summary = (bundle / "report" / "summary.txt").read_text()
-        assert "  - CR+DES seed 1: boom\n" in summary
-        assert "  - SOA seed 1: file missing\n" in summary
+        assert "  - CR+DES seed 1: marked failed (RuntimeError: boom)\n" in summary
+        assert "  - SOA seed 1: run file missing\n" in summary
 
 
     @pytest.mark.parametrize("key", ["generations", "relax", "algorithm"])
@@ -626,6 +636,97 @@ class TestManifestChecked:
         doc = json.loads((bundle / "report" / "stats.json").read_text())
         assert doc["metrics"]["no_such_metric"] == {"error": "unknown metric"}
         assert "kruskal_wallis" in doc["metrics"]["hv"]
+
+
+def _shorten_trace(bundle, doc):
+    del doc["hv_trace"][-1]
+
+
+def _decrease_trace(bundle, doc):
+    doc["hv_trace"][-1] = doc["hv_trace"][-2] - 1.0
+
+
+def _infinite_trace(bundle, doc):
+    doc["hv_trace"] = [math.inf] * len(doc["hv_trace"])  # json.dumps writes Infinity
+
+
+def _add_changed(bundle, doc):
+    doc["population"][0]["changed"] += 1
+
+
+def _other_algorithm(bundle, doc):
+    doc["algorithm"] = "SOA"
+
+
+def _other_config(bundle, doc):
+    doc["config"] = {"anything": 1}
+
+
+def _add_combined_byte(bundle, doc):
+    path = bundle / "combined" / "00_CR.json"
+    path.write_text(path.read_text() + " ")
+
+
+def _add_instance_byte(bundle, doc):
+    path = bundle / "instance.landalloc.json"
+    path.write_text(path.read_text() + "\n")
+
+
+class TestReportRefusesWhatVerifyRefuses:
+    """`report` and `verify` walk a bundle once, with the same checks.
+
+    On a 4x1 (two uses, generator seed 3) bundle of one CR_DES run (label
+    "CR", 5 generations, seed 1), each tamper makes `verify` exit 2 with
+    the issue, and `report` exit 2 with "cannot build report: " and the
+    same text. Neither emits a RuntimeWarning.
+    """
+
+    @pytest.fixture(scope="class")
+    def clean_bundle(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("walk")
+        main(["generate", "--grid", "4x1", "--uses", "2", "--seed", "3",
+              "--out", str(root / "inst.landalloc.json")])
+        doc = {
+            "instance": "inst.landalloc.json", "output": "bundle", "seeds": [1],
+            "engines": [{"label": "CR", "algorithm": "CR_DES", "generations": 5,
+                         "population_size": 12}],
+        }
+        (root / "exp.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(root / "exp.json")]) == 0
+        assert main(["verify", "--bundle", str(root / "bundle")]) == 0
+        return root / "bundle"
+
+    @pytest.mark.parametrize("tamper, message", [
+        (_shorten_trace, "CR seed 1: hv trace length 4 != generations 5"),
+        (_decrease_trace, "CR seed 1: hv trace decreases"),
+        (_infinite_trace, "CR seed 1: hv trace is not finite"),
+        (_add_changed, "CR seed 1: stored objectives or changed counts of 1 member(s) "
+                       "do not match their floor uses (first: member 0)"),
+        (_other_algorithm, "CR seed 1: run file runs/00_CR__s1.json holds another "
+                           "algorithm or config than its engine's"),
+        (_other_config, "CR seed 1: run file runs/00_CR__s1.json holds another "
+                        "algorithm or config than its engine's"),
+        (_add_combined_byte, "CR: combined/00_CR.json is missing or not the union of its runs' fronts"),
+        (_add_instance_byte, "instance file hash does not match the manifest"),
+    ], ids=["short-trace", "decreasing-trace", "infinite-trace", "changed-plus-one",
+            "other-algorithm", "other-config", "combined-byte", "instance-hash"])
+    def test_tamper_is_refused_by_both(self, clean_bundle, tmp_path, capsys, tamper, message):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_bundle, bundle)
+        run = bundle / "runs" / "00_CR__s1.json"
+        doc = json.loads(run.read_text())
+        tamper(bundle, doc)
+        run.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--bundle", str(bundle)]) == 2
+            assert f"issue: {message}\n" in capsys.readouterr().err
+            assert main(["report", "--bundle", str(bundle)]) == 2
+            err = capsys.readouterr().err
+        assert f"cannot build report: {message}\n" in err and "Traceback" not in err
+        assert not (bundle / "report").exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestVerifyRederives:
@@ -824,7 +925,8 @@ class TestVerifyRederives:
         assert "unreadable run file (member 0 has" in capsys.readouterr().err
         assert main(["report", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
-        assert "cannot build report: member 0 has" in err and "Traceback" not in err
+        assert "cannot build report: CR_DES seed 1: unreadable run file (member 0 has" in err
+        assert "Traceback" not in err
 
     def test_altered_locked_plot_fails(self, clean_bundle, tmp_path, capsys):
         def edit(inst, codes):
@@ -902,7 +1004,8 @@ class TestStoredCodesChecked:
         capsys.readouterr()
         assert main(["report", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
-        assert f"cannot build report: {message}" in err and "Traceback" not in err
+        assert f"cannot build report: SOA seed 1: unreadable run file ({message}" in err
+        assert "Traceback" not in err
         assert main(["verify", "--bundle", str(bundle)]) == 2
         assert f"unreadable run file ({message}" in capsys.readouterr().err
 
@@ -968,7 +1071,7 @@ class TestStoredCodesChecked:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_objective_refused_by_report(self, clean_bundle, tmp_path, capsys, value):
-        # report cannot rank a non-finite objective; verify reports it as stale
+        # a NaN or infinity is never equal to its re-evaluation: both commands report it as stale
         bundle = tmp_path / "bundle"
         shutil.copytree(clean_bundle, bundle)
         run = sorted((bundle / "runs").glob("*.json"))[0]
@@ -978,11 +1081,14 @@ class TestStoredCodesChecked:
         capsys.readouterr()
         assert main(["report", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
-        assert f"cannot build report: member {doc['front'][0]}'s price is not finite" in err
-        assert "Traceback" not in err
+        stale = (
+            "SOA seed 1: stored objectives or changed counts of 1 member(s) "
+            f"do not match their floor uses (first: member {doc['front'][0]})"
+        )
+        assert f"cannot build report: {stale}" in err and "Traceback" not in err
         assert main(["verify", "--bundle", str(bundle)]) == 2
         err = capsys.readouterr().err
-        assert "do not match their floor uses" in err and "unreadable" not in err
+        assert f"issue: {stale}" in err and "unreadable" not in err
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -1026,7 +1132,7 @@ class TestHarnessInternals:
         cfg = la.EngineConfig(algorithm="CR_DES", population_size=10, generations=8, seed=3)
         rec = la.run_engine(inst, cfg)
         text = record_to_json("L", rec, inst)
-        label, back = record_from_dict(json.loads(text), inst)
+        label, back, _ = record_from_dict(json.loads(text), inst)
         assert label == "L"
         assert record_to_json("L", back, inst) == text
 
