@@ -14,13 +14,13 @@ RunRecord files are canonical JSON (sorted keys, no timestamps), so
 rerunning the same config produces byte-identical files. Floor-use codes,
 nearly all of a file's bytes, exist only in these files: `record_to_json`
 and `combined_json` decode the plot values they write and render the codes
-in a few numpy passes. One walk over the manifest's runs serves both
-`verify_bundle` and `load_bundle` (behind `report`), so `report` refuses
-every bundle `verify` refuses, except for failed or missing runs, which
-it lists as gaps. The walk parses a run file's code lists straight into
-an array when it has the form `run` writes, checks them and encodes them
-to plot values. Any other text takes `json.loads` and the
-member-by-member checks.
+in a few numpy passes per block of rows. One walk over the manifest's runs
+serves both `verify_bundle` and `load_bundle` (behind `report`), so
+`report` refuses every bundle `verify` refuses, except for failed or
+missing runs, which it lists as gaps. The walk parses a run file's code
+lists straight into arrays, a block at a time, when it has the form `run`
+writes, checks them and encodes them to plot values. Any other text takes
+`json.loads` and the member-by-member checks.
 """
 
 from __future__ import annotations
@@ -192,30 +192,34 @@ def record_to_json(label: str, rec: RunRecord, inst: ProblemInstance) -> str:
         "front": rec.front_indices.tolist(),
         "population": [dict(zip(keys, member), floor_uses=[]) for member in zip(*columns)],
     }
-    codes = inst.codec.decode_rows(pop.values)
-    return _with_codes(canonical_dumps(doc, compact=True), "population", codes)
+    return _with_codes(canonical_dumps(doc, compact=True), "population", pop.values, inst.codec)
 
 
 # An entry's floor uses while its file is dumped, before `_with_codes` writes
-# them in; and a member's floor uses as `run` writes them, which `_read_run` parses.
+# them in; and the key before a member's floor uses as `run` writes them.
 _CODES_SLOT = '"floor_uses":[]'
-_CODE_LIST = re.compile(r',"floor_uses":\[([0-9,]*)\]')
+_CODES_KEY = b',"floor_uses":['
 # What a member's floor uses read as while `_read_run` parses their list, in place of a NaN.
 _CUT = object()
 _RUN_DECODER = json.JSONDecoder(parse_constant=lambda c: _CUT if c == "NaN" else float(c))
+# About how many bytes of code lists `_parse_code_lists` reads at a time.
+_BLOCK_BYTES = 1 << 17
 
 
-def _with_codes(text: str, key: str, codes) -> str:
-    """`text` with row r of `codes` as the floor uses of its `key` list's entry r.
+def _with_codes(text: str, key: str, values: np.ndarray, codec) -> str:
+    """`text` with the codes of plot-value row r as the floor uses of its `key` list's entry r.
 
     `text` is the compact dump of a document whose `key` entries hold
     `_CODES_SLOT` and numbers only, and after whose `key` list only numbers
     follow. So every slot after the key's last occurrence is an entry's.
+    The rows are decoded 16 at a time, so that no array holds an int per
+    floor of every row.
     """
     head, key_mark, tail = text.rpartition(f'"{key}":[')
     pieces = tail.split(_CODES_SLOT)
-    lists = _code_lists(codes)
-    return head + key_mark + "".join(p + c for p, c in zip(pieces, lists)) + pieces[-1]
+    blocks = (codec.decode_rows(values[r : r + 16]) for r in range(0, len(values), 16))
+    lists = chain.from_iterable(map(_code_lists, blocks))
+    return "".join([head, key_mark, *chain.from_iterable(zip(pieces, lists)), pieces[-1]])
 
 
 def _code_lists(codes) -> list[str]:
@@ -224,100 +228,107 @@ def _code_lists(codes) -> list[str]:
     A code takes `width` digit slots and a separator; the slots before its
     first digit hold NUL, which each row's text then drops.
     """
-    if len(codes) == 0:
-        return []
     n, f = codes.shape
     width = len(str(codes.max()))
     chars = np.zeros((n, f, width + 1), np.uint8)
     chars[..., width] = ord(",")
     chars[:, -1, width] = ord("]")
-    rest = codes
+    rest = codes.astype(np.min_scalar_type(codes.max()))
     for place in range(width):
         digit = rest % 10 + ord("0")
         chars[..., width - 1 - place] = np.where(rest > 0, digit, 0) if place else digit
-        rest = rest // 10
-    text = chars.tobytes().decode("ascii")
+        rest //= 10
+    text = str(chars, "ascii")
     m = f * (width + 1)
     return ['"floor_uses":[' + text[r * m : (r + 1) * m].replace("\0", "") for r in range(n)]
 
 
-def _read_run(path: Path, n_floors: int) -> tuple[dict, np.ndarray | None]:
-    """A run file's document and, if it has the form `run` writes, its (P, n_floors) codes.
+def _read_run(path: Path, inst: ProblemInstance) -> tuple[dict, np.ndarray | None]:
+    """A run file's document and, if it has the form `run` writes, its members' (P, N) plot values.
 
-    That form is one `_CODE_LIST` match per population member, each a list
-    of `n_floors` integers of at most 9 digits. The matches are cut out
-    before `json.loads`, each as a NaN that parses to `_CUT`. If each
-    member's "floor_uses" then reads `_CUT`, member r held list r, whatever
-    keys, labels or escapes the rest of the text holds. Any other text, or
-    one that spells NaN itself, is read by `json.loads` alone, with None for
-    the codes, so that `record_from_dict` checks it member by member.
+    That form is one `_CODES_KEY` per population member, each followed by
+    one code in [0, K) per floor of `inst`, of at most 9 digits, and "]".
+    Each key and list is cut out before `json.loads`, as a NaN that parses
+    to `_CUT`. If each member's "floor_uses" then reads `_CUT`, member r
+    held list r, whatever keys, labels or escapes the rest of the text
+    holds. Any other text, or one that spells NaN itself, is read by
+    `json.loads` alone, with None for the values, so that
+    `record_from_dict` checks it member by member.
     """
-    text = path.read_text(encoding="utf-8")
-    pieces = _CODE_LIST.split(text)
-    lists = pieces[1::2]
-    rest = ',"floor_uses":NaN'.join(pieces[::2])
-    if rest.count("NaN") == len(lists):  # the text spells no NaN of its own
+    data = path.read_bytes()
+    spans = []  # (start, end) of the text between each key and the next "]"
+    start = data.find(_CODES_KEY)
+    while start >= 0 and (end := data.find(b"]", start)) >= 0:
+        spans.append((start + len(_CODES_KEY), end))
+        start = data.find(_CODES_KEY, end)
+    cuts = [0, *chain.from_iterable((a - len(_CODES_KEY), b + 1) for a, b in spans), len(data)]
+    rest = b',"floor_uses":NaN'.join(data[a:b] for a, b in zip(cuts[::2], cuts[1::2])).decode("utf-8")
+    if rest.count("NaN") == len(spans):  # the text spells no NaN of its own
         try:
             doc = _RUN_DECODER.decode(rest)
             pop = doc["population"]
-            one_each = len(pop) == len(lists) and all(m["floor_uses"] is _CUT for m in pop)
+            one_each = len(pop) == len(spans) and all(m["floor_uses"] is _CUT for m in pop)
         except (ValueError, KeyError, TypeError):
             one_each = False
-        if one_each and (codes := _parse_code_lists(lists, n_floors)) is not None:
-            return doc, codes
-    return json.loads(text), None
+        if one_each and (values := _parse_code_lists(data, spans, inst)) is not None:
+            return doc, values
+    return json.loads(data.decode("utf-8")), None
 
 
-def _parse_code_lists(lists: list[str], n_floors: int) -> np.ndarray | None:
-    """The (len(lists), n_floors) int codes of comma-separated digit texts.
+def _parse_code_lists(data: bytes, spans: list[tuple[int, int]], inst: ProblemInstance) -> np.ndarray | None:
+    """The (len(spans), N) plot values of the comma-separated code lists `data[a:b]`.
 
-    None unless each text is `n_floors` JSON integers of at most 9 digits:
-    no empty token and no leading zero. The digits are read one place at
-    a time, back from each code's end, so that no array holds an int per
-    byte of text.
+    None unless each list is one JSON integer in [0, K) per floor of
+    `inst`, of at most 9 digits: digits and commas only, no empty token
+    and no leading zero. The lists are parsed and encoded about
+    `_BLOCK_BYTES` at a time, so that no array holds an int per code of
+    the file.
     """
-    if not lists or any(s.count(",") != n_floors - 1 for s in lists):
+    if not spans or any(data.count(b",", a, b) != inst.total_floors - 1 for a, b in spans):
         return None
-    # ten commas ahead of the first code, so that the ten bytes before every code's end lie in `buf`
-    buf = np.frombuffer(("," * 10 + ",".join(lists) + ",").encode("ascii"), np.uint8)
-    comma = buf == ord(",")
-    if (comma[9:-1] & comma[10:]).any() or (comma[9:-2] & (buf[10:-1] == ord("0")) & ~comma[11:]).any():
-        return None  # an empty token or a leading zero
-    ends = np.flatnonzero(comma[10:])
-    codes = np.zeros(ends.size, np.int32)
-    more = np.ones(ends.size, bool)  # the codes with more than `place` digits
-    for place in range(10):
-        digit = buf[9 - place :].take(ends)  # the byte `place` places before each code's end
-        more &= digit != ord(",")
-        if not more.any():
-            return codes.reshape(len(lists), n_floors)
-        codes += np.where(more, digit - ord("0"), 0) * np.int32(10**place)
-    return None  # a code of more than 9 digits
+    values = np.empty((len(spans), inst.n_plots), np.int64)
+    step = max(1, _BLOCK_BYTES // (spans[0][1] - spans[0][0] + 1))
+    view = memoryview(data)
+    for i in range(0, len(spans), step):
+        # ten commas ahead of the first code, so that the ten bytes before every code's end lie in `buf`
+        buf = np.frombuffer(b",".join([b"," * 9, *(view[a:b] for a, b in spans[i : i + step]), b""]), np.uint8)
+        comma = buf == ord(",")
+        if not ((buf - ord("0") < 10) | comma).all() or (comma[9:-1] & comma[10:]).any():
+            return None  # a byte that is no digit or comma, or an empty token
+        if (comma[9:-2] & (buf[10:-1] == ord("0")) & ~comma[11:]).any():
+            return None  # a leading zero
+        ends = np.flatnonzero(comma[10:])
+        codes = np.zeros(ends.size, np.int32)
+        more = np.ones(ends.size, bool)  # the codes with more than `place` digits
+        for place in range(10):
+            digit = buf[9 - place :].take(ends)  # the byte `place` places before each code's end
+            more &= digit != ord(",")
+            if not more.any():
+                break
+            codes += np.where(more, digit - ord("0"), 0) * np.int32(10**place)
+        if more.any() or codes.max() >= inst.n_uses:
+            return None  # a code of more than 9 digits, or outside [0, K)
+        values[i : i + step] = inst.codec.encode_rows(codes.reshape(-1, inst.total_floors))
+    return values
 
 
 def record_from_dict(
-    doc: dict, inst: ProblemInstance, codes: np.ndarray | None = None
+    doc: dict, inst: ProblemInstance, values: np.ndarray | None = None
 ) -> tuple[str, RunRecord, BatchStats]:
     """A run file's label, its RunRecord, and the evaluation of its members' floor uses.
 
-    Plot values and per-use areas are recomputed from the codes: `codes`,
-    if given, as `_read_run` parsed them, in place of the lists in `doc`.
-    Raises InstanceError if a member is not an object, its floor uses are
-    not a list of one integer code per floor of the instance (a boolean is
-    no code), a code lies outside [0, K), or a stored number (a member
-    field, the seed, the HV trace or the front) is null or does not
-    convert. A stored NaN or infinity converts: the bundle walk reports it
+    Plot values and per-use areas are recomputed from the codes: `values`,
+    if given, as `_read_run` parsed and encoded them, in place of the
+    lists in `doc`. Raises InstanceError if a member is not an object, its
+    floor uses are not a list of one integer code per floor of the
+    instance (a boolean is no code), a code lies outside [0, K), or a
+    stored number (a member field, the seed, the HV trace or the front) is
+    null or does not convert. A stored NaN or infinity converts: the bundle walk reports it
     as a stale member.
     """
     pop_docs = doc["population"]
-    codes = _listed_codes(pop_docs, inst) if codes is None else codes
-    outside = np.flatnonzero(~codes_in_range_mask(inst, codes))
-    if outside.size:  # evaluate_batch would count such a floor against another plot or use
-        raise InstanceError(
-            f"floor-use codes outside [0, {inst.n_uses}) in {outside.size} member(s) "
-            f"(first: member {outside[0]})"
-        )
-    values = inst.codec.encode_rows(codes)
+    if values is None:
+        values = inst.codec.encode_rows(_listed_codes(pop_docs, inst))
     stats = evaluate_batch(inst, values)
 
     def column(key: str, kind) -> np.ndarray:
@@ -350,9 +361,9 @@ def _listed_codes(pop_docs: list[dict], inst: ProblemInstance) -> np.ndarray:
     """The members' floor-use lists as one (P, total_floors) integer array.
 
     Raises InstanceError unless each member is an object whose floor uses
-    are a list of one JSON integer per floor: a boolean, or a float even
-    if integral (1.0), is no code. A code too large for int64 stays a
-    Python int in an object array, for the range check to refuse.
+    are a list of one JSON integer in [0, K) per floor: a boolean, or a
+    float even if integral (1.0), is no code. A code too large for int64
+    stays a Python int in an object array, for the range check to refuse.
     """
     for r, d in enumerate(pop_docs):
         if not isinstance(d, dict):
@@ -369,7 +380,14 @@ def _listed_codes(pop_docs: list[dict], inst: ProblemInstance) -> np.ndarray:
         r = next(r for r, codes in enumerate(lists) if not of_kind(codes, int))
         what = "an integer" if of_kind(lists[r], float) else "a number"
         raise InstanceError(f"member {r} has a floor-use code that is not {what}")
-    return np.array(lists).reshape(len(pop_docs), inst.total_floors)
+    codes = np.array(lists).reshape(len(pop_docs), inst.total_floors)
+    outside = np.flatnonzero(~codes_in_range_mask(inst, codes))
+    if outside.size:  # evaluate_batch would count such a floor against another plot or use
+        raise InstanceError(
+            f"floor-use codes outside [0, {inst.n_uses}) in {outside.size} member(s) "
+            f"(first: member {outside[0]})"
+        )
+    return codes
 
 
 def _vector(values, kind, what: str) -> np.ndarray:
@@ -428,14 +446,13 @@ def combined_front_entries(records: list[RunRecord]) -> list[dict]:
     return entries
 
 
-def combined_json(label: str, records: list[RunRecord], inst: ProblemInstance) -> str:
-    """The text of a label's combined file: the union of its ok runs' fronts."""
-    entries = combined_front_entries(records)
+def combined_json(label: str, entries: list[dict], inst: ProblemInstance) -> str:
+    """The text of a label's combined file, from the `combined_front_entries` of its ok runs."""
     keys = ("compatibility", "price", "seed")
     points = [{k: e[k] for k in keys} | {"floor_uses": []} for e in entries]
     text = canonical_dumps({"label": label, "points": points}, compact=True)
     values = np.array([e["values"] for e in entries], dtype=np.int64).reshape(-1, inst.n_plots)
-    return _with_codes(text, "points", inst.codec.decode_rows(values))
+    return _with_codes(text, "points", values, inst.codec)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +523,7 @@ def run_experiment(cfg: ExperimentConfig) -> BundleResult:
 
     for idx, (label, ecfg) in enumerate(engines):
         (bundle / "combined" / f"{slug(idx, label)}.json").write_text(
-            combined_json(label, label_records[label], inst), encoding="utf-8"
+            combined_json(label, combined_front_entries(label_records[label]), inst), encoding="utf-8"
         )
 
     manifest = {
@@ -540,6 +557,7 @@ class LoadedBundle:
     manifest: dict
     instance: ProblemInstance
     records: dict[str, list[RunRecord]]  # label -> records in seed order
+    combined: dict[str, list[dict]]  # label -> combined_front_entries of its records
     gaps: list[str]
 
 
@@ -690,8 +708,8 @@ def _walk_bundle(bundle: Path) -> tuple[list[str], list[str], LoadedBundle | Non
             gaps.append(f"{tag}: run file missing")
             continue
         try:
-            doc, codes = _read_run(path, inst.total_floors)
-            label, rec, stats = record_from_dict(doc, inst, codes)
+            doc, values = _read_run(path, inst)
+            label, rec, stats = record_from_dict(doc, inst, values)
         except Exception as exc:
             issues.append(f"{tag}: unreadable run file ({exc})")
             continue
@@ -748,14 +766,15 @@ def _walk_bundle(bundle: Path) -> tuple[list[str], list[str], LoadedBundle | Non
             issues.append(f"{tag}: reported front contains dominated points")
         if not stale and (wrong := _not_final_front(inst, rec, gamma_final, soa_weights)):
             issues.append(f"{tag}: {wrong}")
-    for idx, (label, recs) in enumerate(records.items()):
-        if len(recs) != ok_runs[label]:  # a run file that is missing or unreadable
+    combined = {label: combined_front_entries(recs) for label, recs in records.items()}
+    for idx, (label, entries) in enumerate(combined.items()):
+        if len(records[label]) != ok_runs[label]:  # a run file that is missing or unreadable
             continue
         name = f"combined/{slug(idx, label)}.json"
         try:
-            same = (bundle / name).read_text(encoding="utf-8") == combined_json(label, recs, inst)
+            same = (bundle / name).read_text(encoding="utf-8") == combined_json(label, entries, inst)
         except OSError:
             same = False
         if not same:
             issues.append(f"{label}: {name} is missing or not the union of its runs' fronts")
-    return issues, gaps, LoadedBundle(bundle, manifest, inst, records, gaps)
+    return issues, gaps, LoadedBundle(bundle, manifest, inst, records, combined, gaps)

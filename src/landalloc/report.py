@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics, stats
 from .engines import crowding_distance
-from .harness import LoadedBundle, combined_front_entries, load_bundle
+from .harness import LoadedBundle, load_bundle
 from .instance_io import canonical_dumps
 from .model import ProblemInstance
 
@@ -113,7 +113,7 @@ def generate_report(bundle_dir: str | Path, out_dir: str | Path | None = None) -
     stats_doc = _stats_report(lb, labels, metric_rows)
     (out / "stats.json").write_text(canonical_dumps(stats_doc), encoding="utf-8")
 
-    combined = {label: combined_front_entries(lb.records[label]) for label in labels}
+    combined = lb.combined
     types_rows, landuse_rows = _types_and_landuse(lb.instance, labels, combined)
     _write_csv(
         out / "types.csv",

@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from landalloc import harness
 from landalloc.cli import main
 from landalloc.engines import EngineConfig, run_engine
 from landalloc.harness import (
@@ -33,7 +34,7 @@ from landalloc.instance_io import GeneratorSpec, generate_synthetic, load_instan
 from oracles import combined_text, record_text
 
 
-def _records(use_count: int, floor_range: tuple[int, int], seeds=(1, 2)):
+def _records(use_count: int, floor_range: tuple[int, int], seeds=(1, 2), population=8):
     """A small instance and one CR_DES record per seed, each front set to its whole population."""
     inst = generate_synthetic(
         GeneratorSpec(grid_width=3, grid_height=2, use_count=use_count, floor_range=floor_range,
@@ -41,7 +42,7 @@ def _records(use_count: int, floor_range: tuple[int, int], seeds=(1, 2)):
     )
     recs = []
     for seed in seeds:
-        cfg = EngineConfig(algorithm="CR_DES", population_size=8, generations=3, seed=seed,
+        cfg = EngineConfig(algorithm="CR_DES", population_size=population, generations=3, seed=seed,
                            init_change_fraction=1.0)
         rec = run_engine(inst, cfg)
         recs.append(replace(rec, front_indices=np.arange(rec.population.n)))
@@ -62,14 +63,14 @@ class TestWriterMatchesListPath:
         for rec in recs:
             assert record_to_json("L", rec, inst) == record_text("L", rec, inst)
         entries = combined_front_entries(recs)
-        assert entries and combined_json("L", recs, inst) == combined_text("L", entries, inst)
+        assert entries and combined_json("L", entries, inst) == combined_text("L", entries, inst)
 
     def test_empty_front_and_empty_combined_file(self):
         inst, recs = _records(3, (1, 2), seeds=(1,))
         rec = replace(recs[0], front_indices=np.zeros(0, dtype=np.int64))
         assert record_to_json("L", rec, inst) == record_text("L", rec, inst)
         empty = '{"label":"L","points":[]}\n'
-        assert combined_json("L", [rec], inst) == combined_text("L", [], inst) == empty
+        assert combined_json("L", combined_front_entries([rec]), inst) == combined_text("L", [], inst) == empty
         assert combined_json("L", [], inst) == empty
 
     def test_non_finite_objectives(self):
@@ -80,7 +81,19 @@ class TestWriterMatchesListPath:
         pop.crowd[3] = np.inf
         assert record_to_json("L", rec, inst) == record_text("L", rec, inst)
         entries = combined_front_entries([rec])
-        assert combined_json("L", [rec], inst) == combined_text("L", entries, inst)
+        assert combined_json("L", entries, inst) == combined_text("L", entries, inst)
+
+    def test_blocks_of_rows_with_differing_code_widths(self):
+        """40 rows are rendered in three blocks; the first block's codes have one digit, later ones two."""
+        inst, recs = _records(12, (1, 3), seeds=(1,), population=40)
+        rec = copy.deepcopy(recs[0])
+        rec.population.values[:16] = 0
+        assert (inst.codec.decode_rows(rec.population.values[16:]) >= 10).any()
+        assert record_to_json("L", rec, inst) == record_text("L", rec, inst)
+        entries = [
+            {"compatibility": 0.5, "price": 1.5, "seed": 1, "values": v} for v in rec.population.values
+        ]
+        assert combined_json("L", entries, inst) == combined_text("L", entries, inst)
 
     def test_label_holding_the_slot_text(self):
         inst, recs = _records(3, (1, 2))
@@ -88,7 +101,7 @@ class TestWriterMatchesListPath:
         for rec in recs:
             assert record_to_json(label, rec, inst) == record_text(label, rec, inst)
         entries = combined_front_entries(recs)
-        assert combined_json(label, recs, inst) == combined_text(label, entries, inst)
+        assert combined_json(label, entries, inst) == combined_text(label, entries, inst)
 
 
 # A member's floor-use list as `run` writes it, in the tests' own words.
@@ -99,9 +112,9 @@ def _member_list(text: str, r: int = 0) -> re.Match:
     return list(_MEMBER_LIST.finditer(text))[r]
 
 
-def _first_code(text: str, code: str) -> str:
-    """`text` with member 0's first floor-use code written as `code`."""
-    m = _member_list(text)
+def _first_code(text: str, code: str, r: int = 0) -> str:
+    """`text` with member r's first floor-use code written as `code`."""
+    m = _member_list(text, r)
     first_end = text.index(",", m.start(1)) if "," in m.group(1) else m.end(1)
     return text[: m.start(1)] + code + text[first_end:]
 
@@ -189,9 +202,9 @@ class TestReaderMatchesListPath:
     def test_clean_file_takes_the_array_path(self, clean_bundle):
         inst = load_instance(clean_bundle / "instance.landalloc.json")
         run = next((clean_bundle / "runs").glob("*.json"))
-        doc, codes = _read_run(run, inst.total_floors)
-        assert codes is not None and codes.shape == (len(doc["population"]), inst.total_floors)
-        assert self._outcome(lambda: record_from_dict(doc, inst, codes), inst) == self._outcome(
+        doc, values = _read_run(run, inst)
+        assert values is not None and values.shape == (len(doc["population"]), inst.n_plots)
+        assert self._outcome(lambda: record_from_dict(doc, inst, values), inst) == self._outcome(
             lambda: record_from_dict(json.loads(run.read_text()), inst), inst
         )
 
@@ -199,9 +212,23 @@ class TestReaderMatchesListPath:
         inst, recs = _records(12, (1, 3), seeds=(1,))
         run = tmp_path / "run.json"
         run.write_text(record_to_json("L", recs[0], inst))
-        doc, codes = _read_run(run, inst.total_floors)
-        assert codes is not None and codes.max() >= 10
-        assert np.array_equal(codes, inst.codec.decode_rows(recs[0].population.values))
+        doc, values = _read_run(run, inst)
+        assert values is not None and (inst.codec.decode_rows(values) >= 10).any()
+        assert np.array_equal(values, recs[0].population.values)
+
+    def test_byte_after_nine_is_no_code_of_ten(self, tmp_path):
+        """":" is the byte after "9": with K = 12 a colon must not read as the code 10."""
+        inst, recs = _records(12, (1, 3), seeds=(1,))
+        run = tmp_path / "run.json"
+        run.write_text(_first_code(record_to_json("L", recs[0], inst), ":"))
+
+        def array_path():
+            doc, values = _read_run(run, inst)
+            assert values is None
+            return record_from_dict(doc, inst, values)
+
+        kind, _ = self._outcome(array_path, inst)
+        assert kind == "JSONDecodeError"
 
     def test_labels_with_escapes_or_the_key_name_take_the_array_path(self, tmp_path):
         main(["generate", "--grid", "6x5", "--seed", "11", "--out", str(tmp_path / "inst.landalloc.json")])
@@ -216,11 +243,32 @@ class TestReaderMatchesListPath:
         runs = sorted((tmp_path / "bundle" / "runs").glob("*.json"))
         assert len(runs) == 2 and "\\u00c9" in runs[0].read_text()
         for run in runs:
-            doc, codes = _read_run(run, inst.total_floors)
-            assert codes is not None
-            assert self._outcome(lambda: record_from_dict(doc, inst, codes), inst) == self._outcome(
+            doc, values = _read_run(run, inst)
+            assert values is not None
+            assert self._outcome(lambda: record_from_dict(doc, inst, values), inst) == self._outcome(
                 lambda: record_from_dict(json.loads(run.read_text()), inst), inst
             )
+
+    @pytest.mark.parametrize("block_bytes", [1, 1000])
+    @pytest.mark.parametrize("code", [None, "01", "3", "1234567890"])
+    def test_lists_read_a_few_at_a_time(self, clean_bundle, tmp_path, monkeypatch, block_bytes, code):
+        """Lists read one or a few per block give the list path's record; a bad code in
+        the last member's list, so in the last block, sends the file to the list path."""
+        inst = load_instance(clean_bundle / "instance.landalloc.json")
+        text = next((clean_bundle / "runs").glob("*.json")).read_text()
+        assert inst.n_uses == 3 and text.count('"floor_uses"') > 4  # "3" is out of range
+        run = tmp_path / "run.json"
+        run.write_text(text if code is None else _first_code(text, code, r=-1))
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+
+        def array_path():
+            doc, values = _read_run(run, inst)
+            assert (values is None) == (code is not None)
+            return record_from_dict(doc, inst, values)
+
+        list_path = self._outcome(lambda: record_from_dict(json.loads(run.read_text()), inst), inst)
+        assert self._outcome(array_path, inst) == list_path
+        assert (list_path[0] == "record") == (code is None)
 
     @pytest.mark.parametrize("name", list(TAMPERS))
     def test_tampered_file_reads_as_the_list_path(self, clean_bundle, tmp_path, capsys, name):
@@ -232,10 +280,10 @@ class TestReaderMatchesListPath:
         text = run.read_text()
 
         def array_path():
-            doc, codes = _read_run(run, inst.total_floors)
+            doc, values = _read_run(run, inst)
             # only the form `run` writes is read as an array
-            assert (codes is None) == (name not in ARRAY_PATH_TAMPERS)
-            return record_from_dict(doc, inst, codes)
+            assert (values is None) == (name not in ARRAY_PATH_TAMPERS)
+            return record_from_dict(doc, inst, values)
 
         kind, message = self._outcome(lambda: record_from_dict(json.loads(text), inst), inst)
         assert self._outcome(array_path, inst) == (kind, message)
